@@ -15,11 +15,8 @@
 //! The public entry point is [`session::Session`]: build one from a
 //! [`VerifyOptions`], then call [`Session::verify`](session::Session::verify)
 //! with a [`session::Request`].  The session owns the long-lived state — the
-//! prover cascade, the persistent store handle (scanned once, not per call),
-//! and previous reports for incremental replay — which is what `ipl serve`
-//! keeps warm across requests.  The historical free functions
-//! ([`verify_source`], [`verify_module`] and their `_incremental` twins)
-//! survive as deprecated shims that build a throwaway session per call.
+//! prover cascade and the persistent store handle (scanned once, not per
+//! call) — which is what `ipl serve` keeps warm across requests.
 //! [`VerifyOptions::without_proof_constructs`] reproduces the "Without Proof
 //! Language Constructs" configuration of Table 2 by stripping every proof
 //! statement before verification.
@@ -28,7 +25,7 @@
 //!
 //! Sequent proving is embarrassingly parallel: every sequent is an
 //! independent query against a `Send + Sync` cascade over `Arc`-shared terms.
-//! [`verify_module`] therefore runs a small hand-rolled worker pool
+//! [`Session::verify`] therefore runs a small hand-rolled worker pool
 //! ([`VerifyOptions::jobs`] threads, default = available parallelism) in two
 //! waves: first the per-method pipeline front-end (translate → wlp → split →
 //! hash-consing of the sequent terms), then one flat work list of every
@@ -54,7 +51,6 @@ pub use ipl_provers::cache_store::CompactStats;
 use ipl_provers::{containment, Cascade, Outcome, ProverAnswer, ProverConfig, Query};
 pub use report::{MethodReport, ModuleReport, SequentReport};
 pub use session::{Request, Response, Session, SessionStats};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -171,7 +167,7 @@ impl VerifyOptions {
     }
 
     /// Controls per-sequent report recording (disable to save memory in
-    /// benchmarks; incremental replay needs it on).
+    /// benchmarks).
     #[must_use]
     pub fn with_record_sequents(mut self, record: bool) -> Self {
         self.record_sequents = record;
@@ -195,76 +191,6 @@ impl VerifyOptions {
     }
 }
 
-/// Verifies a module from source text.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] when parsing or lowering fails.  Its `Display`
-/// output is identical to the error strings of earlier releases.
-#[deprecated(note = "build a `Session` and call `Session::verify` instead")]
-pub fn verify_source(source: &str, options: &VerifyOptions) -> Result<ModuleReport, VerifyError> {
-    let module = ipl_lang::parse_module(source)?;
-    Session::new(options.clone()).verify_module(&module, None)
-}
-
-/// Re-verifies a module from source text, replaying the unchanged sequents of
-/// a previous run (see [`verify_module_incremental`]).
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] when parsing or lowering fails.
-#[deprecated(
-    note = "build a `Session` and call `Session::verify` with `Request::with_incremental`"
-)]
-pub fn verify_source_incremental(
-    source: &str,
-    previous: &ModuleReport,
-    options: &VerifyOptions,
-) -> Result<ModuleReport, VerifyError> {
-    let module = ipl_lang::parse_module(source)?;
-    Session::new(options.clone()).verify_module(&module, Some(previous))
-}
-
-/// Verifies a parsed module, proving the sequents of all its methods on the
-/// configured worker pool.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] when lowering fails.
-#[deprecated(note = "build a `Session` and call `Session::verify_module` instead")]
-pub fn verify_module(
-    module: &Module,
-    options: &VerifyOptions,
-) -> Result<ModuleReport, VerifyError> {
-    Session::new(options.clone()).verify_module(module, None)
-}
-
-/// Re-verifies a module given the report of a previous run: a sequent whose
-/// content fingerprint is unchanged since `previous` replays its recorded
-/// outcome without dispatching the cascade (a previously proved sequent
-/// counts as a cache hit with its original prover attribution; a previously
-/// unproved one skips the expensive re-attempt, which is the steady-state
-/// saving after an edit).  Fingerprint-changed and new sequents are proved
-/// normally.
-///
-/// Replay requires `previous` to carry per-sequent fingerprints — i.e. it
-/// must come from a run with [`VerifyOptions::record_sequents`] and the
-/// proof cache enabled.  Sequents without a matching prior fingerprint
-/// degrade gracefully to a full cascade dispatch, so the result is always as
-/// if the module had been verified from scratch under the same store.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] when lowering fails.
-#[deprecated(note = "build a `Session` and call `Session::verify_module` instead")]
-pub fn verify_module_incremental(
-    module: &Module,
-    previous: &ModuleReport,
-    options: &VerifyOptions,
-) -> Result<ModuleReport, VerifyError> {
-    Session::new(options.clone()).verify_module(module, Some(previous))
-}
-
 /// The two prover waves shared by [`Session`] and [`verify_method`]: lower,
 /// prepare every method, dispatch every non-trivial sequent, assemble the
 /// report deterministically.  The store is the caller's business (the
@@ -274,9 +200,7 @@ pub fn verify_module_incremental(
 pub(crate) fn drive(
     module: &Module,
     options: &VerifyOptions,
-    previous: Option<&ModuleReport>,
     cascade: &Cascade,
-    prover_names: &[&'static str],
 ) -> Result<(ModuleReport, Vec<(Fingerprint, String)>), VerifyError> {
     let lowered = lower_module(module)?;
     let jobs = options.effective_jobs();
@@ -290,11 +214,8 @@ pub(crate) fn drive(
     let cache = ProofCache::global();
     cache.reset_stats();
 
-    // The previous run's per-sequent fingerprints, for incremental replay.
-    let prior = previous.map(prior_index).unwrap_or_default();
-
-    // The module deadline starts counting now: front-end, dispatch and
-    // retries all share one wall-clock budget.
+    // The module deadline starts counting now: front-end and dispatch share
+    // one wall-clock budget.
     let deadline = options
         .module_deadline
         .map(|budget| Instant::now() + budget);
@@ -325,16 +246,7 @@ pub(crate) fn drive(
         |&(method_index, sequent_index)| {
             let p = &prepared[method_index];
             let sequent = &p.sequents[sequent_index];
-            let query = sequent_query(sequent, &p.method.env, options);
-            if options.config.use_cache && !prior.is_empty() {
-                let fingerprint = ProofCache::fingerprint(&query, &options.config, prover_names);
-                if let Some(prev) = prior.get(&(p.method.name.as_str(), sequent.name.as_str())) {
-                    if prev.fingerprint == Some(fingerprint.as_u128()) {
-                        return replay_answer(prev, fingerprint);
-                    }
-                }
-            }
-            cascade.prove_under(&query, deadline)
+            cascade.prove_under(&sequent_query(sequent, &p.method.env, options), deadline)
         },
         // A panic that escapes even the cascade's own stage containment
         // (driver bug, query construction) still only quarantines its one
@@ -362,28 +274,6 @@ pub(crate) fn drive(
     Ok((report, proved))
 }
 
-/// Indexes a previous report's recorded sequents by `(method, sequent)` name
-/// for incremental replay.  Sequents recorded without a fingerprint (cache
-/// disabled, pre-store report) are skipped — they can only be re-proved.
-/// Crashed and deadline-skipped priors are also excluded: those outcomes
-/// describe the previous run's *infrastructure*, not the sequent, so the
-/// sequent gets a fresh dispatch.
-fn prior_index(previous: &ModuleReport) -> HashMap<(&str, &str), &SequentReport> {
-    let mut index = HashMap::new();
-    for method in &previous.methods {
-        for sequent in &method.sequents {
-            let replayable = !matches!(
-                sequent.outcome,
-                Outcome::Crashed { .. } | Outcome::Skipped(_)
-            );
-            if sequent.fingerprint.is_some() && replayable {
-                index.insert((method.name.as_str(), sequent.name.as_str()), sequent);
-            }
-        }
-    }
-    index
-}
-
 /// The answer recorded for a sequent whose dispatch (not any prover stage)
 /// panicked: quarantined, never a verdict.
 fn crashed_answer(stage: &str, message: String) -> ProverAnswer {
@@ -397,28 +287,6 @@ fn crashed_answer(stage: &str, message: String) -> ProverAnswer {
         stage_durations: Vec::new(),
         cached: false,
         fingerprint: None,
-        retries: 0,
-    }
-}
-
-/// The answer replayed for a sequent whose fingerprint is unchanged since the
-/// previous run: same outcome, same prover attribution, no cascade dispatch.
-/// Only proved replays count as cache hits (an unproved sequent was answered
-/// by the previous run's *absence* of a proof, not by the cache).
-fn replay_answer(previous: &SequentReport, fingerprint: Fingerprint) -> ProverAnswer {
-    let start = Instant::now();
-    ProverAnswer {
-        outcome: if previous.proved {
-            Outcome::Proved
-        } else {
-            Outcome::Unknown
-        },
-        prover: previous.prover.clone(),
-        duration: start.elapsed(),
-        stage_durations: Vec::new(),
-        cached: previous.proved,
-        fingerprint: Some(fingerprint),
-        retries: 0,
     }
 }
 
@@ -543,7 +411,6 @@ fn assemble(
                 },
                 prover: None,
                 duration: Duration::ZERO,
-                fingerprint: None,
             });
         }
         return report;
@@ -576,7 +443,6 @@ fn assemble(
             Outcome::Skipped(_) => report.skipped_sequents += 1,
             Outcome::Unknown => {}
         }
-        report.retries += answer.retries as usize;
         if answer.cached {
             report.cache_hits += 1;
         }
@@ -595,7 +461,6 @@ fn assemble(
                 outcome: answer.outcome.clone(),
                 prover: answer.prover.clone(),
                 duration: answer.duration,
-                fingerprint: answer.fingerprint.map(Fingerprint::as_u128),
             });
         }
     }
@@ -671,10 +536,14 @@ fn parallel_map<'a, T: Sync, R: Send>(
 }
 
 #[cfg(test)]
-// The free-function shims must keep passing their historical tests.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+
+    fn verify(source: &str, options: &VerifyOptions) -> Result<ModuleReport, VerifyError> {
+        Session::new(options.clone())
+            .verify(&Request::new(source))
+            .map(|response| response.report)
+    }
 
     const COUNTER: &str = r#"
         module Counter {
@@ -709,7 +578,7 @@ mod tests {
 
     #[test]
     fn verifies_a_simple_module() {
-        let report = verify_source(COUNTER, &VerifyOptions::default()).unwrap();
+        let report = verify(COUNTER, &VerifyOptions::default()).unwrap();
         assert_eq!(report.module_name, "Counter");
         assert_eq!(report.methods.len(), 2);
         for method in &report.methods {
@@ -739,7 +608,7 @@ mod tests {
               }
             }
         "#;
-        let report = verify_source(source, &VerifyOptions::default()).unwrap();
+        let report = verify(source, &VerifyOptions::default()).unwrap();
         assert!(!report.fully_proved());
         let method = &report.methods[0];
         assert!(method.proved_sequents < method.total_sequents);
@@ -747,7 +616,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_propagated() {
-        assert!(verify_source("module {", &VerifyOptions::default()).is_err());
+        assert!(verify("module {", &VerifyOptions::default()).is_err());
     }
 
     #[test]
@@ -764,8 +633,8 @@ mod tests {
               }
             }
         "#;
-        let with = verify_source(source, &VerifyOptions::default()).unwrap();
-        let without = verify_source(source, &VerifyOptions::without_proof_constructs()).unwrap();
+        let with = verify(source, &VerifyOptions::default()).unwrap();
+        let without = verify(source, &VerifyOptions::without_proof_constructs()).unwrap();
         assert!(with.methods[0].counts.note == 1);
         assert!(without.methods[0].counts.note == 0);
         assert!(with.methods[0].total_sequents > without.methods[0].total_sequents);
@@ -780,7 +649,7 @@ mod tests {
             use_cache: false,
             ..ProverConfig::default()
         };
-        let sequential = verify_source(
+        let sequential = verify(
             COUNTER,
             &VerifyOptions {
                 config: uncached,
@@ -789,7 +658,7 @@ mod tests {
             },
         )
         .unwrap();
-        let parallel = verify_source(
+        let parallel = verify(
             COUNTER,
             &VerifyOptions {
                 config: uncached,
@@ -850,7 +719,7 @@ mod tests {
             },
             ..VerifyOptions::default()
         };
-        let report = verify_source(COUNTER, &options).unwrap();
+        let report = verify(COUNTER, &options).unwrap();
         assert!(!report.fully_proved());
         assert_eq!(
             report.skipped_sequents(),
@@ -879,7 +748,7 @@ mod tests {
             use_cache: false,
             ..ProverConfig::default()
         };
-        let plain = verify_source(
+        let plain = verify(
             COUNTER,
             &VerifyOptions {
                 config,
@@ -887,7 +756,7 @@ mod tests {
             },
         )
         .unwrap();
-        let budgeted = verify_source(
+        let budgeted = verify(
             COUNTER,
             &VerifyOptions {
                 config,

@@ -25,12 +25,6 @@ pub struct SequentReport {
     pub prover: Option<String>,
     /// Time spent on this sequent across the cascade.
     pub duration: Duration,
-    /// Raw 128-bit content fingerprint of the dispatched query (present when
-    /// the proof cache was enabled).  `verify_module_incremental` matches
-    /// this against the next run's fingerprints to decide which sequents can
-    /// replay; it is excluded from [`ModuleReport::normalized`] like every
-    /// other non-semantic field.
-    pub fingerprint: Option<u128>,
 }
 
 /// Outcome of one method.
@@ -62,9 +56,6 @@ pub struct MethodReport {
     pub crashed_sequents: usize,
     /// Sequents never dispatched because the module deadline had passed.
     pub skipped_sequents: usize,
-    /// Budget-escalation retries run across the method's sequents (0 unless
-    /// [`ipl_provers::RetryPolicy`] is enabled).
-    pub retries: usize,
     /// Per-sequent details (when recording is enabled).
     pub sequents: Vec<SequentReport>,
 }
@@ -160,11 +151,6 @@ impl ModuleReport {
     /// Total sequents skipped because the module deadline passed.
     pub fn skipped_sequents(&self) -> usize {
         self.methods.iter().map(|m| m.skipped_sequents).sum()
-    }
-
-    /// Total budget-escalation retries across all methods.
-    pub fn retries(&self) -> usize {
-        self.methods.iter().map(|m| m.retries).sum()
     }
 
     /// A canonical rendering of everything *semantic* in the report — module

@@ -2,22 +2,18 @@
 //!
 //! A [`Session`] owns everything worth keeping warm between verification
 //! requests: the prover cascade built for one [`VerifyOptions`]
-//! (crate::VerifyOptions), the persistent proof store handle (opened and
-//! scanned **once**, not per call), and the previous reports keyed by module
-//! path for incremental replay.  `ipl serve` holds one `Session` for its
-//! whole lifetime; the deprecated free functions construct a throwaway one
-//! per call, which is exactly the old cost model.
+//! (crate::VerifyOptions) and the persistent proof store handle (opened and
+//! scanned **once**, not per call).  `ipl serve` holds one `Session` for its
+//! whole lifetime; `ipl verify` holds one for all the files it is given.
 //!
 //! Requests are plain values ([`Request`]) and answers carry the report plus
 //! session-level telemetry ([`Response`]), so the same surface serves the
 //! CLI, the daemon protocol, and future LSP/WASM adapters.
 
 use crate::{drive, ModuleReport, VerifyError, VerifyOptions};
-use ipl_lang::Module;
 use ipl_provers::cache::ProofCache;
 use ipl_provers::cache_store::{CompactStats, StoreHandle};
 use ipl_provers::Cascade;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -32,13 +28,6 @@ use std::time::{Duration, Instant};
 pub struct Request {
     /// The annotated module source text.
     pub source: String,
-    /// Key for the session's previous-report table (defaults to the parsed
-    /// module name).  A daemon serving many files passes the file path here.
-    pub path: Option<String>,
-    /// Replay fingerprint-unchanged sequents from this session's previous
-    /// report for the same key (see
-    /// [`verify_module_incremental`](crate::verify_module_incremental)).
-    pub incremental: bool,
     /// Wall-clock budget for this request, overriding
     /// [`VerifyOptions::module_deadline`] (crate::VerifyOptions).
     pub deadline: Option<Duration>,
@@ -51,26 +40,9 @@ impl Request {
     pub fn new(source: impl Into<String>) -> Request {
         Request {
             source: source.into(),
-            path: None,
-            incremental: false,
             deadline: None,
             jobs: None,
         }
-    }
-
-    /// Keys this request's report under `path` instead of the module name.
-    #[must_use]
-    pub fn with_path(mut self, path: impl Into<String>) -> Request {
-        self.path = Some(path.into());
-        self
-    }
-
-    /// Enables (or disables) incremental replay against the session's
-    /// previous report for the same key.
-    #[must_use]
-    pub fn with_incremental(mut self, incremental: bool) -> Request {
-        self.incremental = incremental;
-        self
     }
 
     /// Sets a wall-clock budget for this request.
@@ -121,21 +93,17 @@ pub struct SessionStats {
     pub store_appended: usize,
 }
 
-/// Long-lived verification state: one cascade, one store handle, one
-/// previous-report table.  Shared across threads (`&Session` is enough to
-/// verify), so a daemon can serve concurrent connections from one session.
+/// Long-lived verification state: one cascade and one store handle.  Shared
+/// across threads (`&Session` is enough to verify), so a daemon can serve
+/// concurrent connections from one session.
 pub struct Session {
     options: VerifyOptions,
     cascade: Cascade,
-    prover_names: Vec<&'static str>,
     /// The persistent store, opened (and its log scanned) once at session
     /// construction.  `None` when no cache dir is configured, the in-memory
     /// cache is off, or the store could not be opened (degraded with a
     /// warning — persistence is an accelerator, not a dependency).
     store: Mutex<Option<StoreHandle>>,
-    /// Previous reports keyed by request path (or module name), for
-    /// incremental replay.
-    previous: Mutex<HashMap<String, ModuleReport>>,
     requests: AtomicUsize,
 }
 
@@ -153,14 +121,11 @@ impl Session {
     /// (but not yet replaying) the persistent store.
     pub fn new(options: VerifyOptions) -> Session {
         let cascade = Cascade::standard(options.config);
-        let prover_names = cascade.prover_names();
-        let store = open_store(&options, &prover_names);
+        let store = open_store(&options, &cascade.prover_names());
         Session {
             options,
             cascade,
-            prover_names,
             store: Mutex::new(store),
-            previous: Mutex::new(HashMap::new()),
             requests: AtomicUsize::new(0),
         }
     }
@@ -170,8 +135,8 @@ impl Session {
         &self.options
     }
 
-    /// Verifies one request: parse, optionally replay against the previous
-    /// report for the same key, prove, persist, remember.
+    /// Verifies one request: parse, warm the in-memory cache from the store
+    /// (first request only), prove, persist the freshly proved fingerprints.
     ///
     /// # Errors
     ///
@@ -181,16 +146,6 @@ impl Session {
     pub fn verify(&self, request: &Request) -> Result<Response, VerifyError> {
         let start = Instant::now();
         let module = ipl_lang::parse_module(&request.source)?;
-        let key = request.path.clone().unwrap_or_else(|| module.name.clone());
-        let previous = if request.incremental {
-            self.previous
-                .lock()
-                .expect("previous-report table poisoned")
-                .get(&key)
-                .cloned()
-        } else {
-            None
-        };
         let mut options = self.options.clone();
         if let Some(jobs) = request.jobs {
             options.jobs = jobs;
@@ -198,13 +153,27 @@ impl Session {
         if let Some(deadline) = request.deadline {
             options.module_deadline = Some(deadline);
         }
-        let (report, appended) = self.run(&module, &options, previous.as_ref())?;
-        if options.record_sequents {
-            self.previous
-                .lock()
-                .expect("previous-report table poisoned")
-                .insert(key, report.clone());
+        {
+            let mut store = self.store.lock().expect("store handle poisoned");
+            if let Some(handle) = store.as_mut() {
+                handle.ensure_preloaded(ProofCache::global());
+            }
         }
+        let (report, proved) = drive(&module, &options, &self.cascade)?;
+        let mut appended = 0;
+        if !proved.is_empty() {
+            let mut store = self.store.lock().expect("store handle poisoned");
+            if let Some(handle) = store.as_mut() {
+                match handle.append_new(&proved) {
+                    Ok(count) => appended = count,
+                    Err(e) => eprintln!(
+                        "warning: could not persist proofs to {}: {e}",
+                        handle.store().path().display()
+                    ),
+                }
+            }
+        }
+        self.requests.fetch_add(1, Ordering::Relaxed);
         let stats = self.stats();
         Ok(Response {
             report,
@@ -213,42 +182,6 @@ impl Session {
             store_entries: stats.store_entries,
             store_appended: appended,
         })
-    }
-
-    /// Verifies a parsed module under the session's options, optionally
-    /// replaying a previous report.  This is the surface the deprecated free
-    /// functions shim onto; [`Session::verify`] adds request parsing, option
-    /// overrides and the previous-report table on top.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VerifyError`] when lowering fails.
-    pub fn verify_module(
-        &self,
-        module: &Module,
-        previous: Option<&ModuleReport>,
-    ) -> Result<ModuleReport, VerifyError> {
-        self.run(module, &self.options.clone(), previous)
-            .map(|(report, _)| report)
-    }
-
-    /// Seeds the previous-report table, so later incremental requests for
-    /// `key` can replay against `report` (used by benchmark harnesses that
-    /// carry reports across sessions).
-    pub fn remember(&self, key: impl Into<String>, report: ModuleReport) {
-        self.previous
-            .lock()
-            .expect("previous-report table poisoned")
-            .insert(key.into(), report);
-    }
-
-    /// The report most recently remembered for `key`.
-    pub fn recall(&self, key: &str) -> Option<ModuleReport> {
-        self.previous
-            .lock()
-            .expect("previous-report table poisoned")
-            .get(key)
-            .cloned()
     }
 
     /// Compacts the session's persistent store in place: duplicates and
@@ -284,40 +217,6 @@ impl Session {
             stats.store_appended = handle.appended();
         }
         stats
-    }
-
-    /// The full verify path shared by [`Session::verify`] and the shims:
-    /// warm the in-memory cache from the store (first call only), drive the
-    /// prover waves, persist the freshly proved fingerprints.  Returns the
-    /// report and how many entries were appended.
-    fn run(
-        &self,
-        module: &Module,
-        options: &VerifyOptions,
-        previous: Option<&ModuleReport>,
-    ) -> Result<(ModuleReport, usize), VerifyError> {
-        {
-            let mut store = self.store.lock().expect("store handle poisoned");
-            if let Some(handle) = store.as_mut() {
-                handle.ensure_preloaded(ProofCache::global());
-            }
-        }
-        let (report, proved) = drive(module, options, previous, &self.cascade, &self.prover_names)?;
-        let mut appended = 0;
-        if !proved.is_empty() {
-            let mut store = self.store.lock().expect("store handle poisoned");
-            if let Some(handle) = store.as_mut() {
-                match handle.append_new(&proved) {
-                    Ok(count) => appended = count,
-                    Err(e) => eprintln!(
-                        "warning: could not persist proofs to {}: {e}",
-                        handle.store().path().display()
-                    ),
-                }
-            }
-        }
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        Ok((report, appended))
     }
 }
 
@@ -402,27 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_requests_replay_the_previous_report() {
-        let session = Session::new(VerifyOptions::default());
-        let cold = session.verify(&Request::new(COUNTER)).unwrap();
-        let warm = session
-            .verify(&Request::new(COUNTER).with_incremental(true))
-            .unwrap();
-        assert_eq!(cold.report.normalized(), warm.report.normalized());
-        let nontrivial: usize = warm
-            .report
-            .methods
-            .iter()
-            .map(|m| m.proved_sequents - m.trivial_sequents)
-            .sum();
-        assert_eq!(
-            warm.report.cache_hits(),
-            nontrivial,
-            "every non-trivial proved sequent replays from the previous report"
-        );
-    }
-
-    #[test]
     fn request_overrides_take_effect() {
         // Cache off, or previously proved sequents answer from the global
         // cache even under an expired deadline.
@@ -467,15 +345,5 @@ mod tests {
         let bare = Session::new(VerifyOptions::default());
         assert!(bare.compact_store().unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reports_are_remembered_by_path_key() {
-        let session = Session::new(VerifyOptions::default());
-        session
-            .verify(&Request::new(COUNTER).with_path("src/counter.ipl"))
-            .unwrap();
-        assert!(session.recall("src/counter.ipl").is_some());
-        assert!(session.recall("Counter").is_none());
     }
 }

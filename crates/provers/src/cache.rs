@@ -22,7 +22,7 @@
 //! The cache is process-global and thread-safe (sharded behind mutexes), so
 //! the parallel verification driver's workers share it, and successive
 //! verification runs in one process (Table 2's double run, repeated
-//! `verify_module` calls in a server) hit it across runs.
+//! `Session::verify` calls in a server) hit it across runs.
 
 use crate::{ProverConfig, Query};
 use ipl_logic::free_vars;
@@ -147,7 +147,7 @@ impl ProofCache {
     }
 
     /// Resets the hit/miss counters while keeping every entry.  The driver
-    /// calls this at the start of each `verify_module` invocation so that
+    /// calls this at the start of each `Session::verify` request so that
     /// per-run telemetry (the bench harnesses' hit counts) never inherits a
     /// previous run's counters — the entries themselves stay shared across
     /// runs, which is the point of the cache.

@@ -80,7 +80,10 @@ use std::path::{Path, PathBuf};
 /// v3: the header grew a generation stamp (u64, bumped by compaction) and
 /// loading resynchronises past corrupt mid-log ranges instead of truncating
 /// everything after them.
-pub const SCHEMA_VERSION: u32 = 3;
+///
+/// v4: `ProverConfig` lost its retry policy, which changes both the
+/// configuration key and the query fingerprint.
+pub const SCHEMA_VERSION: u32 = 4;
 
 const MAGIC: [u8; 8] = *b"IPLPROOF";
 /// Header layout: magic, schema version (u32 LE), config hash (u64 LE),

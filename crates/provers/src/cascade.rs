@@ -30,21 +30,15 @@ pub struct ProverAnswer {
     /// Total time spent across the cascade.
     pub duration: Duration,
     /// Wall-clock spent in each attempted cascade stage, in dispatch order
-    /// (the stage that proved the query is last).  Stages re-run by the
-    /// escalation ladder carry a `#retryN` suffix.
+    /// (the stage that proved the query is last).
     pub stage_durations: Vec<(String, Duration)>,
     /// `true` when the answer was replayed from the proof cache without
     /// running any prover.
     pub cached: bool,
     /// Content fingerprint of the query (present when the cache was
     /// consulted, i.e. [`ProverConfig::use_cache`]).  The verification driver
-    /// uses it to persist freshly proved sequents to the on-disk store and to
-    /// match sequents across incremental re-verification runs.
+    /// uses it to persist freshly proved sequents to the on-disk store.
     pub fingerprint: Option<Fingerprint>,
-    /// Number of budget-escalation retries the cascade ran after the first
-    /// full sweep came back Unknown with its budget exhausted (see
-    /// [`crate::RetryPolicy`]; always `0` when retries are disabled).
-    pub retries: u32,
 }
 
 impl ProverAnswer {
@@ -56,7 +50,6 @@ impl ProverAnswer {
             stage_durations: Vec::new(),
             cached: false,
             fingerprint,
-            retries: 0,
         }
     }
 }
@@ -260,8 +253,8 @@ impl Cascade {
     /// budget; once the deadline has passed the query is not dispatched at
     /// all and the answer is `Skipped(DeadlineExceeded)`.  A stage that
     /// panics is contained ([`crate::containment`]) and quarantines the
-    /// query as `Crashed` — later stages and retries are not attempted for
-    /// a crashed query, so a fault never launders into a verdict.
+    /// query as `Crashed` — later stages are not attempted for a crashed
+    /// query, so a fault never launders into a verdict.
     pub fn prove_under(&self, query: &Query, module_deadline: Option<Instant>) -> ProverAnswer {
         let start = Instant::now();
         let fingerprint = self
@@ -277,7 +270,6 @@ impl Cascade {
                     stage_durations: Vec::new(),
                     cached: true,
                     fingerprint,
-                    retries: 0,
                 };
             }
         }
@@ -296,103 +288,42 @@ impl Cascade {
             || Hashed::new(query.goal.clone()).hash_value(),
             |fp| fp.as_u128() as u64,
         );
-        // Clear any exhaustion note left by an unrelated earlier query on
-        // this worker thread before the sweep begins.
-        let _ = crate::take_budget_exhausted();
         let mut stage_durations = Vec::with_capacity(self.provers.len());
-        let mut sweep = self.run_stages(
-            query,
-            &self.config,
-            module_deadline,
-            fault_key,
-            &mut stage_durations,
-            "",
-        );
-        let mut retries = 0u32;
-        if sweep == Sweep::Unknown && self.config.retry.enabled {
-            let total_budget = Duration::from_millis(self.config.retry.max_total_ms);
-            let mut exhausted = crate::take_budget_exhausted();
-            for (index, multiplier) in self.config.retry.rungs().enumerate() {
-                // Only an Unknown that ran out of budget (rather than
-                // saturating its search space) can flip with a bigger budget;
-                // a saturated Unknown would just redo the same search.
-                if !exhausted || start.elapsed() >= total_budget || deadline_passed(module_deadline)
-                {
-                    break;
-                }
-                retries += 1;
-                let escalated = self.config.escalated(multiplier, index);
-                sweep = self.run_stages(
-                    query,
-                    &escalated,
-                    module_deadline,
-                    fault_key,
-                    &mut stage_durations,
-                    &format!("#retry{retries}"),
-                );
-                if sweep != Sweep::Unknown {
-                    break;
-                }
-                exhausted = crate::take_budget_exhausted();
-            }
+        let (outcome, prover) =
+            self.run_stages(query, module_deadline, fault_key, &mut stage_durations);
+        if let (Some(fp), Some(name)) = (fingerprint, prover) {
+            ProofCache::global().record(fp, name);
         }
-        let outcome = match sweep {
-            Sweep::Proved(name) => {
-                if let Some(fp) = fingerprint {
-                    ProofCache::global().record(fp, name);
-                }
-                return ProverAnswer {
-                    outcome: Outcome::Proved,
-                    prover: Some(name.to_string()),
-                    duration: start.elapsed(),
-                    stage_durations,
-                    cached: false,
-                    fingerprint,
-                    retries,
-                };
-            }
-            Sweep::Unknown => Outcome::Unknown,
-            Sweep::Crashed { stage, message } => Outcome::Crashed { stage, message },
-            Sweep::DeadlineExceeded => Outcome::Skipped(SkipReason::DeadlineExceeded),
-        };
         ProverAnswer {
             outcome,
-            prover: None,
+            prover: prover.map(str::to_string),
             duration: start.elapsed(),
             stage_durations,
             cached: false,
             fingerprint,
-            retries,
         }
     }
 
-    /// One full pass over the prover list with the given (possibly escalated)
-    /// budgets.  Injected faults fire here: a delay sleeps before dispatch, a
-    /// spurious Unknown skips the stage, and an injected panic is raised
-    /// *inside* the containment boundary — the same boundary that catches
-    /// organic prover panics.
+    /// One pass over the prover list, returning the outcome and, when
+    /// proved, the stage that proved it.  Injected faults fire here: a delay
+    /// sleeps before dispatch, a spurious Unknown skips the stage, and an
+    /// injected panic is raised *inside* the containment boundary — the same
+    /// boundary that catches organic prover panics.
     fn run_stages(
         &self,
         query: &Query,
-        config: &ProverConfig,
         module_deadline: Option<Instant>,
         fault_key: u64,
         stage_durations: &mut Vec<(String, Duration)>,
-        suffix: &str,
-    ) -> Sweep {
+    ) -> (Outcome, Option<&'static str>) {
         let plan = fault::active_plan();
-        let timeout = Duration::from_millis(config.per_prover_timeout_ms);
+        let timeout = Duration::from_millis(self.config.per_prover_timeout_ms);
         for prover in &self.provers {
             if deadline_passed(module_deadline) {
-                return Sweep::DeadlineExceeded;
+                return (Outcome::Skipped(SkipReason::DeadlineExceeded), None);
             }
             let name = prover.name();
             let stage_start = Instant::now();
-            let label = if suffix.is_empty() {
-                name.to_string()
-            } else {
-                format!("{name}{suffix}")
-            };
             let mut inject_panic = false;
             if let Some(plan) = plan {
                 let faults = plan.stage_faults(name, fault_key);
@@ -400,7 +331,7 @@ impl Cascade {
                     std::thread::sleep(delay);
                 }
                 if faults.spurious_unknown {
-                    stage_durations.push((label, stage_start.elapsed()));
+                    stage_durations.push((name.to_string(), stage_start.elapsed()));
                     continue;
                 }
                 inject_panic = faults.panic;
@@ -409,31 +340,26 @@ impl Cascade {
                 if inject_panic {
                     panic!("injected fault: {name} stage panicked");
                 }
-                run_with_timeout(prover.as_ref(), query, config, timeout, module_deadline)
+                run_with_timeout(
+                    prover.as_ref(),
+                    query,
+                    &self.config,
+                    timeout,
+                    module_deadline,
+                )
             });
-            stage_durations.push((label, stage_start.elapsed()));
+            stage_durations.push((name.to_string(), stage_start.elapsed()));
             match result {
-                Ok(Outcome::Proved) => return Sweep::Proved(name),
+                Ok(Outcome::Proved) => return (Outcome::Proved, Some(name)),
                 Ok(_) => {}
                 Err(message) => {
-                    return Sweep::Crashed {
-                        stage: name.to_string(),
-                        message,
-                    }
+                    let stage = name.to_string();
+                    return (Outcome::Crashed { stage, message }, None);
                 }
             }
         }
-        Sweep::Unknown
+        (Outcome::Unknown, None)
     }
-}
-
-/// Result of one pass over the prover list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Sweep {
-    Proved(&'static str),
-    Unknown,
-    Crashed { stage: String, message: String },
-    DeadlineExceeded,
 }
 
 fn deadline_passed(deadline: Option<Instant>) -> bool {
@@ -756,98 +682,5 @@ mod tests {
             answer.stage_durations.is_empty(),
             "no stage may run past the module deadline"
         );
-    }
-
-    /// Unknown-with-exhaustion until the configured number of calls, then
-    /// proved: exercises the escalation ladder end to end.
-    #[derive(Debug)]
-    struct EventuallyProves {
-        calls: AtomicUsize,
-        proves_on_call: usize,
-    }
-
-    impl Prover for EventuallyProves {
-        fn name(&self) -> &'static str {
-            "eventually"
-        }
-
-        fn prove(&self, _query: &Query, _config: &ProverConfig, _cancel: &Cancel) -> Outcome {
-            if self.calls.fetch_add(1, Ordering::SeqCst) + 1 >= self.proves_on_call {
-                Outcome::Proved
-            } else {
-                crate::note_budget_exhausted();
-                Outcome::Unknown
-            }
-        }
-    }
-
-    #[test]
-    fn budget_exhausted_unknowns_climb_the_retry_ladder() {
-        let cascade = Cascade::with_provers(
-            vec![Arc::new(EventuallyProves {
-                calls: AtomicUsize::new(0),
-                proves_on_call: 3,
-            })],
-            ProverConfig {
-                use_cache: false,
-                retry: crate::RetryPolicy::enabled(),
-                ..ProverConfig::default()
-            },
-        );
-        let answer = cascade.prove(&query(&["0 <= x"], "x < 0"));
-        assert_eq!(answer.outcome, Outcome::Proved);
-        assert_eq!(answer.retries, 2);
-        let labels: Vec<&str> = answer
-            .stage_durations
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .collect();
-        assert_eq!(
-            labels,
-            vec!["eventually", "eventually#retry1", "eventually#retry2"]
-        );
-    }
-
-    /// A saturated Unknown (no exhaustion note) must not be retried even
-    /// with the ladder enabled — re-running the same search is pure waste.
-    #[derive(Debug)]
-    struct Saturates {
-        calls: Arc<AtomicUsize>,
-    }
-
-    impl Prover for Saturates {
-        fn name(&self) -> &'static str {
-            "saturates"
-        }
-
-        fn prove(&self, _query: &Query, _config: &ProverConfig, _cancel: &Cancel) -> Outcome {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            Outcome::Unknown
-        }
-    }
-
-    #[test]
-    fn saturated_unknowns_are_not_retried() {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let cascade = Cascade::with_provers(
-            vec![Arc::new(Saturates {
-                calls: Arc::clone(&calls),
-            })],
-            ProverConfig {
-                use_cache: false,
-                retry: crate::RetryPolicy::enabled(),
-                ..ProverConfig::default()
-            },
-        );
-        let answer = cascade.prove(&query(&["0 <= x"], "x < 0"));
-        assert_eq!(answer.outcome, Outcome::Unknown);
-        assert_eq!(answer.retries, 0);
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn retries_are_off_by_default() {
-        assert!(!ProverConfig::default().retry.enabled);
-        assert!(!ProverConfig::quick().retry.enabled);
     }
 }

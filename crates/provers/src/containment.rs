@@ -1,6 +1,6 @@
 //! Panic containment for the fault-isolated verification core.
 //!
-//! A single panicking prover stage used to take the whole `verify_module`
+//! A single panicking prover stage used to take the whole verification
 //! run down with it (and, under the parallel driver, to kill one worker
 //! thread so `--jobs N` silently degraded to `N-1`).  [`contain`] wraps a
 //! dispatch in [`std::panic::catch_unwind`] behind an

@@ -10,7 +10,7 @@
 //! A request's module deadline is fixed as an `Instant` when the request
 //! starts, so a drain that begins *mid-request* cannot be expressed through
 //! it.  Instead the cascade's `deadline_passed` check (consulted before
-//! dispatching each sequent, before each retry rung, and before each stage)
+//! dispatching each sequent and before each stage)
 //! also consults this module, and each stage's cooperative [`Cancel`]
 //! deadline is clamped to the drain deadline via [`clamp`].  The same
 //! degrade-only invariant the fault plan obeys holds here: a drain can only

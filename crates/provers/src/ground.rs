@@ -1372,9 +1372,6 @@ impl<'a> Solver<'a> {
         }
         loop {
             if self.budget == 0 {
-                // Budget exhaustion, not saturation: this Unknown could flip
-                // with a bigger budget, which is what the retry ladder keys on.
-                crate::note_budget_exhausted();
                 return GroundResult::Unknown;
             }
             self.budget -= 1;
@@ -1382,7 +1379,6 @@ impl<'a> Solver<'a> {
             // the loop unaffected, frequent enough that a timed-out search
             // unwinds within microseconds.
             if self.budget.is_multiple_of(64) && self.cancel.is_cancelled() {
-                crate::note_budget_exhausted();
                 return GroundResult::Unknown;
             }
             if self.root_conflict {

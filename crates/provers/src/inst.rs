@@ -92,12 +92,6 @@ pub fn refute_with_instantiation(
             return GroundResult::Unsat;
         }
         if round == config.instantiation_rounds || cancel.is_cancelled() {
-            // Running out of rounds while instances were still being produced
-            // (or being cut off by the clock) is budget exhaustion, not
-            // saturation — an escalated retry gets more rounds.
-            if total_instances > 0 {
-                crate::note_budget_exhausted();
-            }
             break;
         }
         // The sort pool is only needed for quantifiers without usable
@@ -149,7 +143,6 @@ pub fn refute_with_instantiation(
             }
             for instance in instances {
                 if total_instances >= instance_budget {
-                    crate::note_budget_exhausted();
                     break 'quantifiers; // budget is global: stop all quantifiers
                 }
                 if seen_instances.insert(Hashed::new(instance.clone())) {

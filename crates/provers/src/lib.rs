@@ -357,57 +357,6 @@ impl ExchangeConfig {
     }
 }
 
-/// Maximum rungs of the budget-escalation retry ladder.
-pub const MAX_RETRY_RUNGS: usize = 4;
-
-/// The budget-escalation retry ladder: when the cascade returns `Unknown`
-/// *and* the bounded search reports that it ran out of budget (rather than
-/// saturating — see [`take_budget_exhausted`]), the sequent is retried with
-/// multiplied node/instance budgets, rung by rung, until a rung proves it,
-/// the ladder runs dry, or `max_total_ms` of retry wall-clock is spent.
-///
-/// Off by default, so every benchmark (`BENCH_*.json`) keeps its exact
-/// pre-retry semantics; callers opt in per run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Master switch.
-    pub enabled: bool,
-    /// Budget multipliers for successive retry attempts; a `0` entry and
-    /// everything after it is unused.  Each rung multiplies
-    /// `max_branch_nodes`, `max_total_instances` and
-    /// `max_instances_per_quantifier`, and adds one instantiation round per
-    /// rung index.
-    pub ladder: [u32; MAX_RETRY_RUNGS],
-    /// Hard wall-clock cap across all retry attempts of one sequent, in
-    /// milliseconds; the ladder stops once it is exceeded.
-    pub max_total_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            enabled: false,
-            ladder: [2, 4, 8, 0],
-            max_total_ms: 4_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The default ladder, switched on.
-    pub fn enabled() -> Self {
-        RetryPolicy {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// The rung multipliers actually in use (the prefix before the first 0).
-    pub fn rungs(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ladder.iter().copied().take_while(|&m| m > 1)
-    }
-}
-
 /// Resource budgets controlling the bounded search.  These are the knobs the
 /// Table 2 experiment and the ablation benchmarks turn.
 ///
@@ -435,9 +384,6 @@ pub struct ProverConfig {
     pub exchange: ExchangeConfig,
     /// CDCL ground-core knobs (clause learning, learned-clause cap).
     pub ground: GroundConfig,
-    /// Budget-escalation retry ladder for budget-exhausted Unknowns
-    /// (disabled by default; see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
     /// When `true`, the cascade consults the content-addressed proof cache
     /// before dispatching and records every `Proved` outcome (see [`cache`]).
     pub use_cache: bool,
@@ -455,7 +401,6 @@ impl Default for ProverConfig {
             triggers: TriggerConfig::default(),
             exchange: ExchangeConfig::default(),
             ground: GroundConfig::default(),
-            retry: RetryPolicy::default(),
             use_cache: true,
         }
     }
@@ -475,16 +420,7 @@ impl ProverConfig {
             triggers: TriggerConfig::default(),
             exchange: ExchangeConfig::default(),
             ground: GroundConfig::default(),
-            retry: RetryPolicy::default(),
             use_cache: true,
-        }
-    }
-
-    /// The default budgets with the budget-escalation retry ladder enabled.
-    pub fn with_retry() -> Self {
-        ProverConfig {
-            retry: RetryPolicy::enabled(),
-            ..Self::default()
         }
     }
 
@@ -554,47 +490,6 @@ impl ProverConfig {
             self.max_total_instances
         }
     }
-
-    /// One rung of the retry ladder: the same configuration with the search
-    /// budgets multiplied (and one extra instantiation round per rung).  The
-    /// retry itself is bounded by [`RetryPolicy::max_total_ms`], so the
-    /// per-prover timeout is left untouched.
-    pub fn escalated(&self, multiplier: u32, rung_index: usize) -> ProverConfig {
-        let m = multiplier.max(1) as usize;
-        ProverConfig {
-            max_branch_nodes: self.max_branch_nodes.saturating_mul(m),
-            max_total_instances: self.max_total_instances.saturating_mul(m),
-            max_instances_per_quantifier: self.max_instances_per_quantifier.saturating_mul(m),
-            instantiation_rounds: self.instantiation_rounds + rung_index + 1,
-            ..*self
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Budget-exhaustion telemetry
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static BUDGET_EXHAUSTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Marks the current thread's in-flight prover run as having given up because
-/// a *resource budget* ran dry (branch-node budget, instance cap, wall-clock
-/// deadline) rather than because the search genuinely saturated.  The bounded
-/// solvers call this at each budget bail-out; since every prover runs on its
-/// caller's thread (cooperative cancellation), a thread-local is exact even
-/// under the parallel verification driver.
-pub fn note_budget_exhausted() {
-    BUDGET_EXHAUSTED.with(|flag| flag.set(true));
-}
-
-/// Clears the exhaustion flag, returning whether it was set.  The cascade
-/// brackets each stage dispatch with this to decide whether an `Unknown` was
-/// a budget casualty (worth a [`RetryPolicy`] escalation) or a saturated
-/// search (retrying with more budget is pointless).
-pub fn take_budget_exhausted() -> bool {
-    BUDGET_EXHAUSTED.with(|flag| flag.replace(false))
 }
 
 /// A single reasoning system in the cascade.

@@ -28,7 +28,7 @@ pub struct Table2Row {
     /// Sequents of the double run answered from the proof cache (the "with"
     /// pass re-proves every obligation it shares with the "without" pass for
     /// free).  Derived from the two reports rather than the process-global
-    /// counters, which are reset at the start of every `verify_module` call.
+    /// counters, which are reset at the start of every `Session::verify` call.
     pub cache_hits: usize,
 }
 

@@ -9,7 +9,7 @@
 //!   in-memory cache is wiped between phases, so the disk store is the only
 //!   carried warmth);
 //! * `edit-one-method` — the steady-state case: one method body edited, the
-//!   rest of the suite replayed incrementally against the previous reports;
+//!   rest of the suite answered from the store;
 //! * `shared-store` (optional) — a run against a caller-provided directory,
 //!   the shape of a CI job reusing a store across workflow runs;
 //! * `serve-cold` / `serve-warm` / `serve-compacted` ([`run_serve_phases`])
@@ -53,7 +53,7 @@ pub struct PhaseResult {
     /// dispatched to a prover, so they are not answerable from the store
     /// (subtract them when judging warm-store coverage).
     pub sequents_trivial: usize,
-    /// Sequents answered from the cache/store/replay instead of a prover run.
+    /// Sequents answered from the cache or store instead of a prover run.
     pub cache_hits: usize,
     /// Wall-clock of the phase, milliseconds.
     pub wall_ms: u128,
@@ -100,9 +100,7 @@ pub fn edited_suite_sources() -> Vec<(&'static str, String)> {
 /// Verifies every module in `sources` once and aggregates the phase result.
 ///
 /// The in-memory proof cache is **fully wiped first**, so the phase starts as
-/// a fresh process would: any warmth must come from the store in `cache_dir`
-/// (or from `previous` reports via the incremental path, when given — one
-/// report per source, in order).
+/// a fresh process would: any warmth must come from the store in `cache_dir`.
 ///
 /// # Errors
 ///
@@ -112,33 +110,10 @@ pub fn run_phase(
     jobs: usize,
     cache_dir: Option<&Path>,
     sources: &[(&str, String)],
-    previous: Option<&[ModuleReport]>,
-) -> Result<(PhaseResult, Vec<ModuleReport>), String> {
+) -> Result<PhaseResult, String> {
     ProofCache::global().reset();
     let session = Session::new(phase_options(jobs, cache_dir));
-    // Seed the session's previous-report table so the incremental path can
-    // replay across what used to be separate processes.
-    if let Some(previous) = previous {
-        for ((bench, _), report) in sources.iter().zip(previous) {
-            session.remember(*bench, report.clone());
-        }
-    }
-    let start = Instant::now();
-    let mut reports = Vec::with_capacity(sources.len());
-    for (bench, source) in sources {
-        let request = Request::new(source.clone())
-            .with_path(*bench)
-            .with_incremental(previous.is_some());
-        let response = session
-            .verify(&request)
-            .map_err(|e| format!("{bench}: {e}"))?;
-        reports.push(response.report);
-    }
-    let wall_ms = start.elapsed().as_millis();
-    Ok((
-        aggregate(name, session.options(), wall_ms, &reports),
-        reports,
-    ))
+    verify_pass(&session, name, sources)
 }
 
 /// The serve-shaped phases measured by [`run_serve_phases`]: one long-lived
@@ -179,19 +154,7 @@ pub fn run_serve_phases(
 ) -> Result<ServePhases, String> {
     ProofCache::global().reset();
     let session = Session::new(phase_options(jobs, cache_dir));
-    let pass = |name: &str| -> Result<PhaseResult, String> {
-        let start = Instant::now();
-        let mut reports = Vec::with_capacity(sources.len());
-        for (bench, source) in sources {
-            let request = Request::new(source.clone()).with_path(*bench);
-            let response = session
-                .verify(&request)
-                .map_err(|e| format!("{bench}: {e}"))?;
-            reports.push(response.report);
-        }
-        let wall_ms = start.elapsed().as_millis();
-        Ok(aggregate(name, session.options(), wall_ms, &reports))
-    };
+    let pass = |name: &str| verify_pass(&session, name, sources);
     let cold = pass("serve-cold")?;
     let warm = pass("serve-warm")?;
     let compaction = session
@@ -205,6 +168,25 @@ pub fn run_serve_phases(
         store_preloads: session.stats().store_preloads,
         compaction,
     })
+}
+
+/// Verifies every module in `sources` once through `session` and aggregates
+/// the phase result.
+fn verify_pass(
+    session: &Session,
+    name: &str,
+    sources: &[(&str, String)],
+) -> Result<PhaseResult, String> {
+    let start = Instant::now();
+    let mut reports = Vec::with_capacity(sources.len());
+    for (bench, source) in sources {
+        let response = session
+            .verify(&Request::new(source.clone()))
+            .map_err(|e| format!("{bench}: {e}"))?;
+        reports.push(response.report);
+    }
+    let wall_ms = start.elapsed().as_millis();
+    Ok(aggregate(name, session.options(), wall_ms, &reports))
 }
 
 fn phase_options(jobs: usize, cache_dir: Option<&Path>) -> VerifyOptions {
@@ -284,7 +266,7 @@ pub fn to_bench_json(phases: &[PhaseResult], total_wall_ms: u128, jobs: usize) -
 pub fn render_markdown(phases: &[PhaseResult], total_wall_ms: u128) -> String {
     let mut out = String::from("## Persistent-store throughput (cold vs warm)\n\n");
     out.push_str(
-        "| Phase | Jobs | Methods | Sequents proved | Store/replay hits | Wall (ms) | \
+        "| Phase | Jobs | Methods | Sequents proved | Store hits | Wall (ms) | \
          Modules/sec |\n",
     );
     out.push_str("|---|---|---|---|---|---|---|\n");

@@ -121,7 +121,7 @@ fn main() {
             violations += 1;
         }
         println!(
-            "{:<19} proved {}/{} (fault-free {}/{}), {} crashed, {} skipped, {} retries",
+            "{:<19} proved {}/{} (fault-free {}/{}), {} crashed, {} skipped",
             benchmark.name,
             chaos.proved_sequents(),
             chaos.total_sequents(),
@@ -129,7 +129,6 @@ fn main() {
             clean.total_sequents(),
             chaos.crashed_sequents(),
             chaos.skipped_sequents(),
-            chaos.retries(),
         );
         rows.push((benchmark.name, clean, chaos));
     }

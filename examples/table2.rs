@@ -46,7 +46,7 @@ fn main() {
     };
     let total_wall_ms = start.elapsed().as_millis();
     // Summed from the per-row reports: the process-global cache counters are
-    // reset at the start of every `verify_module` call, so a cross-run delta
+    // reset at the start of every `Session::verify` call, so a cross-run delta
     // of `hit_count()` would only see the last module's hits.
     let cache_hits: usize = rows.iter().map(|r| r.cache_hits).sum();
 

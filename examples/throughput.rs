@@ -68,14 +68,13 @@ fn main() {
     let sources = suite_sources();
     let edited = edited_suite_sources();
 
-    let run = |name: &str, jobs: usize, dir: &PathBuf, sources, previous| {
-        let (phase, reports) = run_phase(name, jobs, Some(dir.as_path()), sources, previous)
-            .unwrap_or_else(|e| {
-                eprintln!("phase {name}: {e}");
-                std::process::exit(1);
-            });
+    let run = |name: &str, jobs: usize, dir: &PathBuf, sources| {
+        let phase = run_phase(name, jobs, Some(dir.as_path()), sources).unwrap_or_else(|e| {
+            eprintln!("phase {name}: {e}");
+            std::process::exit(1);
+        });
         println!(
-            "  {:<16} jobs={} wall={} ms, {}/{} methods, {}/{} sequents, {} store/replay hits",
+            "  {:<16} jobs={} wall={} ms, {}/{} methods, {}/{} sequents, {} store hits",
             phase.name,
             phase.jobs,
             phase.wall_ms,
@@ -85,7 +84,7 @@ fn main() {
             phase.sequents_total,
             phase.cache_hits,
         );
-        (phase, reports)
+        phase
     };
 
     println!("persistent-store throughput curves\n");
@@ -94,8 +93,8 @@ fn main() {
     // The j1 curve: cold against an empty store, then warm in a simulated new
     // process (the in-memory cache is wiped inside run_phase; the disk store
     // carries all warmth).
-    let (cold_j1, _) = run("cold-j1", 1, &store_j1, &sources, None);
-    let (warm_j1, warm_reports) = run("warm-j1", 1, &store_j1, &sources, None);
+    let cold_j1 = run("cold-j1", 1, &store_j1, &sources);
+    let warm_j1 = run("warm-j1", 1, &store_j1, &sources);
 
     // The jN curve, against its own store.  Skipped when N would be 1 (a
     // single-core machine): the phases would duplicate the j1 curve under
@@ -104,32 +103,14 @@ fn main() {
         .with_jobs(jobs)
         .effective_jobs();
     let jn_curve = (jn_label_jobs > 1).then(|| {
-        let (cold_jn, _) = run(
-            &format!("cold-j{jn_label_jobs}"),
-            jobs,
-            &store_jn,
-            &sources,
-            None,
-        );
-        let (warm_jn, _) = run(
-            &format!("warm-j{jn_label_jobs}"),
-            jobs,
-            &store_jn,
-            &sources,
-            None,
-        );
+        let cold_jn = run(&format!("cold-j{jn_label_jobs}"), jobs, &store_jn, &sources);
+        let warm_jn = run(&format!("warm-j{jn_label_jobs}"), jobs, &store_jn, &sources);
         (cold_jn, warm_jn)
     });
 
-    // Steady state: one method body edited, everything else replayed
-    // incrementally from the previous (warm) reports + the store.
-    let (edit_phase, _) = run(
-        "edit-one-method",
-        1,
-        &store_j1,
-        &edited,
-        Some(&warm_reports),
-    );
+    // Steady state: one method body edited, everything else answered from
+    // the store.
+    let edit_phase = run("edit-one-method", 1, &store_j1, &edited);
 
     // The daemon shape: one long-lived `Session` serves the whole suite
     // three times, with an in-session store compaction between the second
@@ -151,7 +132,7 @@ fn main() {
     );
     for phase in [&serve_cold, &serve_warm, &serve_compacted] {
         println!(
-            "  {:<16} jobs={} wall={} ms, {}/{} methods, {}/{} sequents, {} store/replay hits",
+            "  {:<16} jobs={} wall={} ms, {}/{} methods, {}/{} sequents, {} store hits",
             phase.name,
             phase.jobs,
             phase.wall_ms,
@@ -187,7 +168,7 @@ fn main() {
     // The CI reuse shape: a caller-provided directory that persists across
     // invocations (actions/cache).  Cold on the first run ever, warm after.
     let shared_phase = shared_dir.as_ref().map(|dir| {
-        let (phase, _) = run("shared-store", jobs, dir, &sources, None);
+        let phase = run("shared-store", jobs, dir, &sources);
         phases.push(phase.clone());
         phase
     });

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ipl verify FILE...       verify annotated modules (with optional persistent
-//!                          proof store, incremental re-verification, jobs)
+//!                          proof store, jobs)
 //! ipl cache DIR            inspect the proof-store files in a cache directory
 //! ```
 //!
@@ -32,15 +32,10 @@ verify options:
   --cache-dir DIR    persistent proof store directory (default: $IPL_CACHE_DIR)
   --no-cache         disable the proof cache (and the store) entirely
   --jobs N           worker threads (0 = available parallelism)
-  --incremental      verify each file twice, replaying unchanged sequents of
-                     the first pass in the second (demonstrates/exercises the
-                     incremental path; the summary reports both passes)
   --quiet            print only the per-module summary line
   --module-deadline-ms N
                      wall-clock budget per module; sequents dispatched after
                      it passes are reported SKIPPED and the report is partial
-  --retry            enable the budget-escalation retry ladder for Unknowns
-                     that exhausted their search budget
   --fault-plan SPEC  install a deterministic chaos-injection plan (also read
                      from $IPL_FAULT_PLAN; the flag wins).  SPEC is
                      comma-separated key=value with percentages, e.g.
@@ -65,7 +60,6 @@ serve options:
   --module-deadline-ms N
                      default wall-clock budget per request (requests may
                      override with `deadline_ms`)
-  --retry            enable the budget-escalation retry ladder
   --listen PATH      accept connections on a Unix socket at PATH instead of
                      serving stdin (one protocol stream per connection; a
                      `shutdown` request stops the whole daemon)
@@ -124,7 +118,6 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     let mut options = VerifyOptions::default();
     let mut cache_dir = std::env::var_os("IPL_CACHE_DIR").map(PathBuf::from);
     let mut fault_spec = std::env::var("IPL_FAULT_PLAN").ok();
-    let mut incremental = false;
     let mut quiet = false;
     let mut files: Vec<PathBuf> = Vec::new();
 
@@ -147,12 +140,10 @@ fn cmd_verify(args: &[String]) -> ExitCode {
                 Some(ms) => options.module_deadline = Some(Duration::from_millis(ms)),
                 None => return usage_error("--module-deadline-ms needs a number"),
             },
-            "--retry" => options.config.retry = ipl::provers::RetryPolicy::enabled(),
             "--fault-plan" => match iter.next() {
                 Some(spec) => fault_spec = Some(spec.clone()),
                 None => return usage_error("--fault-plan needs a plan spec"),
             },
-            "--incremental" => incremental = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -168,21 +159,17 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         return usage_error("no input files");
     }
     options.cache_dir = cache_dir;
-    let faulted = match fault_spec.as_deref() {
-        Some(spec) => match fault::FaultPlan::parse(spec) {
-            Ok(plan) => {
-                fault::set_plan(Some(plan));
-                true
-            }
+    if let Some(spec) = fault_spec.as_deref() {
+        match fault::FaultPlan::parse(spec) {
+            Ok(plan) => fault::set_plan(Some(plan)),
             Err(e) => return usage_error(&e),
-        },
-        None => false,
-    };
+        }
+    }
 
     // One session for every file on the command line: the cascade is built
     // once and the store log is scanned once, no matter how many modules
     // follow.
-    let session = Session::new(options.clone());
+    let session = Session::new(options);
     let mut all_proved = true;
     let mut any_crashed = false;
     let mut any_skipped = false;
@@ -194,8 +181,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let request = Request::new(source).with_path(file.display().to_string());
-        let report = match session.verify(&request) {
+        let report = match session.verify(&Request::new(source)) {
             Ok(response) => response.report,
             Err(e) => {
                 eprintln!("ipl: {}: {e}", file.display());
@@ -203,31 +189,6 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             }
         };
         print_report(file, &report, quiet);
-        if incremental {
-            match session.verify(&request.clone().with_incremental(true)) {
-                Ok(second) => {
-                    let second = second.report;
-                    println!(
-                        "  incremental: {}/{} sequents replayed or cached",
-                        second.cache_hits(),
-                        second.total_sequents()
-                    );
-                    // Under injected faults or a wall-clock budget the two
-                    // passes can legitimately diverge (different sequents
-                    // crash or hit the deadline); parity is only an
-                    // invariant of undisturbed runs.
-                    if !faulted && options.module_deadline.is_none() {
-                        debug_assert_eq!(report.normalized(), second.normalized());
-                    }
-                    any_crashed |= second.crashed_sequents() > 0;
-                    any_skipped |= second.skipped_sequents() > 0;
-                }
-                Err(e) => {
-                    eprintln!("ipl: {}: {e}", file.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
         all_proved &= report.fully_proved();
         any_crashed |= report.crashed_sequents() > 0;
         any_skipped |= report.skipped_sequents() > 0;
@@ -301,7 +262,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 Some(ms) => options.module_deadline = Some(Duration::from_millis(ms)),
                 None => return usage_error("--module-deadline-ms needs a number"),
             },
-            "--retry" => options.config.retry = ipl::provers::RetryPolicy::enabled(),
             "--listen" => match iter.next() {
                 Some(path) => listen = Some(PathBuf::from(path)),
                 None => return usage_error("--listen needs a socket path"),
@@ -395,21 +355,25 @@ fn spawn_drain_watcher(daemon: Arc<Daemon>) {
 /// (`drop_mid_frame`) are ignored; stalls and overloads apply.
 fn serve_stdin(daemon: &Arc<Daemon>) -> ExitCode {
     eprintln!("ipl serve: ready (stdin)");
-    let stdin = std::io::stdin();
+    let mut stdin = std::io::stdin().lock();
     let mut stdout = std::io::stdout().lock();
     let mut drained = false;
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        match stdin.read_until(b'\n', &mut raw) {
+            Ok(0) => break,
+            Ok(_) => {}
             Err(e) => {
                 eprintln!("ipl serve: stdin error: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        if line.trim().is_empty() {
-            continue;
         }
-        let served = daemon.handle(&line);
+        let line = raw.strip_suffix(b"\n").unwrap_or(&raw);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let Some(served) = daemon.handle_bytes(line) else {
+            continue;
+        };
         if let Some(stall) = served.stall {
             std::thread::sleep(stall);
         }
@@ -563,13 +527,9 @@ fn serve_connection(daemon: &Arc<Daemon>, mut stream: std::os::unix::net::UnixSt
         // Serve every complete line already buffered.
         while let Some(end) = pending.iter().position(|&b| b == b'\n') {
             let raw: Vec<u8> = pending.drain(..=end).collect();
-            let Ok(line) = std::str::from_utf8(&raw[..end]) else {
+            let Some(served) = daemon.handle_bytes(&raw[..end]) else {
                 continue;
             };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let served = daemon.handle(line);
             if let Some(stall) = served.stall {
                 std::thread::sleep(stall);
             }

@@ -14,22 +14,20 @@
 //! pipeline:
 //!
 //! ```json
-//! {"id": 1, "op": "verify", "source": "module M { ... }", "path": "src/m.ipl",
-//!  "incremental": true, "deadline_ms": 500, "jobs": 2}
+//! {"id": 1, "op": "verify", "source": "module M { ... }", "deadline_ms": 500,
+//!  "jobs": 2}
 //! {"id": 2, "op": "stats"}
 //! {"id": 3, "op": "shutdown"}
 //! ```
 //!
 //! * `source` (required for `verify`) — the annotated module text;
-//! * `path` — key for the session's previous-report table (defaults to the
-//!   module name);
-//! * `incremental` — replay fingerprint-unchanged sequents from the previous
-//!   report for the same key;
 //! * `deadline_ms` — wall-clock budget for this request; sequents dispatched
 //!   after it passes come back `skipped` and the report is partial;
 //! * `jobs` — worker threads for this request;
 //! * `fault_plan` — a deterministic chaos-injection spec (as accepted by
 //!   `ipl verify --fault-plan`), installed for this request only.
+//!
+//! Unknown keys are ignored.
 //!
 //! ## Responses
 //!
@@ -48,7 +46,8 @@
 //! Error kinds: `parse` / `lower` / `io` (typed [`ipl_core::VerifyError`]
 //! variants — `parse` carries the 1-based line and, when known, the byte-
 //! offset `span`), `crashed` (the request panicked; it was quarantined and
-//! the session keeps serving), and `protocol` (malformed frame).  A
+//! the session keeps serving), and `protocol` (malformed frame, including a
+//! line that is not valid UTF-8).  A
 //! `shutdown` request answers `{"id": ..., "ok": true, "shutdown": true}`
 //! and closes the stream.
 //!
@@ -89,68 +88,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// The daemon's reaction to one request line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Reply {
-    /// Answer with this frame and keep serving.
-    Frame(String),
-    /// Answer with this frame, then close the stream (a `shutdown` request).
-    Shutdown(String),
-}
-
-impl Reply {
-    /// The response frame, whichever variant carries it.
-    pub fn frame(&self) -> &str {
-        match self {
-            Reply::Frame(frame) | Reply::Shutdown(frame) => frame,
-        }
-    }
-}
-
-/// Serves one request line against `session`.  Never panics and never
-/// returns an unanswerable line: malformed input comes back as a `protocol`
-/// error frame, and a panicking verification is quarantined into a `crashed`
-/// error frame while the session stays up.
-pub fn handle_line(session: &Session, line: &str) -> Reply {
-    let request = match parse_json(line) {
-        Ok(json) => json,
-        Err(e) => {
-            return Reply::Frame(error_frame(
-                None,
-                "protocol",
-                &format!("bad frame: {e}"),
-                None,
-            ));
-        }
-    };
-    let id = request.get("id").cloned();
-    match request.get("op").and_then(Json::as_str).unwrap_or("verify") {
-        "verify" => Reply::Frame(handle_verify(session, &request, id.as_ref())),
-        "stats" => Reply::Frame(stats_frame(session, id.as_ref())),
-        "shutdown" => Reply::Shutdown(format!(
-            "{{{}\"ok\": true, \"shutdown\": true}}",
-            id_field(id.as_ref())
-        )),
-        other => Reply::Frame(error_frame(
-            id.as_ref(),
-            "protocol",
-            &format!("unknown op `{other}`"),
-            None,
-        )),
-    }
-}
-
 fn handle_verify(session: &Session, frame: &Json, id: Option<&Json>) -> String {
     let Some(source) = frame.get("source").and_then(Json::as_str) else {
         return error_frame(id, "protocol", "verify needs a string `source`", None);
     };
     let mut request = Request::new(source);
-    if let Some(path) = frame.get("path").and_then(Json::as_str) {
-        request = request.with_path(path);
-    }
-    if let Some(Json::Bool(true)) = frame.get("incremental") {
-        request = request.with_incremental(true);
-    }
     if let Some(ms) = frame.get("deadline_ms").and_then(Json::as_u128) {
         request = request.with_deadline(std::time::Duration::from_millis(ms as u64));
     }
@@ -504,6 +446,23 @@ impl Daemon {
         &self.config
     }
 
+    /// Serves one request line exactly as a transport read it, without its
+    /// terminating newline.  A blank line is no request and gets no answer
+    /// (`None`); a line that is not valid UTF-8 is answered with a `protocol`
+    /// error frame like any other malformed frame, and the stream goes on.
+    pub fn handle_bytes(&self, raw: &[u8]) -> Option<Served> {
+        match std::str::from_utf8(raw) {
+            Ok(line) if line.trim().is_empty() => None,
+            Ok(line) => Some(self.handle(line)),
+            Err(e) => Some(Served {
+                frame: error_frame(None, "protocol", &format!("bad frame: {e}"), None),
+                stall: None,
+                drop_mid_frame: false,
+                shutdown: None,
+            }),
+        }
+    }
+
     /// Serves one complete request line.  Never panics, never returns an
     /// unanswerable line; connection-level faults come back as instructions
     /// in the [`Served`], decided by the governing chaos plan (the
@@ -735,9 +694,8 @@ mod tests {
         }
     "#;
 
-    fn frame(session: &Session, line: &str) -> Json {
-        let reply = handle_line(session, line);
-        parse_json(reply.frame()).expect("every frame is valid JSON")
+    fn frame(daemon: &Daemon, line: &str) -> Json {
+        parse_json(&daemon.handle(line).frame).expect("every frame is valid JSON")
     }
 
     fn verify_line(id: usize, source: &str) -> String {
@@ -749,8 +707,7 @@ mod tests {
 
     #[test]
     fn verify_frames_round_trip() {
-        let session = Session::new(VerifyOptions::default());
-        let answer = frame(&session, &verify_line(7, COUNTER));
+        let answer = frame(&daemon(ServeConfig::default()), &verify_line(7, COUNTER));
         assert_eq!(answer.get("id").and_then(Json::as_u128), Some(7));
         assert_eq!(answer.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(answer.get("module").and_then(Json::as_str), Some("Counter"));
@@ -759,8 +716,8 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_line_and_span() {
-        let session = Session::new(VerifyOptions::default());
-        let answer = frame(&session, &verify_line(1, "module Broken {\n  @\n}"));
+        let daemon = daemon(ServeConfig::default());
+        let answer = frame(&daemon, &verify_line(1, "module Broken {\n  @\n}"));
         assert_eq!(answer.get("ok"), Some(&Json::Bool(false)));
         let error = answer.get("error").expect("error object");
         assert_eq!(error.get("kind").and_then(Json::as_str), Some("parse"));
@@ -771,13 +728,13 @@ mod tests {
 
     #[test]
     fn malformed_frames_answer_protocol_errors() {
-        let session = Session::new(VerifyOptions::default());
+        let daemon = daemon(ServeConfig::default());
         for bad in [
             "not json at all",
             "{\"op\": \"verify\"}",
             "{\"op\": \"launch\"}",
         ] {
-            let answer = frame(&session, bad);
+            let answer = frame(&daemon, bad);
             assert_eq!(answer.get("ok"), Some(&Json::Bool(false)), "{bad}");
             assert_eq!(
                 answer
@@ -788,14 +745,47 @@ mod tests {
                 "{bad}"
             );
         }
+        // Undecodable bytes are one more malformed frame; blank lines are no
+        // request at all.
+        let served = daemon.handle_bytes(b"\xff\xfe").expect("answered");
+        let answer = parse_json(&served.frame).unwrap();
+        assert_eq!(
+            answer
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("protocol")
+        );
+        assert!(daemon.handle_bytes(b"  \r").is_none());
+    }
+
+    #[test]
+    fn retired_incremental_and_path_keys_are_ignored() {
+        // Cache off, so the second request is not answered from the first
+        // one's proofs and every field but the wall-clock must agree.
+        let options =
+            VerifyOptions::default().with_config(crate::provers::ProverConfig::without_cache());
+        let session = Session::new(options);
+        let daemon = Daemon::new(Arc::new(session), ServeConfig::default());
+        let plain = verify_line(3, COUNTER);
+        let extra = plain.replacen("{", "{\"incremental\": true, \"path\": \"x\", ", 1);
+        let strip = |line: &str| match frame(&daemon, line) {
+            Json::Object(mut fields) => {
+                fields.remove("wall_ms");
+                fields
+            }
+            other => panic!("not an object: {other:?}"),
+        };
+        let with_keys = strip(&extra);
+        assert_eq!(with_keys.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(with_keys, strip(&plain));
     }
 
     #[test]
     fn shutdown_closes_the_stream() {
-        let session = Session::new(VerifyOptions::default());
-        let reply = handle_line(&session, "{\"id\": 9, \"op\": \"shutdown\"}");
-        assert!(matches!(reply, Reply::Shutdown(_)));
-        let answer = parse_json(reply.frame()).unwrap();
+        let served = daemon(ServeConfig::default()).handle("{\"id\": 9, \"op\": \"shutdown\"}");
+        assert!(served.shutdown.is_some());
+        let answer = parse_json(&served.frame).unwrap();
         assert_eq!(answer.get("shutdown"), Some(&Json::Bool(true)));
     }
 

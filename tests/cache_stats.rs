@@ -1,5 +1,5 @@
-//! Pins the fix for the process-global cache statistics: `verify_module`
-//! resets the hit/miss counters at the start of every invocation, so a
+//! Pins the fix for the process-global cache statistics: `Session::verify`
+//! resets the hit/miss counters at the start of every request, so a
 //! report's `cache_hits()` and the global `stats()` describe *that* run, not
 //! the whole process lifetime.
 //!
@@ -7,13 +7,16 @@
 //! are process-global, so a sibling test running on another thread would
 //! perturb them.
 
-// Deliberately exercises the deprecated free-function shim: each call must
-// keep resetting the process-global counters exactly as before.
-#![allow(deprecated)]
-
-use ipl::core::{verify_source, VerifyOptions};
+use ipl::core::{ModuleReport, Request, Session, VerifyError, VerifyOptions};
 use ipl::provers::cache::ProofCache;
 use ipl::provers::ProverConfig;
+
+/// One request through a new session, as a new `ipl verify` process makes.
+fn verify(source: &str, options: &VerifyOptions) -> Result<ModuleReport, VerifyError> {
+    Session::new(options.clone())
+        .verify(&Request::new(source))
+        .map(|response| response.report)
+}
 
 const SOURCE: &str = r#"
 module Counter {
@@ -41,12 +44,12 @@ fn verify_module_resets_global_cache_stats_between_runs() {
         .with_jobs(1);
 
     // First run: populates the in-memory cache; a fresh process sees no hits.
-    let first = verify_source(SOURCE, &options).expect("first verify");
+    let first = verify(SOURCE, &options).expect("first verify");
     assert_eq!(first.methods_verified(), 1, "the module verifies");
 
     // Second run: every dispatched sequent is answered by the in-memory
     // cache, so the *global* stats show hits.
-    let second = verify_source(SOURCE, &options).expect("second verify");
+    let second = verify(SOURCE, &options).expect("second verify");
     let after_second = ProofCache::global().stats();
     assert!(
         second.cache_hits() > 0,
@@ -65,7 +68,7 @@ fn verify_module_resets_global_cache_stats_between_runs() {
         use_cache: false,
         ..ProverConfig::default()
     });
-    let third = verify_source(SOURCE, &no_cache_options).expect("third verify");
+    let third = verify(SOURCE, &no_cache_options).expect("third verify");
     let after_third = ProofCache::global().stats();
     assert_eq!(third.cache_hits(), 0);
     assert_eq!(

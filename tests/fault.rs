@@ -1,6 +1,6 @@
 //! Chaos tests for the fault-isolated verification core: under a
 //! deterministic injected-fault plan (stage panics, delays, spurious
-//! Unknowns), `verify_module` must never let a panic escape, must never
+//! Unknowns), `Session::verify` must never let a panic escape, must never
 //! *fabricate* a proof — the faulted Proved set is always a subset of the
 //! fault-free Proved set — and a zero-probability plan must be
 //! indistinguishable from no plan at all.
@@ -13,11 +13,7 @@
 //! `module_fuzz.rs`): injected delays plus a machine-dependent budget would
 //! make outcomes timing-dependent, and these tests argue about determinism.
 
-// The chaos argument is about the public entry points as users call them;
-// the deprecated free-function shim must stay panic-contained too.
-#![allow(deprecated)]
-
-use ipl::core::{verify_source, ModuleReport, VerifyOptions};
+use ipl::core::{ModuleReport, Request, Session, VerifyError, VerifyOptions};
 use ipl::provers::fault::{self, FaultPlan};
 use ipl::provers::{Outcome, ProverConfig};
 use proptest::prelude::*;
@@ -35,6 +31,12 @@ fn options() -> VerifyOptions {
         })
         .with_record_sequents(true)
         .with_jobs(2)
+}
+
+fn verify(source: &str, options: &VerifyOptions) -> Result<ModuleReport, VerifyError> {
+    Session::new(options.clone())
+        .verify(&Request::new(source))
+        .map(|response| response.report)
 }
 
 /// The set of `(method, sequent)` names that were proved.
@@ -127,10 +129,10 @@ proptest! {
             ..FaultPlan::default()
         };
 
-        let baseline = verify_source(benchmark.source, &options())
+        let baseline = verify(benchmark.source, &options())
             .unwrap_or_else(|e| panic!("{} fault-free: {e}", benchmark.name));
         let faulted = fault::with_plan(Some(plan), || {
-            verify_source(benchmark.source, &options())
+            verify(benchmark.source, &options())
                 .unwrap_or_else(|e| panic!("{} faulted: {e}", benchmark.name))
         });
 
@@ -145,7 +147,7 @@ proptest! {
 fn zero_fault_plan_is_indistinguishable_from_no_plan() {
     let _serial = fault::serial_guard();
     for benchmark in ipl::suite::all() {
-        let plain = verify_source(benchmark.source, &options())
+        let plain = verify(benchmark.source, &options())
             .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name));
         let zeroed = fault::with_plan(
             Some(FaultPlan {
@@ -153,7 +155,7 @@ fn zero_fault_plan_is_indistinguishable_from_no_plan() {
                 ..FaultPlan::default()
             }),
             || {
-                verify_source(benchmark.source, &options())
+                verify(benchmark.source, &options())
                     .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name))
             },
         );
@@ -175,13 +177,13 @@ fn full_suite_survives_default_chaos_deterministically() {
     let _serial = fault::serial_guard();
     let plan = fault::default_chaos(7);
     for benchmark in ipl::suite::all() {
-        let baseline = verify_source(benchmark.source, &options())
+        let baseline = verify(benchmark.source, &options())
             .unwrap_or_else(|e| panic!("{} fault-free: {e}", benchmark.name));
         let run = |jobs: usize| {
             fault::with_plan(Some(plan), || {
                 let mut opts = options();
                 opts.jobs = jobs;
-                verify_source(benchmark.source, &opts)
+                verify(benchmark.source, &opts)
                     .unwrap_or_else(|e| panic!("{} chaos: {e}", benchmark.name))
             })
         };

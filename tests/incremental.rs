@@ -1,13 +1,13 @@
-//! End-to-end lifecycle of the persistent proof store and the incremental
-//! re-verification driver, over the full eight-structure benchmark suite:
+//! End-to-end lifecycle of the persistent proof store over the full
+//! eight-structure benchmark suite, driven through `Session` alone:
 //!
 //! 1. a cold run against an empty store proves everything and persists it;
-//! 2. a warm run in a simulated new process answers ≥ 90% of the previously
-//!    proved non-trivial sequents from the store, with a byte-identical
-//!    normalised report;
+//! 2. a warm run from a new session (a simulated new process) answers ≥ 90%
+//!    of the previously proved non-trivial sequents from the store, with a
+//!    byte-identical normalised report;
 //! 3. disk store on and off produce byte-identical normalised reports;
-//! 4. `verify_module_incremental` replays an unchanged module entirely, and
-//!    re-proves only the edited method after a one-method edit.
+//! 4. after a one-method edit, only that method's changed sequents are
+//!    proved again; every other sequent is answered from the store.
 //!
 //! A single `#[test]` on purpose: the in-memory proof cache is process-global
 //! and is reset at several points below, so a sibling test on another thread
@@ -15,11 +15,7 @@
 //! wall-clock deadlines are the one machine-dependent budget, and this test
 //! compares reports byte-for-byte.)
 
-// Deliberately exercises the deprecated free-function shims: the store
-// lifecycle they promise (one open + preload per call) must keep holding.
-#![allow(deprecated)]
-
-use ipl::core::{verify_source, verify_source_incremental, ModuleReport, VerifyOptions};
+use ipl::core::{ModuleReport, Request, Session, VerifyOptions};
 use ipl::provers::cache::ProofCache;
 use ipl::suite::throughput::{edited_suite_sources, suite_sources};
 use std::path::PathBuf;
@@ -37,20 +33,18 @@ fn options(cache_dir: Option<PathBuf>, use_cache: bool) -> VerifyOptions {
     options
 }
 
-fn verify_all(
-    sources: &[(&str, String)],
-    options: &VerifyOptions,
-    previous: Option<&[ModuleReport]>,
-) -> Vec<ModuleReport> {
+/// Verifies the suite through one new session, as a fresh process would:
+/// the in-memory cache is wiped first, so any warmth comes from the store.
+fn verify_all(sources: &[(&str, String)], options: &VerifyOptions) -> Vec<ModuleReport> {
+    ProofCache::global().reset();
+    let session = Session::new(options.clone());
     sources
         .iter()
-        .enumerate()
-        .map(|(index, (name, source))| {
-            match previous.map(|p| &p[index]) {
-                Some(prev) => verify_source_incremental(source, prev, options),
-                None => verify_source(source, options),
-            }
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .map(|(name, source)| {
+            session
+                .verify(&Request::new(source.clone()))
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .report
         })
         .collect()
 }
@@ -88,8 +82,7 @@ fn store_lifecycle_cold_warm_incremental_and_edit() {
     let stored = options(Some(dir.clone()), true);
 
     // Cold: empty store, everything proved fresh and persisted.
-    ProofCache::global().reset();
-    let cold = verify_all(&sources, &stored, None);
+    let cold = verify_all(&sources, &stored);
     let methods: usize = cold.iter().map(|r| r.method_count).sum();
     let verified: usize = cold.iter().map(ModuleReport::methods_verified).sum();
     assert_eq!(methods, 46, "the suite has 46 methods");
@@ -97,11 +90,10 @@ fn store_lifecycle_cold_warm_incremental_and_edit() {
     let population = nontrivial_proved(&cold);
     assert!(population > 0);
 
-    // Warm: a "new process" (in-memory cache wiped) with the same store
-    // directory.  The disk store must carry ≥ 90% of the proved non-trivial
-    // sequents, and the normalised report must not change at all.
-    ProofCache::global().reset();
-    let warm = verify_all(&sources, &stored, None);
+    // Warm: a new session with the same store directory.  The disk store
+    // must carry ≥ 90% of the proved non-trivial sequents, and the
+    // normalised report must not change at all.
+    let warm = verify_all(&sources, &stored);
     assert_parity(&cold, &warm, "cold and warm reports");
     assert!(
         hits(&warm) * 100 >= population * 90,
@@ -112,40 +104,33 @@ fn store_lifecycle_cold_warm_incremental_and_edit() {
 
     // Store off entirely: byte-identical normalised reports (the disk cache
     // is an accelerator, never an input to the verdict).
-    ProofCache::global().reset();
-    let uncached = verify_all(&sources, &options(None, false), None);
+    let uncached = verify_all(&sources, &options(None, false));
     assert_parity(&cold, &uncached, "stored and store-free reports");
     assert_eq!(hits(&uncached), 0);
 
-    // Incremental replay of an unchanged suite: every previously proved
-    // sequent is answered by fingerprint match against the prior report,
-    // without any prover dispatch.
-    ProofCache::global().reset();
-    let replayed = verify_all(&sources, &stored, Some(&warm));
-    assert_parity(&cold, &replayed, "full and incremental reports");
-    assert_eq!(
-        hits(&replayed),
-        population,
-        "an unchanged suite replays every non-trivial proved sequent"
-    );
-
-    // Edit one method body (LinkedList.sizeOf): only its sequents lose their
-    // fingerprint match; the rest of the suite replays, and the edited module
-    // still fully verifies.
-    ProofCache::global().reset();
-    let edited_sources = edited_suite_sources();
-    let edited = verify_all(&edited_sources, &stored, Some(&warm));
+    // Edit one method body (LinkedList.sizeOf): only its sequents change
+    // their fingerprints, so only they are proved again; the rest of the
+    // suite is answered from the store, and the edited suite still fully
+    // verifies.
+    let edited = verify_all(&edited_suite_sources(), &stored);
     let edited_verified: usize = edited.iter().map(ModuleReport::methods_verified).sum();
     assert_eq!(edited_verified, 46, "the edited suite still verifies 46/46");
-    let replay_hits = hits(&edited);
-    assert!(
-        replay_hits < population,
-        "the edited method must actually be re-proved"
-    );
-    assert!(
-        replay_hits + 10 >= population,
-        "only the edited method re-proves: {replay_hits} of {population} replayed"
-    );
+    let mut reproved = 0;
+    for ((bench, _), report) in sources.iter().zip(&edited) {
+        for method in &report.methods {
+            let fresh = method.proved_sequents - method.trivial_sequents - method.cache_hits;
+            if *bench == "Linked List" && method.name.ends_with("sizeOf") {
+                reproved += fresh;
+            } else {
+                assert_eq!(
+                    fresh, 0,
+                    "{bench}: {} is unchanged but proved {fresh} sequents again",
+                    method.name
+                );
+            }
+        }
+    }
+    assert!(reproved > 0, "the edited method must actually be re-proved");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

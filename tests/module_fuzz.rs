@@ -8,11 +8,7 @@
 //! A single `#[test]`: the in-memory proof cache is process-global, and the
 //! parity argument relies on every run of a case seeing the same world.
 
-// This fuzz deliberately drives the deprecated free-function entry point:
-// the shim over `Session` must keep the same verdict-parity guarantees.
-#![allow(deprecated)]
-
-use ipl::core::{verify_source, VerifyOptions};
+use ipl::core::{ModuleReport, Request, Session, VerifyError, VerifyOptions};
 use ipl::provers::ProverConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -110,6 +106,13 @@ fn render_module(methods: &[MethodDesc]) -> String {
     source
 }
 
+/// One request through a new session, as a new `ipl verify` process makes.
+fn verify(source: &str, options: &VerifyOptions) -> Result<ModuleReport, VerifyError> {
+    Session::new(options.clone())
+        .verify(&Request::new(source))
+        .map(|response| response.report)
+}
+
 fn options(jobs: usize, cache_dir: Option<PathBuf>, use_cache: bool) -> VerifyOptions {
     // As in `parallel.rs`: wall-clock deadlines are the one
     // machine-dependent budget, so they are effectively disabled for a
@@ -137,13 +140,13 @@ proptest! {
         let source = render_module(&methods);
         let context = || format!("module:\n{source}");
 
-        let sequential = verify_source(&source, &options(1, Some(dir.clone()), true))
+        let sequential = verify(&source, &options(1, Some(dir.clone()), true))
             .unwrap_or_else(|e| panic!("jobs=1: {e}\n{}", context()));
-        let parallel = verify_source(&source, &options(4, Some(dir.clone()), true))
+        let parallel = verify(&source, &options(4, Some(dir.clone()), true))
             .unwrap_or_else(|e| panic!("jobs=4: {e}\n{}", context()));
         prop_assert_eq!(sequential.normalized(), parallel.normalized());
 
-        let uncached = verify_source(&source, &options(4, None, false))
+        let uncached = verify(&source, &options(4, None, false))
             .unwrap_or_else(|e| panic!("no-cache: {e}\n{}", context()));
         prop_assert_eq!(sequential.normalized(), uncached.normalized());
 

@@ -1,11 +1,13 @@
 //! Integration tests spanning the whole pipeline: surface language ->
 //! guarded commands -> verification conditions -> prover cascade.
-//!
-//! Deliberately driven through the deprecated free-function shim: its
-//! historical behaviour is part of the compatibility contract.
-#![allow(deprecated)]
 
-use ipl::core::{verify_source, VerifyOptions};
+use ipl::core::{ModuleReport, Request, Session, VerifyError, VerifyOptions};
+
+fn verify(source: &str, options: &VerifyOptions) -> Result<ModuleReport, VerifyError> {
+    Session::new(options.clone())
+        .verify(&Request::new(source))
+        .map(|response| response.report)
+}
 
 #[test]
 fn verified_counter_module_end_to_end() {
@@ -22,7 +24,7 @@ module Counter {
   }
 }
 "#;
-    let report = verify_source(source, &VerifyOptions::default()).unwrap();
+    let report = verify(source, &VerifyOptions::default()).unwrap();
     assert!(report.fully_proved(), "{}", report.render());
 }
 
@@ -40,7 +42,7 @@ module Buggy {
   }
 }
 "#;
-    let report = verify_source(source, &VerifyOptions::default()).unwrap();
+    let report = verify(source, &VerifyOptions::default()).unwrap();
     assert!(
         !report.fully_proved(),
         "the invariant violation must be detected"
@@ -61,8 +63,8 @@ module Guided {
   }
 }
 "#;
-    let with = verify_source(source, &VerifyOptions::default()).unwrap();
-    let without = verify_source(source, &VerifyOptions::without_proof_constructs()).unwrap();
+    let with = verify(source, &VerifyOptions::default()).unwrap();
+    let without = verify(source, &VerifyOptions::without_proof_constructs()).unwrap();
     assert!(with.fully_proved());
     assert!(without.fully_proved());
     assert!(
@@ -111,6 +113,6 @@ module Accumulator {
   }
 }
 "#;
-    let report = verify_source(source, &VerifyOptions::default()).unwrap();
+    let report = verify(source, &VerifyOptions::default()).unwrap();
     assert!(report.fully_proved(), "{}", report.render());
 }

@@ -204,6 +204,69 @@ fn parse_errors_answer_typed_frames_with_spans() {
     daemon.shutdown();
 }
 
+/// The two frames a daemon owes for a line of undecodable bytes followed by
+/// a `stats` request: a `protocol` error, then the stats answer.
+fn assert_bad_encoding_then_stats(mut read_frame: impl FnMut() -> Json) {
+    let bad = read_frame();
+    assert_eq!(bad.get("ok"), Some(&Json::Bool(false)), "{bad:?}");
+    assert_eq!(
+        bad.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("protocol"),
+        "{bad:?}"
+    );
+    let stats = read_frame();
+    assert_eq!(
+        stats.get("id").and_then(Json::as_u128),
+        Some(2),
+        "{stats:?}"
+    );
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
+}
+
+const BAD_ENCODING_THEN_STATS: &[u8] = b"\xff\xfe\n{\"id\": 2, \"op\": \"stats\"}\n";
+
+/// A request line that is not valid UTF-8 gets a `protocol` error frame on
+/// stdin, and the daemon keeps serving the lines after it.
+#[test]
+fn non_utf8_lines_answer_protocol_frames_on_stdin() {
+    let mut daemon = Daemon::spawn(&["--no-cache"]);
+    daemon.stdin.write_all(BAD_ENCODING_THEN_STATS).unwrap();
+    daemon.stdin.flush().unwrap();
+    assert_bad_encoding_then_stats(|| {
+        let mut frame = String::new();
+        daemon.stdout.read_line(&mut frame).unwrap();
+        assert!(!frame.is_empty(), "daemon closed the stream early");
+        parse_json(&frame).unwrap_or_else(|e| panic!("bad frame {frame:?}: {e}"))
+    });
+    daemon.shutdown();
+}
+
+/// The same over a Unix socket: the undecodable line is answered, not
+/// silently dropped, so each request still gets exactly one frame.
+#[cfg(unix)]
+#[test]
+fn non_utf8_lines_answer_protocol_frames_on_sockets() {
+    let dir = temp_dir("non-utf8");
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("ipl.sock");
+    let (mut child, stream) = spawn_socket_daemon(&socket, &[]);
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(BAD_ENCODING_THEN_STATS).unwrap();
+    assert_bad_encoding_then_stats(|| {
+        let mut frame = String::new();
+        reader.read_line(&mut frame).unwrap();
+        parse_json(&frame).unwrap_or_else(|e| panic!("bad frame {frame:?}: {e}"))
+    });
+    writeln!(writer, "{{\"op\": \"shutdown\"}}").unwrap();
+    let mut bye = String::new();
+    reader.read_line(&mut bye).unwrap();
+    assert_eq!(wait_with_deadline(&mut child, 10), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Spawns a socket-mode daemon and waits for the socket to accept.
 #[cfg(unix)]
 fn spawn_socket_daemon(
