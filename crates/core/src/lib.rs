@@ -46,9 +46,11 @@ use ipl_gcl::wlp::vc_of;
 use ipl_lang::lower::{lower_module, LoweredMethod};
 use ipl_lang::Module;
 use ipl_logic::Labeled;
-use ipl_provers::cache::{Fingerprint, ProofCache};
+use ipl_provers::cache::Fingerprint;
 pub use ipl_provers::cache_store::CompactStats;
-use ipl_provers::{containment, Cascade, Outcome, ProverAnswer, ProverConfig, Query};
+use ipl_provers::drain::Drain;
+use ipl_provers::fault::FaultPlan;
+use ipl_provers::{containment, Cascade, Outcome, ProverAnswer, ProverConfig, Query, RequestScope};
 pub use report::{MethodReport, ModuleReport, SequentReport};
 pub use session::{Request, Response, Session, SessionStats};
 use std::path::PathBuf;
@@ -191,34 +193,33 @@ impl VerifyOptions {
     }
 }
 
-/// The two prover waves shared by [`Session`] and [`verify_method`]: lower,
-/// prepare every method, dispatch every non-trivial sequent, assemble the
-/// report deterministically.  The store is the caller's business (the
-/// session preloads before and appends after); this function only *collects*
-/// the freshly provable `(fingerprint, prover)` pairs and returns them
-/// alongside the report.
+/// The two prover waves behind [`Session::verify`]: lower, prepare every
+/// method, dispatch every non-trivial sequent under the session's `drain`
+/// and the request's `faults`, assemble the report deterministically.  The
+/// store is the caller's business (the session preloads before and appends
+/// after); this function only *collects* the freshly provable
+/// `(fingerprint, prover)` pairs and returns them alongside the report.
 pub(crate) fn drive(
     module: &Module,
     options: &VerifyOptions,
     cascade: &Cascade,
+    drain: &Drain,
+    faults: Option<&FaultPlan>,
 ) -> Result<(ModuleReport, Vec<(Fingerprint, String)>), VerifyError> {
     let lowered = lower_module(module)?;
     let jobs = options.effective_jobs();
     let mut report = ModuleReport::new(&lowered.name, module);
     report.jobs = jobs;
 
-    // Per-run telemetry starts from zero: without this, a later run in the
-    // same process (Table 2's double run, `--compare-sequential`) inherits
-    // the previous run's hit/miss counters.  The *entries* stay, which is the
-    // point of the cache.
-    let cache = ProofCache::global();
-    cache.reset_stats();
-
     // The module deadline starts counting now: front-end and dispatch share
     // one wall-clock budget.
-    let deadline = options
-        .module_deadline
-        .map(|budget| Instant::now() + budget);
+    let scope = RequestScope {
+        deadline: options
+            .module_deadline
+            .map(|budget| Instant::now() + budget),
+        drain: Some(drain),
+        faults,
+    };
 
     // Wave 1: the pipeline front-end, one work item per method.  A panicking
     // front-end quarantines that one method (the recovery closure marks it
@@ -246,7 +247,7 @@ pub(crate) fn drive(
         |&(method_index, sequent_index)| {
             let p = &prepared[method_index];
             let sequent = &p.sequents[sequent_index];
-            cascade.prove_under(&sequent_query(sequent, &p.method.env, options), deadline)
+            cascade.prove_under(&sequent_query(sequent, &p.method.env, options), &scope)
         },
         // A panic that escapes even the cascade's own stage containment
         // (driver bug, query construction) still only quarantines its one
@@ -288,39 +289,6 @@ fn crashed_answer(stage: &str, message: String) -> ProverAnswer {
         cached: false,
         fingerprint: None,
     }
-}
-
-/// Verifies one lowered method (the standalone entry point used by tests and
-/// ablations); its sequents are proved on the configured worker pool.
-pub fn verify_method(
-    method: &LoweredMethod,
-    cascade: &Cascade,
-    options: &VerifyOptions,
-) -> MethodReport {
-    let deadline = options
-        .module_deadline
-        .map(|budget| Instant::now() + budget);
-    let prepared = prepare(method, options);
-    let work: Vec<usize> = (0..prepared.sequents.len())
-        .filter(|&i| !prepared.sequents[i].is_trivially_valid())
-        .collect();
-    let answers = parallel_map(
-        options.effective_jobs(),
-        &work,
-        |&sequent_index| {
-            cascade.prove_under(
-                &sequent_query(
-                    &prepared.sequents[sequent_index],
-                    &prepared.method.env,
-                    options,
-                ),
-                deadline,
-            )
-        },
-        |_, message| crashed_answer("driver", message),
-    );
-    let answers = work.into_iter().zip(answers).collect();
-    assemble(prepared, answers, options)
 }
 
 /// The pipeline front-end output for one method: its split, hash-consed

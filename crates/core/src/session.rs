@@ -3,16 +3,21 @@
 //! A [`Session`] owns everything worth keeping warm between verification
 //! requests: the prover cascade built for one [`VerifyOptions`]
 //! (crate::VerifyOptions) and the persistent proof store handle (opened and
-//! scanned **once**, not per call).  `ipl serve` holds one `Session` for its
-//! whole lifetime; `ipl verify` holds one for all the files it is given.
+//! scanned **once**, not per call).  It also owns the drain that winds its
+//! in-flight requests down at shutdown.  `ipl serve` holds one `Session` for
+//! its whole lifetime; `ipl verify` holds one for all the files it is given.
 //!
 //! Requests are plain values ([`Request`]) and answers carry the report plus
 //! session-level telemetry ([`Response`]), so the same surface serves the
-//! CLI, the daemon protocol, and future LSP/WASM adapters.
+//! CLI, the daemon protocol, and future LSP/WASM adapters.  Everything that
+//! belongs to one request — its deadline, worker count and fault plan —
+//! travels on the `Request`, so concurrent requests never see each other's.
 
 use crate::{drive, ModuleReport, VerifyError, VerifyOptions};
 use ipl_provers::cache::ProofCache;
 use ipl_provers::cache_store::{CompactStats, StoreHandle};
+use ipl_provers::drain::Drain;
+use ipl_provers::fault::FaultPlan;
 use ipl_provers::Cascade;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -33,6 +38,10 @@ pub struct Request {
     pub deadline: Option<Duration>,
     /// Worker threads for this request, overriding `VerifyOptions::jobs`.
     pub jobs: Option<usize>,
+    /// Deterministic faults to inject into this request's prover stages
+    /// and store append (see [`ipl_provers::fault`]); `None` runs it
+    /// fault-free.
+    pub fault_plan: Option<FaultPlan>,
 }
 
 impl Request {
@@ -42,7 +51,15 @@ impl Request {
             source: source.into(),
             deadline: None,
             jobs: None,
+            fault_plan: None,
         }
+    }
+
+    /// Runs this request under a chaos plan.
+    #[must_use]
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Request {
+        self.fault_plan = Some(plan);
+        self
     }
 
     /// Sets a wall-clock budget for this request.
@@ -93,9 +110,9 @@ pub struct SessionStats {
     pub store_appended: usize,
 }
 
-/// Long-lived verification state: one cascade and one store handle.  Shared
-/// across threads (`&Session` is enough to verify), so a daemon can serve
-/// concurrent connections from one session.
+/// Long-lived verification state: one cascade, one store handle and one
+/// drain.  Shared across threads (`&Session` is enough to verify), so a
+/// daemon can serve concurrent connections from one session.
 pub struct Session {
     options: VerifyOptions,
     cascade: Cascade,
@@ -105,6 +122,9 @@ pub struct Session {
     /// warning — persistence is an accelerator, not a dependency).
     store: Mutex<Option<StoreHandle>>,
     requests: AtomicUsize,
+    drain: Drain,
+    /// Answered requests that the drain deadline cut to partial reports.
+    drain_cuts: AtomicUsize,
 }
 
 impl std::fmt::Debug for Session {
@@ -127,6 +147,8 @@ impl Session {
             cascade,
             store: Mutex::new(store),
             requests: AtomicUsize::new(0),
+            drain: Drain::default(),
+            drain_cuts: AtomicUsize::new(0),
         }
     }
 
@@ -137,6 +159,8 @@ impl Session {
 
     /// Verifies one request: parse, warm the in-memory cache from the store
     /// (first request only), prove, persist the freshly proved fingerprints.
+    /// The request's fault plan governs its prover stages and its store
+    /// append, and nothing else.
     ///
     /// # Errors
     ///
@@ -159,12 +183,16 @@ impl Session {
                 handle.ensure_preloaded(ProofCache::global());
             }
         }
-        let (report, proved) = drive(&module, &options, &self.cascade)?;
+        let faults = request.fault_plan.as_ref();
+        let (report, proved) = drive(&module, &options, &self.cascade, &self.drain, faults)?;
+        if report.skipped_sequents() > 0 && self.drain.passed() {
+            self.drain_cuts.fetch_add(1, Ordering::Relaxed);
+        }
         let mut appended = 0;
         if !proved.is_empty() {
             let mut store = self.store.lock().expect("store handle poisoned");
             if let Some(handle) = store.as_mut() {
-                match handle.append_new(&proved) {
+                match handle.append_with(&proved, faults) {
                     Ok(count) => appended = count,
                     Err(e) => eprintln!(
                         "warning: could not persist proofs to {}: {e}",
@@ -202,6 +230,25 @@ impl Session {
             Some(handle) => handle.compact().map(Some),
             None => Ok(None),
         }
+    }
+
+    /// Starts (or tightens) a drain: once `deadline` passes, this session's
+    /// in-flight requests answer `Skipped(DeadlineExceeded)` partial reports
+    /// instead of running on.  A second call keeps the earlier deadline.
+    /// Returns the deadline in force.
+    pub fn begin_drain(&self, deadline: Instant) -> Instant {
+        self.drain.begin(deadline)
+    }
+
+    /// The drain deadline, once a drain has begun.
+    pub fn drain_deadline(&self) -> Option<Instant> {
+        self.drain.deadline()
+    }
+
+    /// How many answered requests the drain deadline cut to partial reports
+    /// (the daemon exits 4 when this is not zero).
+    pub fn drain_cuts(&self) -> usize {
+        self.drain_cuts.load(Ordering::Relaxed)
     }
 
     /// Cumulative session telemetry.
@@ -319,6 +366,26 @@ mod tests {
         assert_eq!(response.report.jobs, 1);
         assert!(!response.report.fully_proved());
         assert!(response.report.skipped_sequents() > 0);
+    }
+
+    #[test]
+    fn a_drain_cuts_only_its_own_sessions_requests() {
+        let uncached =
+            VerifyOptions::default().with_config(ipl_provers::ProverConfig::without_cache());
+        let drained = Session::new(uncached.clone());
+        let bystander = Session::new(uncached);
+        assert_eq!(drained.drain_deadline(), None);
+        let deadline = drained.begin_drain(Instant::now());
+        assert_eq!(drained.drain_deadline(), Some(deadline));
+        let cut = drained.verify(&Request::new(COUNTER)).unwrap();
+        assert!(
+            cut.report.skipped_sequents() > 0,
+            "the drain cut the request"
+        );
+        assert_eq!(drained.drain_cuts(), 1);
+        let whole = bystander.verify(&Request::new(COUNTER)).unwrap();
+        assert!(whole.report.fully_proved(), "another session never drains");
+        assert_eq!(bystander.drain_cuts(), 0);
     }
 
     #[test]

@@ -119,7 +119,10 @@ impl ProofCache {
             .insert(fingerprint.0, prover.to_string());
     }
 
-    /// Current effectiveness counters.
+    /// Effectiveness counters, cumulative over the process since the last
+    /// [`reset_stats`](Self::reset_stats).  Concurrent requests all count
+    /// into them; a report counts its own hits from each answer's `cached`
+    /// flag instead.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -132,11 +135,6 @@ impl ProofCache {
         }
     }
 
-    /// Hits recorded so far (cheap accessor for per-run deltas).
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
     /// Empties the cache and resets the counters (tests and benchmarks that
     /// must measure uncached behaviour).
     pub fn reset(&self) {
@@ -146,11 +144,9 @@ impl ProofCache {
         self.reset_stats();
     }
 
-    /// Resets the hit/miss counters while keeping every entry.  The driver
-    /// calls this at the start of each `Session::verify` request so that
-    /// per-run telemetry (the bench harnesses' hit counts) never inherits a
-    /// previous run's counters — the entries themselves stay shared across
-    /// runs, which is the point of the cache.
+    /// Resets the hit/miss counters while keeping every entry, for a
+    /// benchmark that measures one phase.  Verification itself never resets
+    /// them, so one request cannot clobber another's counts.
     pub fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);

@@ -63,6 +63,7 @@
 //! boundary.
 
 use crate::cache::{Fingerprint, ProofCache};
+use crate::fault::{FaultPlan, StoreFault};
 use crate::ProverConfig;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
@@ -175,7 +176,7 @@ impl CacheStore {
             .create(true)
             .open(&path)?;
         let mut degraded = false;
-        let locked = lock_or_degrade(&file, &path, config_hash, &mut degraded)?;
+        let locked = lock_or_degrade(&file, &path, false, &mut degraded)?;
         let result = Self::load_locked(file, path, config_hash, degraded);
         if locked {
             if let Ok(store) = &result {
@@ -334,6 +335,21 @@ impl CacheStore {
     /// the handle's index (the batch may be partially on disk, protected by
     /// per-entry checksums).
     pub fn append_new(&mut self, entries: &[(Fingerprint, String)]) -> io::Result<usize> {
+        self.append_with(entries, None)
+    }
+
+    /// [`CacheStore::append_new`] under a request's fault plan, which may
+    /// fail its lock (`lock_fail`), tear its write (`short_write`) or fail it
+    /// before writing (`disk_full`).
+    ///
+    /// # Errors
+    ///
+    /// As [`CacheStore::append_new`], plus the injected faults.
+    pub fn append_with(
+        &mut self,
+        entries: &[(Fingerprint, String)],
+        faults: Option<&FaultPlan>,
+    ) -> io::Result<usize> {
         let fresh: Vec<&(Fingerprint, String)> = entries
             .iter()
             .filter(|(fingerprint, _)| !self.index.contains(&fingerprint.as_u128()))
@@ -347,13 +363,9 @@ impl CacheStore {
             encode_entry(&mut buffer, fingerprint.as_u128(), prover, self.config_hash);
         }
         let path = self.path.clone();
-        let locked = lock_or_degrade(
-            &self.file,
-            &path,
-            batch_key(&buffer),
-            &mut self.lock_degraded,
-        )?;
-        let written = self.write_batch(&buffer, locked);
+        let lock_fails = faults.is_some_and(|plan| plan.store_lock_fails(batch_key(&buffer)));
+        let locked = lock_or_degrade(&self.file, &path, lock_fails, &mut self.lock_degraded)?;
+        let written = self.write_batch(&buffer, locked, faults);
         if locked {
             self.file.unlock()?;
         }
@@ -369,13 +381,18 @@ impl CacheStore {
 
     /// Writes one encoded batch, honouring any injected I/O fault and
     /// repairing real torn writes.
-    fn write_batch(&mut self, buffer: &[u8], locked: bool) -> io::Result<()> {
-        if let Some(plan) = crate::fault::active_plan() {
+    fn write_batch(
+        &mut self,
+        buffer: &[u8],
+        locked: bool,
+        faults: Option<&FaultPlan>,
+    ) -> io::Result<()> {
+        if let Some(plan) = faults {
             match plan.store_append_fault(batch_key(buffer), buffer.len()) {
-                Some(crate::fault::StoreFault::DiskFull) => {
+                Some(StoreFault::DiskFull) => {
                     return Err(io::Error::other("injected fault: disk full on append"));
                 }
-                Some(crate::fault::StoreFault::ShortWrite { cut }) => {
+                Some(StoreFault::ShortWrite { cut }) => {
                     // A torn write exactly as a crash leaves it: a prefix of
                     // the batch on disk, no repair — the per-entry checksums
                     // recover it at the next open.
@@ -456,8 +473,7 @@ impl CacheStore {
     pub fn compact(&mut self) -> io::Result<CompactStats> {
         self.reopen_if_stale()?;
         let path = self.path.clone();
-        let key = batch_key(path.to_string_lossy().as_bytes());
-        let locked = lock_or_degrade(&self.file, &path, key, &mut self.lock_degraded)?;
+        let locked = lock_or_degrade(&self.file, &path, false, &mut self.lock_degraded)?;
         let result = self.compact_locked();
         if locked && result.is_err() {
             let _ = self.file.unlock();
@@ -566,7 +582,20 @@ impl StoreHandle {
     ///
     /// Propagates locking and write errors from [`CacheStore::append_new`].
     pub fn append_new(&mut self, entries: &[(Fingerprint, String)]) -> io::Result<usize> {
-        let written = self.store.append_new(entries)?;
+        self.append_with(entries, None)
+    }
+
+    /// Appends under a request's fault plan; see [`CacheStore::append_with`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the errors of [`CacheStore::append_with`].
+    pub fn append_with(
+        &mut self,
+        entries: &[(Fingerprint, String)],
+        faults: Option<&FaultPlan>,
+    ) -> io::Result<usize> {
+        let written = self.store.append_with(entries, faults)?;
         self.appended += written;
         Ok(written)
     }
@@ -589,15 +618,15 @@ impl StoreHandle {
 }
 
 /// Acquires the advisory lock, degrading to lock-free operation (with one
-/// warning per handle) when the filesystem reports locks as unsupported.
-/// Returns whether the lock is actually held.
+/// warning per handle) when the filesystem reports locks as unsupported —
+/// or when `injected`, a fault plan's `lock_fail`, says it does.  Returns
+/// whether the lock is actually held.
 fn lock_or_degrade(
     file: &File,
     path: &Path,
-    fault_key: u64,
+    injected: bool,
     degraded: &mut bool,
 ) -> io::Result<bool> {
-    let injected = crate::fault::active_plan().is_some_and(|plan| plan.store_lock_fails(fault_key));
     let result = if injected {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -905,8 +934,7 @@ pub enum FileCompaction {
 pub fn compact_file(path: &Path) -> io::Result<FileCompaction> {
     let file = OpenOptions::new().read(true).write(true).open(path)?;
     let mut degraded = false;
-    let key = batch_key(path.to_string_lossy().as_bytes());
-    let locked = lock_or_degrade(&file, path, key, &mut degraded)?;
+    let locked = lock_or_degrade(&file, path, false, &mut degraded)?;
     let result = compact_file_locked(path);
     if locked {
         let _ = file.unlock();
@@ -1031,7 +1059,6 @@ mod tests {
 
     #[test]
     fn entries_survive_reopen() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("reopen");
         let config = ProverConfig::default();
         let provers = ["syntactic", "smt-ground"];
@@ -1063,7 +1090,6 @@ mod tests {
 
     #[test]
     fn different_configs_use_different_files() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("configs");
         let provers = ["smt-ground"];
         let mut default_store = CacheStore::open(&dir, &ProverConfig::default(), &provers).unwrap();
@@ -1083,7 +1109,6 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_dropped_and_store_stays_usable() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("truncate");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
@@ -1113,7 +1138,6 @@ mod tests {
 
     #[test]
     fn poisoned_header_is_ignored_not_replayed() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("poison");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
@@ -1146,7 +1170,6 @@ mod tests {
 
     #[test]
     fn compact_drops_duplicates_and_bumps_the_generation() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("compact");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
@@ -1191,7 +1214,6 @@ mod tests {
 
     #[test]
     fn load_salvages_complete_entries_past_a_corrupt_range() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("salvage");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
@@ -1234,7 +1256,6 @@ mod tests {
 
     #[test]
     fn compact_file_quarantines_foreign_schemas_and_compacts_sound_logs() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("compactdir");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
@@ -1279,7 +1300,6 @@ mod tests {
 
     #[test]
     fn preload_feeds_the_memory_cache() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("preload");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
@@ -1297,20 +1317,18 @@ mod tests {
 
     #[test]
     fn unsupported_lock_degrades_instead_of_failing() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("lockfree");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
-        let plan = crate::fault::FaultPlan {
+        let plan = FaultPlan {
             seed: 5,
             store_lock_fail_bp: 10_000,
-            ..crate::fault::FaultPlan::default()
+            ..FaultPlan::default()
         };
-        crate::fault::with_plan(Some(plan), || {
-            let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
-            assert!(store.lock_degraded(), "every lock attempt was Unsupported");
-            assert_eq!(store.append_new(&[(fp(31), "a".into())]).unwrap(), 1);
-        });
+        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let appended = store.append_with(&[(fp(31), "a".into())], Some(&plan));
+        assert_eq!(appended.unwrap(), 1);
+        assert!(store.lock_degraded(), "the append's lock was Unsupported");
         // Lock-free appends are still complete, checksummed entries.
         let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
         assert!(!reopened.lock_degraded());
@@ -1320,26 +1338,25 @@ mod tests {
 
     #[test]
     fn injected_short_write_is_recovered_at_next_open() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("shortwrite");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
-        let plan = crate::fault::FaultPlan {
+        let plan = FaultPlan {
             seed: 6,
             store_short_write_bp: 10_000,
-            ..crate::fault::FaultPlan::default()
+            ..FaultPlan::default()
         };
         {
             let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
             store.append_new(&[(fp(41), "a".into())]).unwrap();
-            crate::fault::with_plan(Some(plan), || {
-                let err = store.append_new(&[(fp(42), "b".into())]).unwrap_err();
-                assert!(err.to_string().contains("short write"));
-                assert!(
-                    !store.contains(fp(42)),
-                    "a failed append must not be indexed"
-                );
-            });
+            let err = store
+                .append_with(&[(fp(42), "b".into())], Some(&plan))
+                .unwrap_err();
+            assert!(err.to_string().contains("short write"));
+            assert!(
+                !store.contains(fp(42)),
+                "a failed append must not be indexed"
+            );
         }
         // The torn tail is dropped; the store stays usable and the entry
         // written before the fault survives.
@@ -1354,21 +1371,20 @@ mod tests {
 
     #[test]
     fn injected_disk_full_writes_nothing() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("diskfull");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
-        let plan = crate::fault::FaultPlan {
+        let plan = FaultPlan {
             seed: 7,
             store_disk_full_bp: 10_000,
-            ..crate::fault::FaultPlan::default()
+            ..FaultPlan::default()
         };
         let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
         let len_before = std::fs::metadata(store.path()).unwrap().len();
-        crate::fault::with_plan(Some(plan), || {
-            let err = store.append_new(&[(fp(51), "a".into())]).unwrap_err();
-            assert!(err.to_string().contains("disk full"));
-        });
+        let err = store
+            .append_with(&[(fp(51), "a".into())], Some(&plan))
+            .unwrap_err();
+        assert!(err.to_string().contains("disk full"));
         assert_eq!(std::fs::metadata(store.path()).unwrap().len(), len_before);
         // The handle recovers as soon as the disk does.
         assert_eq!(store.append_new(&[(fp(51), "a".into())]).unwrap(), 1);
@@ -1377,7 +1393,6 @@ mod tests {
 
     #[test]
     fn store_handle_preloads_once_and_keeps_appending() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("handle");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
@@ -1400,7 +1415,6 @@ mod tests {
 
     #[test]
     fn inspect_reports_header_and_entry_counts() {
-        let _serial = crate::fault::serial_guard();
         let dir = temp_dir("inspect");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];

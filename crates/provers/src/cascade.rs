@@ -7,11 +7,13 @@
 //! this is the signal for the developer to add proof-language guidance).
 
 use crate::cache::{Fingerprint, ProofCache};
+use crate::containment;
+use crate::drain::Drain;
+use crate::fault::FaultPlan;
 use crate::ground::{refute, GroundResult};
 use crate::inst::refute_with_instantiation;
 use crate::preprocess::build_problem;
 use crate::syntactic::Syntactic;
-use crate::{containment, fault};
 use crate::{Cancel, Outcome, Prover, ProverConfig, Query, SkipReason};
 use ipl_logic::hashed::Hashed;
 use serde::{Deserialize, Serialize};
@@ -183,6 +185,35 @@ fn mentions_reach(form: &ipl_logic::Form) -> bool {
     found
 }
 
+/// What one request adds to the cascade's own budgets: the module deadline,
+/// the drain of the session serving it, and its fault plan.  The default is
+/// an unbounded, fault-free request.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RequestScope<'a> {
+    /// Wall-clock deadline of the whole module.
+    pub deadline: Option<Instant>,
+    /// The serving session's drain: once its deadline passes, the request
+    /// winds down as if its own deadline had passed.
+    pub drain: Option<&'a Drain>,
+    /// The request's fault-injection plan (see [`crate::fault`]).
+    pub faults: Option<&'a FaultPlan>,
+}
+
+impl RequestScope<'_> {
+    /// The deadline in force now: the module deadline, clamped to the
+    /// drain's once a drain has begun.
+    fn deadline(&self) -> Option<Instant> {
+        match (self.deadline, self.drain.and_then(Drain::deadline)) {
+            (Some(module), Some(drain)) => Some(module.min(drain)),
+            (module, drain) => module.or(drain),
+        }
+    }
+
+    fn expired(&self) -> bool {
+        self.deadline().is_some_and(|d| Instant::now() >= d)
+    }
+}
+
 /// The cascade of provers with per-prover timeouts.
 pub struct Cascade {
     provers: Vec<Arc<dyn Prover>>,
@@ -243,19 +274,20 @@ impl Cascade {
     /// recorded `Proved` outcome (attributed to the prover that originally
     /// found it) without running any stage.
     pub fn prove(&self, query: &Query) -> ProverAnswer {
-        self.prove_under(query, None)
+        self.prove_under(query, &RequestScope::default())
     }
 
-    /// Runs the cascade under an outer (module-level) wall-clock deadline.
+    /// Runs the cascade for one request: under its module deadline and its
+    /// session's drain, injecting its plan's faults.
     ///
-    /// Every stage's cooperative [`Cancel`] deadline is clamped to
-    /// `module_deadline`, so one sequent can never spend past the module
+    /// Every stage's cooperative [`Cancel`] deadline is clamped to the
+    /// scope's deadline, so one sequent can never spend past the module
     /// budget; once the deadline has passed the query is not dispatched at
     /// all and the answer is `Skipped(DeadlineExceeded)`.  A stage that
     /// panics is contained ([`crate::containment`]) and quarantines the
     /// query as `Crashed` — later stages are not attempted for a crashed
     /// query, so a fault never launders into a verdict.
-    pub fn prove_under(&self, query: &Query, module_deadline: Option<Instant>) -> ProverAnswer {
+    pub fn prove_under(&self, query: &Query, scope: &RequestScope<'_>) -> ProverAnswer {
         let start = Instant::now();
         let fingerprint = self
             .config
@@ -273,7 +305,7 @@ impl Cascade {
                 };
             }
         }
-        if deadline_passed(module_deadline) {
+        if scope.expired() {
             return ProverAnswer::settled(
                 Outcome::Skipped(SkipReason::DeadlineExceeded),
                 fingerprint,
@@ -289,8 +321,7 @@ impl Cascade {
             |fp| fp.as_u128() as u64,
         );
         let mut stage_durations = Vec::with_capacity(self.provers.len());
-        let (outcome, prover) =
-            self.run_stages(query, module_deadline, fault_key, &mut stage_durations);
+        let (outcome, prover) = self.run_stages(query, scope, fault_key, &mut stage_durations);
         if let (Some(fp), Some(name)) = (fingerprint, prover) {
             ProofCache::global().record(fp, name);
         }
@@ -312,20 +343,19 @@ impl Cascade {
     fn run_stages(
         &self,
         query: &Query,
-        module_deadline: Option<Instant>,
+        scope: &RequestScope<'_>,
         fault_key: u64,
         stage_durations: &mut Vec<(String, Duration)>,
     ) -> (Outcome, Option<&'static str>) {
-        let plan = fault::active_plan();
         let timeout = Duration::from_millis(self.config.per_prover_timeout_ms);
         for prover in &self.provers {
-            if deadline_passed(module_deadline) {
+            if scope.expired() {
                 return (Outcome::Skipped(SkipReason::DeadlineExceeded), None);
             }
             let name = prover.name();
             let stage_start = Instant::now();
             let mut inject_panic = false;
-            if let Some(plan) = plan {
+            if let Some(plan) = scope.faults {
                 let faults = plan.stage_faults(name, fault_key);
                 if let Some(delay) = faults.delay {
                     std::thread::sleep(delay);
@@ -340,12 +370,14 @@ impl Cascade {
                 if inject_panic {
                     panic!("injected fault: {name} stage panicked");
                 }
+                // A drain that began mid-request clamps this stage too, not
+                // just the next dispatch.
                 run_with_timeout(
                     prover.as_ref(),
                     query,
                     &self.config,
                     timeout,
-                    module_deadline,
+                    scope.deadline(),
                 )
             });
             stage_durations.push((name.to_string(), stage_start.elapsed()));
@@ -360,10 +392,6 @@ impl Cascade {
         }
         (Outcome::Unknown, None)
     }
-}
-
-fn deadline_passed(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d) || crate::drain::deadline_passed()
 }
 
 /// Number of prover invocations currently executing.  With cooperative
@@ -400,10 +428,7 @@ fn run_with_timeout(
             LIVE_WORKERS.fetch_sub(1, Ordering::Relaxed);
         }
     }
-    // Clamp to an active drain deadline as well: a SIGTERM arriving
-    // mid-request must wind down running provers, not just gate the next
-    // dispatch.
-    let cancel = Cancel::with_timeout_under(timeout, crate::drain::clamp(outer_deadline));
+    let cancel = Cancel::with_timeout_under(timeout, outer_deadline);
     LIVE_WORKERS.fetch_add(1, Ordering::Relaxed);
     let _live = Live;
     prover.prove(query, config, &cancel)
@@ -672,8 +697,11 @@ mod tests {
             use_cache: false,
             ..ProverConfig::default()
         });
-        let past = Instant::now() - Duration::from_millis(1);
-        let answer = cascade.prove_under(&query(&["p"], "p"), Some(past));
+        let past = RequestScope {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..RequestScope::default()
+        };
+        let answer = cascade.prove_under(&query(&["p"], "p"), &past);
         assert_eq!(
             answer.outcome,
             Outcome::Skipped(crate::SkipReason::DeadlineExceeded)
@@ -682,5 +710,23 @@ mod tests {
             answer.stage_durations.is_empty(),
             "no stage may run past the module deadline"
         );
+    }
+
+    #[test]
+    fn a_drain_clamps_the_module_deadline() {
+        let drain = Drain::default();
+        let tighter = Instant::now() + Duration::from_millis(10);
+        let looser = Instant::now() + Duration::from_secs(60);
+        let scope = |deadline| RequestScope {
+            deadline,
+            drain: Some(&drain),
+            faults: None,
+        };
+        assert_eq!(scope(Some(looser)).deadline(), Some(looser));
+        assert_eq!(scope(None).deadline(), None);
+        let drain_at = drain.begin(Instant::now() + Duration::from_secs(1));
+        assert_eq!(scope(Some(tighter)).deadline(), Some(tighter));
+        assert_eq!(scope(Some(looser)).deadline(), Some(drain_at));
+        assert_eq!(scope(None).deadline(), Some(drain_at));
     }
 }

@@ -3,13 +3,20 @@
 //! A [`FaultPlan`] describes a *seeded, reproducible* storm of infrastructure
 //! faults: probabilistic prover-stage panics, injected delays, spurious
 //! `Unknown` verdicts, and I/O errors (short writes, disk-full, lock failure)
-//! inside the persistent proof store.  The plan is installed process-wide
-//! ([`set_plan`]) and consulted at each injection site; every decision is a
-//! pure hash of `(seed, fault kind, site key)`, where the site key is derived
-//! from the *content* being processed (the query's structural hash, the
-//! entry batch's fingerprint) — never from scheduling order — so a plan
-//! injects the identical faults at `--jobs 1` and `--jobs N`, and two runs
-//! of the same plan fault the same sequents.
+//! on appends to the persistent proof store.
+//!
+//! A plan governs one request.  It travels on the request
+//! (`ipl_core::Request::fault_plan`, the daemon frame's `fault_plan` key) and
+//! reaches each injection site as an argument: the cascade's stage dispatch
+//! ([`RequestScope`](crate::cascade::RequestScope)) and the store append
+//! ([`CacheStore::append_with`](crate::cache_store::CacheStore::append_with)).
+//! No plan is process-global, so a chaos request never faults the requests
+//! running beside it.  Every decision is a pure hash of `(seed, fault kind,
+//! site key)`, where the site key is derived from the *content* being
+//! processed (the query's structural hash, the entry batch's fingerprint) —
+//! never from scheduling order — so a plan injects the identical faults at
+//! `--jobs 1` and `--jobs N`, and two runs of the same plan fault the same
+//! sequents.
 //!
 //! The load-bearing invariant, enforced by the chaos suite: **faults only
 //! degrade**.  Every injection turns a would-be verdict into
@@ -27,9 +34,6 @@
 //! seed=42,panic=1,delay=5,delay_ms=1,spurious=0.5,short_write=5,disk_full=1,lock_fail=1
 //! default,seed=7
 //! ```
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
 
 /// Granularity of the probability space: probabilities are quantized to
 /// basis points (1/100 of a percent), so parsed percentages are exact.
@@ -57,8 +61,8 @@ pub struct FaultPlan {
     pub store_short_write_bp: u32,
     /// Probability that a store append fails with disk-full before writing.
     pub store_disk_full_bp: u32,
-    /// Probability that acquiring the store's advisory file lock reports
-    /// `Unsupported` (exercises the lock-free degradation path).
+    /// Probability that acquiring the advisory file lock for a store append
+    /// reports `Unsupported` (exercises the lock-free degradation path).
     pub store_lock_fail_bp: u32,
     /// Probability that the daemon drops a connection mid-response-frame
     /// (a partial frame reaches the client, then the connection is severed —
@@ -254,7 +258,7 @@ impl FaultPlan {
 }
 
 /// Decisions for one serve request (see [`FaultPlan::serve_faults`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeFaults {
     /// Answer the request with a typed `overloaded` frame without admitting
     /// it, even when capacity is free.
@@ -299,55 +303,6 @@ fn hash_str(s: &str) -> u64 {
         x = (x ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
     }
     x
-}
-
-// ---------------------------------------------------------------------------
-// The installed plan
-// ---------------------------------------------------------------------------
-
-/// Fast path: `false` keeps the no-chaos hot path to one relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide fault plan.
-/// Injection sites see the new plan on their next decision.
-pub fn set_plan(plan: Option<FaultPlan>) {
-    let mut slot = PLAN.write().expect("fault plan lock");
-    ENABLED.store(plan.is_some(), Ordering::Release);
-    *slot = plan;
-}
-
-/// The currently installed plan, if any.
-pub fn active_plan() -> Option<FaultPlan> {
-    if !ENABLED.load(Ordering::Acquire) {
-        return None;
-    }
-    *PLAN.read().expect("fault plan lock")
-}
-
-/// Serializes tests (and any other callers) that install a process-global
-/// plan: hold the returned guard for the whole faulted section.  Recovers
-/// from a poisoned lock — a chaos test that failed an assertion must not
-/// cascade into every later chaos test.
-pub fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Runs `f` with `plan` installed, restoring the previous plan afterwards
-/// (even on panic).  Chaos tests in one binary must serialize around this —
-/// the plan is process-global (see [`serial_guard`]).
-pub fn with_plan<R>(plan: Option<FaultPlan>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<FaultPlan>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_plan(self.0);
-        }
-    }
-    let _restore = Restore(active_plan());
-    set_plan(plan);
-    f()
 }
 
 #[cfg(test)]
@@ -445,18 +400,5 @@ mod tests {
             .filter(|&k| plan.serve_faults(k).stall.is_some())
             .count();
         assert!((100..=800).contains(&stalled), "20% nominal hit {stalled}");
-    }
-
-    #[test]
-    fn with_plan_restores_the_previous_plan() {
-        // The plan slot is process-global and this binary's tests run in
-        // parallel, so install a plan that can never fire.
-        let inner = FaultPlan {
-            seed: 3,
-            ..FaultPlan::default()
-        };
-        with_plan(Some(inner), || {
-            assert_eq!(active_plan(), Some(inner));
-        });
     }
 }

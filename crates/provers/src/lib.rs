@@ -42,11 +42,9 @@ pub mod syntactic;
 
 use ipl_logic::{Form, Labeled, SortEnv};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use cascade::{Cascade, ProverAnswer};
+pub use cascade::{Cascade, ProverAnswer, RequestScope};
 
 /// Cooperative cancellation token handed to every prover.
 ///
@@ -56,12 +54,10 @@ pub use cascade::{Cascade, ProverAnswer};
 /// driver multiplied into a stampede of zombie searches.  Provers now run on
 /// the calling thread and poll this token inside their main loops (tableau
 /// node expansion, instantiation rounds, Venn region enumeration); when the
-/// deadline passes or the flag is raised they unwind promptly and report
-/// [`Outcome::Unknown`].
+/// deadline passes they unwind promptly and report [`Outcome::Unknown`].
 #[derive(Debug, Clone, Default)]
 pub struct Cancel {
     deadline: Option<Instant>,
-    flag: Option<Arc<AtomicBool>>,
 }
 
 impl Cancel {
@@ -74,7 +70,6 @@ impl Cancel {
     pub fn with_timeout(timeout: Duration) -> Self {
         Cancel {
             deadline: Instant::now().checked_add(timeout),
-            flag: None,
         }
     }
 
@@ -90,15 +85,7 @@ impl Cancel {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             },
-            flag: None,
         }
-    }
-
-    /// A token cancelled externally through the shared flag (and optionally
-    /// by deadline as well).
-    pub fn with_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.flag = Some(flag);
-        self
     }
 
     /// The deadline of this token, for handing down to sub-solvers with
@@ -107,17 +94,10 @@ impl Cancel {
         self.deadline
     }
 
-    /// Returns `true` once the deadline has passed or the flag was raised.
+    /// Returns `true` once the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        if let Some(flag) = &self.flag {
-            if flag.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
-        match self.deadline {
-            Some(deadline) => Instant::now() >= deadline,
-            None => false,
-        }
+        self.deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
     }
 }
 

@@ -2,15 +2,12 @@
 //! write/truncate/reload interleavings recover every complete entry, random
 //! injected I/O faults (short writes, disk-full) never corrupt what a reload
 //! sees, two handles on one directory never lose each other's appends, and a
-//! file with a poisoned header is ignored rather than mis-replayed.
-//!
-//! Every test holds [`ipl_provers::fault::serial_guard`]: the fault plan is
-//! process-global, so a test that installs one must not overlap a test that
-//! expects clean I/O.
+//! file with a poisoned header is ignored rather than mis-replayed.  Faults
+//! are injected by passing a plan to the one append it governs.
 
 use ipl_provers::cache::Fingerprint;
 use ipl_provers::cache_store::{CacheStore, HEADER_LEN, SCHEMA_VERSION};
-use ipl_provers::fault::{self, FaultPlan};
+use ipl_provers::fault::FaultPlan;
 use ipl_provers::ProverConfig;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -66,7 +63,6 @@ proptest! {
         batches in entry_batches(),
         cut in 0usize..64,
     ) {
-        let _serial = fault::serial_guard();
         let dir = temp_dir("prop-truncate");
         let config = ProverConfig::default();
 
@@ -120,15 +116,14 @@ proptest! {
         batches in entry_batches(),
         seed in 0u64..1024,
     ) {
-        let _serial = fault::serial_guard();
         let dir = temp_dir("prop-io-fault");
         let config = ProverConfig::default();
-        fault::set_plan(Some(FaultPlan {
+        let plan = FaultPlan {
             seed,
             store_short_write_bp: 2_000, // 20% of batches torn mid-write
             store_disk_full_bp: 1_000,   // 10% fail before writing a byte
             ..FaultPlan::default()
-        }));
+        };
 
         let mut attempted: BTreeMap<(u128, &str), ()> = BTreeMap::new();
         let mut durable: Vec<u128> = Vec::new();
@@ -141,7 +136,7 @@ proptest! {
             for &(raw, prover) in batch {
                 attempted.insert((raw, PROVERS[prover]), ());
             }
-            match store.append_new(&entries) {
+            match store.append_with(&entries, Some(&plan)) {
                 // `Ok` promises every entry of the batch is on disk (written
                 // now or found already durable in the index).
                 Ok(_) => durable.extend(batch.iter().map(|&(raw, _)| raw)),
@@ -157,7 +152,6 @@ proptest! {
             }
         }
         drop(store);
-        fault::set_plan(None);
 
         let recovered = CacheStore::open(&dir, &config, &PROVERS).unwrap();
         prop_assert!(!recovered.was_poisoned());
@@ -195,7 +189,6 @@ fn two_handles_on_one_directory_keep_both_sets_of_entries() {
     // Two open handles (the two-process shape: each holds its own index and
     // appends under the advisory lock) writing interleaved batches; a fresh
     // load must see every entry from both.
-    let _serial = fault::serial_guard();
     let dir = temp_dir("two-handles");
     let config = ProverConfig::default();
     let mut a = CacheStore::open(&dir, &config, &PROVERS).unwrap();
@@ -237,7 +230,6 @@ fn torn_write_by_one_handle_never_costs_another_handles_later_appends() {
     // bytes (O_APPEND puts them past the tear).  Neither a fresh load nor
     // A's own recovery may truncate B's entries away: the loader must
     // salvage-resync past the torn range instead of cutting at it.
-    let _serial = fault::serial_guard();
     let dir = temp_dir("torn-interleave");
     let config = ProverConfig::default();
     let mut a = CacheStore::open(&dir, &config, &PROVERS).unwrap();
@@ -245,14 +237,13 @@ fn torn_write_by_one_handle_never_costs_another_handles_later_appends() {
     a.append_new(&[(fp(1), "smt-ground".to_string())]).unwrap();
 
     // Tear A's next batch mid-entry.  100% short-write probability so the
-    // injection is deterministic; cleared before B writes.
-    fault::set_plan(Some(FaultPlan {
+    // injection is deterministic; B's appends run fault-free.
+    let tear = FaultPlan {
         seed: 11,
         store_short_write_bp: 10_000,
         ..FaultPlan::default()
-    }));
-    let torn = a.append_new(&[(fp(2), "smt-inst".to_string())]);
-    fault::set_plan(None);
+    };
+    let torn = a.append_with(&[(fp(2), "smt-inst".to_string())], Some(&tear));
     assert!(
         torn.as_ref()
             .is_err_and(|e| e.to_string().contains("injected fault")),
@@ -303,7 +294,6 @@ fn torn_write_by_one_handle_never_costs_another_handles_later_appends() {
 
 #[test]
 fn poisoned_schema_version_is_ignored_not_misreplayed() {
-    let _serial = fault::serial_guard();
     let dir = temp_dir("poisoned-schema");
     let config = ProverConfig::default();
     let mut store = CacheStore::open(&dir, &config, &PROVERS).unwrap();

@@ -113,34 +113,22 @@ mod tests {
     #[test]
     fn priority_queue_induction_needs_the_induct_construct() {
         let benchmark = by_name("Priority Queue").unwrap();
-        let options = ipl_core::VerifyOptions::default().with_config(suite_config());
-        let module = ipl_lang::parse_module(benchmark.source).unwrap();
-        let lowered = ipl_lang::lower_module(&module).unwrap();
-        let check_level = lowered
-            .methods
-            .iter()
-            .find(|m| m.name == "checkLevel")
-            .unwrap();
-        let cascade = ipl_provers::Cascade::standard(options.config);
-        let proved_post = |report: &ipl_core::MethodReport| {
-            report
-                .sequents
+        let proved_post = |options: ipl_core::VerifyOptions| {
+            let report =
+                verify_benchmark(&benchmark, &options.with_config(suite_config())).unwrap();
+            let check_level = report.methods.iter().find(|m| m.name == "checkLevel");
+            let sequents = &check_level.expect("checkLevel is verified").sequents;
+            sequents
                 .iter()
                 .filter(|s| s.goal_label == "Postcondition")
                 .all(|s| s.proved)
         };
-        let with = ipl_core::verify_method(check_level, &cascade, &options);
         assert!(
-            proved_post(&with),
-            "with induct the levelOk(k) postcondition is proved: {with:?}"
-        );
-        let without = ipl_core::verify_method(
-            check_level,
-            &cascade,
-            &ipl_core::VerifyOptions::without_proof_constructs().with_config(suite_config()),
+            proved_post(ipl_core::VerifyOptions::default()),
+            "with induct the levelOk(k) postcondition is proved"
         );
         assert!(
-            !proved_post(&without),
+            !proved_post(ipl_core::VerifyOptions::without_proof_constructs()),
             "without induct the postcondition requires mathematical induction and must fail"
         );
     }

@@ -100,14 +100,15 @@ fn main() {
     let mut rows = Vec::new();
     let mut violations = 0usize;
     for benchmark in &benchmarks {
-        let verify = |context: &str| {
+        let verify = |request: ipl::core::Request, context: &str| {
             session
-                .verify(&ipl::core::Request::new(benchmark.source))
+                .verify(&request)
                 .unwrap_or_else(|e| panic!("{} {context}: {e}", benchmark.name))
                 .report
         };
-        let clean = verify("fault-free");
-        let chaos = fault::with_plan(Some(plan), || verify("under chaos"));
+        let request = ipl::core::Request::new(benchmark.source);
+        let clean = verify(request.clone(), "fault-free");
+        let chaos = verify(request.with_fault_plan(plan), "under chaos");
 
         let fabricated: Vec<_> = proved_set(&chaos)
             .difference(&proved_set(&clean))

@@ -45,9 +45,9 @@ fn main() {
         ipl::suite::table2::generate(&options)
     };
     let total_wall_ms = start.elapsed().as_millis();
-    // Summed from the per-row reports: the process-global cache counters are
-    // reset at the start of every `Session::verify` call, so a cross-run delta
-    // of `hit_count()` would only see the last module's hits.
+    // Summed from the per-row reports, which count each answer's `cached`
+    // flag; the process-global cache counters also count every other
+    // session in the process.
     let cache_hits: usize = rows.iter().map(|r| r.cache_hits).sum();
 
     println!("{}", ipl::suite::table2::render(&rows));

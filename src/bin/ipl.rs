@@ -15,11 +15,10 @@
 
 use ipl::core::{ModuleReport, Request, SequentReport, Session, VerifyOptions};
 use ipl::provers::{cache_store, fault};
-use ipl::serve::{Daemon, ServeConfig, ShutdownKind};
-use std::io::{BufRead, Write};
+use ipl::serve::{Daemon, ServeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,8 +35,9 @@ verify options:
   --module-deadline-ms N
                      wall-clock budget per module; sequents dispatched after
                      it passes are reported SKIPPED and the report is partial
-  --fault-plan SPEC  install a deterministic chaos-injection plan (also read
-                     from $IPL_FAULT_PLAN; the flag wins).  SPEC is
+  --fault-plan SPEC  run every module under a deterministic chaos-injection
+                     plan (also read from $IPL_FAULT_PLAN; the flag wins):
+                     prover-stage and store-append faults.  SPEC is
                      comma-separated key=value with percentages, e.g.
                      'seed=42,panic=1,delay=5' or 'default,seed=7'
 
@@ -79,15 +79,17 @@ serve options:
   --compact-every N  compact the proof store after every N verified requests
                      (0 = never; duplicates dropped, generation bumped, warm
                      index kept — no rescan)
-  --fault-plan SPEC  daemon-level chaos plan (also $IPL_FAULT_PLAN); adds
+  --fault-plan SPEC  daemon-level chaos plan (also $IPL_FAULT_PLAN) for every
+                     request that carries no `fault_plan` of its own; adds
                      connection-level kinds conn_drop/stall/stall_ms/overload
                      on top of the verify-level ones
 
 serve signals and exit codes: SIGTERM begins a graceful drain (stop
 accepting, finish in-flight under the drain deadline, flush store appends).
 Exit 0 = clean shutdown or drain that finished in time; 4 = the drain
-deadline cut at least one in-flight request down to a partial report;
-1 = I/O failure; 2 = usage.
+deadline cut at least one answered request down to a partial report (or,
+with --listen, connections were still open 5 s past it); 1 = I/O failure;
+2 = usage.
 
 `ipl cache DIR` lists every store file in DIR with its schema version,
 generation, entry count and any corrupt bytes a load would skip.
@@ -159,12 +161,10 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         return usage_error("no input files");
     }
     options.cache_dir = cache_dir;
-    if let Some(spec) = fault_spec.as_deref() {
-        match fault::FaultPlan::parse(spec) {
-            Ok(plan) => fault::set_plan(Some(plan)),
-            Err(e) => return usage_error(&e),
-        }
-    }
+    let plan = match fault_spec.as_deref().map(fault::FaultPlan::parse).transpose() {
+        Ok(plan) => plan,
+        Err(e) => return usage_error(&e),
+    };
 
     // One session for every file on the command line: the cascade is built
     // once and the store log is scanned once, no matter how many modules
@@ -181,7 +181,9 @@ fn cmd_verify(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let report = match session.verify(&Request::new(source)) {
+        let mut request = Request::new(source);
+        request.fault_plan = plan;
+        let report = match session.verify(&request) {
             Ok(response) => response.report,
             Err(e) => {
                 eprintln!("ipl: {}: {e}", file.display());
@@ -211,8 +213,6 @@ fn cmd_verify(args: &[String]) -> ExitCode {
 /// Set by the SIGTERM handler; the drain watcher thread turns it into a
 /// `Daemon::begin_drain` (a signal handler must not take locks itself).
 static SIGTERM_RECEIVED: AtomicBool = AtomicBool::new(false);
-/// Set when an immediate (non-drain) `shutdown` op asks the daemon to stop.
-static SHUTDOWN_NOW: AtomicBool = AtomicBool::new(false);
 
 /// Installs a minimal SIGTERM handler (a relaxed flag store — nothing else
 /// is async-signal-safe).  `std` links libc but does not re-export
@@ -311,14 +311,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
     if let Some(spec) = fault_spec.as_deref() {
         match fault::FaultPlan::parse(spec) {
-            Ok(plan) => {
-                // The plan drives both the verify-level faults (panics,
-                // delays, store I/O — via the process-global slot every
-                // request consults) and the connection-level ones the
-                // daemon evaluates explicitly.
-                fault::set_plan(Some(plan));
-                serve_config.fault_plan = Some(plan);
-            }
+            Ok(plan) => serve_config.fault_plan = Some(plan),
             Err(e) => return usage_error(&e),
         }
     }
@@ -327,10 +320,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let daemon = Arc::new(Daemon::new(Arc::new(Session::new(options)), serve_config));
     spawn_drain_watcher(Arc::clone(&daemon));
 
-    match listen {
-        None => serve_stdin(&daemon),
-        Some(path) => serve_socket(&daemon, &path),
-    }
+    ExitCode::from(match listen {
+        None => daemon.serve_stdin(),
+        Some(path) => daemon.serve_socket(&path),
+    })
 }
 
 /// Polls the SIGTERM flag and turns it into a graceful drain.  The watcher
@@ -348,252 +341,6 @@ fn spawn_drain_watcher(daemon: Arc<Daemon>) {
         }
         std::thread::sleep(Duration::from_millis(25));
     });
-}
-
-/// Serves the protocol on stdin/stdout.  Stdin has no per-connection
-/// identity, so connection-level fault injections that sever a transport
-/// (`drop_mid_frame`) are ignored; stalls and overloads apply.
-fn serve_stdin(daemon: &Arc<Daemon>) -> ExitCode {
-    eprintln!("ipl serve: ready (stdin)");
-    let mut stdin = std::io::stdin().lock();
-    let mut stdout = std::io::stdout().lock();
-    let mut drained = false;
-    let mut raw = Vec::new();
-    loop {
-        raw.clear();
-        match stdin.read_until(b'\n', &mut raw) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("ipl serve: stdin error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        let line = raw.strip_suffix(b"\n").unwrap_or(&raw);
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let Some(served) = daemon.handle_bytes(line) else {
-            continue;
-        };
-        if let Some(stall) = served.stall {
-            std::thread::sleep(stall);
-        }
-        if writeln!(stdout, "{}", served.frame)
-            .and_then(|()| stdout.flush())
-            .is_err()
-        {
-            return ExitCode::FAILURE;
-        }
-        match served.shutdown {
-            Some(ShutdownKind::Immediate) => break,
-            Some(ShutdownKind::Drain) => {
-                daemon.begin_drain();
-                drained = true;
-                break;
-            }
-            None => {}
-        }
-        if daemon.draining() {
-            // SIGTERM arrived (possibly mid-request: the cascade wound the
-            // request down to a partial report, already answered above).
-            drained = true;
-            break;
-        }
-    }
-    // Requests are answered synchronously here, so by this point every
-    // store append has been flushed; a drain that had to cut the last
-    // request past its deadline reports exit code 4.
-    if (drained || daemon.draining()) && ipl::provers::drain::deadline_passed() {
-        return ExitCode::from(4);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Serves the protocol on a Unix socket: one thread (and one protocol
-/// stream) per connection, all sharing the one warm daemon.  The accept
-/// loop is non-blocking so it can notice SIGTERM drains and immediate
-/// shutdowns promptly.
-#[cfg(unix)]
-fn serve_socket(daemon: &Arc<Daemon>, path: &std::path::Path) -> ExitCode {
-    use std::os::unix::net::UnixListener;
-
-    // A previous daemon's socket file would make bind fail with AddrInUse.
-    let _ = std::fs::remove_file(path);
-    let listener = match UnixListener::bind(path) {
-        Ok(listener) => listener,
-        Err(e) => {
-            eprintln!("ipl serve: cannot bind {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if listener.set_nonblocking(true).is_err() {
-        eprintln!("ipl serve: cannot poll the listener");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("ipl serve: ready ({})", path.display());
-    let connections = Arc::new(AtomicUsize::new(0));
-    loop {
-        if SHUTDOWN_NOW.load(Ordering::Relaxed) {
-            let _ = std::fs::remove_file(path);
-            return ExitCode::SUCCESS;
-        }
-        if daemon.draining() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let daemon = Arc::clone(daemon);
-                let connections = Arc::clone(&connections);
-                connections.fetch_add(1, Ordering::SeqCst);
-                std::thread::spawn(move || {
-                    // Decrement on every exit path, panics included: the
-                    // drain accounting below waits on this counter.
-                    struct Open(Arc<AtomicUsize>);
-                    impl Drop for Open {
-                        fn drop(&mut self) {
-                            self.0.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    let _open = Open(Arc::clone(&connections));
-                    serve_connection(&daemon, stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => {
-                eprintln!("ipl serve: accept error: {e}");
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
-    // Draining: stop accepting, let in-flight connections finish under the
-    // drain deadline (their cascades answer Skipped partials once it
-    // passes), then exit with the documented code.
-    let deadline = ipl::provers::drain::deadline().unwrap_or_else(Instant::now);
-    // Idle connections notice the drain on their next read poll; the hard
-    // stop covers a wedged client that keeps a request running past the
-    // deadline anyway.
-    let hard_stop = deadline + Duration::from_secs(5);
-    let mut cut = false;
-    loop {
-        if connections.load(Ordering::SeqCst) == 0 {
-            break;
-        }
-        let now = Instant::now();
-        if now >= hard_stop {
-            cut = true;
-            eprintln!("ipl serve: drain hard-stop with connections still open");
-            break;
-        }
-        if now >= deadline {
-            // Someone is still in flight past the deadline: its report is
-            // being cut to Skipped partials.
-            cut = true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let _ = std::fs::remove_file(path);
-    eprintln!("ipl serve: drained");
-    if cut {
-        ExitCode::from(4)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-#[cfg(not(unix))]
-fn serve_socket(_daemon: &Arc<Daemon>, _path: &std::path::Path) -> ExitCode {
-    eprintln!("ipl serve: --listen requires Unix domain sockets; use stdin mode");
-    ExitCode::from(2)
-}
-
-/// Serves one accepted connection until it closes, times out, or the
-/// daemon stops.  A mid-frame disconnect (EOF with an unterminated line
-/// pending) tears down only this connection — the partial frame is never
-/// processed and no response is written for it.
-#[cfg(unix)]
-fn serve_connection(daemon: &Arc<Daemon>, mut stream: std::os::unix::net::UnixStream) {
-    use std::io::Read;
-
-    // Short poll ticks (not the full read timeout) so an idle connection
-    // notices a drain promptly; idleness is tracked across ticks.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_write_timeout(Some(daemon.config().write_timeout));
-    let read_timeout = daemon.config().read_timeout;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut last_byte = Instant::now();
-    loop {
-        // Serve every complete line already buffered.
-        while let Some(end) = pending.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = pending.drain(..=end).collect();
-            let Some(served) = daemon.handle_bytes(&raw[..end]) else {
-                continue;
-            };
-            if let Some(stall) = served.stall {
-                std::thread::sleep(stall);
-            }
-            if served.drop_mid_frame {
-                // Injected connection drop: half a frame, then sever.  The
-                // client sees a torn response and a closed socket; the
-                // daemon is unaffected.
-                let frame = served.frame.as_bytes();
-                let _ = stream.write_all(&frame[..frame.len() / 2]);
-                let _ = stream.flush();
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return;
-            }
-            if writeln!(stream, "{}", served.frame)
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
-                // Half-open or gone: shed this connection; never write a
-                // further frame onto a stream that failed mid-response.
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return;
-            }
-            match served.shutdown {
-                Some(ShutdownKind::Immediate) => {
-                    SHUTDOWN_NOW.store(true, Ordering::Relaxed);
-                    return;
-                }
-                Some(ShutdownKind::Drain) => {
-                    daemon.begin_drain();
-                    return;
-                }
-                None => {}
-            }
-        }
-        if SHUTDOWN_NOW.load(Ordering::Relaxed) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            // EOF.  Anything left in `pending` is an unterminated frame
-            // from a client that died mid-send: drop it unprocessed.
-            Ok(0) => return,
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                last_byte = Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if daemon.draining() {
-                    // No new requests during a drain; close idle streams.
-                    return;
-                }
-                if last_byte.elapsed() >= read_timeout {
-                    // Slow or half-open client (possibly wedged mid-frame):
-                    // shed it so it cannot pin this worker forever.
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
 }
 
 fn print_report(file: &std::path::Path, report: &ModuleReport, quiet: bool) {

@@ -25,7 +25,9 @@
 //!   after it passes come back `skipped` and the report is partial;
 //! * `jobs` — worker threads for this request;
 //! * `fault_plan` — a deterministic chaos-injection spec (as accepted by
-//!   `ipl verify --fault-plan`), installed for this request only.
+//!   `ipl verify --fault-plan`) that governs this request alone: its prover
+//!   stages, its store append and its connection-level faults.  A request
+//!   without one runs under the daemon's `--fault-plan`, if any.
 //!
 //! Unknown keys are ignored.
 //!
@@ -80,17 +82,47 @@
 //! shutting down), or `injected` (a chaos plan fired).  Cheap control ops
 //! (`stats`, `health`, `shutdown`) bypass admission so operators can always
 //! see in.
+//!
+//! ## Transports and exit codes
+//!
+//! [`Daemon::serve_stdin`] and [`Daemon::serve_socket`] (one thread per
+//! connection) run one frame loop: read, split lines, answer each with
+//! [`Daemon::handle_bytes`], act on `shutdown`.  Every stream waits for
+//! input in short ticks, so an idle one notices a drain promptly.  Both
+//! exit 4 exactly when the drain deadline cut an answered request to a
+//! partial report (a socket daemon also when connections are still open
+//! 5 s past the deadline), 0 after any other shutdown or drain, and 1 on
+//! an I/O failure.
 
 use crate::core::{Request, Session, VerifyError};
-use crate::provers::{containment, drain, fault};
+use crate::provers::{containment, fault};
 use crate::suite::baseline::{parse_json, Json};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::io::{self, BufRead, Read, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-fn handle_verify(session: &Session, frame: &Json, id: Option<&Json>) -> String {
+/// How long a stream waits for input before the frame loop looks up: an
+/// idle stream notices a drain or a shutdown within one tick.
+const POLL_TICK: Duration = Duration::from_millis(100);
+
+/// How long a socket daemon waits for open connections past the drain
+/// deadline before it stops anyway (and exits 4).
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+fn handle_verify(
+    session: &Session,
+    frame: &Json,
+    id: Option<&Json>,
+    plan: Result<Option<fault::FaultPlan>, String>,
+) -> String {
     let Some(source) = frame.get("source").and_then(Json::as_str) else {
         return error_frame(id, "protocol", "verify needs a string `source`", None);
+    };
+    let plan = match plan {
+        Ok(plan) => plan,
+        Err(e) => return error_frame(id, "protocol", &e, None),
     };
     let mut request = Request::new(source);
     if let Some(ms) = frame.get("deadline_ms").and_then(Json::as_u128) {
@@ -99,28 +131,14 @@ fn handle_verify(session: &Session, frame: &Json, id: Option<&Json>) -> String {
     if let Some(jobs) = frame.get("jobs").and_then(Json::as_u128) {
         request = request.with_jobs(jobs as usize);
     }
-    let plan = match frame.get("fault_plan").and_then(Json::as_str) {
-        Some(spec) => match fault::FaultPlan::parse(spec) {
-            Ok(plan) => Some(plan),
-            Err(e) => return error_frame(id, "protocol", &e, None),
-        },
-        None => None,
-    };
+    if let Some(plan) = plan {
+        request = request.with_fault_plan(plan);
+    }
 
     // The whole request runs inside a containment boundary: an injected (or
     // real) panic anywhere in the driver becomes a `crashed` error frame and
-    // the daemon keeps serving.  A fault plan is process-global state, so a
-    // chaos request additionally serialises against every other chaos run.
-    let outcome = match plan {
-        Some(plan) => {
-            let _guard = fault::serial_guard();
-            fault::with_plan(Some(plan), || {
-                containment::contain(|| session.verify(&request))
-            })
-        }
-        None => containment::contain(|| session.verify(&request)),
-    };
-    match outcome {
+    // the daemon keeps serving.
+    match containment::contain(|| session.verify(&request)) {
         Err(panic_message) => error_frame(
             id,
             "crashed",
@@ -238,9 +256,9 @@ pub struct ServeConfig {
     pub write_timeout: Duration,
     /// Compact the store after every N verified requests (0 = never).
     pub compact_every: usize,
-    /// Daemon-level chaos plan governing *connection-level* faults
-    /// (overload, stalls, mid-frame drops); a request's own `fault_plan`
-    /// overrides it for that request.
+    /// Daemon-level chaos plan for every request that carries no
+    /// `fault_plan` of its own: its connection-level faults (overload,
+    /// stalls, mid-frame drops), its prover stages and its store append.
     pub fault_plan: Option<fault::FaultPlan>,
 }
 
@@ -414,14 +432,18 @@ pub enum ShutdownKind {
 
 /// A long-lived serving wrapper around one warm [`Session`]: bounded
 /// admission, drain orchestration, connection-level chaos, periodic store
-/// compaction.  Transport loops (stdin, Unix socket) call
-/// [`Daemon::handle`] once per complete request line and act on the
-/// returned [`Served`].
+/// compaction, and the transports ([`Daemon::serve_stdin`],
+/// [`Daemon::serve_socket`]) that call [`Daemon::handle`] once per complete
+/// request line and act on the returned [`Served`].
 pub struct Daemon {
     session: Arc<Session>,
     config: ServeConfig,
     admission: Admission,
     verified: AtomicUsize,
+    /// Set by an immediate `shutdown`: every stream and the accept loop stop.
+    stopping: AtomicBool,
+    /// Socket connections being served; a drain waits for them.
+    connections: AtomicUsize,
 }
 
 impl Daemon {
@@ -433,17 +455,14 @@ impl Daemon {
             config,
             admission,
             verified: AtomicUsize::new(0),
+            stopping: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
         }
     }
 
     /// The session being served.
     pub fn session(&self) -> &Arc<Session> {
         &self.session
-    }
-
-    /// The serving configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 
     /// Serves one request line exactly as a transport read it, without its
@@ -470,23 +489,24 @@ impl Daemon {
     pub fn handle(&self, line: &str) -> Served {
         let key = line_key(line);
         let parsed = parse_json(line);
-        // Serve faults are evaluated from an explicit plan, never from the
-        // ambient process-global one: another connection's `with_plan`
-        // window must not leak connection-level chaos into this request.
-        let request_plan = parsed
+        // The governing plan decides this request's connection-level faults
+        // here and travels on its `Request` to the prover stages and the
+        // store.  A malformed plan governs nothing; a verify answers it with
+        // a protocol frame.
+        let plan = match parsed
             .as_ref()
             .ok()
             .and_then(|frame| frame.get("fault_plan"))
             .and_then(Json::as_str)
-            .and_then(|spec| fault::FaultPlan::parse(spec).ok());
-        let plan = request_plan.as_ref().or(self.config.fault_plan.as_ref());
+        {
+            Some(spec) => fault::FaultPlan::parse(spec).map(Some),
+            None => Ok(self.config.fault_plan),
+        };
         let faults = plan
-            .map(|p| p.serve_faults(key))
-            .unwrap_or(fault::ServeFaults {
-                overload: false,
-                stall: None,
-                drop_mid_frame: false,
-            });
+            .as_ref()
+            .map_or(self.config.fault_plan, |plan| *plan)
+            .map(|plan| plan.serve_faults(key))
+            .unwrap_or_default();
         let mut served = Served {
             frame: String::new(),
             stall: faults.stall,
@@ -514,7 +534,7 @@ impl Daemon {
                         served.frame = self.overloaded_frame(id, reason, waiting);
                     }
                     Ticket::Admitted(permit) => {
-                        served.frame = handle_verify(&self.session, &frame, id);
+                        served.frame = handle_verify(&self.session, &frame, id, plan);
                         drop(permit);
                         self.maybe_compact();
                     }
@@ -543,25 +563,19 @@ impl Daemon {
     }
 
     /// Starts (or tightens) a drain: admission refuses new verifies, queued
-    /// waiters are woken with draining frames, and in-flight cascades begin
-    /// answering `Skipped(DeadlineExceeded)` once the deadline passes.
-    /// Returns the drain deadline.  Idempotent — a second call keeps the
-    /// earlier deadline.
+    /// waiters are woken with draining frames, and the session's in-flight
+    /// cascades begin answering `Skipped(DeadlineExceeded)` once the
+    /// deadline passes.  Returns the drain deadline.  Idempotent — a second
+    /// call keeps the earlier deadline.
     pub fn begin_drain(&self) -> Instant {
-        let deadline = Instant::now() + self.config.drain_deadline;
         self.admission.begin_drain();
-        drain::begin(deadline);
-        drain::deadline().unwrap_or(deadline)
+        self.session
+            .begin_drain(Instant::now() + self.config.drain_deadline)
     }
 
     /// Whether a drain has begun.
     pub fn draining(&self) -> bool {
-        self.admission.snapshot().2
-    }
-
-    /// Verify requests currently holding a permit.
-    pub fn inflight(&self) -> usize {
-        self.admission.snapshot().0
+        self.session.drain_deadline().is_some()
     }
 
     /// Compacts the session's store on the in-daemon trigger, logging (not
@@ -642,6 +656,243 @@ impl Daemon {
             Err(e) => error_frame(id, "io", &format!("store compaction failed: {e}"), None),
         }
     }
+
+    /// Serves the protocol on the daemon's own stdin and stdout until end
+    /// of input, a `shutdown`, or a drain, and returns the exit code.
+    /// Stdin is never severed, and its last line needs no newline.
+    pub fn serve_stdin(&self) -> u8 {
+        eprintln!("ipl serve: ready (stdin)");
+        let chunks = read_stdin_in_background();
+        let fill = |pending: &mut Vec<u8>| match chunks.recv_timeout(POLL_TICK) {
+            Ok(chunk) => {
+                let chunk = chunk?;
+                pending.extend_from_slice(&chunk);
+                Ok(chunk.len())
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(io::ErrorKind::TimedOut.into()),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Ok(0),
+        };
+        match self.frame_loop(fill, &mut io::stdout().lock(), false) {
+            Ok(()) => self.drain_exit_code(),
+            Err(e) => {
+                eprintln!("ipl serve: stdio error: {e}");
+                1
+            }
+        }
+    }
+
+    /// Serves the protocol on a Unix socket at `path`, one thread (and one
+    /// frame loop) per connection, all sharing this daemon, and returns the
+    /// exit code.  The accept loop polls, so it notices drains and
+    /// immediate shutdowns promptly.
+    #[cfg(unix)]
+    pub fn serve_socket(self: &Arc<Self>, path: &Path) -> u8 {
+        use std::os::unix::net::UnixListener;
+
+        // A previous daemon's socket file would make bind fail with AddrInUse.
+        let _ = std::fs::remove_file(path);
+        let listener = match UnixListener::bind(path) {
+            Ok(listener) => listener,
+            Err(e) => {
+                eprintln!("ipl serve: cannot bind {}: {e}", path.display());
+                return 1;
+            }
+        };
+        if listener.set_nonblocking(true).is_err() {
+            eprintln!("ipl serve: cannot poll the listener");
+            return 1;
+        }
+        eprintln!("ipl serve: ready ({})", path.display());
+        while !self.stopping.load(Ordering::Relaxed) && !self.draining() {
+            match listener.accept() {
+                Ok((stream, _)) => self.spawn_connection(stream),
+                Err(e) => {
+                    if e.kind() != io::ErrorKind::WouldBlock {
+                        eprintln!("ipl serve: accept error: {e}");
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            }
+        }
+        let code = if self.stopping.load(Ordering::Relaxed) {
+            0
+        } else {
+            self.wait_for_connections()
+        };
+        let _ = std::fs::remove_file(path);
+        code
+    }
+
+    /// Without Unix sockets there is only stdin mode.
+    #[cfg(not(unix))]
+    pub fn serve_socket(self: &Arc<Self>, _path: &Path) -> u8 {
+        eprintln!("ipl serve: --listen requires Unix domain sockets; use stdin mode");
+        2
+    }
+
+    /// Serves one accepted connection on its own thread.  A connection
+    /// silent past the read timeout — a slow or half-open client, possibly
+    /// wedged mid-frame — is shed so it cannot pin its thread, and an
+    /// unterminated line at its end is dropped unanswered.
+    #[cfg(unix)]
+    fn spawn_connection(self: &Arc<Self>, stream: std::os::unix::net::UnixStream) {
+        // Short read ticks (not the full read timeout) so an idle
+        // connection notices a drain promptly.
+        let _ = stream.set_read_timeout(Some(POLL_TICK));
+        let _ = stream.set_write_timeout(Some(self.config.write_timeout));
+        let daemon = Arc::clone(self);
+        self.connections.fetch_add(1, Ordering::SeqCst);
+        std::thread::spawn(move || {
+            // Count down on every exit path, panics included: the drain
+            // waits on this counter.
+            struct Open<'a>(&'a AtomicUsize);
+            impl Drop for Open<'_> {
+                fn drop(&mut self) {
+                    self.0.fetch_sub(1, Ordering::SeqCst);
+                }
+            }
+            let _open = Open(&daemon.connections);
+            let mut chunk = [0u8; 4096];
+            let mut last_byte = Instant::now();
+            let fill = |pending: &mut Vec<u8>| match (&stream).read(&mut chunk) {
+                Ok(n) => {
+                    pending.extend_from_slice(&chunk[..n]);
+                    last_byte = Instant::now();
+                    Ok(n)
+                }
+                Err(e) if idle(&e) && last_byte.elapsed() >= daemon.config.read_timeout => Ok(0),
+                Err(e) => Err(e),
+            };
+            // A broken stream ends only its own connection, which closes
+            // when `stream` drops.
+            let _ = daemon.frame_loop(fill, &mut &stream, true);
+        });
+    }
+
+    /// Lets the open connections finish under the drain deadline (their
+    /// cascades answer `Skipped` partials once it passes) and returns the
+    /// exit code.  Idle connections close on their next tick; the grace
+    /// period covers a wedged client that keeps a request running anyway.
+    fn wait_for_connections(&self) -> u8 {
+        let deadline = self.session.drain_deadline().unwrap_or_else(Instant::now);
+        while self.connections.load(Ordering::SeqCst) > 0 {
+            if Instant::now() >= deadline + DRAIN_GRACE {
+                eprintln!("ipl serve: drain hard-stop with connections still open");
+                return 4;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        eprintln!("ipl serve: drained");
+        self.drain_exit_code()
+    }
+
+    /// 4 when the drain deadline cut an answered request to a partial
+    /// report, else 0.
+    fn drain_exit_code(&self) -> u8 {
+        if self.session.drain_cuts() > 0 {
+            4
+        } else {
+            0
+        }
+    }
+
+    /// The one frame loop both transports run: read, answer every complete
+    /// line, act on `shutdown`.  `fill` appends what arrives within about one
+    /// [`POLL_TICK`] and returns its length, 0 at the end of the stream.  On
+    /// a `severable` stream an injected mid-frame drop writes half the frame
+    /// and ends the loop, and the caller closes the stream.
+    fn frame_loop(
+        &self,
+        mut fill: impl FnMut(&mut Vec<u8>) -> io::Result<usize>,
+        out: &mut impl Write,
+        severable: bool,
+    ) -> io::Result<()> {
+        let mut pending = Vec::new();
+        // `pending[..scanned]` holds no newline: only fresh bytes are searched.
+        let mut scanned = 0;
+        loop {
+            let mut start = 0;
+            while let Some(offset) = pending[scanned..].iter().position(|&b| b == b'\n') {
+                let end = scanned + offset;
+                let line = &pending[start..end];
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                start = end + 1;
+                scanned = start;
+                let Some(mut served) = self.handle_bytes(line) else {
+                    continue;
+                };
+                if let Some(stall) = served.stall {
+                    std::thread::sleep(stall);
+                }
+                if served.drop_mid_frame && severable {
+                    let half = &served.frame.as_bytes()[..served.frame.len() / 2];
+                    return out.write_all(half).and_then(|()| out.flush());
+                }
+                served.frame.push('\n');
+                out.write_all(served.frame.as_bytes())?;
+                out.flush()?;
+                match served.shutdown {
+                    Some(ShutdownKind::Immediate) => {
+                        self.stopping.store(true, Ordering::Relaxed);
+                        return Ok(());
+                    }
+                    Some(ShutdownKind::Drain) => {
+                        self.begin_drain();
+                        return Ok(());
+                    }
+                    None => {}
+                }
+            }
+            pending.drain(..start);
+            scanned = pending.len();
+            // No new requests during a drain: a stream closes once it has
+            // answered what it holds.
+            if self.stopping.load(Ordering::Relaxed) || self.draining() {
+                return Ok(());
+            }
+            match fill(&mut pending) {
+                Ok(0) => return Ok(()),
+                Err(e) if !idle(&e) => return Err(e),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// A read error that only means nothing arrived yet: an idle tick or an
+/// interrupted call.
+fn idle(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
+/// Reads stdin line by line on its own thread, so the frame loop can wait
+/// for input one tick at a time; an empty line marks the end of input.  The
+/// channel holds at most a few lines, so a client that writes faster than
+/// the daemon answers is held back as before.  The thread is not joined: it
+/// may sit in `read` until the process exits.
+fn read_stdin_in_background() -> mpsc::Receiver<io::Result<Vec<u8>>> {
+    let (sender, receiver) = mpsc::sync_channel(4);
+    std::thread::spawn(move || {
+        let mut stdin = io::stdin().lock();
+        loop {
+            let mut line = Vec::new();
+            let read = stdin.read_until(b'\n', &mut line).map(|_| {
+                // End of input also ends an unterminated last line.
+                if !line.is_empty() && !line.ends_with(b"\n") {
+                    line.push(b'\n');
+                }
+                line
+            });
+            let last = !matches!(&read, Ok(line) if !line.is_empty());
+            if sender.send(read).is_err() || last {
+                return;
+            }
+        }
+    });
+    receiver
 }
 
 /// Content key for connection-level fault decisions: a hash of the raw
@@ -871,12 +1122,7 @@ mod tests {
 
     #[test]
     fn draining_daemons_refuse_new_verifies_but_answer_control_ops() {
-        let _serial = fault::serial_guard();
-        let daemon = daemon(ServeConfig {
-            // Long deadline: concurrent tests must never see it pass.
-            drain_deadline: Duration::from_secs(120),
-            ..ServeConfig::default()
-        });
+        let daemon = daemon(ServeConfig::default());
         let served = daemon.handle("{\"id\": 1, \"op\": \"shutdown\", \"drain\": true}");
         assert_eq!(served.shutdown, Some(ShutdownKind::Drain));
         let answer = parse_json(&served.frame).unwrap();
@@ -893,7 +1139,6 @@ mod tests {
         );
         let health = parse_json(&daemon.handle("{\"op\": \"health\"}").frame).unwrap();
         assert_eq!(health.get("draining"), Some(&Json::Bool(true)));
-        drain::clear();
     }
 
     #[test]
@@ -964,6 +1209,30 @@ mod tests {
 
     fn daemon_default_for_compat() -> Daemon {
         daemon(ServeConfig::default())
+    }
+
+    #[test]
+    fn the_frame_loop_answers_each_line_once_however_reads_split_it() {
+        let daemon = daemon(ServeConfig::default());
+        let mut chunks = [
+            &b"{\"id\": 1, \"op\": \"st"[..],
+            b"ats\"}\r\n\n{\"id\": 2, \"op\": \"shutdown\"}\n{\"id\": 3, \"op\": \"stats\"}\n",
+        ]
+        .into_iter();
+        let fill = |pending: &mut Vec<u8>| {
+            let chunk = chunks.next().unwrap_or_default();
+            pending.extend_from_slice(chunk);
+            Ok(chunk.len())
+        };
+        let mut sent = Vec::new();
+        daemon.frame_loop(fill, &mut sent, false).unwrap();
+        let ids: Vec<_> = String::from_utf8(sent)
+            .unwrap()
+            .lines()
+            .map(|line| parse_json(line).unwrap().get("id").and_then(Json::as_u128))
+            .collect();
+        assert_eq!(ids, [Some(1), Some(2)], "nothing after a shutdown is read");
+        assert!(daemon.stopping.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! Unknowns), `Session::verify` must never let a panic escape, must never
 //! *fabricate* a proof — the faulted Proved set is always a subset of the
 //! fault-free Proved set — and a zero-probability plan must be
-//! indistinguishable from no plan at all.
-//!
-//! Every test holds [`ipl::provers::fault::serial_guard`]: the fault plan is
-//! process-global, so chaos runs must not overlap each other or any
-//! fault-free baseline run.
+//! indistinguishable from no plan at all.  A plan travels on its `Request`,
+//! so the tests run side by side, and a chaos request never touches a clean
+//! request running beside it on the same session.
 //!
 //! Wall-clock prover deadlines are effectively disabled (as in
 //! `module_fuzz.rs`): injected delays plus a machine-dependent budget would
@@ -33,9 +31,15 @@ fn options() -> VerifyOptions {
         .with_jobs(2)
 }
 
-fn verify(source: &str, options: &VerifyOptions) -> Result<ModuleReport, VerifyError> {
+fn verify(
+    source: &str,
+    options: &VerifyOptions,
+    plan: Option<FaultPlan>,
+) -> Result<ModuleReport, VerifyError> {
+    let mut request = Request::new(source);
+    request.fault_plan = plan;
     Session::new(options.clone())
-        .verify(&Request::new(source))
+        .verify(&request)
         .map(|response| response.report)
 }
 
@@ -118,7 +122,6 @@ proptest! {
         delay_bp in 0u32..500,
         pick in 0usize..8,
     ) {
-        let _serial = fault::serial_guard();
         let benchmark = ipl::suite::all()[pick % ipl::suite::all().len()];
         let plan = FaultPlan {
             seed,
@@ -129,12 +132,10 @@ proptest! {
             ..FaultPlan::default()
         };
 
-        let baseline = verify(benchmark.source, &options())
+        let baseline = verify(benchmark.source, &options(), None)
             .unwrap_or_else(|e| panic!("{} fault-free: {e}", benchmark.name));
-        let faulted = fault::with_plan(Some(plan), || {
-            verify(benchmark.source, &options())
-                .unwrap_or_else(|e| panic!("{} faulted: {e}", benchmark.name))
-        });
+        let faulted = verify(benchmark.source, &options(), Some(plan))
+            .unwrap_or_else(|e| panic!("{} faulted: {e}", benchmark.name));
 
         assert_subset(&faulted, &baseline, benchmark.name);
         assert_consistent(&faulted, benchmark.name);
@@ -145,20 +146,15 @@ proptest! {
 /// normalized report is byte-identical to a run with no plan installed.
 #[test]
 fn zero_fault_plan_is_indistinguishable_from_no_plan() {
-    let _serial = fault::serial_guard();
+    let zero = FaultPlan {
+        seed: 9,
+        ..FaultPlan::default()
+    };
     for benchmark in ipl::suite::all() {
-        let plain = verify(benchmark.source, &options())
+        let plain = verify(benchmark.source, &options(), None)
             .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name));
-        let zeroed = fault::with_plan(
-            Some(FaultPlan {
-                seed: 9,
-                ..FaultPlan::default()
-            }),
-            || {
-                verify(benchmark.source, &options())
-                    .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name))
-            },
-        );
+        let zeroed = verify(benchmark.source, &options(), Some(zero))
+            .unwrap_or_else(|e| panic!("{}: {e}", benchmark.name));
         assert_eq!(
             plain.normalized(),
             zeroed.normalized(),
@@ -174,18 +170,13 @@ fn zero_fault_plan_is_indistinguishable_from_no_plan() {
 /// byte-for-byte — fault decisions are content-keyed, not scheduling-keyed).
 #[test]
 fn full_suite_survives_default_chaos_deterministically() {
-    let _serial = fault::serial_guard();
     let plan = fault::default_chaos(7);
     for benchmark in ipl::suite::all() {
-        let baseline = verify(benchmark.source, &options())
+        let baseline = verify(benchmark.source, &options(), None)
             .unwrap_or_else(|e| panic!("{} fault-free: {e}", benchmark.name));
         let run = |jobs: usize| {
-            fault::with_plan(Some(plan), || {
-                let mut opts = options();
-                opts.jobs = jobs;
-                verify(benchmark.source, &opts)
-                    .unwrap_or_else(|e| panic!("{} chaos: {e}", benchmark.name))
-            })
+            verify(benchmark.source, &options().with_jobs(jobs), Some(plan))
+                .unwrap_or_else(|e| panic!("{} chaos: {e}", benchmark.name))
         };
         let first = run(1);
         let second = run(4);
@@ -198,4 +189,39 @@ fn full_suite_survives_default_chaos_deterministically() {
             benchmark.name
         );
     }
+}
+
+/// Requests share one session while a chaos request that panics every
+/// stage runs beside them: each clean request answers exactly as it does
+/// alone.
+#[test]
+fn a_chaos_request_leaves_a_concurrent_clean_request_untouched() {
+    let source = |name| ipl::suite::by_name(name).expect("benchmark exists").source;
+    let solo = verify(source("Cursor List"), &options(), None).expect("solo run");
+    let plan = FaultPlan::parse("seed=1,panic=100,delay=100,delay_ms=20").unwrap();
+    let session = Session::new(options());
+    std::thread::scope(|scope| {
+        let chaos = scope.spawn(|| {
+            let request = Request::new(source("Linked List")).with_fault_plan(plan);
+            session
+                .verify(&request.with_jobs(1))
+                .expect("chaos run")
+                .report
+        });
+        let mut overlapped = 0;
+        while !chaos.is_finished() {
+            let clean = session.verify(&Request::new(source("Cursor List")));
+            overlapped += usize::from(!chaos.is_finished());
+            assert_eq!(
+                clean.expect("clean run").report.normalized(),
+                solo.normalized()
+            );
+        }
+        assert!(overlapped > 0, "no clean request ran inside the chaos one");
+        let chaos = chaos.join().unwrap();
+        assert!(
+            chaos.crashed_sequents() > 0,
+            "the plan fired on its own request"
+        );
+    });
 }

@@ -10,7 +10,9 @@
 //! 2. a request with an expired deadline comes back as a *partial* report
 //!    (skipped sequents), not an error, and the daemon keeps serving;
 //! 3. a chaos request whose provers panic is quarantined — the daemon
-//!    answers it and then serves the next request normally.
+//!    answers it and then serves the next request normally;
+//! 4. a chaos request's plan governs that request alone — a clean request
+//!    on another connection answers as it would on a fault-free daemon.
 
 use ipl::suite::baseline::{parse_json, Json};
 use std::io::{BufRead, BufReader, Write};
@@ -542,6 +544,78 @@ fn drain_deadline_cuts_inflight_requests_to_partials_and_exits_4() {
         "the deadline cut skips remaining dispatch: {frame:?}"
     );
     assert_eq!(wait_with_deadline(&mut child, 15), 4, "drain-cut exit code");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// SIGTERM stops a stdin daemon that sits idle with its input still open:
+/// nothing was in flight, so it exits 0 promptly.
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_an_idle_stdin_daemon_with_exit_0() {
+    let mut daemon = Daemon::spawn(&["--no-cache", "--drain-deadline-ms", "200"]);
+    // An answered request shows the daemon and its SIGTERM handler are up.
+    let health = daemon.request("{\"op\": \"health\"}");
+    assert_eq!(health.get("ok"), Some(&Json::Bool(true)), "{health:?}");
+    let term = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("kill -TERM runs");
+    assert!(term.success());
+    // Stdin stays open: the daemon must notice the drain while idle.
+    assert_eq!(wait_with_deadline(&mut daemon.child, 5), 0);
+}
+
+/// While a chaos request runs on one `--listen` connection, a clean request
+/// on a second connection answers exactly as a fault-free daemon does.
+#[cfg(unix)]
+#[test]
+fn a_chaos_connection_leaves_a_clean_connection_untouched() {
+    let cursor_list = ipl::suite::by_name("Cursor List").expect("benchmark exists");
+    let clean_line = format!(
+        "{{\"id\": 2, \"op\": \"verify\", \"source\": \"{}\"}}",
+        json_escape(cursor_list.source)
+    );
+    let without_wall = |frame: Json| match frame {
+        Json::Object(mut fields) => {
+            fields.remove("wall_ms");
+            fields
+        }
+        other => panic!("not an object: {other:?}"),
+    };
+    let mut fault_free = Daemon::spawn(&["--no-cache", "--jobs", "1"]);
+    let expected = without_wall(fault_free.request(&clean_line));
+    fault_free.shutdown();
+
+    let dir = temp_dir("isolation");
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("ipl.sock");
+    let (mut child, chaos) = spawn_socket_daemon(&socket, &["--jobs", "1", "--max-inflight", "2"]);
+    // Every stage of this request sleeps 20 ms and then panics.
+    writeln!(
+        chaos.try_clone().unwrap(),
+        "{}",
+        verify_frame(", \"id\": 1, \"fault_plan\": \"seed=1,panic=100,delay=100,delay_ms=20\"")
+    )
+    .unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(200));
+
+    let clean = connect(&socket);
+    let mut writer = clean.try_clone().unwrap();
+    let mut reader = BufReader::new(clean);
+    writeln!(writer, "{clean_line}").unwrap();
+    let mut frame = String::new();
+    reader.read_line(&mut frame).unwrap();
+    assert_eq!(without_wall(parse_json(&frame).unwrap()), expected);
+
+    let mut chaos_frame = String::new();
+    BufReader::new(chaos).read_line(&mut chaos_frame).unwrap();
+    let chaos_frame = parse_json(&chaos_frame).unwrap();
+    assert!(u(&chaos_frame, "crashed") > 0, "{chaos_frame:?}");
+
+    writeln!(writer, "{{\"op\": \"shutdown\"}}").unwrap();
+    let mut bye = String::new();
+    reader.read_line(&mut bye).unwrap();
+    assert_eq!(wait_with_deadline(&mut child, 10), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
