@@ -1,19 +1,19 @@
-//! # `ipl-bench` — benchmark harness
+//! # `ipl-bench` — micro-benchmarks and ablations
 //!
-//! Criterion benchmarks that regenerate the paper's evaluation artefacts:
+//! Criterion benchmarks of the pieces inside the cascade:
 //!
-//! * `benches/table1.rs` — Table 1 (construct counts and verification time);
-//! * `benches/table2.rs` — Table 2 (verification without vs with the proof
-//!   language constructs);
 //! * `benches/ablations.rs` — ablations over the design choices called out in
-//!   DESIGN.md: assumption-base control (`from` clauses) and instantiation
-//!   budgets;
+//!   DESIGN.md: assumption-base control (`from` clauses), instantiation
+//!   budgets and the CDCL(T) ground-core features;
 //! * `benches/provers.rs` — micro-benchmarks of the individual reasoners
-//!   (ground SMT-lite, quantifier instantiation, BAPA, shape).
+//!   (ground SMT-lite, quantifier instantiation, BAPA, shape);
+//! * `benches/ground.rs` — the CDCL ground core on the Hash Table sequents,
+//!   with its allocation pins;
+//! * `benches/terms.rs` — the shared, hash-consed term representation.
 //!
-//! Each table bench prints the full regenerated table once, then measures a
-//! representative verification run so Criterion has a stable quantity to
-//! report.
+//! The paper's two tables are regenerated by `examples/table1.rs` and
+//! `examples/table2.rs`; the end-to-end speed of the `ipl` binary is
+//! measured by `perfbench/` (see `BENCHMARK.json`).
 
 use ipl_core::VerifyOptions;
 
@@ -27,16 +27,6 @@ pub fn bench_options() -> VerifyOptions {
             ..ipl_suite::suite_config()
         })
         .with_record_sequents(false)
-}
-
-/// Verifies one named benchmark and returns (proved, total) sequent counts.
-pub fn verify_counts(name: &str, options: &VerifyOptions) -> (usize, usize) {
-    let benchmark = ipl_suite::by_name(name).expect("benchmark exists");
-    let report = ipl_core::Session::new(options.clone())
-        .verify(&ipl_core::Request::new(benchmark.source))
-        .expect("verifies")
-        .report;
-    (report.proved_sequents(), report.total_sequents())
 }
 
 #[cfg(test)]

@@ -34,8 +34,12 @@
 //! assembled **in input order and deterministically** regardless of thread
 //! count — `jobs = 1` and `jobs = N` produce identical reports (timings
 //! aside; see [`ModuleReport::normalized`]).
+//!
+//! [`json`] is the workspace's one JSON reader and writer, shared by the
+//! `ipl serve` frames and the benchmark documents.
 
 pub mod error;
+pub mod json;
 pub mod report;
 pub mod session;
 

@@ -3,6 +3,7 @@
 //! structures, together with verification time.
 
 use crate::benchmarks::{all, Benchmark};
+use ipl_core::json;
 use ipl_core::VerifyOptions;
 use ipl_gcl::cmd::ConstructCounts;
 use serde::{Deserialize, Serialize};
@@ -60,11 +61,6 @@ pub fn generate(options: &VerifyOptions) -> Vec<Table1Row> {
     all().iter().map(|b| row_in(&session, b)).collect()
 }
 
-/// Generates one row with a throwaway session.
-pub fn row(benchmark: &Benchmark, options: &VerifyOptions) -> Table1Row {
-    row_in(&ipl_core::Session::new(options.clone()), benchmark)
-}
-
 /// Generates one row through an existing session.
 pub fn row_in(session: &ipl_core::Session, benchmark: &Benchmark) -> Table1Row {
     let ground_before = ipl_provers::ground::stats_snapshot();
@@ -109,21 +105,15 @@ pub fn row_in(session: &ipl_core::Session, benchmark: &Benchmark) -> Table1Row {
 }
 
 /// Run-level facts accompanying the per-benchmark rows in
-/// `BENCH_table1.json`: total wall-clock, the historical comparison point,
-/// and the new scheduler/cache telemetry.
+/// `BENCH_table1.json`: total wall-clock and the scheduler/cache telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct BenchMeta {
     /// Wall-clock of the whole run, milliseconds.
     pub total_wall_ms: u128,
-    /// The pre-optimisation measurement the run is compared against.
-    pub baseline_total_wall_ms: Option<u128>,
     /// Worker threads used by the verification driver.
     pub jobs: usize,
     /// Proof-cache hits across the run.
     pub cache_hits: usize,
-    /// Wall-clock of the control run with `--jobs 1` and the proof cache
-    /// disabled, when `--compare-sequential` was requested.
-    pub sequential_wall_ms: Option<u128>,
 }
 
 /// Serialises the rows as the machine-readable `BENCH_table1.json` document
@@ -132,20 +122,14 @@ pub struct BenchMeta {
 pub fn to_bench_json(rows: &[Table1Row], meta: &BenchMeta) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"total_wall_ms\": {},\n", meta.total_wall_ms));
-    if let Some(baseline) = meta.baseline_total_wall_ms {
-        out.push_str(&format!("  \"baseline_total_wall_ms\": {baseline},\n"));
-    }
     out.push_str(&format!("  \"jobs\": {},\n", meta.jobs));
     out.push_str(&format!("  \"cache_hits\": {},\n", meta.cache_hits));
-    if let Some(sequential) = meta.sequential_wall_ms {
-        out.push_str(&format!("  \"sequential_wall_ms\": {sequential},\n"));
-    }
     out.push_str("  \"benchmarks\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let map_json = |entries: Vec<(String, String)>| {
             let inner: Vec<String> = entries
                 .into_iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
+                .map(|(k, v)| format!("{}: {v}", json::string(&k)))
                 .collect();
             format!("{{{}}}", inner.join(", "))
         };
@@ -168,12 +152,12 @@ pub fn to_bench_json(rows: &[Table1Row], meta: &BenchMeta) -> String {
                 .collect(),
         );
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"methods\": {}, \"methods_verified\": {}, \
+            "    {{\"name\": {}, \"methods\": {}, \"methods_verified\": {}, \
              \"sequents_total\": {}, \"sequents_proved\": {}, \
              \"sequents_crashed\": {}, \"sequents_skipped\": {}, \"wall_ms\": {}, \
              \"cache_hits\": {}, \"provers\": {}, \"stage_ms\": {}, \
              \"ground_stats\": {}}}{}\n",
-            row.name,
+            json::string(&row.name),
             row.methods,
             row.methods_verified,
             row.sequents_total,
@@ -247,13 +231,9 @@ pub fn render_markdown(rows: &[Table1Row], meta: &BenchMeta) -> String {
     let methods_verified: usize = rows.iter().map(|r| r.methods_verified).sum();
     let methods: usize = rows.iter().map(|r| r.methods).sum();
     out.push_str(&format!(
-        "\n**{methods_verified}/{methods} methods verified, total wall-clock {} ms**",
+        "\n**{methods_verified}/{methods} methods verified, total wall-clock {} ms**\n",
         meta.total_wall_ms
     ));
-    if let Some(baseline) = meta.baseline_total_wall_ms {
-        out.push_str(&format!(" (pre-E-matching baseline: {baseline} ms)"));
-    }
-    out.push('\n');
     let crashed: usize = rows.iter().map(|r| r.sequents_crashed).sum();
     let skipped: usize = rows.iter().map(|r| r.sequents_skipped).sum();
     if crashed + skipped > 0 {
@@ -277,21 +257,12 @@ pub fn render_markdown(rows: &[Table1Row], meta: &BenchMeta) -> String {
         total_stat("learned_clauses"),
     ));
     out.push_str(&format!(
-        "\nScheduler: {} worker thread{}, {} proof-cache hit{}",
+        "\nScheduler: {} worker thread{}, {} proof-cache hit{}\n",
         meta.jobs,
         if meta.jobs == 1 { "" } else { "s" },
         meta.cache_hits,
         if meta.cache_hits == 1 { "" } else { "s" },
     ));
-    if let Some(sequential) = meta.sequential_wall_ms {
-        out.push_str(&format!(
-            "; parallel {} ms vs sequential/uncached {} ms ({:.2}x)",
-            meta.total_wall_ms,
-            sequential,
-            sequential as f64 / (meta.total_wall_ms.max(1)) as f64,
-        ));
-    }
-    out.push('\n');
     out
 }
 
@@ -436,10 +407,8 @@ mod tests {
         };
         let meta = BenchMeta {
             total_wall_ms: 1234,
-            baseline_total_wall_ms: Some(3456),
             jobs: 4,
             cache_hits: 7,
-            sequential_wall_ms: Some(2500),
         };
         let json = to_bench_json(&[row], &meta);
         assert!(json.contains(
@@ -447,10 +416,8 @@ mod tests {
              \"decisions\": 63, \"learned_clauses\": 18, \"theory_propagations\": 26}"
         ));
         assert!(json.contains("\"total_wall_ms\": 1234"));
-        assert!(json.contains("\"baseline_total_wall_ms\": 3456"));
         assert!(json.contains("\"jobs\": 4"));
         assert!(json.contains("\"cache_hits\": 7"));
-        assert!(json.contains("\"sequential_wall_ms\": 2500"));
         assert!(json.contains("\"name\": \"Linked List\""));
         assert!(json.contains("\"methods_verified\": 6"));
         assert!(json.contains("\"sequents_crashed\": 1"));

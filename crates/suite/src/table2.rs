@@ -3,6 +3,7 @@
 //! constructs versus with them.
 
 use crate::benchmarks::{all, Benchmark};
+use ipl_core::json;
 use ipl_core::VerifyOptions;
 use serde::{Deserialize, Serialize};
 
@@ -103,11 +104,11 @@ pub fn to_bench_json(
     out.push_str("  \"benchmarks\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"methods_total\": {}, \
+            "    {{\"name\": {}, \"methods_total\": {}, \
              \"methods_without\": {}, \"sequents_without\": {}, \"sequents_total_without\": {}, \
              \"methods_with\": {}, \"sequents_with\": {}, \"sequents_total_with\": {}, \
              \"cache_hits\": {}}}{}\n",
-            row.name,
+            json::string(&row.name),
             row.methods_total,
             row.methods_without,
             row.sequents_without,
@@ -189,6 +190,6 @@ mod tests {
         assert!(json.contains("\"cache_hits\": 17"));
         assert!(json.contains("\"methods_with\": 6"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(crate::baseline::parse_json(&json).is_ok());
+        assert!(ipl_core::json::parse_json(&json).is_ok());
     }
 }

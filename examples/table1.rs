@@ -8,38 +8,30 @@
 //! * `--jobs N` — worker threads for the parallel verification driver
 //!   (default `0` = the machine's available parallelism; `1` forces the
 //!   sequential path).
-//! * `--compare-sequential` — after the measured run, verify the suite again
-//!   with one thread and the proof cache disabled, and report the speedup.
 //! * `--check-baseline <path>` — turn the run into the CI regression gate:
 //!   the fresh results are compared against the committed baseline document
-//!   and the process exits non-zero when any benchmark verifies fewer
-//!   methods than the baseline or total wall-clock regresses more than 25%.
+//!   and the process exits non-zero when any benchmark is missing, verifies
+//!   fewer methods than the baseline, or has a different prover attribution
+//!   (sequents discharged per cascade stage).  Wall-clock is reported, never
+//!   gated: `perfbench/` measures speed.
 //!
 //! Besides the human-readable table, the run writes `BENCH_table1.json`
 //! (override the path with the `BENCH_TABLE1_OUT` environment variable):
 //! per-benchmark methods proved, sequent counts, wall-clock milliseconds,
-//! per-cascade-stage cost and proof-cache hits, plus the worker-thread count
-//! and the pre-E-matching baseline total, so that successive perf PRs have a
-//! trajectory to compare against.
+//! prover attribution, per-cascade-stage cost, ground-core counters and
+//! proof-cache hits, plus the worker-thread count.
 //!
 //! When `GITHUB_STEP_SUMMARY` is set (as it is inside GitHub Actions), a
 //! markdown summary table — methods, sequents, wall-clock, prover
-//! attribution, threads used, cache hits and (with `--compare-sequential`)
-//! the parallel-vs-sequential wall-clock — is appended to it so reviewers
-//! see the Table-1 delta without downloading the artifact.
+//! attribution, threads used and cache hits — is appended to it so
+//! reviewers see the Table-1 delta without downloading the artifact.
 
 use std::io::Write;
 use std::time::Instant;
 
-/// Total wall-clock of the full (non-quick) run measured immediately before
-/// the trigger-driven E-matching engine landed, on the CI reference machine.
-/// Kept as the comparison point in `BENCH_table1.json`.
-const PRE_EMATCHING_BASELINE_MS: u128 = 3506;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let compare_sequential = args.iter().any(|a| a == "--compare-sequential");
     let jobs = args
         .iter()
         .position(|a| a == "--jobs")
@@ -80,40 +72,22 @@ fn main() {
         .with_config(ipl::suite::suite_config())
         .with_record_sequents(false)
         .with_jobs(jobs);
-    let run = |options: &ipl::core::VerifyOptions| {
-        if quick {
-            // One session for the whole subset: the cascade and the store
-            // handle stay warm across the three benchmarks.
-            let session = ipl::core::Session::new(options.clone());
-            ["Linked List", "Cursor List", "Association List"]
-                .iter()
-                .map(|name| {
-                    let benchmark = ipl::suite::by_name(name).expect("benchmark exists");
-                    ipl::suite::table1::row_in(&session, &benchmark)
-                })
-                .collect()
-        } else {
-            ipl::suite::table1::generate(options)
-        }
-    };
     let start = Instant::now();
-    let rows: Vec<ipl::suite::table1::Table1Row> = run(&options);
-    let total_wall_ms = start.elapsed().as_millis();
-
-    // The control run: one worker, no proof cache — the pre-parallelism
-    // behaviour, so the summary can report the actual speedup.
-    let sequential_wall_ms = compare_sequential.then(|| {
-        let control_options = ipl::core::VerifyOptions::default()
-            .with_config(ipl::provers::ProverConfig {
-                use_cache: false,
-                ..ipl::suite::suite_config()
+    let rows: Vec<ipl::suite::table1::Table1Row> = if quick {
+        // One session for the whole subset: the cascade and the store
+        // handle stay warm across the three benchmarks.
+        let session = ipl::core::Session::new(options.clone());
+        ["Linked List", "Cursor List", "Association List"]
+            .iter()
+            .map(|name| {
+                let benchmark = ipl::suite::by_name(name).expect("benchmark exists");
+                ipl::suite::table1::row_in(&session, &benchmark)
             })
-            .with_record_sequents(false)
-            .with_jobs(1);
-        let control_start = Instant::now();
-        let _ = run(&control_options);
-        control_start.elapsed().as_millis()
-    });
+            .collect()
+    } else {
+        ipl::suite::table1::generate(&options)
+    };
+    let total_wall_ms = start.elapsed().as_millis();
 
     println!("{}", ipl::suite::table1::render(&rows));
     for row in &rows {
@@ -124,11 +98,8 @@ fn main() {
     }
     let meta = ipl::suite::table1::BenchMeta {
         total_wall_ms,
-        // The historical comparison is only meaningful for the full run.
-        baseline_total_wall_ms: (!quick).then_some(PRE_EMATCHING_BASELINE_MS),
         jobs: options.effective_jobs(),
         cache_hits: rows.iter().map(|r| r.cache_hits).sum(),
-        sequential_wall_ms,
     };
     println!("\n  total wall-clock: {total_wall_ms} ms");
     println!(
@@ -149,12 +120,6 @@ fn main() {
         ground_total("conflicts"),
         ground_total("learned_clauses"),
     );
-    if let Some(sequential) = sequential_wall_ms {
-        println!(
-            "  sequential/uncached control: {sequential} ms ({:.2}x speedup)",
-            sequential as f64 / (total_wall_ms.max(1)) as f64
-        );
-    }
 
     let json = ipl::suite::table1::to_bench_json(&rows, &meta);
     let out_path = std::env::var("BENCH_TABLE1_OUT").unwrap_or_else(|_| "BENCH_table1.json".into());
@@ -182,13 +147,10 @@ fn main() {
 
     // Regression gate.
     if let Some(baseline) = baseline {
-        let violations = ipl::suite::baseline::check_baseline(&rows, total_wall_ms, &baseline);
+        let violations = ipl::suite::baseline::check_baseline(&rows, &baseline);
         if violations.is_empty() {
             println!(
-                "  baseline check passed: no benchmark lost methods, wall-clock within \
-                 {:.0}% (+{} ms slack)",
-                ipl::suite::baseline::WALL_CLOCK_TOLERANCE * 100.0,
-                ipl::suite::baseline::WALL_CLOCK_SLACK_MS
+                "  baseline check passed: no benchmark lost methods, prover attribution unchanged"
             );
         } else {
             eprintln!("  BASELINE REGRESSION:");

@@ -161,7 +161,11 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         return usage_error("no input files");
     }
     options.cache_dir = cache_dir;
-    let plan = match fault_spec.as_deref().map(fault::FaultPlan::parse).transpose() {
+    let plan = match fault_spec
+        .as_deref()
+        .map(fault::FaultPlan::parse)
+        .transpose()
+    {
         Ok(plan) => plan,
         Err(e) => return usage_error(&e),
     };

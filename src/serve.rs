@@ -10,8 +10,8 @@
 //! ## Requests
 //!
 //! One JSON object per line.  `op` selects the operation (default
-//! `"verify"`); `id` is echoed verbatim in the answer so clients can
-//! pipeline:
+//! `"verify"`); `id`, any JSON value, is echoed as sent in the answer so
+//! clients can pipeline:
 //!
 //! ```json
 //! {"id": 1, "op": "verify", "source": "module M { ... }", "deadline_ms": 500,
@@ -29,7 +29,9 @@
 //!   stages, its store append and its connection-level faults.  A request
 //!   without one runs under the daemon's `--fault-plan`, if any.
 //!
-//! Unknown keys are ignored.
+//! Unknown keys are ignored.  Frames are standard JSON ([`crate::core::json`]):
+//! a string may use every RFC 8259 escape (`\r`, `\u00e9`, surrogate pairs),
+//! and answers escape control characters the same way.
 //!
 //! ## Responses
 //!
@@ -94,9 +96,9 @@
 //! 5 s past the deadline), 0 after any other shutdown or drain, and 1 on
 //! an I/O failure.
 
+use crate::core::json::{self, parse_json, Json};
 use crate::core::{Request, Session, VerifyError};
 use crate::provers::{containment, fault};
-use crate::suite::baseline::{parse_json, Json};
 use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -110,6 +112,10 @@ const POLL_TICK: Duration = Duration::from_millis(100);
 /// How long a socket daemon waits for open connections past the drain
 /// deadline before it stops anyway (and exits 4).
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// Base back-off hint carried by overloaded frames, scaled by how many
+/// requests are already waiting.
+const RETRY_AFTER_MS: u64 = 250;
 
 fn handle_verify(
     session: &Session,
@@ -162,7 +168,7 @@ fn handle_verify(
                  \"wall_ms\": {}, \"store_entries\": {}, \
                  \"store_preloads\": {}, \"store_appended\": {}}}",
                 id_field(id),
-                json_string(&report.module_name),
+                json::string(&report.module_name),
                 report.fully_proved(),
                 report.methods_verified(),
                 report.method_count,
@@ -209,30 +215,16 @@ fn error_frame(
     format!(
         "{{{}\"ok\": false, \"error\": {{\"kind\": {}, \"message\": {}{detail}}}}}",
         id_field(id),
-        json_string(kind),
-        json_string(message),
+        json::string(kind),
+        json::string(message),
     )
 }
 
 /// Renders the echoed `"id": ...,` prefix (empty when the request had none).
 fn id_field(id: Option<&Json>) -> String {
     match id {
-        Some(json) => format!("\"id\": {}, ", encode(json)),
+        Some(id) => format!("\"id\": {id}, "),
         None => String::new(),
-    }
-}
-
-/// Re-encodes the subset of JSON values a client may use as an `id`.
-fn encode(json: &Json) -> String {
-    match json {
-        Json::Null => "null".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Number(n) if n.fract() == 0.0 => format!("{}", *n as i64),
-        Json::Number(n) => format!("{n}"),
-        Json::String(s) => json_string(s),
-        // Composite ids are legal JSON; answer with something recognisable
-        // rather than rejecting the whole frame.
-        Json::Array(_) | Json::Object(_) => json_string("composite-id"),
     }
 }
 
@@ -244,9 +236,6 @@ pub struct ServeConfig {
     /// Verify requests allowed to *wait* for a slot; one more is answered
     /// with an overloaded frame instead.
     pub queue_depth: usize,
-    /// Base back-off hint carried by overloaded frames; scaled by how many
-    /// requests are already waiting.
-    pub retry_after_ms: u64,
     /// How long a drain lets in-flight requests run before they start
     /// answering `Skipped(DeadlineExceeded)` partial reports.
     pub drain_deadline: Duration,
@@ -268,7 +257,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_inflight: cores,
             queue_depth: 2 * cores,
-            retry_after_ms: 250,
             drain_deadline: Duration::from_secs(5),
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
@@ -606,12 +594,12 @@ impl Daemon {
         reason: OverloadReason,
         waiting: usize,
     ) -> String {
-        let retry_after = self.config.retry_after_ms * (waiting as u64 + 1);
+        let retry_after = RETRY_AFTER_MS * (waiting as u64 + 1);
         format!(
             "{{{}\"ok\": false, \"overloaded\": true, \"retry_after_ms\": {retry_after}, \
              \"reason\": {}}}",
             id_field(id),
-            json_string(reason.as_str()),
+            json::string(reason.as_str()),
         )
     }
 
@@ -906,25 +894,6 @@ fn line_key(line: &str) -> u64 {
     hasher.finish()
 }
 
-/// Encodes a string with the same escape repertoire `parse_json` accepts
-/// (`\"`, `\\`, `\n`, `\t`); other control characters degrade to spaces.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if c.is_control() => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -952,7 +921,7 @@ mod tests {
     fn verify_line(id: usize, source: &str) -> String {
         format!(
             "{{\"id\": {id}, \"op\": \"verify\", \"source\": {}}}",
-            json_string(source)
+            json::string(source)
         )
     }
 
@@ -1042,9 +1011,22 @@ mod tests {
 
     #[test]
     fn strings_escape_cleanly() {
-        assert_eq!(json_string("a\"b\\c\nd\te"), "\"a\\\"b\\\\c\\nd\\te\"");
-        let round = parse_json(&json_string("quote \" slash \\ nl \n tab \t"));
+        assert_eq!(json::string("a\"b\\c\nd\te"), "\"a\\\"b\\\\c\\nd\\te\"");
+        let round = parse_json(&json::string("quote \" slash \\ nl \n tab \t"));
         assert!(round.is_ok());
+    }
+
+    #[test]
+    fn composite_ids_are_echoed_as_sent() {
+        let served = daemon(ServeConfig::default())
+            .handle("{\"id\": [1, {\"tag\": \"caf\\u00e9\\r\"}], \"op\": \"stats\"}");
+        assert!(
+            served
+                .frame
+                .starts_with("{\"id\": [1, {\"tag\": \"café\\r\"}], \"ok\": true, "),
+            "{}",
+            served.frame
+        );
     }
 
     fn daemon(config: ServeConfig) -> Daemon {
@@ -1060,7 +1042,6 @@ mod tests {
         };
         let daemon = daemon(ServeConfig {
             fault_plan: Some(plan),
-            retry_after_ms: 40,
             ..ServeConfig::default()
         });
         let served = daemon.handle(&verify_line(5, COUNTER));
@@ -1069,7 +1050,7 @@ mod tests {
         assert_eq!(answer.get("overloaded"), Some(&Json::Bool(true)));
         assert_eq!(
             answer.get("retry_after_ms").and_then(Json::as_u128),
-            Some(40)
+            Some(250)
         );
         assert_eq!(
             answer.get("reason").and_then(Json::as_str),
@@ -1096,7 +1077,6 @@ mod tests {
         let daemon = daemon(ServeConfig {
             max_inflight: 1,
             queue_depth: 0,
-            retry_after_ms: 100,
             ..ServeConfig::default()
         });
         let held = match daemon.admission.acquire() {
@@ -1112,7 +1092,7 @@ mod tests {
         );
         assert_eq!(
             answer.get("retry_after_ms").and_then(Json::as_u128),
-            Some(100)
+            Some(250)
         );
         drop(held);
         let served = daemon.handle(&verify_line(1, COUNTER));

@@ -9,16 +9,42 @@
 //! 4. after a one-method edit, only that method's changed sequents are
 //!    proved again; every other sequent is answered from the store.
 //!
-//! A single `#[test]` on purpose: the in-memory proof cache is process-global
-//! and is reset at several points below, so a sibling test on another thread
-//! would race it.  (The per-prover timeout is raised as in `parallel.rs`:
-//! wall-clock deadlines are the one machine-dependent budget, and this test
-//! compares reports byte-for-byte.)
+//! One `#[test]` drives all of that on purpose: the in-memory proof cache is
+//! process-global and is reset at several points below, so a sibling test
+//! verifying on another thread would race it.  (The per-prover timeout is
+//! raised as in `parallel.rs`: wall-clock deadlines are the one
+//! machine-dependent budget, and this test compares reports byte-for-byte.)
+//! The other test, a store written by one `ipl verify` process answering in
+//! the next, verifies only in the processes it spawns.
 
 use ipl::core::{ModuleReport, Request, Session, VerifyOptions};
 use ipl::provers::cache::ProofCache;
-use ipl::suite::throughput::{edited_suite_sources, suite_sources};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// The benchmark sources, in suite order.
+fn suite_sources() -> Vec<(&'static str, String)> {
+    ipl::suite::all()
+        .iter()
+        .map(|b| (b.name, b.source.to_string()))
+        .collect()
+}
+
+/// The suite with one edited method body: `LinkedList.sizeOf` computes its
+/// result in two steps instead of one.  Semantically equivalent (it still
+/// verifies), but every sequent of `sizeOf` changes its fingerprint — the
+/// smallest realistic "developer edited one method" workload.
+fn edited_suite_sources() -> Vec<(&'static str, String)> {
+    let mut sources = suite_sources();
+    for (name, source) in &mut sources {
+        if *name == "Linked List" {
+            let edited = source.replace("n := size;", "n := 0;\n    n := n + size;");
+            assert_ne!(&edited, source, "the sizeOf body must be present to edit");
+            *source = edited;
+        }
+    }
+    sources
+}
 
 fn options(cache_dir: Option<PathBuf>, use_cache: bool) -> VerifyOptions {
     let mut options = VerifyOptions::default()
@@ -132,5 +158,79 @@ fn store_lifecycle_cold_warm_incremental_and_edit() {
     }
     assert!(reproved > 0, "the edited method must actually be re-proved");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `ipl verify --quiet --cache-dir DIR FILE` in a new process and reads
+/// its summary line, `FILE: 6/6 methods verified, 19/19 sequents proved
+/// (15 from cache)`, as (proved, from cache).
+fn verify_in_new_process(file: &Path, dir: &Path) -> (usize, usize) {
+    let output = Command::new(env!("CARGO_BIN_EXE_ipl"))
+        .args(["verify", "--quiet", "--cache-dir"])
+        .arg(dir)
+        .arg(file)
+        .output()
+        .expect("ipl verify runs");
+    let line = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "ipl verify failed: {output:?}");
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let before = |word: &str| {
+        let at = words
+            .iter()
+            .position(|w| *w == word)
+            .unwrap_or_else(|| panic!("no `{word}` in {line:?}"));
+        words[at - 1]
+    };
+    let proved = before("sequents").split('/').next().unwrap_or_default();
+    let from_cache = before("from").trim_start_matches('(');
+    match (proved.parse(), from_cache.parse()) {
+        (Ok(proved), Ok(from_cache)) => (proved, from_cache),
+        _ => panic!("unexpected summary line {line:?}"),
+    }
+}
+
+/// Sequents that splitting discharges and no prover (or store) ever sees,
+/// counted from the front end alone as `Session::verify` counts them.
+fn trivial_sequents(source: &str) -> usize {
+    let module = ipl::lang::parse_module(source).expect("parses");
+    let lowered = ipl::lang::lower_module(&module).expect("lowers");
+    lowered
+        .methods
+        .iter()
+        .map(|method| {
+            let simple = ipl::gcl::translate::translate_ext(
+                &method.command,
+                &mut ipl::gcl::translate::TranslateCtx::new(),
+            );
+            ipl::gcl::split::split_all(&ipl::gcl::wlp::vc_of(&simple))
+                .iter()
+                .filter(|s| s.is_trivially_valid())
+                .count()
+        })
+        .sum()
+}
+
+#[test]
+fn a_store_written_by_one_process_answers_in_the_next() {
+    let dir = std::env::temp_dir().join(format!("ipl-store-processes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let linked_list = ipl::suite::by_name("Linked List").expect("benchmark exists");
+    let file = dir.join("linked_list.ipl");
+    std::fs::write(&file, linked_list.source).unwrap();
+    let store = dir.join("store");
+
+    let (proved, cold_hits) = verify_in_new_process(&file, &store);
+    assert_eq!(cold_hits, 0, "an empty store answers nothing");
+    let population = proved - trivial_sequents(linked_list.source);
+    assert!(population > 0);
+
+    let (warm_proved, warm_hits) = verify_in_new_process(&file, &store);
+    assert_eq!(warm_proved, proved);
+    assert!(
+        warm_hits * 100 >= population * 90,
+        "the second process answered {warm_hits} of {population} non-trivial proved \
+         sequents from the store (< 90%)"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,9 +12,11 @@
 //! 3. a chaos request whose provers panic is quarantined — the daemon
 //!    answers it and then serves the next request normally;
 //! 4. a chaos request's plan governs that request alone — a clean request
-//!    on another connection answers as it would on a fault-free daemon.
+//!    on another connection answers as it would on a fault-free daemon;
+//! 5. frames are standard JSON: a source sent with CRLF line endings or with
+//!    `\u` escapes verifies exactly like the plain one.
 
-use ipl::suite::baseline::{parse_json, Json};
+use ipl::core::json::{self, parse_json, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 
@@ -71,18 +73,11 @@ fn u(frame: &Json, key: &str) -> u128 {
         .unwrap_or_else(|| panic!("frame has no numeric `{key}`: {frame:?}"))
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\t', "\\t")
-}
-
 fn verify_frame(extra: &str) -> String {
     let benchmark = ipl::suite::by_name("Linked List").expect("benchmark exists");
     format!(
-        "{{\"op\": \"verify\", \"source\": \"{}\"{extra}}}",
-        json_escape(benchmark.source)
+        "{{\"op\": \"verify\", \"source\": {}{extra}}}",
+        json::string(benchmark.source)
     )
 }
 
@@ -129,6 +124,45 @@ fn warm_requests_are_answered_from_session_state() {
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same module, with a non-ASCII comment, sent three ways a standard
+/// JSON encoder may write it: LF line endings, CRLF line endings (`\r`
+/// escapes), and every non-ASCII character as a `\u` escape, the emoji as a
+/// surrogate pair (Python's `json.dumps` default).  All three verify alike.
+#[test]
+fn crlf_and_unicode_escaped_sources_verify_like_plain_ones() {
+    let linked_list = ipl::suite::by_name("Linked List").expect("benchmark exists");
+    let source = format!("// café ☕ 😀\n{}", linked_list.source);
+    let ascii_only: String = json::string(&source)
+        .chars()
+        .map(|c| match c {
+            c if c.is_ascii() => c.to_string(),
+            c => c
+                .encode_utf16(&mut [0; 2])
+                .iter()
+                .map(|unit| format!("\\u{unit:04x}"))
+                .collect(),
+        })
+        .collect();
+    let literals = [
+        json::string(&source),
+        json::string(&source.replace('\n', "\r\n")),
+        ascii_only,
+    ];
+    assert!(literals[1].contains("\\r\\n") && literals[2].contains("\\ud83d\\ude00"));
+
+    let mut daemon = Daemon::spawn(&["--no-cache", "--jobs", "1"]);
+    let verified: Vec<u128> = literals
+        .iter()
+        .map(|literal| {
+            let frame = daemon.request(&format!("{{\"op\": \"verify\", \"source\": {literal}}}"));
+            assert_eq!(frame.get("ok"), Some(&Json::Bool(true)), "{frame:?}");
+            u(&frame, "methods_verified")
+        })
+        .collect();
+    assert_eq!(verified, [6, 6, 6]);
+    daemon.shutdown();
 }
 
 #[test]
@@ -572,8 +606,8 @@ fn sigterm_stops_an_idle_stdin_daemon_with_exit_0() {
 fn a_chaos_connection_leaves_a_clean_connection_untouched() {
     let cursor_list = ipl::suite::by_name("Cursor List").expect("benchmark exists");
     let clean_line = format!(
-        "{{\"id\": 2, \"op\": \"verify\", \"source\": \"{}\"}}",
-        json_escape(cursor_list.source)
+        "{{\"id\": 2, \"op\": \"verify\", \"source\": {}}}",
+        json::string(cursor_list.source)
     );
     let without_wall = |frame: Json| match frame {
         Json::Object(mut fields) => {
@@ -644,8 +678,8 @@ fn soak_chaos_requests_each_get_exactly_one_wellformed_frame() {
     let mut entries_after_warmup = None;
     for i in 0..200u128 {
         let frame = daemon.request(&format!(
-            "{{\"id\": {i}, \"op\": \"verify\", \"source\": \"{}\"}}",
-            json_escape(
+            "{{\"id\": {i}, \"op\": \"verify\", \"source\": {}}}",
+            json::string(
                 ipl::suite::by_name("Linked List")
                     .expect("benchmark exists")
                     .source
