@@ -10,7 +10,7 @@ use ipl_logic::Form;
 use std::collections::BTreeSet;
 
 /// Set-valued terms of the BAPA fragment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SetTerm {
     /// A set variable.
     Var(String),
@@ -27,7 +27,7 @@ pub enum SetTerm {
 }
 
 /// Integer-valued terms of the BAPA fragment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IntTerm {
     /// An integer constant.
     Const(i64),
@@ -44,7 +44,7 @@ pub enum IntTerm {
 }
 
 /// Formulas of the BAPA fragment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BapaForm {
     /// Truth.
     True,

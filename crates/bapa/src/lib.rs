@@ -15,9 +15,11 @@
 //!
 //! 1. [`extract`] maps an `ipl-logic` formula into the BAPA abstract syntax
 //!    ([`BapaForm`]), rejecting anything outside the fragment.
-//! 2. [`venn`] introduces one non-negative integer variable per Venn region of
-//!    the set variables and rewrites every cardinality and set-algebra atom
-//!    into linear arithmetic over those variables.
+//! 2. [`venn`] splits the conjunction into connected components of shared
+//!    variables and, for each component alone, introduces one non-negative
+//!    integer variable per Venn region of its set variables and rewrites
+//!    every cardinality and set-algebra atom into linear arithmetic over
+//!    those variables.
 //! 3. [`presburger`] decides the resulting Presburger sentence: Cooper's
 //!    quantifier-elimination algorithm for small problems, with a sound
 //!    Fourier–Motzkin refutation fallback for larger ones.
@@ -25,14 +27,14 @@
 //! The top-level entry point is [`prove_valid`], which checks validity of
 //! `assumptions --> goal` and errs on the side of returning
 //! [`BapaOutcome::Unknown`] whenever the formula leaves the fragment or the
-//! problem exceeds the configured size limits.
+//! problem exceeds the configured size limits.  As in Jahob, the procedure
+//! is one stage of the prover cascade (the `bapa` stage of `ipl-provers`),
+//! called once per sequent, not a theory inside the ground solver.
 
 pub mod extract;
-pub mod incremental;
 pub mod presburger;
 pub mod venn;
 
-pub use incremental::IncrementalBapa;
 pub use presburger::{id_conjunction_infeasible, IdLinExpr};
 
 use ipl_logic::Form;
@@ -185,6 +187,21 @@ mod tests {
     fn membership_and_cardinality() {
         assert!(valid(&["x in s"], "card(s) >= 1"));
         assert!(valid(&["x in s", "y in s", "~(x = y)"], "card(s) >= 2"));
+    }
+
+    #[test]
+    fn unrelated_components_do_not_blow_the_set_limit() {
+        // Seven sets in total — beyond the monolithic limit of six — but the
+        // contradictory component only involves two.
+        assert!(valid(
+            &[
+                "a subseteq b",
+                "c = d union e",
+                "f subseteq g",
+                "card(b) < card(a)"
+            ],
+            "false"
+        ));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! This translator is the remaining client of the *string-keyed* [`LinExpr`]
 //! API: region variables are synthesised names (`venn$r`, `single$e`), not
-//! interned term ids, and the translation is a per-leaf construction rather
-//! than a hot incremental loop.  The ground solver's incremental arithmetic
+//! interned term ids, and the translation runs once per query rather than
+//! in a hot incremental loop.  The ground solver's incremental arithmetic
 //! uses the integer-keyed [`crate::presburger::IdLinExpr`] entry points
 //! instead.
 
@@ -229,26 +229,14 @@ pub fn conjunction_unsatisfiable(parts: &[BapaForm], limits: &BapaLimits) -> boo
         if limits.expired() {
             return false;
         }
-        if component_unsatisfiable(parts, &component, limits) {
-            return true;
+        let formula = BapaForm::and(component.iter().map(|&i| parts[i].clone()).collect());
+        if let Some(sentence) = to_presburger(&formula, limits) {
+            if crate::presburger::unsatisfiable(&sentence, limits) {
+                return true;
+            }
         }
     }
     false
-}
-
-/// Decides one shared-variable component (given as indices into `parts`).
-/// Shared by the uncached path above and the verdict-caching wrapper in
-/// `crate::incremental`, so the component solving logic cannot drift.
-pub fn component_unsatisfiable(
-    parts: &[BapaForm],
-    component: &[usize],
-    limits: &BapaLimits,
-) -> bool {
-    let formula = BapaForm::and(component.iter().map(|&i| parts[i].clone()).collect());
-    match to_presburger(&formula, limits) {
-        Some(sentence) => crate::presburger::unsatisfiable(&sentence, limits),
-        None => false,
-    }
 }
 
 /// Translates a BAPA formula into an existentially closed Presburger sentence

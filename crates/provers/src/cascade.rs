@@ -490,26 +490,10 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_goals_close_inside_the_ground_tableau() {
-        // With the theory combination on, the BAPA⇄ground exchange closes
-        // the cardinality goal inside the ground stage — the standalone BAPA
-        // prover is never reached.
+    fn cascade_uses_bapa_for_cardinality_goals() {
+        // The ground stage saturates without closing the cardinality goal;
+        // the standalone BAPA stage behind it proves it.
         let cascade = Cascade::default();
-        let answer = cascade.prove(&query(
-            &[
-                "~((i, o) in content)",
-                "newcontent = content union {(i, o)}",
-            ],
-            "card(newcontent) = card(content) + 1",
-        ));
-        assert_eq!(answer.outcome, Outcome::Proved);
-        assert_eq!(answer.prover.as_deref(), Some("smt-ground"));
-    }
-
-    #[test]
-    fn cascade_uses_bapa_for_cardinality_goals_without_exchange() {
-        // The ablation configuration falls back to the standalone BAPA stage.
-        let cascade = Cascade::standard(ProverConfig::without_exchange());
         let answer = cascade.prove(&query(
             &[
                 "~((i, o) in content)",

@@ -437,35 +437,6 @@ impl Congruence {
         self.find(ia) == self.find(ib)
     }
 
-    /// Returns `true` if the two terms are currently known disequal (an
-    /// asserted disequality separates their classes).
-    pub fn are_disequal(&mut self, a: &Form, b: &Form) -> bool {
-        let (ia, ib) = (self.intern(a), self.intern(b));
-        self.close();
-        let (ra, rb) = (self.find(ia), self.find(ib));
-        if ra == rb {
-            return false;
-        }
-        // Distinct known constants are disequal even without an assertion.
-        if let (Some((x, _)), Some((y, _))) = (self.class_int[ra], self.class_int[rb]) {
-            if x != y {
-                return true;
-            }
-        }
-        let (small, large) = if self.diseqs[ra].len() <= self.diseqs[rb].len() {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        for i in 0..self.diseqs[small].len() {
-            let partner = self.diseqs[small][i].other;
-            if self.find(partner) == large {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Propagates all pending merges and congruence to a fixpoint, detecting
     /// conflicts along the way.
     pub fn close(&mut self) {

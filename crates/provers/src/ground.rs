@@ -1,6 +1,8 @@
 //! The ground SMT-lite solver: an iterative CDCL(T) engine over the boolean
 //! structure with a combined congruence-closure + linear-integer-arithmetic
-//! theory check, and the Nelson–Oppen exchange loop at full assignments.
+//! theory check.  A saturated, consistent leaf answers "unknown": sequents
+//! that need cardinality or reachability reasoning go on to the standalone
+//! `bapa` and `shape` stages of the cascade.
 //!
 //! The solver works by refutation on a set of ground formulas in NNF.  The
 //! boolean structure is compiled once into a clause database over small
@@ -13,8 +15,8 @@
 //!   every disjunction (and the deep `rest.clone()` the recursive tableau
 //!   paid at each branch point);
 //! * an explicit **trail with decision levels**, kept in lockstep with
-//!   [`Congruence::push`]/[`Congruence::pop`] and the
-//!   [`TheoryExchange`] scopes, enables non-chronological backjumping;
+//!   [`Congruence::push`]/[`Congruence::pop`], enables non-chronological
+//!   backjumping;
 //! * **conflict-driven clause learning**: propositional conflicts resolve to
 //!   a first-UIP clause, and congruence conflicts are turned into clauses
 //!   through the proof-forest explanations of [`crate::cc`]
@@ -27,9 +29,9 @@
 //!   with the trail, and the Fourier–Motzkin refutation re-runs only when the
 //!   stack or the congruence generation changed.
 //!
-//! Theory conflicts that cannot be explained (BAPA exchange verdicts,
-//! arithmetic) fall back to learning the negation of the current decisions,
-//! which still prunes re-exploration and backjumps soundly.
+//! Arithmetic conflicts carry no explanation, so they fall back to learning
+//! the negation of the current decisions, which still prunes re-exploration
+//! and backjumps soundly.
 //!
 //! The search is deliberately budgeted: when the number of decisions and
 //! conflicts exceeds the configured limit it gives up and reports "unknown",
@@ -37,7 +39,6 @@
 //! the provers is reproduced.
 
 use crate::cc::{Congruence, Implied, TermId};
-use crate::exchange::{BapaExchange, ExchangeBudget, TheoryExchange, TheoryResult};
 use crate::{Cancel, GroundConfig, ProverConfig};
 use ipl_bapa::presburger::{id_conjunction_infeasible, IdLinExpr};
 use ipl_logic::hashed::Hashed;
@@ -85,7 +86,7 @@ pub struct GroundStats {
     /// Literals propagated eagerly by the congruence closure (cc-implied
     /// watched equality atoms entering the trail with proof-forest reasons).
     pub theory_propagations: u64,
-    /// Conflicts analysed (propositional, congruence, arithmetic, exchange).
+    /// Conflicts analysed (propositional, congruence, arithmetic).
     pub conflicts: u64,
     /// Clauses learned and recorded in the clause database.
     pub learned_clauses: u64,
@@ -181,8 +182,10 @@ enum Reason {
     Decision,
     /// Propagated by this clause (its first literal is the propagated one).
     Clause(u32),
-    /// Asserted by a theory (an exchange fact): unexplainable, so conflict
-    /// analysis crossing it falls back to the decision clause.
+    /// Asserted with no clause to resolve on: a learned unit, a learned
+    /// clause dropped at the cap, or the flipped decision of the no-learning
+    /// search.  Conflict analysis crossing it falls back to the decision
+    /// clause.
     Theory,
     /// Theory-propagated: the congruence closure entailed the watched
     /// equality `a = b`.  Conflict analysis resolves through the lazy
@@ -221,8 +224,6 @@ enum Conflict {
 struct AtomInfo {
     /// The positive atom.
     form: Form,
-    /// Its cached negation (built once, not per assertion).
-    neg: Form,
     /// Arithmetic shape, decided once at interning time.
     kind: AtomKind,
 }
@@ -314,11 +315,6 @@ struct Solver<'a> {
 
     // ----- the theory layer -----
     cc: Congruence,
-    theories: Vec<Box<dyn TheoryExchange>>,
-    /// Per-variable bitmask: bit `2t` (`2t+1`) set when theory `t` rejected
-    /// the positive (negative) literal as out-of-fragment — the probe is
-    /// never repeated on later branches.
-    theory_reject: Vec<u64>,
     /// The incremental arithmetic constraint stack (indices into the pool).
     arith: Vec<ArithEntry>,
     /// Pooled constraint storage: slots past `arith_exprs_len` are retired
@@ -343,10 +339,6 @@ struct Solver<'a> {
     conflicts_since_restart: u64,
     restart_count: u64,
     restart_limit: u64,
-    /// Fixpoint iterations of the exchange loop per leaf.
-    exchange_rounds: usize,
-    /// Remaining exchange budgets for this search.
-    exchange_budget: ExchangeBudget,
 
     // ----- statistics -----
     n_decisions: u64,
@@ -358,11 +350,6 @@ struct Solver<'a> {
 
 impl<'a> Solver<'a> {
     fn new(env: &'a SortEnv, config: &ProverConfig, cancel: &'a Cancel) -> Self {
-        let theories: Vec<Box<dyn TheoryExchange>> = if config.exchange.enabled {
-            vec![Box::new(BapaExchange::default())]
-        } else {
-            Vec::new()
-        };
         Solver {
             env,
             gconf: config.ground,
@@ -387,8 +374,6 @@ impl<'a> Solver<'a> {
             theory_qhead: 0,
             root_conflict: false,
             cc: Congruence::new(),
-            theories,
-            theory_reject: Vec::new(),
             arith: Vec::new(),
             arith_exprs: Vec::new(),
             arith_exprs_len: 0,
@@ -400,11 +385,6 @@ impl<'a> Solver<'a> {
             conflicts_since_restart: 0,
             restart_count: 0,
             restart_limit: RESTART_BASE,
-            exchange_rounds: config.exchange.max_rounds,
-            exchange_budget: ExchangeBudget {
-                leaf_checks: config.exchange.max_leaf_checks,
-                entailment_queries: config.exchange.max_entailment_queries,
-            },
             n_decisions: 0,
             n_bool_propagations: 0,
             n_theory_propagations: 0,
@@ -423,7 +403,6 @@ impl<'a> Solver<'a> {
         self.reason.push(Reason::Undef);
         self.activity.push(0);
         self.seen.push(false);
-        self.theory_reject.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -451,7 +430,6 @@ impl<'a> Solver<'a> {
         };
         let info = AtomInfo {
             form: form.clone(),
-            neg: Form::not(form.clone()),
             kind,
         };
         let v = self.new_var(Some(info));
@@ -746,8 +724,7 @@ impl<'a> Solver<'a> {
     }
 
     /// Feeds one newly assigned literal to the theory layer: the congruence
-    /// engine (tagged for explanations), the arithmetic stack, and the
-    /// exchange theories.
+    /// engine (tagged for explanations) and the arithmetic stack.
     fn theory_assert(&mut self, lit: Lit, trail_pos: usize) -> Option<Conflict> {
         let v = (lit >> 1) as usize;
         let Some(info) = &self.infos[v] else {
@@ -755,7 +732,6 @@ impl<'a> Solver<'a> {
         };
         let positive = lit & 1 == 0;
         let form = info.form.clone();
-        let neg = info.neg.clone();
         let kind = info.kind;
         // Congruence: equalities merge, negated equalities become
         // disequalities, and remaining atoms are equated with the boolean
@@ -779,28 +755,6 @@ impl<'a> Solver<'a> {
         self.push_arith_exprs(&form, kind, positive);
         if self.arith_exprs_len > exprs_start {
             self.arith.push((trail_pos, self.arith_exprs_len));
-        }
-        // Exchange theories, with the out-of-fragment verdict cached per
-        // polarity so the probe happens once per atom, not once per branch.
-        // Literals propagated from *learned* clauses are withheld: they are
-        // implied, so the leaf checks stay sound without them, and offering
-        // them would hand the (worst-case exponential) Venn translation a
-        // strictly larger atom set than the branch the recursive tableau
-        // would have explored.
-        let from_learned =
-            matches!(self.reason[v], Reason::Clause(ci) if ci as usize >= self.input_clauses);
-        if !from_learned {
-            let bit = if positive { 1u64 } else { 2u64 };
-            for t in 0..self.theories.len() {
-                let mask = bit << (2 * t);
-                if self.theory_reject[v] & mask != 0 {
-                    continue;
-                }
-                let offered = if positive { &form } else { &neg };
-                if !self.theories[t].assert_literal(offered) {
-                    self.theory_reject[v] |= mask;
-                }
-            }
         }
         if self.cc.has_conflict() {
             return Some(match self.cc.explain_conflict() {
@@ -935,8 +889,7 @@ impl<'a> Solver<'a> {
     /// the first input clause no current literal satisfies.  When every
     /// input clause is satisfied the partial assignment is a saturated
     /// branch in the old tableau's sense — the remaining atoms are don't-
-    /// cares and are *not* forced onto the theories, which keeps the leaf
-    /// checks as small as the recursive engine's.
+    /// cares and are *not* forced onto the theories.
     fn pick_branch(&self) -> Option<Lit> {
         // The most constrained clause first (the recursive tableau branched
         // on the smallest simplified disjunction — the ordering matters for
@@ -991,15 +944,12 @@ impl<'a> Solver<'a> {
         self.n_decisions += 1;
         self.trail_lim.push(self.trail.len());
         self.cc.push();
-        for t in &mut self.theories {
-            t.push();
-        }
         let ok = self.enqueue(lit, Reason::Decision);
         debug_assert!(ok, "decision literals are unassigned");
     }
 
     /// Unassigns everything above the given decision level, restoring the
-    /// congruence, theory and arithmetic state in lockstep.
+    /// congruence and arithmetic state in lockstep.
     fn backtrack(&mut self, target: u32) {
         let target = target as usize;
         if self.trail_lim.len() <= target {
@@ -1022,9 +972,6 @@ impl<'a> Solver<'a> {
         // only the logical length rewinds.
         self.arith_exprs_len = self.arith.last().map_or(0, |&(_, end)| end);
         self.cc.pop_to(target);
-        for t in &mut self.theories {
-            t.pop_to(target);
-        }
     }
 
     /// Learns from a conflict and backjumps.  Returns `false` when the
@@ -1258,8 +1205,9 @@ impl<'a> Solver<'a> {
                     }
                 }
                 _ => {
-                    // A theory-asserted fact (or a decision, which cannot
-                    // happen while counter > 0): no clause to resolve on.
+                    // A `Reason::Theory` literal (or a decision, which
+                    // cannot happen while counter > 0): no clause to
+                    // resolve on.
                     aborted = true;
                     break;
                 }
@@ -1288,77 +1236,13 @@ impl<'a> Solver<'a> {
         Analyzed::Learned(learnt, backjump)
     }
 
-    // ----- the saturated leaf: theory exchange -----
-
-    /// The Nelson–Oppen equality-exchange loop, run at a full assignment:
-    /// each theory imports the congruence-implied (dis)equalities over its
-    /// shared variables and either closes the branch or exports entailed
-    /// facts, which enter the trail as theory-asserted literals; the loop
-    /// iterates until a conflict, a fixpoint, or budget exhaustion.
-    fn leaf_exchange(&mut self) -> Option<Conflict> {
-        if self.exchange_budget.leaf_checks == 0 || !self.theories.iter().any(|t| t.is_active()) {
-            return None;
-        }
-        self.exchange_budget.leaf_checks -= 1;
-        for _ in 0..self.exchange_rounds {
-            let mut exported = Vec::new();
-            let mut theories = std::mem::take(&mut self.theories);
-            let mut closed = false;
-            for theory in &mut theories {
-                match theory.check(&mut self.cc, &mut self.exchange_budget) {
-                    TheoryResult::Conflict => {
-                        closed = true;
-                        break;
-                    }
-                    TheoryResult::Facts(facts) => exported.extend(facts),
-                }
-            }
-            self.theories = theories;
-            if closed {
-                return Some(Conflict::Opaque);
-            }
-            let before = self.trail.len();
-            for fact in exported {
-                if let Some(conflict) = self.assert_fact(fact) {
-                    return Some(conflict);
-                }
-            }
-            if let Some(conflict) = self.propagate() {
-                return Some(conflict);
-            }
-            if self.arith_conflict() {
-                return Some(Conflict::Opaque);
-            }
-            if self.trail.len() == before {
-                return None; // fixpoint without a conflict
-            }
-        }
-        None
-    }
-
-    /// Asserts one exchange-exported fact as a theory-reasoned literal.
-    fn assert_fact(&mut self, fact: Form) -> Option<Conflict> {
-        let lit = match self.encode(&fact) {
-            ELit::True => return None,
-            ELit::False => return Some(Conflict::Opaque),
-            ELit::L(l) => l,
-        };
-        if !self.enqueue(lit, Reason::Theory) {
-            // The fact contradicts the current assignment: the branch closes,
-            // but no clause-level explanation is available.
-            return Some(Conflict::Opaque);
-        }
-        None
-    }
-
     // ----- the main loop -----
 
     fn solve(&mut self) -> GroundResult {
         self.input_clauses = self.clauses.len();
         // Register every equality atom in the congruence watch index, at
-        // depth 0 so the interned ids outlive every backjump.  Atoms created
-        // mid-search (exchange facts) are not watched: their terms would be
-        // truncated by `pop`, and the exchange path handles them already.
+        // depth 0 so the interned ids outlive every backjump.  The search
+        // creates no atoms, so this covers every equality it will assign.
         if self.gconf.theory_propagation {
             for v in 0..self.infos.len() {
                 if let Some(info) = &self.infos[v] {
@@ -1414,19 +1298,9 @@ impl<'a> Solver<'a> {
             }
             match self.pick_branch() {
                 Some(lit) => self.decide(lit),
-                None => {
-                    // Every input clause is satisfied: the saturated leaf.
-                    // The last word goes to the theory combination before
-                    // the branch is declared open.
-                    match self.leaf_exchange() {
-                        Some(conflict) => {
-                            if !self.resolve_conflict(conflict) {
-                                return GroundResult::Unsat;
-                            }
-                        }
-                        None => return GroundResult::Unknown,
-                    }
-                }
+                // Every input clause is satisfied and the theories agree:
+                // the saturated leaf is an open branch.
+                None => return GroundResult::Unknown,
             }
         }
     }
@@ -1596,12 +1470,12 @@ fn linearise(form: &Form, k: i64, cc: &mut Congruence, out: &mut IdLinExpr) {
 // ---------------------------------------------------------------------------
 
 /// The retained naive recursive DPLL: the pre-CDCL tableau search (minus the
-/// theory exchange and the incremental theory engines), kept as the
-/// differential-testing oracle for the CDCL engine (see `tests/cdcl.rs`) and
-/// as the "before" side of the allocation benchmark.  Note the per-disjunct
-/// `rest.clone()` and `Form::Or` re-wrap at every branch point, and the
-/// whole-branch theory re-check at every node — exactly the costs the clause
-/// database and the incremental constraint stack removed.
+/// incremental theory engines), kept as the differential-testing oracle for
+/// the CDCL engine (see `tests/cdcl.rs`) and as the "before" side of the
+/// allocation benchmark.  Note the per-disjunct `rest.clone()` and `Form::Or`
+/// re-wrap at every branch point, and the whole-branch theory re-check at
+/// every node — exactly the costs the clause database and the incremental
+/// constraint stack removed.
 pub mod reference {
     use super::{is_literal, theory_conflict, GroundResult};
     use ipl_logic::normal::nnf;
@@ -1942,7 +1816,7 @@ mod tests {
             refute(
                 &reference::pigeonhole(2),
                 &env(),
-                &ProverConfig::without_exchange(),
+                &ProverConfig::default(),
                 &Cancel::never(),
             ),
             GroundResult::Unsat
@@ -1956,213 +1830,11 @@ mod tests {
         assert!(delta.conflicts > 0, "conflicts must be analysed: {delta:?}");
     }
 
-    // ----- the Nelson–Oppen BAPA⇄ground exchange -----
-
     /// Refutes raw ground literals with the given config (bypassing
     /// preprocessing, so the literal set is exactly what the tableau sees).
     fn refute_literals(literals: &[&str], config: &ProverConfig) -> GroundResult {
         let forms: Vec<Form> = literals.iter().map(|s| parse_form(s).unwrap()).collect();
         refute(&forms, &env(), config, &Cancel::never())
-    }
-
-    #[test]
-    fn exchange_closes_cardinality_branches() {
-        let literals = ["card(nodes) = 0", "a in nodes"];
-        assert_eq!(
-            refute_literals(&literals, &ProverConfig::default()),
-            GroundResult::Unsat,
-            "the in-tableau BAPA theory closes the branch"
-        );
-        assert_eq!(
-            refute_literals(&literals, &ProverConfig::without_exchange()),
-            GroundResult::Unknown,
-            "without the exchange the ground solver alone cannot"
-        );
-    }
-
-    #[test]
-    fn congruence_implied_equalities_reach_bapa() {
-        // s and t are never equated by a literal — only the congruence
-        // closure (via a = b) knows g(a) = g(b); the exchange must hand that
-        // equality to BAPA for the conflict to appear.
-        assert_eq!(
-            refute_literals(
-                &["a = b", "g(a) = s", "g(b) = t", "card(s) = 0", "x in t",],
-                &ProverConfig::default()
-            ),
-            GroundResult::Unsat
-        );
-    }
-
-    #[test]
-    fn bapa_entailed_facts_flow_back_to_the_ground_core() {
-        // BAPA entails s = emptyset from card(s) = 0; asserting it back lets
-        // the congruence close g(s) = g(emptyset), conflicting with the
-        // disequality.  Neither side can do this alone.
-        let literals = ["card(s) = 0", "g(s) = a", "g(emptyset) = b", "~(a = b)"];
-        assert_eq!(
-            refute_literals(&literals, &ProverConfig::default()),
-            GroundResult::Unsat
-        );
-        assert_eq!(
-            refute_literals(&literals, &ProverConfig::without_exchange()),
-            GroundResult::Unknown
-        );
-    }
-
-    #[test]
-    fn exchange_iterates_to_a_fixpoint_across_rounds() {
-        // Round one exports s = emptyset; only then does the congruence
-        // merge h(s) with h(emptyset), making p and q equal — which clashes
-        // with the membership split only on the next exchange round.
-        assert_eq!(
-            refute_literals(
-                &[
-                    "card(s) = 0",
-                    "h(s) = p",
-                    "h(emptyset) = q",
-                    "p in nodes",
-                    "~(q in nodes)",
-                ],
-                &ProverConfig::default()
-            ),
-            GroundResult::Unsat
-        );
-    }
-
-    #[test]
-    fn exchange_facts_do_not_leak_across_branches() {
-        // The first disjunct's leaf exports s = emptyset and closes; the
-        // second branch is satisfiable and must not inherit that fact.
-        assert_eq!(
-            refute_literals(
-                &["card(s) = 0 | p", "g(s) = a", "g(emptyset) = b", "~(a = b)",],
-                &ProverConfig::default()
-            ),
-            GroundResult::Unknown
-        );
-    }
-
-    #[test]
-    fn exchange_budget_exhaustion_degrades_gracefully() {
-        let config = ProverConfig {
-            exchange: crate::ExchangeConfig {
-                max_leaf_checks: 0,
-                ..crate::ExchangeConfig::default()
-            },
-            ..ProverConfig::default()
-        };
-        assert_eq!(
-            refute_literals(&["card(nodes) = 0", "a in nodes"], &config),
-            GroundResult::Unknown,
-            "no leaf checks allowed: falls back to plain ground reasoning"
-        );
-    }
-
-    /// A probe theory recording every literal the ground core offers it, so
-    /// the exchange-visibility contract can be asserted directly: which
-    /// assignments reach the theories, and which are withheld.
-    #[derive(Debug, Default)]
-    struct RecordingTheory {
-        depth: usize,
-        offered: std::rc::Rc<std::cell::RefCell<Vec<Form>>>,
-    }
-
-    impl TheoryExchange for RecordingTheory {
-        fn name(&self) -> &'static str {
-            "recording"
-        }
-        fn push(&mut self) {
-            self.depth += 1;
-        }
-        fn pop(&mut self) {
-            self.depth -= 1;
-        }
-        fn depth(&self) -> usize {
-            self.depth
-        }
-        fn assert_literal(&mut self, literal: &Form) -> bool {
-            self.offered.borrow_mut().push(literal.clone());
-            true
-        }
-        fn is_active(&self) -> bool {
-            false // never claims leaf-check budget
-        }
-        fn check(&mut self, _cc: &mut Congruence, _budget: &mut ExchangeBudget) -> TheoryResult {
-            TheoryResult::Facts(Vec::new())
-        }
-    }
-
-    /// Runs the given literals through a solver with a [`RecordingTheory`]
-    /// attached and returns the verdict, the offered literals, and the
-    /// solver's (theory propagation, learned clause) counts.
-    fn solve_with_recorder(literals: &[&str]) -> (GroundResult, Vec<Form>, (u64, u64)) {
-        let env = env();
-        let forms: Vec<Form> = literals.iter().map(|s| parse_form(s).unwrap()).collect();
-        let offered = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let cancel = Cancel::never();
-        let mut solver = Solver::new(&env, &ProverConfig::without_exchange(), &cancel);
-        for form in &forms {
-            solver.add_form(form);
-        }
-        solver.theories.push(Box::new(RecordingTheory {
-            depth: 0,
-            offered: offered.clone(),
-        }));
-        let result = solver.solve();
-        let offered = offered.borrow().clone();
-        (
-            result,
-            offered,
-            (solver.n_theory_propagations, solver.n_learned),
-        )
-    }
-
-    #[test]
-    fn theory_propagated_literals_are_visible_to_the_exchange() {
-        // The root units merge a ~ b ~ c, so the congruence closure
-        // propagates the watched atom `a = c` onto the trail with a
-        // `Reason::CcEq`.  Unlike learned-clause propagations, such literals
-        // are branch facts the recursive tableau would also have asserted —
-        // they MUST be offered to the exchange theories.
-        let (result, offered, (theory_propagations, _)) =
-            solve_with_recorder(&["a = b", "b = c", "a = c | p"]);
-        assert_eq!(result, GroundResult::Unknown, "the sequent is satisfiable");
-        assert!(theory_propagations > 0, "a = c must be theory-propagated");
-        let atom = parse_form("a = c").unwrap();
-        assert!(
-            offered.contains(&atom),
-            "the cc-propagated literal must reach the exchange: {offered:?}"
-        );
-    }
-
-    #[test]
-    fn learned_clause_propagations_stay_withheld_from_the_exchange() {
-        // Deciding p then r forces both `c = d` and its negation, so
-        // first-UIP analysis learns the binary clause (~r | ~p), backjumps to
-        // the p level, and re-propagates ~r from the learned clause.
-        // Learned-clause propagations are implied facts the recursive tableau
-        // never asserted — they must NOT be offered to the theories (the leaf
-        // checks stay sound without them, and offering them would grow the
-        // Venn translation's atom set).
-        let (result, offered, (_, learned)) =
-            solve_with_recorder(&["p | q", "r | s", "~p | ~r | c = d", "~p | ~r | ~(c = d)"]);
-        assert_eq!(result, GroundResult::Unknown, "the sequent is satisfiable");
-        assert!(learned > 0, "the conflict must learn a clause");
-        // The final model keeps p (decision) and s (input-clause propagation
-        // after the backjump): both are branch facts and both are offered.
-        // (The decision on r conflicts inside the boolean fixpoint, before
-        // the theory queue ever sees it.)
-        let r = parse_form("r").unwrap();
-        assert!(
-            offered.contains(&parse_form("p").unwrap())
-                && offered.contains(&parse_form("s").unwrap()),
-            "decisions and input-clause propagations are offered: {offered:?}"
-        );
-        assert!(
-            !offered.contains(&Form::not(r)),
-            "~r enters the trail only via the learned clause and must be withheld: {offered:?}"
-        );
     }
 
     #[test]
@@ -2238,7 +1910,7 @@ mod tests {
             let cdcl = refute(
                 &problem.ground,
                 &env,
-                &ProverConfig::without_exchange(),
+                &ProverConfig::default(),
                 &Cancel::never(),
             );
             assert_eq!(cdcl, naive, "CDCL and naive disagree on {problem:?}");

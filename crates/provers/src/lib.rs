@@ -33,7 +33,6 @@ pub mod cascade;
 pub mod cc;
 pub mod containment;
 pub mod drain;
-pub mod exchange;
 pub mod fault;
 pub mod ground;
 pub mod inst;
@@ -300,43 +299,6 @@ impl GroundConfig {
     }
 }
 
-/// Knobs of the Nelson–Oppen equality-exchange loop that runs the BAPA
-/// cardinality procedure (and future theories) inside the ground tableau
-/// (see [`exchange`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ExchangeConfig {
-    /// Master switch: when `false`, theories run only as standalone cascade
-    /// stages (the pre-combination behaviour, kept for ablations).
-    pub enabled: bool,
-    /// Fixpoint iterations of the exchange loop per saturated leaf.
-    pub max_rounds: usize,
-    /// Saturated leaves allowed to run the loop, per tableau search.
-    pub max_leaf_checks: usize,
-    /// Entailment queries (Presburger refutations) allowed, per search.
-    pub max_entailment_queries: usize,
-}
-
-impl Default for ExchangeConfig {
-    fn default() -> Self {
-        ExchangeConfig {
-            enabled: true,
-            max_rounds: 3,
-            max_leaf_checks: 64,
-            max_entailment_queries: 12,
-        }
-    }
-}
-
-impl ExchangeConfig {
-    /// The configuration with the in-tableau combination turned off.
-    pub fn disabled() -> Self {
-        ExchangeConfig {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-}
-
 /// Resource budgets controlling the bounded search.  These are the knobs the
 /// Table 2 experiment and the ablation benchmarks turn.
 ///
@@ -360,8 +322,6 @@ pub struct ProverConfig {
     pub assumption_penalty_threshold: usize,
     /// E-matching trigger selection and matching budgets.
     pub triggers: TriggerConfig,
-    /// Theory-combination (BAPA⇄ground exchange) budgets.
-    pub exchange: ExchangeConfig,
     /// CDCL ground-core knobs (clause learning, learned-clause cap).
     pub ground: GroundConfig,
     /// When `true`, the cascade consults the content-addressed proof cache
@@ -379,7 +339,6 @@ impl Default for ProverConfig {
             per_prover_timeout_ms: 2_000,
             assumption_penalty_threshold: 28,
             triggers: TriggerConfig::default(),
-            exchange: ExchangeConfig::default(),
             ground: GroundConfig::default(),
             use_cache: true,
         }
@@ -398,7 +357,6 @@ impl ProverConfig {
             per_prover_timeout_ms: 500,
             assumption_penalty_threshold: 20,
             triggers: TriggerConfig::default(),
-            exchange: ExchangeConfig::default(),
             ground: GroundConfig::default(),
             use_cache: true,
         }
@@ -410,15 +368,6 @@ impl ProverConfig {
     pub fn without_learning() -> Self {
         ProverConfig {
             ground: GroundConfig::without_learning(),
-            ..Self::default()
-        }
-    }
-
-    /// The default budgets with the in-tableau theory combination disabled
-    /// (theories as standalone cascade stages only); used by the ablations.
-    pub fn without_exchange() -> Self {
-        ProverConfig {
-            exchange: ExchangeConfig::disabled(),
             ..Self::default()
         }
     }

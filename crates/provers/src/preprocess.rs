@@ -65,8 +65,9 @@ fn add_refutation_form(form: &Form, env: &SortEnv, fresh: &mut FreshNames, probl
     // Retain raw set-algebra conjuncts alongside their membership-level
     // expansion: the expansion becomes a universally quantified formula that
     // only the instantiating prover can use, while the retained atom is a
-    // ground literal the congruence closure and the in-tableau BAPA theory
-    // reason about directly (the theory-combination layer depends on this).
+    // ground literal the congruence closure reasons about directly (without
+    // it, set equalities the ground stage closes today fall through to the
+    // instantiating prover).
     for conjunct in annotated.clone().into_conjuncts() {
         if let Some(atom) = retained_theory_atom(&conjunct, env) {
             problem.ground.push(atom);
@@ -99,9 +100,9 @@ fn retained_theory_atom(form: &Form, env: &SortEnv) -> Option<Form> {
     #[allow(clippy::match_like_matches_macro)]
     let keep = match atom {
         // Comprehension equalities are excluded: the congruence closure can
-        // only see the comprehension as an opaque leaf and BAPA rejects it,
-        // while the membership-level expansion covers it completely — yet the
-        // extra ground literal measurably slows the instantiating prover.
+        // only see the comprehension as an opaque leaf, while the
+        // membership-level expansion covers it completely — yet the extra
+        // ground literal measurably slows the instantiating prover.
         Form::Eq(a, b)
             if matches!(a.as_ref(), Form::Compr(..)) || matches!(b.as_ref(), Form::Compr(..)) =>
         {

@@ -14,7 +14,7 @@
 use ipl::logic::parser::parse_form;
 use ipl::logic::{Form, Sort, SortEnv};
 use ipl::provers::ground::{reference, refute, stats_snapshot, GroundResult};
-use ipl::provers::{Cancel, ExchangeConfig, GroundConfig, ProverConfig};
+use ipl::provers::{Cancel, GroundConfig, ProverConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -29,17 +29,10 @@ fn env() -> SortEnv {
     e
 }
 
-/// A generously budgeted configuration with the exchange off, so both
-/// engines see exactly the same theory (congruence + linear arithmetic).
-fn plain_config() -> ProverConfig {
-    ProverConfig {
-        exchange: ExchangeConfig::disabled(),
-        ..ProverConfig::default()
-    }
-}
-
 /// The four feature corners of the ground core: theory propagation on/off ×
-/// Luby restarts on/off, each labelled for assertion messages.
+/// Luby restarts on/off, each labelled for assertion messages.  Every corner
+/// keeps the default theory (congruence + linear arithmetic), which is what
+/// the naive reference decides too.
 fn feature_matrix() -> [(&'static str, ProverConfig); 4] {
     let with = |theory_propagation: bool, restarts: bool| ProverConfig {
         ground: GroundConfig {
@@ -47,7 +40,7 @@ fn feature_matrix() -> [(&'static str, ProverConfig); 4] {
             restarts,
             ..GroundConfig::default()
         },
-        ..plain_config()
+        ..ProverConfig::default()
     };
     [
         ("tp+restarts", with(true, true)),
@@ -178,7 +171,7 @@ fn learned_clauses_refute_the_pigeonhole_within_budget() {
     let budget = 3_000;
     let with_learning = ProverConfig {
         max_branch_nodes: budget,
-        ..plain_config()
+        ..ProverConfig::default()
     };
     let without_learning = ProverConfig {
         ground: ipl::provers::GroundConfig::without_learning(),
@@ -269,7 +262,7 @@ fn cdcl_and_naive_agree_on_handwritten_theory_sequents() {
     ] {
         let forms: Vec<Form> = forms.iter().map(|s| parse_form(s).unwrap()).collect();
         let naive = reference::refute_naive(&forms, &env, 500_000);
-        let cdcl = refute(&forms, &env, &plain_config(), &Cancel::never());
+        let cdcl = refute(&forms, &env, &ProverConfig::default(), &Cancel::never());
         assert_eq!(naive, expected, "naive on {forms:?}");
         assert_eq!(cdcl, expected, "cdcl on {forms:?}");
     }

@@ -2,6 +2,7 @@
 //! guarded commands -> verification conditions -> prover cascade.
 
 use ipl::core::{ModuleReport, Request, Session, VerifyError, VerifyOptions};
+use ipl::provers::ProverConfig;
 
 fn verify(source: &str, options: &VerifyOptions) -> Result<ModuleReport, VerifyError> {
     Session::new(options.clone())
@@ -115,4 +116,25 @@ module Accumulator {
 "#;
     let report = verify(source, &VerifyOptions::default()).unwrap();
     assert!(report.fully_proved(), "{}", report.render());
+}
+
+#[test]
+fn hash_table_cardinality_sequents_reach_the_bapa_stage() {
+    // The ground stage answers `Unknown` at a saturated leaf, so the
+    // cardinality obligations of Hash Table go on to the standalone BAPA
+    // stage, as in Jahob's cascade.
+    let benchmark = ipl::suite::by_name("Hash Table").expect("benchmark exists");
+    let options = VerifyOptions::default()
+        .with_config(ProverConfig::without_cache())
+        .with_record_sequents(false)
+        .with_jobs(1);
+    let report = verify(benchmark.source, &options).unwrap();
+    assert_eq!(report.method_count, 6, "{}", report.render());
+    assert!(report.fully_proved(), "{}", report.render());
+    assert_eq!(
+        report.prover_counts().get("bapa").copied(),
+        Some(4),
+        "{:?}",
+        report.prover_counts()
+    );
 }

@@ -8,7 +8,9 @@
 //! * splitting produces exactly one sequent per non-trivial goal leaf,
 //! * stripping proof constructs really removes every proof construct,
 //! * the two Presburger engines (Fourier–Motzkin refutation and Cooper's
-//!   algorithm) never contradict each other.
+//!   algorithm) never contradict each other,
+//! * BAPA's component-wise refutation never refutes a conjunction that has
+//!   a model over a small universe.
 
 use ipl::gcl::cmd::{Ext, Proof, Simple};
 use ipl::gcl::split::split_all;
@@ -18,10 +20,8 @@ use ipl::logic::parser::parse_form;
 use ipl::logic::simplify::simplify;
 use ipl::logic::subst::{free_vars, substitute_one};
 use ipl::logic::Form;
-use ipl_bapa::extract::Extractor;
-use ipl_bapa::incremental::{BapaCheck, IncrementalBapa};
 use ipl_bapa::presburger::{cooper_decide, fm_unsatisfiable, LinExpr, PForm};
-use ipl_bapa::{venn, BapaLimits};
+use ipl_bapa::{prove_valid, BapaLimits, BapaOutcome};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -93,6 +93,85 @@ fn bapa_atom() -> impl Strategy<Value = Form> {
     ];
     (positive, 0usize..2)
         .prop_map(|(atom, negate)| if negate == 1 { Form::not(atom) } else { atom })
+}
+
+/// An interpretation of the BAPA pools over the universe `{0, 1, 2}`: each
+/// set variable of [`SET_VARS`] is a bitmask, each element variable of
+/// [`ELEM_VARS`] one element.
+#[derive(Debug)]
+struct SetModel {
+    sets: [u8; SET_VARS.len()],
+    elems: [u8; ELEM_VARS.len()],
+}
+
+const UNIVERSE: u8 = 3;
+
+fn eval_set(form: &Form, m: &SetModel) -> u8 {
+    match form {
+        Form::Var(name) => {
+            m.sets[SET_VARS
+                .iter()
+                .position(|v| v == name)
+                .expect("set variable")]
+        }
+        Form::EmptySet => 0,
+        Form::FiniteSet(items) => items.iter().fold(0, |acc, e| acc | 1 << eval_elem(e, m)),
+        Form::Union(a, b) => eval_set(a, m) | eval_set(b, m),
+        Form::Inter(a, b) => eval_set(a, m) & eval_set(b, m),
+        Form::Diff(a, b) => eval_set(a, m) & !eval_set(b, m),
+        other => panic!("not a set term: {other}"),
+    }
+}
+
+fn eval_elem(form: &Form, m: &SetModel) -> u8 {
+    match form {
+        Form::Var(name) => m.elems[ELEM_VARS.iter().position(|v| v == name).expect("element")],
+        other => panic!("not an element term: {other}"),
+    }
+}
+
+fn eval_card(form: &Form, m: &SetModel) -> i64 {
+    match form {
+        Form::Int(k) => *k,
+        Form::Card(set) => i64::from(eval_set(set, m).count_ones()),
+        other => panic!("not a cardinality term: {other}"),
+    }
+}
+
+/// Does the interpretation satisfy one (possibly negated) [`bapa_atom`]?
+fn satisfies(atom: &Form, m: &SetModel) -> bool {
+    match atom {
+        Form::Bool(b) => *b,
+        Form::Not(inner) => !satisfies(inner, m),
+        Form::Eq(a, b) if matches!(a.as_ref(), Form::Card(_)) => eval_card(a, m) == eval_card(b, m),
+        Form::Eq(a, b) => eval_set(a, m) == eval_set(b, m),
+        Form::Le(a, b) => eval_card(a, m) <= eval_card(b, m),
+        Form::Subseteq(a, b) => eval_set(a, m) & !eval_set(b, m) == 0,
+        Form::Elem(e, set) => eval_set(set, m) >> eval_elem(e, m) & 1 == 1,
+        other => panic!("not a BAPA atom: {other}"),
+    }
+}
+
+/// Searches every interpretation over the small universe for a model of
+/// the conjunction.
+fn small_model(atoms: &[Form]) -> Option<SetModel> {
+    let (subsets, elements) = (1u32 << UNIVERSE, u32::from(UNIVERSE));
+    let count = subsets.pow(SET_VARS.len() as u32) * elements.pow(ELEM_VARS.len() as u32);
+    // Decode each index as mixed-radix digits: one subset per set variable,
+    // one element per element variable.
+    (0..count)
+        .map(|mut code| {
+            let mut digit = |base: u32| {
+                let d = code % base;
+                code /= base;
+                d as u8
+            };
+            SetModel {
+                sets: std::array::from_fn(|_| digit(subsets)),
+                elems: std::array::from_fn(|_| digit(elements)),
+            }
+        })
+        .find(|m| atoms.iter().all(|atom| satisfies(atom, m)))
 }
 
 /// Reference evaluator for the ground fragment used by the strategies.
@@ -245,71 +324,41 @@ proptest! {
     }
 
     #[test]
-    fn incremental_extraction_matches_the_one_shot_path(
-        atoms in prop::collection::vec(bapa_atom(), 1..5)
+    fn component_refutations_have_no_small_model(
+        batch in prop::collection::vec(prop::collection::vec(bapa_atom(), 1..4), 16)
     ) {
-        // One-shot: scan the whole conjunction, then extract every atom.
-        let refs: Vec<&Form> = atoms.iter().collect();
-        let extractor = Extractor::scan(&refs);
-        let mut one_shot = Vec::new();
-        for atom in &atoms {
-            if let Some(extracted) = extractor.extract(atom) {
-                one_shot.extend(venn::conjuncts(&extracted));
+        // `assumptions |- false` is valid exactly when BAPA refutes the
+        // conjunction, which it does one shared-variable component at a time
+        // (`venn::conjunction_unsatisfiable`).  Evaluating the original atoms
+        // in every interpretation over a small universe shares no code with
+        // the split, the extraction or the Venn translation: whenever the
+        // split refutes, no interpretation may satisfy the atoms.
+        let mut refuted = 0usize;
+        let mut modelled = 0usize;
+        for atoms in &batch {
+            let model = small_model(atoms);
+            if prove_valid(atoms, &Form::FALSE, &BapaLimits::default()) == BapaOutcome::Valid {
+                refuted += 1;
+                prop_assert!(
+                    model.is_none(),
+                    "the split refutes {:?}, but {:?} satisfies it",
+                    atoms,
+                    model
+                );
+            } else if model.is_some() {
+                modelled += 1;
             }
         }
-        // Incremental: assert atom by atom, read back the extracted set.
-        let mut engine = IncrementalBapa::default();
-        for atom in &atoms {
-            engine.assert_form(atom);
-        }
-        prop_assert_eq!(engine.atoms(), &one_shot[..]);
-    }
-
-    #[test]
-    fn incremental_pop_restores_the_one_shot_view(
-        prefix in prop::collection::vec(bapa_atom(), 1..4),
-        scoped in prop::collection::vec(bapa_atom(), 1..4)
-    ) {
-        // Asserting and popping a scope must leave the engine observably
-        // identical (atoms and satisfiability verdict) to one that only ever
-        // saw the prefix.
-        let mut reference = IncrementalBapa::default();
-        for atom in &prefix {
-            reference.assert_form(atom);
-        }
-        let mut engine = IncrementalBapa::default();
-        for atom in &prefix {
-            engine.assert_form(atom);
-        }
-        engine.push();
-        for atom in &scoped {
-            engine.assert_form(atom);
-        }
-        let _ = engine.check();
-        engine.pop();
-        prop_assert_eq!(engine.atoms(), reference.atoms());
-        prop_assert_eq!(engine.check(), reference.check());
-    }
-
-    #[test]
-    fn incremental_check_agrees_with_prove_valid(
-        atoms in prop::collection::vec(bapa_atom(), 1..4)
-    ) {
-        // `assumptions |- false` is valid exactly when the conjunction of
-        // assumptions is unsatisfiable, which is what `check` decides.
-        let mut engine = IncrementalBapa::default();
-        let mut accepted = Vec::new();
-        for atom in &atoms {
-            if engine.assert_form(atom) {
-                accepted.push(atom.clone());
-            }
-        }
-        let one_shot =
-            ipl::bapa::prove_valid(&accepted, &Form::FALSE, &BapaLimits::default());
-        let incremental = engine.check();
-        prop_assert_eq!(
-            incremental == BapaCheck::Unsat,
-            one_shot == ipl::bapa::BapaOutcome::Valid
+        // The check is only as good as the oracle's reach: the search must
+        // model most of what the split leaves open, or a universe too small
+        // to hold any model would pass every refutation.
+        let open = batch.len() - refuted;
+        prop_assert!(refuted > 0, "the split refuted nothing in {:?}", batch);
+        prop_assert!(
+            modelled * 4 >= open * 3,
+            "the search modelled only {}/{} conjunctions the split left open",
+            modelled,
+            open
         );
     }
 
