@@ -76,12 +76,6 @@ pub struct VerifyOptions {
     /// When `false`, every integrated proof language construct is stripped
     /// before verification (the Table 2 baseline configuration).
     pub use_proof_constructs: bool,
-    /// When `false`, `from` clauses are ignored and the provers always see
-    /// the full assumption base (used by the ablation benchmarks).
-    pub use_from_clauses: bool,
-    /// Record one [`SequentReport`] per sequent (disable to save memory in
-    /// benchmarks).
-    pub record_sequents: bool,
     /// Worker threads proving sequents concurrently; `0` (the default) uses
     /// the machine's available parallelism, `1` forces the sequential path.
     pub jobs: usize,
@@ -106,8 +100,6 @@ impl Default for VerifyOptions {
         VerifyOptions {
             config: ProverConfig::default(),
             use_proof_constructs: true,
-            use_from_clauses: true,
-            record_sequents: true,
             jobs: 0,
             cache_dir: None,
             module_deadline: None,
@@ -120,14 +112,6 @@ impl VerifyOptions {
     pub fn without_proof_constructs() -> Self {
         VerifyOptions {
             use_proof_constructs: false,
-            ..Self::default()
-        }
-    }
-
-    /// Ablation: keep the proof constructs but ignore `from` clauses.
-    pub fn ignoring_from_clauses() -> Self {
-        VerifyOptions {
-            use_from_clauses: false,
             ..Self::default()
         }
     }
@@ -172,27 +156,11 @@ impl VerifyOptions {
         self
     }
 
-    /// Controls per-sequent report recording (disable to save memory in
-    /// benchmarks).
-    #[must_use]
-    pub fn with_record_sequents(mut self, record: bool) -> Self {
-        self.record_sequents = record;
-        self
-    }
-
     /// Controls whether integrated proof constructs are kept (`false` is the
     /// Table 2 baseline).
     #[must_use]
     pub fn with_proof_constructs(mut self, use_proof_constructs: bool) -> Self {
         self.use_proof_constructs = use_proof_constructs;
-        self
-    }
-
-    /// Controls `from`-clause assumption selection (`false` is the ablation
-    /// configuration).
-    #[must_use]
-    pub fn with_from_clauses(mut self, use_from_clauses: bool) -> Self {
-        self.use_from_clauses = use_from_clauses;
         self
     }
 }
@@ -251,7 +219,7 @@ pub(crate) fn drive(
         |&(method_index, sequent_index)| {
             let p = &prepared[method_index];
             let sequent = &p.sequents[sequent_index];
-            cascade.prove_under(&sequent_query(sequent, &p.method.env, options), &scope)
+            cascade.prove_under(&sequent_query(sequent, &p.method.env), &scope)
         },
         // A panic that escapes even the cascade's own stage containment
         // (driver bug, query construction) still only quarantines its one
@@ -274,7 +242,7 @@ pub(crate) fn drive(
         per_method[method_index].push((sequent_index, answer));
     }
     for (p, answers) in prepared.into_iter().zip(per_method) {
-        report.methods.push(assemble(p, answers, options));
+        report.methods.push(assemble(p, answers));
     }
     Ok((report, proved))
 }
@@ -357,11 +325,7 @@ fn prepare<'a>(method: &'a LoweredMethod, options: &VerifyOptions) -> Prepared<'
 
 /// Folds the per-sequent answers (indexed by position in
 /// `prepared.sequents`) into the method report, in sequent order.
-fn assemble(
-    prepared: Prepared<'_>,
-    mut answers: Vec<(usize, ProverAnswer)>,
-    options: &VerifyOptions,
-) -> MethodReport {
+fn assemble(prepared: Prepared<'_>, mut answers: Vec<(usize, ProverAnswer)>) -> MethodReport {
     answers.sort_by_key(|(sequent_index, _)| *sequent_index);
     let mut answers = answers.into_iter().peekable();
 
@@ -372,19 +336,17 @@ fn assemble(
         // quarantined obligation so it can never count as verified.
         report.total_sequents = 1;
         report.crashed_sequents = 1;
-        if options.record_sequents {
-            report.sequents.push(SequentReport {
-                name: format!("{}::front-end", prepared.method.name),
-                goal_label: "FrontEnd".to_string(),
-                proved: false,
-                outcome: Outcome::Crashed {
-                    stage: "front-end".to_string(),
-                    message,
-                },
-                prover: None,
-                duration: Duration::ZERO,
-            });
-        }
+        report.sequents.push(SequentReport {
+            name: format!("{}::front-end", prepared.method.name),
+            goal_label: "FrontEnd".to_string(),
+            proved: false,
+            outcome: Outcome::Crashed {
+                stage: "front-end".to_string(),
+                message,
+            },
+            prover: None,
+            duration: Duration::ZERO,
+        });
         return report;
     }
     let mut duration = prepared.front_end;
@@ -425,16 +387,14 @@ fn assemble(
                 .or_insert(std::time::Duration::ZERO) += *stage_duration;
         }
         duration += answer.duration;
-        if options.record_sequents {
-            report.sequents.push(SequentReport {
-                name: sequent.name.clone(),
-                goal_label: sequent.goal_label.clone(),
-                proved: answer.outcome.is_proved(),
-                outcome: answer.outcome.clone(),
-                prover: answer.prover.clone(),
-                duration: answer.duration,
-            });
-        }
+        report.sequents.push(SequentReport {
+            name: sequent.name.clone(),
+            goal_label: sequent.goal_label.clone(),
+            proved: answer.outcome.is_proved(),
+            outcome: answer.outcome,
+            prover: answer.prover,
+            duration: answer.duration,
+        });
     }
     // With sequents proved concurrently, per-method wall-clock is not well
     // defined; the report carries front-end time plus summed prover time,
@@ -445,16 +405,12 @@ fn assemble(
 
 /// Builds the prover query for one sequent, applying the `from`-clause
 /// assumption selection.
-fn sequent_query(sequent: &Sequent, env: &ipl_logic::SortEnv, options: &VerifyOptions) -> Query {
-    let assumptions: Vec<Labeled> = if options.use_from_clauses {
-        sequent
-            .selected_assumptions()
-            .into_iter()
-            .cloned()
-            .collect()
-    } else {
-        sequent.assumptions.clone()
-    };
+fn sequent_query(sequent: &Sequent, env: &ipl_logic::SortEnv) -> Query {
+    let assumptions: Vec<Labeled> = sequent
+        .selected_assumptions()
+        .into_iter()
+        .cloned()
+        .collect();
     Query::new(assumptions, sequent.goal.clone(), env.clone())
 }
 

@@ -11,7 +11,7 @@
 //! order-insensitive multiset (labels excluded — the label names a fact for
 //! `from`-clause selection and diagnostics, it does not change validity), the
 //! sorts of the symbols the sequent mentions, and the prover budgets.
-//! Including the budgets keeps ablation and quick-config runs honest: a
+//! Including the budgets keeps runs under other budgets honest: a
 //! sequent proved under generous budgets must not report `Proved` under a
 //! configuration whose bounded search would have failed.
 //!

@@ -252,7 +252,8 @@ impl Cascade {
         }
     }
 
-    /// A cascade with a custom prover list (used by the ablation benchmarks).
+    /// A cascade with a custom prover list (tests use it to substitute fake
+    /// provers).
     pub fn with_provers(provers: Vec<Arc<dyn Prover>>, config: ProverConfig) -> Cascade {
         Cascade { provers, config }
     }

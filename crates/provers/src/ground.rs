@@ -39,7 +39,7 @@
 //! the provers is reproduced.
 
 use crate::cc::{Congruence, Implied, TermId};
-use crate::{Cancel, GroundConfig, ProverConfig};
+use crate::{Cancel, ProverConfig};
 use ipl_bapa::presburger::{id_conjunction_infeasible, IdLinExpr};
 use ipl_logic::hashed::Hashed;
 use ipl_logic::normal::nnf;
@@ -54,6 +54,19 @@ const FM_MAX_CONSTRAINTS: usize = 20_000;
 
 /// Base interval (in conflicts) of the Luby restart sequence.
 const RESTART_BASE: u64 = 64;
+
+/// Hard cap on the number of live learned clauses per search; a conflict
+/// past the cap still backjumps, but its clause is recorded only if a
+/// reduction sweep frees room.
+const MAX_LEARNED_CLAUSES: usize = 10_000;
+
+/// Conflicts between two halvings of the variable and clause activities
+/// (the integer stand-in for VSIDS decay).
+const ACTIVITY_DECAY_INTERVAL: u64 = 128;
+
+/// Conflicts between two learned-clause reduction sweeps, each of which
+/// deletes the lower-activity half of the unlocked learned clauses.
+const DELETION_INTERVAL: u64 = 2_000;
 
 /// Result of a refutation attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,7 +278,6 @@ type ArithEntry = (usize, usize);
 
 struct Solver<'a> {
     env: &'a SortEnv,
-    gconf: GroundConfig,
     cancel: &'a Cancel,
     /// Remaining decisions + conflicts before the search gives up.
     budget: usize,
@@ -297,8 +309,8 @@ struct Solver<'a> {
     /// test ranges over these only — learned clauses are implied and never
     /// need satisfying.
     input_clauses: usize,
-    /// Number of live (non-tombstoned) learned clauses; kept under the
-    /// config cap by the reduction sweeps.
+    /// Number of live (non-tombstoned) learned clauses; kept under
+    /// [`MAX_LEARNED_CLAUSES`] by the reduction sweeps.
     learned_count: usize,
     /// Watch lists, indexed by literal code.
     watches: Vec<Vec<u32>>,
@@ -352,7 +364,6 @@ impl<'a> Solver<'a> {
     fn new(env: &'a SortEnv, config: &ProverConfig, cancel: &'a Cancel) -> Self {
         Solver {
             env,
-            gconf: config.ground,
             cancel,
             budget: config.max_branch_nodes,
             atoms: HashMap::new(),
@@ -979,11 +990,7 @@ impl<'a> Solver<'a> {
     fn resolve_conflict(&mut self, conflict: Conflict) -> bool {
         self.n_conflicts += 1;
         self.conflicts_since_restart += 1;
-        if self.gconf.activity_decay_interval > 0
-            && self
-                .n_conflicts
-                .is_multiple_of(self.gconf.activity_decay_interval as u64)
-        {
+        if self.n_conflicts.is_multiple_of(ACTIVITY_DECAY_INTERVAL) {
             for a in &mut self.activity {
                 *a >>= 1;
             }
@@ -991,32 +998,25 @@ impl<'a> Solver<'a> {
                 *a >>= 1;
             }
         }
-        if self.gconf.learning
-            && self.gconf.deletion_interval > 0
-            && self
-                .n_conflicts
-                .is_multiple_of(self.gconf.deletion_interval as u64)
-        {
+        if self.n_conflicts.is_multiple_of(DELETION_INTERVAL) {
             self.reduce_learned();
         }
         if self.current_level() == 0 {
             return false;
         }
-        if self.gconf.learning {
-            match self.analyze(conflict) {
-                Analyzed::Root => return false,
-                Analyzed::Learned(learnt, backjump) => {
-                    self.backtrack(backjump);
-                    let reason = self.record_learnt(&learnt);
-                    let ok = self.enqueue(learnt[0], reason);
-                    debug_assert!(ok, "the asserting literal is unassigned after backjump");
-                    return true;
-                }
-                Analyzed::Fallback => {}
+        match self.analyze(conflict) {
+            Analyzed::Root => return false,
+            Analyzed::Learned(learnt, backjump) => {
+                self.backtrack(backjump);
+                let reason = self.record_learnt(&learnt);
+                let ok = self.enqueue(learnt[0], reason);
+                debug_assert!(ok, "the asserting literal is unassigned after backjump");
+                return true;
             }
+            Analyzed::Fallback => {}
         }
-        // Decision-negation fallback (also the no-learning ablation): under
-        // d1 .. d_{L-1} the decision d_L is contradictory, so flip it.
+        // Decision-negation fallback: under d1 .. d_{L-1} the decision d_L is
+        // contradictory, so flip it.
         let decisions: Vec<Lit> = self.trail_lim.iter().map(|&pos| self.trail[pos]).collect();
         let mut learnt = Vec::with_capacity(decisions.len());
         learnt.push(decisions[decisions.len() - 1] ^ 1);
@@ -1024,11 +1024,7 @@ impl<'a> Solver<'a> {
             learnt.push(d ^ 1);
         }
         self.backtrack(self.current_level() - 1);
-        let reason = if self.gconf.learning {
-            self.record_learnt(&learnt)
-        } else {
-            Reason::Theory
-        };
+        let reason = self.record_learnt(&learnt);
         let ok = self.enqueue(learnt[0], reason);
         debug_assert!(ok, "the flipped decision is unassigned after backtracking");
         true
@@ -1042,9 +1038,9 @@ impl<'a> Solver<'a> {
         if learnt.len() < 2 {
             return Reason::Theory;
         }
-        if self.learned_count >= self.gconf.max_learned_clauses {
+        if self.learned_count >= MAX_LEARNED_CLAUSES {
             self.reduce_learned();
-            if self.learned_count >= self.gconf.max_learned_clauses {
+            if self.learned_count >= MAX_LEARNED_CLAUSES {
                 return Reason::Theory;
             }
         }
@@ -1243,14 +1239,12 @@ impl<'a> Solver<'a> {
         // Register every equality atom in the congruence watch index, at
         // depth 0 so the interned ids outlive every backjump.  The search
         // creates no atoms, so this covers every equality it will assign.
-        if self.gconf.theory_propagation {
-            for v in 0..self.infos.len() {
-                if let Some(info) = &self.infos[v] {
-                    if let Form::Eq(a, b) = &info.form {
-                        let (a, b) = (a.clone(), b.clone());
-                        self.cc.watch_pair(&a, &b, (v as Lit) << 1);
-                        self.tp_active = true;
-                    }
+        for v in 0..self.infos.len() {
+            if let Some(info) = &self.infos[v] {
+                if let Form::Eq(a, b) = &info.form {
+                    let (a, b) = (a.clone(), b.clone());
+                    self.cc.watch_pair(&a, &b, (v as Lit) << 1);
+                    self.tp_active = true;
                 }
             }
         }
@@ -1286,10 +1280,7 @@ impl<'a> Solver<'a> {
             // Luby-scheduled restart: back to the root, keeping the learned
             // clauses and activities (checked only at quiescent points, so a
             // restart never abandons an in-flight propagation).
-            if self.gconf.restarts
-                && self.conflicts_since_restart >= self.restart_limit
-                && self.current_level() > 0
-            {
+            if self.conflicts_since_restart >= self.restart_limit && self.current_level() > 0 {
                 self.conflicts_since_restart = 0;
                 self.restart_count += 1;
                 self.restart_limit = RESTART_BASE * luby(self.restart_count);
@@ -1472,7 +1463,7 @@ fn linearise(form: &Form, k: i64, cc: &mut Congruence, out: &mut IdLinExpr) {
 /// The retained naive recursive DPLL: the pre-CDCL tableau search (minus the
 /// incremental theory engines), kept as the differential-testing oracle for
 /// the CDCL engine (see `tests/cdcl.rs`) and as the "before" side of the
-/// allocation benchmark.  Note the per-disjunct `rest.clone()` and `Form::Or`
+/// allocation pin (see `tests/alloc.rs`).  Note the per-disjunct `rest.clone()` and `Form::Or`
 /// re-wrap at every branch point, and the whole-branch theory re-check at
 /// every node — exactly the costs the clause database and the incremental
 /// constraint stack removed.
@@ -1501,8 +1492,9 @@ pub mod reference {
     /// The pigeonhole principle with `holes + 1` pigeons as a ground
     /// formula set: every pigeon sits in some hole, no two pigeons share a
     /// hole.  The classic hard instance for chronological backtracking —
-    /// the learning-ablation test and the allocation benchmark both import
-    /// it from here, so the two pins cannot drift apart.
+    /// the learning pin in `tests/cdcl.rs` and the allocation pin in
+    /// `tests/alloc.rs` both import it from here, so the two pins cannot
+    /// drift apart.
     pub fn pigeonhole(holes: usize) -> Vec<Form> {
         let pigeons = holes + 1;
         let p = |i: usize, j: usize| Form::var(format!("p_{i}_{j}"));
@@ -1830,11 +1822,11 @@ mod tests {
         assert!(delta.conflicts > 0, "conflicts must be analysed: {delta:?}");
     }
 
-    /// Refutes raw ground literals with the given config (bypassing
-    /// preprocessing, so the literal set is exactly what the tableau sees).
-    fn refute_literals(literals: &[&str], config: &ProverConfig) -> GroundResult {
+    /// Refutes raw ground literals (bypassing preprocessing, so the literal
+    /// set is exactly what the tableau sees).
+    fn refute_literals(literals: &[&str]) -> GroundResult {
         let forms: Vec<Form> = literals.iter().map(|s| parse_form(s).unwrap()).collect();
-        refute(&forms, &env(), config, &Cancel::never())
+        refute(&forms, &env(), &ProverConfig::default(), &Cancel::never())
     }
 
     #[test]
@@ -1850,37 +1842,20 @@ mod tests {
     // ----- the learning machinery -----
 
     #[test]
-    fn learning_ablation_still_proves_the_basics() {
-        let config = ProverConfig::without_learning();
-        assert_eq!(
-            refute_literals(&["p | q", "~p | r", "~q", "~r"], &config),
-            GroundResult::Unsat
-        );
-        assert_eq!(
-            refute_literals(&["a = b", "b = c", "~(a = c)"], &config),
-            GroundResult::Unsat
-        );
-        assert_eq!(refute_literals(&["p | q"], &config), GroundResult::Unknown);
-    }
-
-    #[test]
     fn congruence_conflicts_produce_learned_clauses() {
         // Each disjunct of the case split re-derives the same congruence
         // conflict; with learning the second branch is pruned by the clause
         // learned in the first.
         let before = stats_snapshot();
         assert_eq!(
-            refute_literals(
-                &[
-                    "p | q",
-                    "a = b | a = c",
-                    "g(a) = x",
-                    "g(b) = y",
-                    "g(c) = y",
-                    "~(x = y)"
-                ],
-                &ProverConfig::default()
-            ),
+            refute_literals(&[
+                "p | q",
+                "a = b | a = c",
+                "g(a) = x",
+                "g(b) = y",
+                "g(c) = y",
+                "~(x = y)"
+            ]),
             GroundResult::Unsat
         );
         let delta = stats_snapshot().since(&before);

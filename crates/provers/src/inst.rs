@@ -31,13 +31,22 @@
 use crate::cc::Congruence;
 use crate::ground::{refute, GroundResult};
 use crate::preprocess::{axioms_for, Accesses, Problem};
-use crate::{Cancel, ProverConfig, TriggerConfig};
+use crate::{Cancel, ProverConfig};
 use ipl_logic::hashed::Hashed;
 use ipl_logic::simplify::simplify;
 use ipl_logic::subst::substitute;
 use ipl_logic::{free_vars, Form, Sort, SortEnv};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// Maximum number of (multi-)patterns selected per quantifier.
+const MAX_TRIGGERS_PER_QUANTIFIER: usize = 4;
+
+/// Maximum AST size of a single pattern term.
+const MAX_PATTERN_SIZE: usize = 12;
+
+/// Maximum matches accepted per quantifier per round.
+const MAX_MATCHES_PER_QUANTIFIER: usize = 96;
 
 /// Attempts to refute the problem using ground reasoning plus trigger-driven
 /// quantifier instantiation.
@@ -60,7 +69,7 @@ pub fn refute_with_instantiation(
     let mut quantifiers: Vec<Quantifier> = problem
         .quantified
         .iter()
-        .map(|q| Quantifier::new(q, env, &config.triggers))
+        .map(|q| Quantifier::new(q, env))
         .collect();
     // Seeded with the initial ground set so that neither re-derived axioms
     // nor instances duplicating an existing formula are added twice.
@@ -105,22 +114,20 @@ pub fn refute_with_instantiation(
         let mut new_ground = Vec::new();
         let mut new_quantified = Vec::new();
         'quantifiers: for quantifier in &mut quantifiers {
-            let use_triggers = config.triggers.enabled && !quantifier.triggers.is_empty();
             let mut instances = Vec::new();
-            if use_triggers {
-                let limit = config.triggers.max_matches_per_quantifier;
+            if !quantifier.triggers.is_empty() {
                 let assignments = matcher.match_quantifier(
                     &quantifier.triggers,
                     &quantifier.binder_names,
                     quantifier.frontier,
-                    limit,
+                    MAX_MATCHES_PER_QUANTIFIER,
                 );
                 quantifier.matched_total += assignments.len();
                 // Advance the frontier only when this round's matching was
                 // exhaustive: a truncated scan must be allowed to revisit old
                 // candidates next round (duplicates are cheap — the instance
                 // set deduplicates).
-                if assignments.len() < limit {
+                if assignments.len() < MAX_MATCHES_PER_QUANTIFIER {
                     quantifier.frontier = round + 1;
                 }
                 for assignment in &assignments {
@@ -130,9 +137,8 @@ pub fn refute_with_instantiation(
                     }
                 }
             }
-            let pool_eligible =
-                !use_triggers || (config.triggers.pool_fallback && quantifier.matched_total == 0);
-            if pool_eligible {
+            // A quantifier without triggers never matches, so this covers it.
+            if quantifier.matched_total == 0 {
                 let pool = pool.get_or_insert_with(|| {
                     term_pool(ground.iter().chain(quantifier_forms.iter()), env)
                 });
@@ -169,7 +175,7 @@ pub fn refute_with_instantiation(
         matcher.index_forms(&new_ground, round + 1);
         ground.extend(new_ground);
         for form in new_quantified {
-            quantifiers.push(Quantifier::new(&form, env, &config.triggers));
+            quantifiers.push(Quantifier::new(&form, env));
         }
         // Instances can introduce field/array reads that did not exist when
         // the read-over-write axioms were first generated; re-derive the
@@ -275,7 +281,7 @@ struct Quantifier {
 }
 
 impl Quantifier {
-    fn new(form: &Form, env: &SortEnv, config: &TriggerConfig) -> Self {
+    fn new(form: &Form, env: &SortEnv) -> Self {
         // Resolve unknown binder sorts from usage before anything else.
         let resolved = env.annotate_binders(form);
         let (bindings, body) = match &resolved {
@@ -283,11 +289,7 @@ impl Quantifier {
             other => (Vec::new(), other.clone()),
         };
         let binder_names: HashSet<String> = bindings.iter().map(|(n, _)| n.clone()).collect();
-        let triggers = if config.enabled {
-            select_triggers(&bindings, &body, config)
-        } else {
-            Vec::new()
-        };
+        let triggers = select_triggers(&bindings, &body);
         Quantifier {
             form: form.clone(),
             binder_names,
@@ -308,29 +310,18 @@ impl Quantifier {
 /// (uninterpreted applications, field/array reads, membership atoms) that
 /// together mention every binder.
 ///
-/// Preference order: single patterns covering all binders (up to the
-/// configured limit, smallest first), then one greedily assembled
-/// multi-pattern.  Returns an empty list when the binders cannot be covered —
-/// the caller then falls back to sort-pool enumeration.
-pub fn select_triggers(
-    bindings: &[(String, Sort)],
-    body: &Form,
-    config: &TriggerConfig,
-) -> Vec<Vec<Form>> {
+/// Preference order: single patterns covering all binders (up to
+/// [`MAX_TRIGGERS_PER_QUANTIFIER`], smallest first), then one greedily
+/// assembled multi-pattern.  Returns an empty list when the binders cannot be
+/// covered — the caller then falls back to sort-pool enumeration.
+pub fn select_triggers(bindings: &[(String, Sort)], body: &Form) -> Vec<Vec<Form>> {
     let binders: HashSet<String> = bindings.iter().map(|(n, _)| n.clone()).collect();
     if binders.is_empty() {
         return Vec::new();
     }
     let mut candidates: Vec<PatternCandidate> = Vec::new();
     let mut seen: HashSet<Hashed> = HashSet::new();
-    collect_patterns(
-        body,
-        &binders,
-        config,
-        &mut Vec::new(),
-        &mut seen,
-        &mut candidates,
-    );
+    collect_patterns(body, &binders, &mut Vec::new(), &mut seen, &mut candidates);
 
     // Single patterns covering every binder, smallest first.
     let mut singles: Vec<&PatternCandidate> = candidates
@@ -341,7 +332,7 @@ pub fn select_triggers(
     if !singles.is_empty() {
         return singles
             .iter()
-            .take(config.max_triggers_per_quantifier)
+            .take(MAX_TRIGGERS_PER_QUANTIFIER)
             .map(|c| vec![c.pattern.clone()])
             .collect();
     }
@@ -379,7 +370,6 @@ struct PatternCandidate {
 fn collect_patterns(
     form: &Form,
     binders: &HashSet<String>,
-    config: &TriggerConfig,
     nested: &mut Vec<String>,
     seen: &mut HashSet<Hashed>,
     out: &mut Vec<PatternCandidate>,
@@ -387,13 +377,13 @@ fn collect_patterns(
     if let Form::Forall(bs, body) | Form::Exists(bs, body) | Form::Compr(bs, body) = form {
         let depth = nested.len();
         nested.extend(bs.iter().map(|(n, _)| n.clone()));
-        collect_patterns(body, binders, config, nested, seen, out);
+        collect_patterns(body, binders, nested, seen, out);
         nested.truncate(depth);
         return;
     }
     if index_key(form).is_some() {
         let hashed = Hashed::new(form.clone());
-        if hashed.size() <= config.max_pattern_size && !seen.contains(&hashed) {
+        if hashed.size() <= MAX_PATTERN_SIZE && !seen.contains(&hashed) {
             let fv = free_vars(form);
             let coverage: Vec<String> = fv
                 .iter()
@@ -411,7 +401,7 @@ fn collect_patterns(
             }
         }
     }
-    form.for_each_child(|c| collect_patterns(c, binders, config, nested, seen, out));
+    form.for_each_child(|c| collect_patterns(c, binders, nested, seen, out));
 }
 
 // ---------------------------------------------------------------------------
@@ -896,14 +886,13 @@ mod tests {
     }
 
     #[test]
-    fn universal_modus_ponens_without_triggers() {
-        // The sort-pool fallback alone still proves the simple cases.
-        let config = ProverConfig::without_triggers();
-        assert!(proves_with(
-            &["forall n:int. 0 <= n --> p(n)", "0 <= x"],
-            "p(x)",
-            &config
-        ));
+    fn the_pool_instantiates_trigger_less_quantifiers() {
+        // A purely arithmetic body offers no trigger, so only the sort pool
+        // can supply the instance `n := x`.
+        let quantifier = "forall n:int. 0 <= n --> n <= k";
+        assert!(triggers_of(quantifier).is_empty());
+        assert!(proves(&[quantifier, "0 <= x"], "x <= k"));
+        assert!(!proves(&["0 <= x"], "x <= k"));
     }
 
     #[test]
@@ -1019,7 +1008,7 @@ mod tests {
             Form::Forall(bs, body) => (bs.clone(), (**body).clone()),
             _ => panic!("expected a universal quantifier"),
         };
-        select_triggers(&bindings, &body, &TriggerConfig::default())
+        select_triggers(&bindings, &body)
     }
 
     #[test]
@@ -1070,12 +1059,9 @@ mod tests {
     fn matcher_instantiates_only_occurring_terms() {
         // With triggers, only `x` (which occurs under `p`) is tried — the
         // engine proves the goal without enumerating every int-sorted term.
+        // The trigger matches, so the sort pool never runs.
         let config = ProverConfig {
             max_instances_per_quantifier: 1,
-            triggers: TriggerConfig {
-                pool_fallback: false,
-                ..TriggerConfig::default()
-            },
             ..ProverConfig::default()
         };
         assert!(proves_with(

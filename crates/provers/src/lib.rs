@@ -15,8 +15,7 @@
 //!   solver (the stand-in for the E-matching SMT solvers and the first-order
 //!   provers of the paper): triggers are selected per quantifier and matched
 //!   against a term index of the ground set, with a bounded sort-pool
-//!   enumeration as the fallback for trigger-less quantifiers
-//!   ([`TriggerConfig`] holds the knobs);
+//!   enumeration as the fallback for trigger-less quantifiers;
 //! * adapters for the [`ipl-bapa`] cardinality decision procedure and the
 //!   [`ipl-shape`] reachability prover;
 //! * [`cascade`] — the dispatcher that runs the provers in order with per-
@@ -182,125 +181,9 @@ pub enum SkipReason {
     DeadlineExceeded,
 }
 
-/// Knobs of the trigger-driven E-matching instantiation engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct TriggerConfig {
-    /// Master switch: when `false`, every quantifier falls back to the
-    /// sort-pool cross-product instantiator (the pre-E-matching behaviour,
-    /// kept for the ablation benchmarks).
-    pub enabled: bool,
-    /// Maximum number of (multi-)patterns selected per quantifier.
-    pub max_triggers_per_quantifier: usize,
-    /// Maximum AST size of a single pattern term.
-    pub max_pattern_size: usize,
-    /// Maximum matches accepted per quantifier per round.
-    pub max_matches_per_quantifier: usize,
-    /// When `true`, a quantifier whose triggers never produced a single match
-    /// retries with the sort pool (covers bodies whose relevant terms exist
-    /// only at other sorts).
-    pub pool_fallback: bool,
-}
-
-impl Default for TriggerConfig {
-    fn default() -> Self {
-        TriggerConfig {
-            enabled: true,
-            max_triggers_per_quantifier: 4,
-            max_pattern_size: 12,
-            max_matches_per_quantifier: 96,
-            pool_fallback: true,
-        }
-    }
-}
-
-impl TriggerConfig {
-    /// The configuration of the pre-E-matching engine: triggers off, every
-    /// quantifier instantiated from the sort pool.
-    pub fn disabled() -> Self {
-        TriggerConfig {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-}
-
-/// Knobs of the CDCL ground core (see [`ground`]): the iterative
-/// conflict-driven engine that replaced the recursive DPLL tableau.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct GroundConfig {
-    /// Master switch for conflict-driven clause learning.  When `false` the
-    /// engine still propagates with watched literals and backtracks
-    /// chronologically, but records no learned clauses (the pre-CDCL search
-    /// shape, kept for the ablation benchmarks).
-    pub learning: bool,
-    /// Hard cap on the number of learned clauses kept per search; conflicts
-    /// past the cap still backjump but are not recorded.
-    pub max_learned_clauses: usize,
-    /// Conflicts between two halvings of the variable activities (the
-    /// integer stand-in for VSIDS decay; smaller = more aggressive focus on
-    /// recent conflicts).
-    pub activity_decay_interval: usize,
-    /// Eager theory propagation: after each boolean propagation fixpoint the
-    /// congruence closure is asked which registered equality atoms it now
-    /// entails, and those literals enter the trail with proof-forest
-    /// explanations instead of being rediscovered at conflicts.  `false`
-    /// restores the conflict-driven-only behaviour for the ablations.
-    pub theory_propagation: bool,
-    /// Luby-sequence restarts: on schedule the search backjumps to the root,
-    /// keeping learned clauses and activities.  `false` disables restarts for
-    /// the ablations.
-    pub restarts: bool,
-    /// Conflicts between two activity-based learned-clause reduction sweeps;
-    /// each sweep deletes the lower-activity half of the unlocked learned
-    /// clauses.  `max_learned_clauses` additionally forces a sweep whenever
-    /// the database reaches the cap.
-    pub deletion_interval: usize,
-}
-
-impl Default for GroundConfig {
-    fn default() -> Self {
-        GroundConfig {
-            learning: true,
-            max_learned_clauses: 10_000,
-            activity_decay_interval: 128,
-            theory_propagation: true,
-            restarts: true,
-            deletion_interval: 2_000,
-        }
-    }
-}
-
-impl GroundConfig {
-    /// The configuration with clause learning turned off (chronological
-    /// backtracking only); used by the ablation benchmarks.
-    pub fn without_learning() -> Self {
-        GroundConfig {
-            learning: false,
-            ..Self::default()
-        }
-    }
-
-    /// The configuration with eager theory propagation turned off (theory
-    /// facts discovered only at conflicts); used by the ablation benchmarks.
-    pub fn without_theory_propagation() -> Self {
-        GroundConfig {
-            theory_propagation: false,
-            ..Self::default()
-        }
-    }
-
-    /// The configuration with Luby restarts turned off; used by the ablation
-    /// benchmarks.
-    pub fn without_restarts() -> Self {
-        GroundConfig {
-            restarts: false,
-            ..Self::default()
-        }
-    }
-}
-
-/// Resource budgets controlling the bounded search.  These are the knobs the
-/// Table 2 experiment and the ablation benchmarks turn.
+/// Resource budgets controlling the bounded search.  The search itself is
+/// fixed — clause learning, theory propagation, restarts, trigger selection
+/// and the sort-pool fallback always run — so only its bounds are settable.
 ///
 /// The whole configuration hashes into the proof-cache fingerprint (see
 /// [`cache`]), so runs under different budgets never share cached proofs.
@@ -320,10 +203,6 @@ pub struct ProverConfig {
     /// base grows (models the paper's observation that large assumption bases
     /// degrade the provers).
     pub assumption_penalty_threshold: usize,
-    /// E-matching trigger selection and matching budgets.
-    pub triggers: TriggerConfig,
-    /// CDCL ground-core knobs (clause learning, learned-clause cap).
-    pub ground: GroundConfig,
     /// When `true`, the cascade consults the content-addressed proof cache
     /// before dispatching and records every `Proved` outcome (see [`cache`]).
     pub use_cache: bool,
@@ -338,16 +217,15 @@ impl Default for ProverConfig {
             max_total_instances: 1_500,
             per_prover_timeout_ms: 2_000,
             assumption_penalty_threshold: 28,
-            triggers: TriggerConfig::default(),
-            ground: GroundConfig::default(),
             use_cache: true,
         }
     }
 }
 
 impl ProverConfig {
-    /// A configuration with a much smaller search budget; useful in tests and
-    /// for the "fast" cascade stage.
+    /// A configuration with a much smaller search budget.  Tests use it as a
+    /// second configuration whose proofs must not be shared with the
+    /// default's.
     pub fn quick() -> Self {
         ProverConfig {
             max_branch_nodes: 8_000,
@@ -356,47 +234,7 @@ impl ProverConfig {
             max_total_instances: 200,
             per_prover_timeout_ms: 500,
             assumption_penalty_threshold: 20,
-            triggers: TriggerConfig::default(),
-            ground: GroundConfig::default(),
             use_cache: true,
-        }
-    }
-
-    /// The default budgets with conflict-driven clause learning disabled in
-    /// the ground core (chronological backtracking only); used by the
-    /// ablation benchmarks.
-    pub fn without_learning() -> Self {
-        ProverConfig {
-            ground: GroundConfig::without_learning(),
-            ..Self::default()
-        }
-    }
-
-    /// The default budgets with eager theory propagation disabled in the
-    /// ground core (theory facts discovered only at conflicts); used by the
-    /// ablation benchmarks.
-    pub fn without_theory_propagation() -> Self {
-        ProverConfig {
-            ground: GroundConfig::without_theory_propagation(),
-            ..Self::default()
-        }
-    }
-
-    /// The default budgets with Luby restarts disabled in the ground core;
-    /// used by the ablation benchmarks.
-    pub fn without_restarts() -> Self {
-        ProverConfig {
-            ground: GroundConfig::without_restarts(),
-            ..Self::default()
-        }
-    }
-
-    /// The default budgets with E-matching disabled (the sort-pool
-    /// cross-product instantiator); used by the ablation benchmarks.
-    pub fn without_triggers() -> Self {
-        ProverConfig {
-            triggers: TriggerConfig::disabled(),
-            ..Self::default()
         }
     }
 

@@ -3,13 +3,17 @@
 //! [`check_baseline`] compares a fresh set of [`Table1Row`]s against the
 //! committed `BENCH_table1.json` and reports every violation: a benchmark
 //! disappearing, a benchmark verifying *fewer methods*, or a benchmark whose
-//! prover attribution (how many sequents each cascade stage discharged)
-//! changed at all.  All three are facts that do not depend on the machine;
-//! wall-clock is reported in Table 1 but never gated here.  An intended
-//! attribution shift is accepted by regenerating the committed file.
+//! prover attribution (how many sequents each cascade stage discharged) or
+//! ground-core counters (decisions, propagations, conflicts, learned
+//! clauses) changed at all.  These are facts that do not depend on the
+//! machine, provided the run uses one worker: two workers can both miss the
+//! cache on one fingerprint and then both count its search.  Wall-clock is
+//! reported in Table 1 but never gated here.  An intended shift is accepted
+//! by regenerating the committed file.
 
 use crate::table1::Table1Row;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 
 pub use ipl_core::json::{parse_json, Json};
 
@@ -22,6 +26,8 @@ pub struct BaselineBenchmark {
     pub methods_verified: usize,
     /// Sequents discharged per cascade stage in the committed run.
     pub provers: BTreeMap<String, usize>,
+    /// Ground-core search counters in the committed run.
+    pub ground_stats: BTreeMap<String, u64>,
 }
 
 /// The committed baseline document, reduced to what the gate needs.
@@ -55,29 +61,60 @@ pub fn parse_baseline(input: &str) -> Result<Baseline, String> {
             .and_then(Json::as_u128)
             .ok_or_else(|| format!("benchmark {name} without methods_verified"))?
             as usize;
-        let Some(Json::Object(stages)) = entry.get("provers") else {
-            return Err(format!("benchmark {name} without a provers map"));
-        };
-        let mut provers = BTreeMap::new();
-        for (stage, count) in stages {
-            let count = count
-                .as_u128()
-                .ok_or_else(|| format!("benchmark {name}: non-integral provers.{stage}"))?;
-            provers.insert(stage.clone(), count as usize);
-        }
+        let provers = count_map(entry, &name, "provers")?;
+        let ground_stats = count_map(entry, &name, "ground_stats")?;
         benchmarks.push(BaselineBenchmark {
             name,
             methods_verified,
             provers,
+            ground_stats,
         });
     }
     Ok(Baseline { benchmarks })
 }
 
+/// Reads the integer-valued object `field` of benchmark `name`'s entry.
+fn count_map<T: TryFrom<u128>>(
+    entry: &Json,
+    name: &str,
+    field: &str,
+) -> Result<BTreeMap<String, T>, String> {
+    let Some(Json::Object(counts)) = entry.get(field) else {
+        return Err(format!("benchmark {name} without a {field} map"));
+    };
+    counts
+        .iter()
+        .map(|(key, count)| {
+            let count = count
+                .as_u128()
+                .and_then(|count| T::try_from(count).ok())
+                .ok_or_else(|| format!("benchmark {name}: {field}.{key} is not a count"))?;
+            Ok((key.clone(), count))
+        })
+        .collect()
+}
+
+/// Every key whose count differs between the two maps, as
+/// `key before -> after`; a key missing from one map counts 0 there.
+fn changed_counts<T: Copy + Default + PartialEq + Display>(
+    before: &BTreeMap<String, T>,
+    after: &BTreeMap<String, T>,
+) -> Vec<String> {
+    let keys: BTreeSet<&String> = before.keys().chain(after.keys()).collect();
+    keys.into_iter()
+        .filter_map(|key| {
+            let was = before.get(key).copied().unwrap_or_default();
+            let now = after.get(key).copied().unwrap_or_default();
+            (was != now).then(|| format!("{key} {was} -> {now}"))
+        })
+        .collect()
+}
+
 /// Compares a fresh run against the committed baseline.  Returns the list of
 /// violations (empty when the gate passes): any baseline benchmark missing
 /// from the run, any benchmark verifying fewer methods than the baseline,
-/// and any benchmark whose `provers` map differs from the baseline's.
+/// and any benchmark whose `provers` or `ground_stats` map differs from the
+/// baseline's.
 pub fn check_baseline(rows: &[Table1Row], baseline: &Baseline) -> Vec<String> {
     let mut violations = Vec::new();
     for expected in &baseline.benchmarks {
@@ -94,26 +131,24 @@ pub fn check_baseline(rows: &[Table1Row], baseline: &Baseline) -> Vec<String> {
                 row.name, row.methods_verified, expected.methods_verified
             ));
         }
-        let stages: BTreeSet<&String> = expected
-            .provers
-            .keys()
-            .chain(row.prover_counts.keys())
-            .collect();
-        let shifts: Vec<String> = stages
-            .into_iter()
-            .filter_map(|stage| {
-                let before = expected.provers.get(stage).copied().unwrap_or(0);
-                let after = row.prover_counts.get(stage).copied().unwrap_or(0);
-                (before != after).then(|| format!("{stage} {before} -> {after}"))
-            })
-            .collect();
-        if !shifts.is_empty() {
-            violations.push(format!(
-                "benchmark \"{}\" prover attribution changed: {} \
-                 (regenerate BENCH_table1.json if the shift is intended)",
-                row.name,
-                shifts.join(", ")
-            ));
+        for (what, changes) in [
+            (
+                "prover attribution",
+                changed_counts(&expected.provers, &row.prover_counts),
+            ),
+            (
+                "ground counters",
+                changed_counts(&expected.ground_stats, &row.ground_stats),
+            ),
+        ] {
+            if !changes.is_empty() {
+                violations.push(format!(
+                    "benchmark \"{}\" {what} changed: {} \
+                     (regenerate BENCH_table1.json if the change is intended)",
+                    row.name,
+                    changes.join(", ")
+                ));
+            }
         }
     }
     violations
@@ -148,14 +183,18 @@ mod tests {
             prover_counts: attribution(),
             stage_ms: Default::default(),
             cache_hits: 0,
-            ground_stats: [
-                ("decisions".to_string(), 12u64),
-                ("bool_propagations".to_string(), 12u64),
-                ("theory_propagations".to_string(), 3u64),
-            ]
-            .into_iter()
-            .collect(),
+            ground_stats: counters(),
         }
+    }
+
+    fn counters() -> BTreeMap<String, u64> {
+        [
+            ("decisions".to_string(), 12),
+            ("bool_propagations".to_string(), 12),
+            ("theory_propagations".to_string(), 3),
+        ]
+        .into_iter()
+        .collect()
     }
 
     fn baseline() -> Baseline {
@@ -165,11 +204,13 @@ mod tests {
                     name: "Linked List".into(),
                     methods_verified: 6,
                     provers: attribution(),
+                    ground_stats: counters(),
                 },
                 BaselineBenchmark {
                     name: "Hash Table".into(),
                     methods_verified: 5,
                     provers: attribution(),
+                    ground_stats: counters(),
                 },
             ],
         }
@@ -185,14 +226,15 @@ mod tests {
                 cache_hits: 123,
             },
         );
-        // The gate consumes the per-benchmark method counts and prover
-        // attribution; the timing and telemetry fields beside them must
-        // parse cleanly and be ignored.
+        // The gate consumes the per-benchmark method counts, prover
+        // attribution and ground counters; the timing and telemetry fields
+        // beside them must parse cleanly and be ignored.
         let parsed = parse_baseline(&json).unwrap();
         assert_eq!(parsed.benchmarks.len(), 2);
         assert_eq!(parsed.benchmarks[0].name, "Linked List");
         assert_eq!(parsed.benchmarks[0].methods_verified, 6);
         assert_eq!(parsed.benchmarks[0].provers, attribution());
+        assert_eq!(parsed.benchmarks[0].ground_stats, counters());
         assert_eq!(parsed, baseline());
     }
 
@@ -228,6 +270,24 @@ mod tests {
         let violations = check_baseline(&[row("Linked List", 6), shifted], &baseline());
         assert_eq!(violations.len(), 1, "{violations:?}");
         for needle in ["Hash Table", "smt-ground 14 -> 13", "smt-inst 0 -> 1"] {
+            assert!(violations[0].contains(needle), "{violations:?}");
+        }
+    }
+
+    #[test]
+    fn gate_trips_on_counter_shift() {
+        // The same sequents go to the same stages, but the ground search
+        // took a different path.
+        let mut shifted = row("Hash Table", 5);
+        *shifted.ground_stats.get_mut("decisions").unwrap() -= 1;
+        shifted.ground_stats.insert("conflicts".to_string(), 2);
+        let violations = check_baseline(&[row("Linked List", 6), shifted], &baseline());
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        for needle in [
+            "benchmark \"Hash Table\" ground counters changed",
+            "decisions 12 -> 11",
+            "conflicts 0 -> 2",
+        ] {
             assert!(violations[0].contains(needle), "{violations:?}");
         }
     }

@@ -49,13 +49,8 @@ pub fn row(benchmark: &Benchmark, options: &VerifyOptions) -> Table2Row {
 
 /// The two sessions of the double run: without proof constructs, and with.
 fn sessions(options: &VerifyOptions) -> (ipl_core::Session, ipl_core::Session) {
-    let without = ipl_core::Session::new(
-        options
-            .clone()
-            .with_proof_constructs(false)
-            .with_record_sequents(false),
-    );
-    let with = ipl_core::Session::new(options.clone().with_record_sequents(false));
+    let without = ipl_core::Session::new(options.clone().with_proof_constructs(false));
+    let with = ipl_core::Session::new(options.clone());
     (without, with)
 }
 

@@ -34,7 +34,6 @@ fn options(jobs: usize) -> VerifyOptions {
             per_prover_timeout_ms: 600_000,
             ..ProverConfig::default()
         })
-        .with_record_sequents(true)
         .with_jobs(jobs)
 }
 

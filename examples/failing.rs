@@ -20,9 +20,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let dump = args.iter().any(|a| a == "--dump");
     let names: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let options = ipl::core::VerifyOptions::default()
-        .with_config(ipl::suite::suite_config())
-        .with_record_sequents(true);
+    let options = ipl::core::VerifyOptions::default().with_config(ipl::suite::suite_config());
     for benchmark in ipl::suite::all() {
         if !names.is_empty() && !names.iter().any(|n| benchmark.name.contains(n.as_str())) {
             continue;

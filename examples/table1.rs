@@ -10,10 +10,13 @@
 //!   sequential path).
 //! * `--check-baseline <path>` — turn the run into the CI regression gate:
 //!   the fresh results are compared against the committed baseline document
-//!   and the process exits non-zero when any benchmark is missing, verifies
-//!   fewer methods than the baseline, or has a different prover attribution
-//!   (sequents discharged per cascade stage).  Wall-clock is reported, never
-//!   gated: `perfbench/` measures speed.
+//!   and the process exits 1 when any benchmark is missing, verifies fewer
+//!   methods than the baseline, or has a different prover attribution
+//!   (sequents discharged per cascade stage) or different ground-core
+//!   counters.  The gate runs at `--jobs 1`: with two workers, both can miss
+//!   the cache on one fingerprint and both count its search.  Combined with
+//!   `--quick` or with `--jobs N` for N ≠ 1 it exits 2.  Wall-clock is
+//!   reported, never gated: `perfbench/` measures speed.
 //!
 //! Besides the human-readable table, the run writes `BENCH_table1.json`
 //! (override the path with the `BENCH_TABLE1_OUT` environment variable):
@@ -32,18 +35,14 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--jobs requires a number");
-                    std::process::exit(2);
-                })
-        })
-        .unwrap_or(0);
+    let jobs = args.iter().position(|a| a == "--jobs").map(|i| {
+        args.get(i + 1)
+            .and_then(|v| v.parse::<usize>().ok())
+            .unwrap_or_else(|| {
+                eprintln!("--jobs requires a number");
+                std::process::exit(2);
+            })
+    });
     let baseline_path = args.iter().position(|a| a == "--check-baseline").map(|i| {
         args.get(i + 1).cloned().unwrap_or_else(|| {
             eprintln!("--check-baseline requires a path argument");
@@ -56,6 +55,18 @@ fn main() {
         eprintln!("--check-baseline requires the full run; drop --quick");
         std::process::exit(2);
     }
+    let jobs = match (jobs, &baseline_path) {
+        (Some(jobs), Some(_)) if jobs != 1 => {
+            // Two workers can both miss the cache on one fingerprint and then
+            // both count its search, so the ground counters are exact only
+            // with one worker.
+            eprintln!("--check-baseline runs at --jobs 1; drop --jobs {jobs}");
+            std::process::exit(2);
+        }
+        (Some(jobs), _) => jobs,
+        (None, Some(_)) => 1,
+        (None, None) => 0,
+    };
     // Read the committed baseline *before* this run overwrites the file.
     let baseline = baseline_path.as_deref().map(|path| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -70,7 +81,6 @@ fn main() {
 
     let options = ipl::core::VerifyOptions::default()
         .with_config(ipl::suite::suite_config())
-        .with_record_sequents(false)
         .with_jobs(jobs);
     let start = Instant::now();
     let rows: Vec<ipl::suite::table1::Table1Row> = if quick {
@@ -150,7 +160,8 @@ fn main() {
         let violations = ipl::suite::baseline::check_baseline(&rows, &baseline);
         if violations.is_empty() {
             println!(
-                "  baseline check passed: no benchmark lost methods, prover attribution unchanged"
+                "  baseline check passed: no benchmark lost methods, \
+                 prover attribution and ground counters unchanged"
             );
         } else {
             eprintln!("  BASELINE REGRESSION:");

@@ -30,7 +30,6 @@ fn main() {
         .unwrap_or(0);
     let options = ipl::core::VerifyOptions::default()
         .with_config(ipl::suite::suite_config())
-        .with_record_sequents(false)
         .with_jobs(jobs);
     let start = Instant::now();
     let rows: Vec<ipl::suite::table2::Table2Row> = if quick {

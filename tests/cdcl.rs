@@ -5,16 +5,15 @@
 //!   searches are complete there), and refutation-monotonically on mixed
 //!   EUF/arithmetic inputs (whatever the naive tableau refutes, the CDCL
 //!   engine must refute too);
-//! * a crafted pigeonhole sequent that exhausts the branch budget without
-//!   clause learning but is refuted comfortably with it (the pin for the
-//!   learned-clause pruning);
-//! * the `without_learning()` ablation still fully verifies a benchmark
-//!   module, so the ablation configuration stays usable for benchmarks.
+//! * a crafted pigeonhole sequent that the naive reference cannot refute
+//!   within the branch budget but the CDCL engine refutes comfortably (the
+//!   pin for the learned-clause pruning);
+//! * theory propagation keeps reports identical across worker counts.
 
 use ipl::logic::parser::parse_form;
 use ipl::logic::{Form, Sort, SortEnv};
 use ipl::provers::ground::{reference, refute, stats_snapshot, GroundResult};
-use ipl::provers::{Cancel, GroundConfig, ProverConfig};
+use ipl::provers::{Cancel, ProverConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -27,27 +26,6 @@ fn env() -> SortEnv {
         e.declare_var(v, Sort::Obj);
     }
     e
-}
-
-/// The four feature corners of the ground core: theory propagation on/off ×
-/// Luby restarts on/off, each labelled for assertion messages.  Every corner
-/// keeps the default theory (congruence + linear arithmetic), which is what
-/// the naive reference decides too.
-fn feature_matrix() -> [(&'static str, ProverConfig); 4] {
-    let with = |theory_propagation: bool, restarts: bool| ProverConfig {
-        ground: GroundConfig {
-            theory_propagation,
-            restarts,
-            ..GroundConfig::default()
-        },
-        ..ProverConfig::default()
-    };
-    [
-        ("tp+restarts", with(true, true)),
-        ("tp only", with(true, false)),
-        ("restarts only", with(false, true)),
-        ("neither", with(false, false)),
-    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -117,14 +95,12 @@ proptest! {
     fn cdcl_matches_naive_on_propositional_sequents(forms in prop::collection::vec(propositional(), 1..5)) {
         let env = env();
         let naive = reference::refute_naive(&forms, &env, 500_000);
-        // Both searches are complete on propositional inputs, so every
-        // corner of the feature matrix must agree with the reference
-        // exactly — theory propagation and restarts change the search
-        // order, never the verdict.
-        for (label, config) in feature_matrix() {
-            let cdcl = refute(&forms, &env, &config, &Cancel::never());
-            prop_assert!(cdcl == naive, "{} disagrees with the reference: {:?} vs {:?}", label, cdcl, naive);
-        }
+        // Both searches are complete on propositional inputs, so the CDCL
+        // engine must agree with the reference exactly — learning, theory
+        // propagation and restarts change the search order, never the
+        // verdict.
+        let cdcl = refute(&forms, &env, &ProverConfig::default(), &Cancel::never());
+        prop_assert!(cdcl == naive, "CDCL disagrees with the reference: {:?} vs {:?}", cdcl, naive);
     }
 
     #[test]
@@ -132,31 +108,10 @@ proptest! {
         let env = env();
         // The CDCL engine is the stronger of the two (it also asserts the
         // negations forced by propagation), so agreement is one-way: a naive
-        // refutation must never be lost — under any feature corner.
+        // refutation must never be lost.
         if reference::refute_naive(&forms, &env, 500_000) == GroundResult::Unsat {
-            for (label, config) in feature_matrix() {
-                let cdcl = refute(&forms, &env, &config, &Cancel::never());
-                prop_assert!(cdcl == GroundResult::Unsat, "{} loses a naive refutation", label);
-            }
-        }
-    }
-
-    #[test]
-    fn feature_corners_agree_on_mixed_sequents(forms in prop::collection::vec(mixed_ground(), 1..5)) {
-        let env = env();
-        // The four corners run the same complete search under generous
-        // budgets, so they must return the same verdict as each other on
-        // random EUF/arithmetic sequents (not only when the naive reference
-        // already refutes).
-        let verdicts: Vec<(&str, GroundResult)> = feature_matrix()
-            .into_iter()
-            .map(|(label, config)| (label, refute(&forms, &env, &config, &Cancel::never())))
-            .collect();
-        for (label, verdict) in &verdicts[1..] {
-            prop_assert!(
-                *verdict == verdicts[0].1,
-                "{} disagrees with {}: {:?} vs {:?}", label, verdicts[0].0, verdict, verdicts[0].1
-            );
+            let cdcl = refute(&forms, &env, &ProverConfig::default(), &Cancel::never());
+            prop_assert!(cdcl == GroundResult::Unsat, "CDCL loses a naive refutation");
         }
     }
 }
@@ -169,18 +124,14 @@ proptest! {
 fn learned_clauses_refute_the_pigeonhole_within_budget() {
     let env = SortEnv::new();
     let budget = 3_000;
-    let with_learning = ProverConfig {
+    let config = ProverConfig {
         max_branch_nodes: budget,
         ..ProverConfig::default()
-    };
-    let without_learning = ProverConfig {
-        ground: ipl::provers::GroundConfig::without_learning(),
-        ..with_learning
     };
     let forms = reference::pigeonhole(7);
     let before = stats_snapshot();
     assert_eq!(
-        refute(&forms, &env, &with_learning, &Cancel::never()),
+        refute(&forms, &env, &config, &Cancel::never()),
         GroundResult::Unsat,
         "8 pigeons in 7 holes refutes with clause learning"
     );
@@ -190,33 +141,9 @@ fn learned_clauses_refute_the_pigeonhole_within_budget() {
         "the refutation must come from learned clauses: {delta:?}"
     );
     assert_eq!(
-        refute(&forms, &env, &without_learning, &Cancel::never()),
+        reference::refute_naive(&forms, &env, budget),
         GroundResult::Unknown,
-        "chronological backtracking alone exhausts the same budget"
-    );
-}
-
-#[test]
-fn ablation_parity_without_learning_on_a_module() {
-    // The no-learning configuration explores like the pre-CDCL tableau; the
-    // benchmarks it is used to measure must still fully verify.
-    let benchmark = ipl::suite::by_name("Linked List").unwrap();
-    let options = ipl::core::VerifyOptions::default()
-        .with_config(ProverConfig {
-            use_cache: false,
-            ..ProverConfig::without_learning()
-        })
-        .with_record_sequents(false)
-        .with_jobs(1);
-    let report = ipl::core::Session::new(options)
-        .verify(&ipl::core::Request::new(benchmark.source))
-        .unwrap()
-        .report;
-    assert_eq!(
-        report.methods_verified(),
-        report.method_count,
-        "Linked List fully verifies without learning:\n{}",
-        report.render()
+        "the naive tableau's chronological backtracking exhausts the same budget"
     );
 }
 
@@ -232,7 +159,6 @@ fn theory_propagation_is_deterministic_across_worker_counts() {
                 use_cache: false,
                 ..ProverConfig::default()
             })
-            .with_record_sequents(false)
             .with_jobs(jobs);
         ipl::core::Session::new(options)
             .verify(&ipl::core::Request::new(benchmark.source))

@@ -27,7 +27,6 @@ fn options() -> VerifyOptions {
             per_prover_timeout_ms: 600_000,
             ..ProverConfig::default()
         })
-        .with_record_sequents(true)
         .with_jobs(2)
 }
 

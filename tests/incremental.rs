@@ -53,7 +53,6 @@ fn options(cache_dir: Option<PathBuf>, use_cache: bool) -> VerifyOptions {
             per_prover_timeout_ms: 600_000,
             ..ipl::suite::suite_config()
         })
-        .with_record_sequents(true)
         .with_jobs(1);
     options.cache_dir = cache_dir;
     options

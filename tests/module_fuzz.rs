@@ -123,7 +123,6 @@ fn options(jobs: usize, cache_dir: Option<PathBuf>, use_cache: bool) -> VerifyOp
             per_prover_timeout_ms: 600_000,
             ..ProverConfig::default()
         })
-        .with_record_sequents(true)
         .with_jobs(jobs);
     options.cache_dir = cache_dir;
     options

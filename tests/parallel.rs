@@ -23,7 +23,6 @@ fn options(jobs: usize) -> VerifyOptions {
             per_prover_timeout_ms: 600_000,
             ..ipl::suite::suite_config()
         })
-        .with_record_sequents(true)
         .with_jobs(jobs)
 }
 

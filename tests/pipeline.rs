@@ -126,7 +126,6 @@ fn hash_table_cardinality_sequents_reach_the_bapa_stage() {
     let benchmark = ipl::suite::by_name("Hash Table").expect("benchmark exists");
     let options = VerifyOptions::default()
         .with_config(ProverConfig::without_cache())
-        .with_record_sequents(false)
         .with_jobs(1);
     let report = verify(benchmark.source, &options).unwrap();
     assert_eq!(report.method_count, 6, "{}", report.render());
