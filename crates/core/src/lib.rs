@@ -27,8 +27,8 @@
 //! independent query against a `Send + Sync` cascade over `Arc`-shared terms.
 //! [`Session::verify`] therefore runs a small hand-rolled worker pool
 //! ([`VerifyOptions::jobs`] threads, default = available parallelism) in two
-//! waves: first the per-method pipeline front-end (translate → wlp → split →
-//! hash-consing of the sequent terms), then one flat work list of every
+//! waves: first the per-method pipeline front-end (translate → wlp → split,
+//! which hash-conses the sequent terms), then one flat work list of every
 //! non-trivial sequent in the module.  Workers pull indices from a shared
 //! atomic cursor and write results into per-slot cells, so reports are
 //! assembled **in input order and deterministically** regardless of thread
@@ -49,7 +49,7 @@ use ipl_gcl::translate::{translate_ext, TranslateCtx};
 use ipl_gcl::wlp::vc_of;
 use ipl_lang::lower::{lower_module, LoweredMethod};
 use ipl_lang::Module;
-use ipl_logic::Labeled;
+use ipl_logic::{Labeled, SortEnv};
 use ipl_provers::cache::Fingerprint;
 pub use ipl_provers::cache_store::CompactStats;
 use ipl_provers::drain::Drain;
@@ -59,7 +59,7 @@ pub use report::{MethodReport, ModuleReport, SequentReport};
 pub use session::{Request, Response, Session, SessionStats};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Options controlling a verification run.
@@ -219,7 +219,7 @@ pub(crate) fn drive(
         |&(method_index, sequent_index)| {
             let p = &prepared[method_index];
             let sequent = &p.sequents[sequent_index];
-            cascade.prove_under(&sequent_query(sequent, &p.method.env), &scope)
+            cascade.prove_under(&sequent_query(sequent, &p.env), &scope)
         },
         // A panic that escapes even the cascade's own stage containment
         // (driver bug, query construction) still only quarantines its one
@@ -268,6 +268,8 @@ fn crashed_answer(stage: &str, message: String) -> ProverAnswer {
 /// and the front-end wall-clock.
 struct Prepared<'a> {
     method: &'a LoweredMethod,
+    /// The method's sort environment, shared by its sequents' queries.
+    env: Arc<SortEnv>,
     sequents: Vec<Sequent>,
     counts: ipl_gcl::cmd::ConstructCounts,
     front_end: std::time::Duration,
@@ -280,6 +282,7 @@ impl<'a> Prepared<'a> {
     fn crashed(method: &'a LoweredMethod, message: String) -> Prepared<'a> {
         Prepared {
             method,
+            env: Arc::default(),
             sequents: Vec::new(),
             counts: ipl_gcl::cmd::ConstructCounts::default(),
             front_end: Duration::ZERO,
@@ -288,10 +291,11 @@ impl<'a> Prepared<'a> {
     }
 }
 
-/// Runs translate → wlp → split for one method and interns every sequent
-/// formula so that structurally equal subterms — within the method, across
-/// methods and across modules — share one allocation (pointer-equality fast
-/// paths, memoised substitution, deduplicated memory).
+/// Runs translate → wlp → split for one method.  Split interns every
+/// sequent formula as it builds it, so structurally equal subterms — within
+/// the method, across methods and across modules — share one allocation
+/// (pointer-equality fast paths, memoised substitution, deduplicated
+/// memory).
 fn prepare<'a>(method: &'a LoweredMethod, options: &VerifyOptions) -> Prepared<'a> {
     let start = Instant::now();
     let command = if options.use_proof_constructs {
@@ -306,16 +310,10 @@ fn prepare<'a>(method: &'a LoweredMethod, options: &VerifyOptions) -> Prepared<'
     };
     let mut ctx = TranslateCtx::new();
     let simple = translate_ext(&command, &mut ctx);
-    let vc = vc_of(&simple);
-    let mut sequents = split_all(&vc);
-    for sequent in &mut sequents {
-        sequent.goal = ipl_logic::intern::share(&sequent.goal);
-        for assumption in &mut sequent.assumptions {
-            assumption.form = ipl_logic::intern::share(&assumption.form);
-        }
-    }
+    let sequents = split_all(&vc_of(&simple));
     Prepared {
         method,
+        env: Arc::new(method.env.clone()),
         sequents,
         counts,
         front_end: start.elapsed(),
@@ -405,13 +403,13 @@ fn assemble(prepared: Prepared<'_>, mut answers: Vec<(usize, ProverAnswer)>) -> 
 
 /// Builds the prover query for one sequent, applying the `from`-clause
 /// assumption selection.
-fn sequent_query(sequent: &Sequent, env: &ipl_logic::SortEnv) -> Query {
+fn sequent_query(sequent: &Sequent, env: &Arc<SortEnv>) -> Query {
     let assumptions: Vec<Labeled> = sequent
         .selected_assumptions()
         .into_iter()
         .cloned()
         .collect();
-    Query::new(assumptions, sequent.goal.clone(), env.clone())
+    Query::new(assumptions, sequent.goal.clone(), Arc::clone(env))
 }
 
 /// Maps `f` over `items` on a scoped worker pool of at most `jobs` threads.

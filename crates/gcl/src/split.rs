@@ -5,7 +5,8 @@
 
 use crate::cmd::FromClause;
 use crate::wlp::Vc;
-use ipl_logic::subst::rename_free;
+use ipl_logic::intern;
+use ipl_logic::subst::{for_each_free_var, substitute};
 use ipl_logic::{Form, Labeled};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -74,16 +75,132 @@ impl Sequent {
     }
 }
 
-/// Splitting state: a counter for unique sequent names and fresh variables.
+/// Splitting state: the sequents built so far, a counter for unique
+/// sequent names and fresh variables, and the path being walked.  The path
+/// is one assumption stack (pushed at `assume`, popped on return) and one
+/// map from each havocked variable to its current incarnation (set at
+/// `havoc`, restored on return), so nothing is copied per `assume` or per
+/// `havoc`: a sequent copies the stack once, when it is built.
 struct Splitter {
     sequents: Vec<Sequent>,
     counter: usize,
+    assumptions: Vec<Labeled>,
+    renaming: HashMap<String, Form>,
 }
 
 impl Splitter {
     fn fresh_suffix(&mut self) -> usize {
         self.counter += 1;
         self.counter
+    }
+
+    fn walk(&mut self, vc: &Vc) {
+        match vc {
+            Vc::True => {}
+            Vc::And(parts) => {
+                for part in parts {
+                    self.walk(part);
+                }
+            }
+            Vc::Implies { hyp, rest } => {
+                let form = intern::share(&self.current(&hyp.form));
+                self.assumptions.push(Labeled::new(hyp.label.clone(), form));
+                self.walk(rest);
+                self.assumptions.pop();
+            }
+            Vc::ForallVars { vars, rest } => {
+                // Undo log: the incarnation each variable had before this
+                // havoc, restored in reverse so `havoc x, x` unwinds too.
+                let mut undo = Vec::with_capacity(vars.len());
+                for var in vars {
+                    let suffix = self.fresh_suffix();
+                    let incarnation = Form::Var(format!("{var}#{suffix}"));
+                    undo.push((var, self.renaming.insert(var.clone(), incarnation)));
+                }
+                self.walk(rest);
+                for (var, previous) in undo.into_iter().rev() {
+                    match previous {
+                        Some(outer) => self.renaming.insert(var.clone(), outer),
+                        None => self.renaming.remove(var),
+                    };
+                }
+            }
+            Vc::Goal { form, label, from } => {
+                let goal = self.current(form);
+                self.split_goal(goal, label, from);
+            }
+        }
+    }
+
+    /// `form` over the current incarnations: renamed by the havocked
+    /// variables that occur free in it, and returned as is when none does.
+    /// Leaving the other entries out changes nothing, because no binder can
+    /// capture an incarnation: identifiers cannot contain `#`.
+    fn current(&self, form: &Form) -> Form {
+        let mut renamed = HashMap::new();
+        if !self.renaming.is_empty() {
+            for_each_free_var(form, &mut |name| {
+                if let Some(incarnation) = self.renaming.get(name) {
+                    if !renamed.contains_key(name) {
+                        renamed.insert(name.to_string(), incarnation.clone());
+                    }
+                }
+            });
+        }
+        if renamed.is_empty() {
+            form.clone()
+        } else {
+            substitute(form, &renamed)
+        }
+    }
+
+    /// Applies the Figure 7 rules to the goal itself: conjunctions split,
+    /// implications move their antecedent into the assumptions, universal
+    /// quantifiers are instantiated with fresh variables.  Only what a
+    /// sequent holds is interned: its goal and the antecedents it keeps,
+    /// never the implication and quantifier spine peeled off on the way.
+    fn split_goal(&mut self, goal: Form, label: &str, from: &FromClause) {
+        match goal {
+            Form::Bool(true) => {}
+            Form::And(parts) => {
+                for part in parts {
+                    self.split_goal(part, label, from);
+                }
+            }
+            Form::Implies(antecedent, consequent) => {
+                let depth = self.assumptions.len();
+                for (i, hyp) in Form::take(antecedent)
+                    .into_conjuncts()
+                    .into_iter()
+                    .enumerate()
+                {
+                    let hyp = intern::share(&hyp);
+                    self.assumptions
+                        .push(Labeled::new(format!("{label}_hyp_{}", i + 1), hyp));
+                }
+                self.split_goal(Form::take(consequent), label, from);
+                self.assumptions.truncate(depth);
+            }
+            Form::Forall(bindings, body) => {
+                let mut renaming = HashMap::new();
+                for (name, _) in &bindings {
+                    let suffix = self.fresh_suffix();
+                    renaming.insert(name.clone(), Form::Var(format!("{name}${suffix}")));
+                }
+                let body = substitute(&body, &renaming);
+                self.split_goal(body, label, from);
+            }
+            other => {
+                let suffix = self.fresh_suffix();
+                self.sequents.push(Sequent {
+                    name: format!("{label}#{suffix}"),
+                    goal_label: label.to_string(),
+                    assumptions: self.assumptions.clone(),
+                    goal: intern::share(&other),
+                    from: from.clone(),
+                });
+            }
+        }
     }
 }
 
@@ -97,100 +214,20 @@ impl Splitter {
 ///
 /// Havocked program variables are renamed to fresh incarnations so that
 /// assumptions recorded before the havoc keep referring to the old value.
+/// Every formula a sequent holds is hash-consed (see
+/// [`ipl_logic::intern`]) as it is built: a hypothesis once where it is
+/// assumed, however many sequents inherit it.
 /// The returned list contains every sequent, including trivially valid ones;
 /// callers typically filter with [`Sequent::is_trivially_valid`].
 pub fn split_all(vc: &Vc) -> Vec<Sequent> {
     let mut splitter = Splitter {
         sequents: Vec::new(),
         counter: 0,
+        assumptions: Vec::new(),
+        renaming: HashMap::new(),
     };
-    walk(vc, &HashMap::new(), &Vec::new(), &mut splitter);
+    splitter.walk(vc);
     splitter.sequents
-}
-
-fn walk(
-    vc: &Vc,
-    renaming: &HashMap<String, String>,
-    assumptions: &[Labeled],
-    splitter: &mut Splitter,
-) {
-    match vc {
-        Vc::True => {}
-        Vc::And(parts) => {
-            for part in parts {
-                walk(part, renaming, assumptions, splitter);
-            }
-        }
-        Vc::Implies { hyp, rest } => {
-            let mut assumptions = assumptions.to_vec();
-            assumptions.push(Labeled::new(
-                hyp.label.clone(),
-                rename_free(&hyp.form, renaming),
-            ));
-            walk(rest, renaming, &assumptions, splitter);
-        }
-        Vc::ForallVars { vars, rest } => {
-            let mut renaming = renaming.clone();
-            for var in vars {
-                let suffix = splitter.fresh_suffix();
-                renaming.insert(var.clone(), format!("{var}#{suffix}"));
-            }
-            walk(rest, &renaming, assumptions, splitter);
-        }
-        Vc::Goal { form, label, from } => {
-            let goal = rename_free(form, renaming);
-            split_goal(goal, label, from, assumptions.to_vec(), splitter);
-        }
-    }
-}
-
-/// Applies the Figure 7 rules to the goal itself: conjunctions split,
-/// implications move their antecedent into the assumptions, universal
-/// quantifiers are instantiated with fresh variables.
-fn split_goal(
-    goal: Form,
-    label: &str,
-    from: &FromClause,
-    mut assumptions: Vec<Labeled>,
-    splitter: &mut Splitter,
-) {
-    match goal {
-        Form::Bool(true) => {}
-        Form::And(parts) => {
-            for part in parts {
-                split_goal(part, label, from, assumptions.clone(), splitter);
-            }
-        }
-        Form::Implies(antecedent, consequent) => {
-            for (i, hyp) in Form::take(antecedent)
-                .into_conjuncts()
-                .into_iter()
-                .enumerate()
-            {
-                assumptions.push(Labeled::new(format!("{label}_hyp_{}", i + 1), hyp));
-            }
-            split_goal(Form::take(consequent), label, from, assumptions, splitter);
-        }
-        Form::Forall(bindings, body) => {
-            let mut renaming = HashMap::new();
-            for (name, _) in &bindings {
-                let suffix = splitter.fresh_suffix();
-                renaming.insert(name.clone(), format!("{name}${suffix}"));
-            }
-            let body = rename_free(&body, &renaming);
-            split_goal(body, label, from, assumptions, splitter);
-        }
-        other => {
-            let suffix = splitter.fresh_suffix();
-            splitter.sequents.push(Sequent {
-                name: format!("{label}#{suffix}"),
-                goal_label: label.to_string(),
-                assumptions,
-                goal: other,
-                from: from.clone(),
-            });
-        }
-    }
 }
 
 /// Splits and keeps only the sequents that are not syntactically valid.
@@ -353,6 +390,128 @@ mod tests {
         let g2 = sequents.iter().find(|s| s.goal_label == "G2").unwrap();
         assert!(g1.assumptions.iter().any(|a| a.label == "Local"));
         assert!(!g2.assumptions.iter().any(|a| a.label == "Local"));
+    }
+
+    /// The one variable occurring free in `form`: the incarnation of `x`
+    /// it was built over.
+    fn incarnation(form: &Form) -> String {
+        let vars = ipl_logic::free_vars(form);
+        assert_eq!(vars.len(), 1, "one variable in {form}");
+        vars.into_iter().next().unwrap()
+    }
+
+    fn assumption<'s>(sequent: &'s Sequent, label: &str) -> &'s Form {
+        &sequent
+            .assumptions
+            .iter()
+            .find(|a| a.label == label)
+            .unwrap_or_else(|| panic!("{label} is assumed in {}", sequent.name))
+            .form
+    }
+
+    #[test]
+    fn a_havoc_in_one_branch_leaves_the_sibling_on_the_outer_incarnation() {
+        // havoc x; assume Pre; (havoc x; assume Left; assert L)
+        //                      [] (assume Right; assert R)
+        let cmd = Simple::seq(vec![
+            Simple::Havoc(vec!["x".into()]),
+            Simple::assume("Pre", f("0 <= x")),
+            Simple::Choice(
+                Box::new(Simple::seq(vec![
+                    Simple::Havoc(vec!["x".into()]),
+                    Simple::assume("Left", f("x = 1")),
+                    Simple::assert("L", f("0 < x")),
+                ])),
+                Box::new(Simple::seq(vec![
+                    Simple::assume("Right", f("x = 2")),
+                    Simple::assert("R", f("1 < x")),
+                ])),
+            ),
+        ]);
+        let sequents = split_all(&vc_of(&cmd));
+        let left = sequents.iter().find(|s| s.goal_label == "L").unwrap();
+        let right = sequents.iter().find(|s| s.goal_label == "R").unwrap();
+        let outer = incarnation(assumption(right, "Pre"));
+        assert_ne!(outer, "x", "the outer havoc renames x");
+        assert_eq!(incarnation(assumption(right, "Right")), outer);
+        assert_eq!(incarnation(&right.goal), outer);
+        let inner = incarnation(assumption(left, "Left"));
+        assert_ne!(inner, outer, "the branch's havoc gives a new incarnation");
+        assert_eq!(incarnation(&left.goal), inner);
+        assert_eq!(incarnation(assumption(left, "Pre")), outer);
+    }
+
+    #[test]
+    fn a_branch_hypothesis_is_absent_from_every_sequent_of_the_other_branch() {
+        // (assume A; assert GA) [] (assume B; assert GB); assert Join
+        let cmd = Simple::seq(vec![
+            Simple::Choice(
+                Box::new(Simple::seq(vec![
+                    Simple::assume("A", f("a")),
+                    Simple::assert("GA", f("g")),
+                ])),
+                Box::new(Simple::seq(vec![
+                    Simple::assume("B", f("b")),
+                    Simple::assert("GB", f("g")),
+                ])),
+            ),
+            Simple::assert("Join", f("h")),
+        ]);
+        let sequents = split_all(&vc_of(&cmd));
+        assert_eq!(sequents.len(), 4, "GA, Join, GB, Join");
+        let holds = |s: &Sequent, label: &str| s.assumptions.iter().any(|a| a.label == label);
+        for sequent in &sequents {
+            assert!(
+                holds(sequent, "A") != holds(sequent, "B"),
+                "{} holds exactly one branch's hypothesis",
+                sequent.name
+            );
+        }
+        assert!(sequents
+            .iter()
+            .all(|s| s.goal_label != "GA" || !holds(s, "B")));
+        assert!(sequents
+            .iter()
+            .all(|s| s.goal_label != "GB" || !holds(s, "A")));
+        let joins: Vec<&Sequent> = sequents.iter().filter(|s| s.goal_label == "Join").collect();
+        assert_eq!(joins.len(), 2);
+        assert!(holds(joins[0], "A") && holds(joins[1], "B"));
+    }
+
+    #[test]
+    fn repeated_and_nested_havocs_restore_the_outer_name_on_return() {
+        // havoc x; assume Pre;
+        // (havoc x, x; havoc x; assert Inner) [] skip;
+        // assert Outer
+        let cmd = Simple::seq(vec![
+            Simple::Havoc(vec!["x".into()]),
+            Simple::assume("Pre", f("0 <= x")),
+            Simple::Choice(
+                Box::new(Simple::seq(vec![
+                    Simple::Havoc(vec!["x".into(), "x".into()]),
+                    Simple::Havoc(vec!["x".into()]),
+                    Simple::assert("Inner", f("x = 1")),
+                ])),
+                Box::new(Simple::Skip),
+            ),
+            Simple::assert("Outer", f("x = 2")),
+        ]);
+        let sequents = split_all(&vc_of(&cmd));
+        let goals: Vec<(&str, String)> = sequents
+            .iter()
+            .map(|s| (s.goal_label.as_str(), incarnation(&s.goal)))
+            .collect();
+        let outer = incarnation(assumption(&sequents[0], "Pre"));
+        let [(_, inner), (_, through_branch), (label, after_skip)] = goals.as_slice() else {
+            panic!("Inner, Outer through the branch, Outer after skip: {goals:?}");
+        };
+        assert_eq!(*label, "Outer");
+        assert_ne!(inner, &outer);
+        assert_eq!(through_branch, inner, "the innermost havoc is in force");
+        assert_eq!(after_skip, &outer, "the branch's havocs are undone");
+        assert!(sequents
+            .iter()
+            .all(|s| incarnation(assumption(s, "Pre")) == outer));
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! number of distinct nodes (the DAG size), not in the tree unfolding.
 
 use crate::form::Form;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,9 +35,36 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 const SHARD_COUNT: usize = 16;
 
+/// The canonical allocations whose structural hash is one value.  Almost
+/// every hash has exactly one, so it is held inline rather than in a `Vec`
+/// of its own, and the rare collisions share a boxed slice: a table slot
+/// takes 24 bytes instead of 32.
+enum Bucket {
+    One(Arc<Form>),
+    Many(Box<[Arc<Form>]>),
+}
+
+impl Bucket {
+    fn entries(&self) -> &[Arc<Form>] {
+        match self {
+            Bucket::One(canonical) => std::slice::from_ref(canonical),
+            Bucket::Many(canonical) => canonical,
+        }
+    }
+
+    fn push(&mut self, canonical: Arc<Form>) {
+        let mut all = match self {
+            Bucket::One(first) => vec![Arc::clone(first)],
+            Bucket::Many(all) => std::mem::take(all).into_vec(),
+        };
+        all.push(canonical);
+        *self = Bucket::Many(all.into_boxed_slice());
+    }
+}
+
 /// The global intern table.
 struct Interner {
-    shards: Vec<Mutex<HashMap<u64, Vec<Arc<Form>>>>>,
+    shards: Vec<Mutex<HashMap<u64, Bucket>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -69,17 +97,21 @@ fn interner() -> &'static Interner {
 fn intern_node(node: Form, hash: u64) -> Arc<Form> {
     let table = interner();
     let shard = &table.shards[(hash as usize) % SHARD_COUNT];
-    let mut bucket = shard.lock().expect("intern shard poisoned");
-    let candidates = bucket.entry(hash).or_default();
-    for candidate in candidates.iter() {
-        if **candidate == node {
+    let mut buckets = shard.lock().expect("intern shard poisoned");
+    if let Some(bucket) = buckets.get(&hash) {
+        if let Some(found) = bucket.entries().iter().find(|c| ***c == node) {
             table.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(candidate);
+            return Arc::clone(found);
         }
     }
     table.misses.fetch_add(1, Ordering::Relaxed);
     let canonical = Arc::new(node);
-    candidates.push(Arc::clone(&canonical));
+    match buckets.entry(hash) {
+        Entry::Vacant(slot) => {
+            slot.insert(Bucket::One(Arc::clone(&canonical)));
+        }
+        Entry::Occupied(mut slot) => slot.get_mut().push(Arc::clone(&canonical)),
+    }
     canonical
 }
 
@@ -93,7 +125,7 @@ pub fn stats() -> InternStats {
             s.lock()
                 .expect("intern shard poisoned")
                 .values()
-                .map(Vec::len)
+                .map(|bucket| bucket.entries().len())
                 .sum::<usize>()
         })
         .sum();
@@ -128,17 +160,16 @@ pub fn share_arc(form: &Form) -> Arc<Form> {
     intern_node(shared, hash)
 }
 
-type Memo = HashMap<usize, (Form, u64)>;
+/// Per-call memo: the address of an `Arc` child of the input → its
+/// canonical allocation and hash.
+type Memo = HashMap<usize, (Arc<Form>, u64)>;
 
-/// Hash of a *node* given its payload and the hashes of its children; the
-/// recursion is unrolled through the per-call memo so each distinct node is
-/// visited once.
+/// Rebuilds `form` with canonical recursive positions and returns it with
+/// its hash, computed from its payload and the hashes of its children.  An
+/// `Arc` child reached twice within one call is answered from the memo, so
+/// each distinct node is visited once; `Vec` elements live inside their
+/// parent, so they are reached once per visit of the parent.
 fn share_rec(form: &Form, memo: &mut Memo) -> (Form, u64) {
-    let key = form as *const Form as usize;
-    if let Some((shared, hash)) = memo.get(&key) {
-        return (shared.clone(), *hash);
-    }
-
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     std::mem::discriminant(form).hash(&mut hasher);
 
@@ -147,10 +178,19 @@ fn share_rec(form: &Form, memo: &mut Memo) -> (Form, u64) {
     // Vec elements inline (they are full `Form`s, not pointers) but still
     // rebuilds them with canonical recursive positions.
     type H = std::collections::hash_map::DefaultHasher;
-    fn child(c: &Form, hasher: &mut H, memo: &mut Memo) -> Arc<Form> {
-        let (shared, h) = share_rec(c, memo);
+    fn child(c: &Arc<Form>, hasher: &mut H, memo: &mut Memo) -> Arc<Form> {
+        let key = Arc::as_ptr(c) as usize;
+        let (canonical, h) = match memo.get(&key) {
+            Some((canonical, h)) => (Arc::clone(canonical), *h),
+            None => {
+                let (shared, h) = share_rec(c, memo);
+                let canonical = intern_node(shared, h);
+                memo.insert(key, (Arc::clone(&canonical), h));
+                (canonical, h)
+            }
+        };
         h.hash(hasher);
-        intern_node(shared, h)
+        canonical
     }
     fn inline(c: &Form, hasher: &mut H, memo: &mut Memo) -> Form {
         let (shared, h) = share_rec(c, memo);
@@ -243,9 +283,7 @@ fn share_rec(form: &Form, memo: &mut Memo) -> (Form, u64) {
             Form::Compr(bs.clone(), child(body, &mut hasher, memo))
         }
     };
-    let hash = hasher.finish();
-    memo.insert(key, (rebuilt.clone(), hash));
-    (rebuilt, hash)
+    (rebuilt, hasher.finish())
 }
 
 #[cfg(test)]
@@ -285,6 +323,22 @@ mod tests {
             panic!("expected implications");
         };
         assert!(Arc::ptr_eq(ax, bx), "canonical allocation reused");
+    }
+
+    #[test]
+    fn colliding_hashes_keep_every_canonical_allocation() {
+        let forms: Vec<Arc<Form>> = ["a", "b", "c"]
+            .iter()
+            .map(|v| Arc::new(parse_form(v).unwrap()))
+            .collect();
+        let mut bucket = Bucket::One(Arc::clone(&forms[0]));
+        bucket.push(Arc::clone(&forms[1]));
+        bucket.push(Arc::clone(&forms[2]));
+        let entries = bucket.entries();
+        assert_eq!(entries.len(), 3);
+        for (entry, form) in entries.iter().zip(&forms) {
+            assert!(Arc::ptr_eq(entry, form), "insertion order, same allocation");
+        }
     }
 
     #[test]

@@ -7,24 +7,32 @@ use std::sync::Arc;
 /// Returns the set of free variable names of a formula.
 pub fn free_vars(form: &Form) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    collect_free(form, &mut Vec::new(), &mut out);
+    for_each_free_var(form, &mut |name| {
+        out.insert(name.to_string());
+    });
     out
 }
 
-fn collect_free(form: &Form, bound: &mut Vec<String>, out: &mut BTreeSet<String>) {
+/// Calls `f` on every free occurrence of a variable in `form`, without
+/// allocating.
+pub fn for_each_free_var<'f>(form: &'f Form, f: &mut impl FnMut(&'f str)) {
+    visit_free(form, &mut Vec::new(), f);
+}
+
+fn visit_free<'f>(form: &'f Form, bound: &mut Vec<&'f str>, f: &mut impl FnMut(&'f str)) {
     match form {
         Form::Var(name) => {
-            if !bound.iter().any(|b| b == name) {
-                out.insert(name.clone());
+            if !bound.contains(&name.as_str()) {
+                f(name);
             }
         }
         Form::Forall(bs, body) | Form::Exists(bs, body) | Form::Compr(bs, body) => {
             let n = bound.len();
-            bound.extend(bs.iter().map(|(v, _)| v.clone()));
-            collect_free(body, bound, out);
+            bound.extend(bs.iter().map(|(v, _)| v.as_str()));
+            visit_free(body, bound, f);
             bound.truncate(n);
         }
-        other => other.for_each_child(|c| collect_free(c, bound, out)),
+        other => other.for_each_child(|c| visit_free(c, bound, f)),
     }
 }
 
@@ -212,16 +220,6 @@ pub fn substitute_one(form: &Form, name: &str, value: &Form) -> Form {
     substitute(form, &map)
 }
 
-/// Renames every free occurrence of variables according to `renaming`
-/// (a variable-to-variable map); convenience wrapper over [`substitute`].
-pub fn rename_free(form: &Form, renaming: &HashMap<String, String>) -> Form {
-    let map: HashMap<String, Form> = renaming
-        .iter()
-        .map(|(k, v)| (k.clone(), Form::Var(v.clone())))
-        .collect();
-    substitute(form, &map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,14 +277,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, "x_1");
         assert_ne!(b, "x_1");
-    }
-
-    #[test]
-    fn rename_free_variables() {
-        let f = Form::eq(v("a"), v("b"));
-        let mut m = HashMap::new();
-        m.insert("a".to_string(), "a_old".to_string());
-        assert_eq!(rename_free(&f, &m), Form::eq(v("a_old"), v("b")));
     }
 
     #[test]

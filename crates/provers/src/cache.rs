@@ -25,8 +25,8 @@
 //! `Session::verify` calls in a server) hit it across runs.
 
 use crate::{ProverConfig, Query};
-use ipl_logic::free_vars;
 use ipl_logic::Form;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,9 +64,10 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// The global memo table of proved sequents.
+/// The global memo table of proved sequents: each fingerprint maps to the
+/// name of the cascade stage that proved it.
 pub struct ProofCache {
-    shards: Vec<Mutex<HashMap<u128, String>>>,
+    shards: Vec<Mutex<HashMap<u128, &'static str>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -88,9 +89,53 @@ impl ProofCache {
     /// and cascade line-up (`provers`, in dispatch order): a cascade with a
     /// restricted prover list must never replay a proof a missing stage
     /// found.
+    ///
+    /// Each half is a seeded structural hash of the goal, the assumption
+    /// multiset (order-insensitive, labels ignored), the sorts of the
+    /// mentioned symbols, the prover budgets and the line-up.  One hashing
+    /// walk per formula feeds both halves, and one more collects the
+    /// symbols it mentions.
     pub fn fingerprint(query: &Query, config: &ProverConfig, provers: &[&str]) -> Fingerprint {
-        let lo = fingerprint_half(query, config, provers, 0x9e37_79b9_7f4a_7c15);
-        let hi = fingerprint_half(query, config, provers, 0xc2b2_ae3d_27d4_eb4f);
+        let mut hasher = TwoLanes::seeded();
+        config.hash(&mut hasher);
+        provers.hash(&mut hasher);
+        query.goal.hash(&mut hasher);
+
+        // Assumption multiset: per-form seeded hashes, sorted (per half) so
+        // that assumption order, which varies with `from`-clause selection
+        // order, is irrelevant.
+        let mut assumption_hashes = [
+            Vec::with_capacity(query.assumptions.len()),
+            Vec::with_capacity(query.assumptions.len()),
+        ];
+        for labeled in &query.assumptions {
+            let mut lanes = TwoLanes::seeded();
+            labeled.form.hash(&mut lanes);
+            for (hashes, hash) in assumption_hashes.iter_mut().zip(lanes.finish_both()) {
+                hashes.push(hash);
+            }
+        }
+        for (lane, hashes) in hasher.0.iter_mut().zip(&mut assumption_hashes) {
+            hashes.sort_unstable();
+            hashes.hash(lane);
+        }
+
+        // The sorts of the symbols the sequent actually mentions: two
+        // textually identical sequents over differently-sorted variables are
+        // different proof problems.
+        let mut mentioned = Vec::new();
+        collect_symbols(&query.goal, &mut Vec::new(), &mut mentioned);
+        for labeled in &query.assumptions {
+            collect_symbols(&labeled.form, &mut Vec::new(), &mut mentioned);
+        }
+        mentioned.sort_unstable();
+        mentioned.dedup();
+        for name in mentioned {
+            name.hash(&mut hasher);
+            query.env.var_sort(name).hash(&mut hasher);
+            query.env.fun_sig(name).hash(&mut hasher);
+        }
+        let [lo, hi] = hasher.finish_both();
         Fingerprint(((hi as u128) << 64) | lo as u128)
     }
 
@@ -102,7 +147,7 @@ impl ProofCache {
             .lock()
             .expect("proof-cache shard poisoned")
             .get(&fingerprint.0)
-            .cloned();
+            .map(|prover| prover.to_string());
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -110,13 +155,13 @@ impl ProofCache {
         found
     }
 
-    /// Records a proved sequent.
-    pub fn record(&self, fingerprint: Fingerprint, prover: &str) {
+    /// Records a proved sequent under the name of the stage that proved it.
+    pub fn record(&self, fingerprint: Fingerprint, prover: &'static str) {
         let shard = &self.shards[(fingerprint.0 as usize) % SHARD_COUNT];
         shard
             .lock()
             .expect("proof-cache shard poisoned")
-            .insert(fingerprint.0, prover.to_string());
+            .insert(fingerprint.0, prover);
     }
 
     /// Effectiveness counters, cumulative over the process since the last
@@ -153,55 +198,64 @@ impl ProofCache {
     }
 }
 
-/// One 64-bit half of the fingerprint, from a seeded structural hash of the
-/// goal, the assumption multiset (order-insensitive, labels ignored), the
-/// sorts of mentioned symbols, the prover budgets, and the cascade line-up.
-fn fingerprint_half(query: &Query, config: &ProverConfig, provers: &[&str], seed: u64) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    seed.hash(&mut hasher);
-    config.hash(&mut hasher);
-    provers.hash(&mut hasher);
-    query.goal.hash(&mut hasher);
+/// The seeds of the fingerprint's low and high halves.
+const SEEDS: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
 
-    // Assumption multiset: per-form seeded hashes, sorted so that assumption
-    // order (which varies with `from`-clause selection order) is irrelevant.
-    let mut assumption_hashes: Vec<u64> = query
-        .assumptions
-        .iter()
-        .map(|labeled| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            seed.hash(&mut h);
-            labeled.form.hash(&mut h);
-            h.finish()
-        })
-        .collect();
-    assumption_hashes.sort_unstable();
-    assumption_hashes.hash(&mut hasher);
+/// A hasher with two lanes, each a `DefaultHasher` that starts from one of
+/// [`SEEDS`]: every write goes to both, so one walk of a formula hashes it
+/// into both halves, exactly as two separately seeded walks would.
+struct TwoLanes([DefaultHasher; 2]);
 
-    // The sorts of the symbols the sequent actually mentions: two textually
-    // identical sequents over differently-sorted variables are different
-    // proof problems.
-    let mut mentioned = free_vars(&query.goal);
-    for labeled in &query.assumptions {
-        mentioned.extend(free_vars(&labeled.form));
+impl TwoLanes {
+    fn seeded() -> TwoLanes {
+        let mut lanes = [DefaultHasher::new(), DefaultHasher::new()];
+        for (lane, seed) in lanes.iter_mut().zip(SEEDS) {
+            seed.hash(lane);
+        }
+        TwoLanes(lanes)
     }
-    collect_app_symbols(&query.goal, &mut mentioned);
-    for labeled in &query.assumptions {
-        collect_app_symbols(&labeled.form, &mut mentioned);
+
+    fn finish_both(&self) -> [u64; 2] {
+        [self.0[0].finish(), self.0[1].finish()]
     }
-    for name in &mentioned {
-        name.hash(&mut hasher);
-        query.env.var_sort(name).hash(&mut hasher);
-        query.env.fun_sig(name).hash(&mut hasher);
-    }
-    hasher.finish()
 }
 
-fn collect_app_symbols(form: &Form, out: &mut std::collections::BTreeSet<String>) {
-    if let Form::App(name, _) = form {
-        out.insert(name.clone());
+impl Hasher for TwoLanes {
+    fn write(&mut self, bytes: &[u8]) {
+        for lane in &mut self.0 {
+            lane.write(bytes);
+        }
     }
-    form.for_each_child(|c| collect_app_symbols(c, out));
+
+    /// The low half; [`TwoLanes::finish_both`] gives both.
+    fn finish(&self) -> u64 {
+        self.0[0].finish()
+    }
+}
+
+/// Appends to `out` the free variables of `form` and the symbols it applies
+/// (`bound` holds the binders in scope), duplicates included.
+fn collect_symbols<'f>(form: &'f Form, bound: &mut Vec<&'f str>, out: &mut Vec<&'f str>) {
+    match form {
+        Form::Var(name) => {
+            if !bound.contains(&name.as_str()) {
+                out.push(name);
+            }
+        }
+        Form::Forall(bs, body) | Form::Exists(bs, body) | Form::Compr(bs, body) => {
+            let depth = bound.len();
+            bound.extend(bs.iter().map(|(v, _)| v.as_str()));
+            collect_symbols(body, bound, out);
+            bound.truncate(depth);
+        }
+        Form::App(name, args) => {
+            out.push(name);
+            for arg in args {
+                collect_symbols(arg, bound, out);
+            }
+        }
+        other => other.for_each_child(|c| collect_symbols(c, bound, out)),
+    }
 }
 
 #[cfg(test)]

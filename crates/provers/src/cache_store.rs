@@ -99,6 +99,9 @@ pub struct CacheStore {
     file: File,
     path: PathBuf,
     config_hash: u64,
+    /// The cascade line-up the store was opened with; preload maps each
+    /// logged prover name onto it.
+    line_up: Vec<&'static str>,
     /// Fingerprints known to be on disk (loaded or appended through this
     /// handle); `append_new` skips them.
     index: HashSet<u128>,
@@ -166,7 +169,11 @@ impl CacheStore {
     /// # Errors
     ///
     /// Propagates filesystem errors (directory creation, locking, I/O).
-    pub fn open(dir: &Path, config: &ProverConfig, provers: &[&str]) -> io::Result<CacheStore> {
+    pub fn open(
+        dir: &Path,
+        config: &ProverConfig,
+        provers: &[&'static str],
+    ) -> io::Result<CacheStore> {
         std::fs::create_dir_all(dir)?;
         let path = Self::file_path(dir, config, provers);
         let config_hash = Self::config_key(config, provers);
@@ -177,7 +184,7 @@ impl CacheStore {
             .open(&path)?;
         let mut degraded = false;
         let locked = lock_or_degrade(&file, &path, false, &mut degraded)?;
-        let result = Self::load_locked(file, path, config_hash, degraded);
+        let result = Self::load_locked(file, path, config_hash, provers.to_vec(), degraded);
         if locked {
             if let Ok(store) = &result {
                 store.file.unlock()?;
@@ -190,6 +197,7 @@ impl CacheStore {
         mut file: File,
         path: PathBuf,
         config_hash: u64,
+        line_up: Vec<&'static str>,
         lock_degraded: bool,
     ) -> io::Result<CacheStore> {
         let mut bytes = Vec::new();
@@ -200,6 +208,7 @@ impl CacheStore {
             file,
             path,
             config_hash,
+            line_up,
             index: HashSet::new(),
             loaded: Vec::new(),
             recovered_bytes: 0,
@@ -317,12 +326,18 @@ impl CacheStore {
     }
 
     /// Replays every loaded entry into the in-memory cache (without touching
-    /// its hit/miss counters), returning how many were inserted.
+    /// its hit/miss counters), returning how many were inserted.  An entry
+    /// whose prover is not in the store's line-up names no stage that could
+    /// have proved it, and is skipped.
     pub fn preload(&self, cache: &ProofCache) -> usize {
+        let mut inserted = 0;
         for (fingerprint, prover) in &self.loaded {
-            cache.record(Fingerprint::from_u128(*fingerprint), prover);
+            if let Some(&name) = self.line_up.iter().find(|name| **name == prover) {
+                cache.record(Fingerprint::from_u128(*fingerprint), name);
+                inserted += 1;
+            }
         }
-        self.loaded.len()
+        inserted
     }
 
     /// Appends the entries whose fingerprints this handle has not yet
@@ -546,7 +561,11 @@ impl StoreHandle {
     /// # Errors
     ///
     /// Propagates filesystem errors from [`CacheStore::open`].
-    pub fn open(dir: &Path, config: &ProverConfig, provers: &[&str]) -> io::Result<StoreHandle> {
+    pub fn open(
+        dir: &Path,
+        config: &ProverConfig,
+        provers: &[&'static str],
+    ) -> io::Result<StoreHandle> {
         Ok(StoreHandle {
             store: CacheStore::open(dir, config, provers)?,
             preloads: 0,
@@ -1304,14 +1323,22 @@ mod tests {
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
         let raw = 0xdead_beef_dead_beef_dead_beef_dead_beefu128;
+        // A prover outside the store's line-up could not have proved it.
+        let stranger = 0xdead_beef_dead_beef_dead_beef_dead_bee0u128;
         {
             let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
-            store.append_new(&[(fp(raw), "smt-ground".into())]).unwrap();
+            store
+                .append_new(&[
+                    (fp(raw), "smt-ground".into()),
+                    (fp(stranger), "bapa".into()),
+                ])
+                .unwrap();
         }
         let store = CacheStore::open(&dir, &config, &provers).unwrap();
         let cache = ProofCache::global();
         assert_eq!(store.preload(cache), 1);
         assert_eq!(cache.lookup(fp(raw)).as_deref(), Some("smt-ground"));
+        assert_eq!(cache.lookup(fp(stranger)), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -217,13 +217,15 @@ impl RequestScope<'_> {
 /// The cascade of provers with per-prover timeouts.
 pub struct Cascade {
     provers: Vec<Arc<dyn Prover>>,
+    /// The provers' names in dispatch order, which every fingerprint hashes.
+    line_up: Vec<&'static str>,
     config: ProverConfig,
 }
 
 impl std::fmt::Debug for Cascade {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cascade")
-            .field("provers", &self.prover_names())
+            .field("provers", &self.line_up)
             .field("config", &self.config)
             .finish()
     }
@@ -240,8 +242,8 @@ impl Cascade {
     /// solver, the BAPA and shape decision procedures, and finally the
     /// instantiating prover.
     pub fn standard(config: ProverConfig) -> Cascade {
-        Cascade {
-            provers: vec![
+        Cascade::with_provers(
+            vec![
                 Arc::new(Syntactic),
                 Arc::new(GroundSmt),
                 Arc::new(BapaProver),
@@ -249,13 +251,18 @@ impl Cascade {
                 Arc::new(InstSmt),
             ],
             config,
-        }
+        )
     }
 
     /// A cascade with a custom prover list (tests use it to substitute fake
     /// provers).
     pub fn with_provers(provers: Vec<Arc<dyn Prover>>, config: ProverConfig) -> Cascade {
-        Cascade { provers, config }
+        let line_up = provers.iter().map(|p| p.name()).collect();
+        Cascade {
+            provers,
+            line_up,
+            config,
+        }
     }
 
     /// The configured budgets.
@@ -265,7 +272,7 @@ impl Cascade {
 
     /// Names of the provers in dispatch order.
     pub fn prover_names(&self) -> Vec<&'static str> {
-        self.provers.iter().map(|p| p.name()).collect()
+        self.line_up.clone()
     }
 
     /// Runs the cascade on a query.
@@ -293,7 +300,7 @@ impl Cascade {
         let fingerprint = self
             .config
             .use_cache
-            .then(|| ProofCache::fingerprint(query, &self.config, &self.prover_names()));
+            .then(|| ProofCache::fingerprint(query, &self.config, &self.line_up));
         if let Some(fp) = fingerprint {
             if let Some(prover) = ProofCache::global().lookup(fp) {
                 return ProverAnswer {

@@ -40,6 +40,7 @@ pub mod syntactic;
 
 use ipl_logic::{Form, Labeled, SortEnv};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use cascade::{Cascade, ProverAnswer, RequestScope};
@@ -107,17 +108,19 @@ pub struct Query {
     pub assumptions: Vec<Labeled>,
     /// The goal.
     pub goal: Form,
-    /// Sorts of the free variables and signatures of the named symbols.
-    pub env: SortEnv,
+    /// Sorts of the free variables and signatures of the named symbols,
+    /// shared by the queries of one method.
+    pub env: Arc<SortEnv>,
 }
 
 impl Query {
-    /// Creates a query.
-    pub fn new(assumptions: Vec<Labeled>, goal: Form, env: SortEnv) -> Self {
+    /// Creates a query.  `env` is a [`SortEnv`] or an `Arc` of one that
+    /// other queries share.
+    pub fn new(assumptions: Vec<Labeled>, goal: Form, env: impl Into<Arc<SortEnv>>) -> Self {
         Query {
             assumptions,
             goal,
-            env,
+            env: env.into(),
         }
     }
 

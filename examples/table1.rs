@@ -34,41 +34,12 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = args.iter().position(|a| a == "--jobs").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--jobs requires a number");
-                std::process::exit(2);
-            })
-    });
-    let baseline_path = args.iter().position(|a| a == "--check-baseline").map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--check-baseline requires a path argument");
-            std::process::exit(2);
-        })
-    });
-    if quick && baseline_path.is_some() {
-        // The quick subset would report every full-run-only benchmark as
-        // missing — a guaranteed spurious violation, never a useful check.
-        eprintln!("--check-baseline requires the full run; drop --quick");
+    let args = ipl::suite::baseline::TableArgs::parse(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
-    let jobs = match (jobs, &baseline_path) {
-        (Some(jobs), Some(_)) if jobs != 1 => {
-            // Two workers can both miss the cache on one fingerprint and then
-            // both count its search, so the ground counters are exact only
-            // with one worker.
-            eprintln!("--check-baseline runs at --jobs 1; drop --jobs {jobs}");
-            std::process::exit(2);
-        }
-        (Some(jobs), _) => jobs,
-        (None, Some(_)) => 1,
-        (None, None) => 0,
-    };
+    });
     // Read the committed baseline *before* this run overwrites the file.
-    let baseline = baseline_path.as_deref().map(|path| {
+    let baseline = args.baseline.as_deref().map(|path| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read baseline {path}: {e}");
             std::process::exit(2);
@@ -81,9 +52,9 @@ fn main() {
 
     let options = ipl::core::VerifyOptions::default()
         .with_config(ipl::suite::suite_config())
-        .with_jobs(jobs);
+        .with_jobs(args.jobs);
     let start = Instant::now();
-    let rows: Vec<ipl::suite::table1::Table1Row> = if quick {
+    let rows: Vec<ipl::suite::table1::Table1Row> = if args.quick {
         // One session for the whole subset: the cascade and the store
         // handle stay warm across the three benchmarks.
         let session = ipl::core::Session::new(options.clone());

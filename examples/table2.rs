@@ -4,7 +4,13 @@
 //! Run with `cargo run --release --example table2`.  Flags:
 //!
 //! * `--quick` — only the three-structure CI smoke subset;
-//! * `--jobs N` — worker threads (default: available parallelism).
+//! * `--jobs N` — worker threads (default: available parallelism);
+//! * `--check-baseline <path>` — turn the run into the CI regression gate:
+//!   the process exits 1 when any benchmark of the committed baseline is
+//!   missing or any of its method and sequent counts, with or without proof
+//!   constructs, differs.  Cache hits are not compared.  The gate runs at
+//!   `--jobs 1`; combined with `--quick` or with `--jobs N` for N ≠ 1 it
+//!   exits 2.
 //!
 //! The run writes `BENCH_table2.json` (override with `BENCH_TABLE2_OUT`),
 //! including how many of the double run's sequents were answered by the
@@ -15,24 +21,26 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--jobs requires a number");
-                    std::process::exit(2);
-                })
+    let args = ipl::suite::baseline::TableArgs::parse(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    // Read the committed baseline *before* this run overwrites the file.
+    let baseline = args.baseline.as_deref().map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("cannot read baseline {path}: {e}");
+            std::process::exit(2);
+        });
+        ipl::suite::baseline::parse_table2_baseline(&text).unwrap_or_else(|e| {
+            eprintln!("cannot parse baseline {path}: {e}");
+            std::process::exit(2);
         })
-        .unwrap_or(0);
+    });
     let options = ipl::core::VerifyOptions::default()
         .with_config(ipl::suite::suite_config())
-        .with_jobs(jobs);
+        .with_jobs(args.jobs);
     let start = Instant::now();
-    let rows: Vec<ipl::suite::table2::Table2Row> = if quick {
+    let rows: Vec<ipl::suite::table2::Table2Row> = if args.quick {
         ["Linked List", "Cursor List", "Association List"]
             .iter()
             .map(|name| {
@@ -66,5 +74,19 @@ fn main() {
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("  wrote {out_path}"),
         Err(e) => eprintln!("  could not write {out_path}: {e}"),
+    }
+
+    // Regression gate.
+    if let Some(baseline) = baseline {
+        let violations = ipl::suite::baseline::check_table2_baseline(&rows, &baseline);
+        if violations.is_empty() {
+            println!("  baseline check passed: method and sequent counts unchanged");
+        } else {
+            eprintln!("  BASELINE REGRESSION:");
+            for violation in &violations {
+                eprintln!("    - {violation}");
+            }
+            std::process::exit(1);
+        }
     }
 }

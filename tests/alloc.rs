@@ -1,10 +1,14 @@
-//! Allocation pins for the CDCL ground core.  A counting global allocator
-//! measures two deterministic facts:
+//! Allocation pins for the CDCL ground core and the front end.  A counting
+//! global allocator measures three deterministic facts:
 //!
 //! * the clause database allocates less than the retained naive tableau,
 //!   which clones the remaining disjunction list at every branch point;
 //! * the Hash Table `put` refutations stay under an allocation ceiling, so a
-//!   regression back to string-keyed Fourier–Motzkin re-checks trips it.
+//!   regression back to string-keyed Fourier–Motzkin re-checks trips it;
+//! * the front end of Array List, up to the cache lookup, stays under an
+//!   allocation ceiling, so a regression back to copying the assumption
+//!   list per `assume`, re-interning every inherited hypothesis or
+//!   allocating a string per fingerprinted symbol trips it.
 //!
 //! The count is per thread, so tests running in parallel in this binary do
 //! not pollute each other's numbers.
@@ -12,12 +16,15 @@
 use ipl::gcl::split::split_all;
 use ipl::gcl::translate::{translate_ext, TranslateCtx};
 use ipl::gcl::wlp::vc_of;
+use ipl::lang::LoweredModule;
 use ipl::logic::{Form, SortEnv};
+use ipl::provers::cache::ProofCache;
 use ipl::provers::ground::{reference, refute, GroundResult};
 use ipl::provers::preprocess::build_problem;
-use ipl::provers::{Cancel, ProverConfig};
+use ipl::provers::{Cancel, Cascade, ProverConfig, Query};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// A pass-through allocator that counts the allocations of each thread.
 struct CountingAllocator;
@@ -123,5 +130,56 @@ fn hash_table_put_refutations_stay_under_the_allocation_ceiling() {
         "the arithmetic re-check must stay string-free \
          ({} put refutations allocated {count}, ceiling {CEILING})",
         problems.len()
+    );
+}
+
+/// The front end of every method of `lowered` up to the cache lookup, as
+/// the driver runs it: translate, `wlp`, split, then the query and the
+/// fingerprint of each non-trivial sequent.  Returns the sequent count.
+fn front_end_to_lookup(lowered: &LoweredModule, config: &ProverConfig, line_up: &[&str]) -> usize {
+    let mut sequents = 0;
+    for method in &lowered.methods {
+        let simple = translate_ext(&method.command, &mut TranslateCtx::new());
+        let env = Arc::new(method.env.clone());
+        for sequent in split_all(&vc_of(&simple)) {
+            if sequent.is_trivially_valid() {
+                continue;
+            }
+            let assumptions = sequent.selected_assumptions().into_iter().cloned();
+            let query = Query::new(
+                assumptions.collect(),
+                sequent.goal.clone(),
+                Arc::clone(&env),
+            );
+            std::hint::black_box(ProofCache::fingerprint(&query, config, line_up));
+            sequents += 1;
+        }
+    }
+    sequents
+}
+
+#[test]
+fn array_list_front_end_stays_under_the_allocation_ceiling() {
+    // Measured: 5,971 allocations in both the debug and the release
+    // profile, interning included.  Copying the assumption list at every
+    // `assume`, cloning the sort environment per query and allocating a
+    // string per fingerprinted symbol spent 13,109 on this path, and 20,016
+    // once every inherited hypothesis was interned again per sequent.
+    const CEILING: u64 = 8_000;
+    let benchmark = ipl::suite::by_name("Array List").expect("benchmark exists");
+    let module = ipl::lang::parse_module(benchmark.source).expect("parses");
+    let lowered = ipl::lang::lower_module(&module).expect("lowers");
+    let config = ProverConfig::default();
+    let line_up = Cascade::standard(config).prover_names();
+    // Warm-up pass, so the intern table already holds the method's
+    // formulas, as it does on a warm daemon.
+    let sequents = front_end_to_lookup(&lowered, &config, &line_up);
+    assert!(sequents > 0, "Array List has non-trivial sequents");
+    let (again, count) = allocations(|| front_end_to_lookup(&lowered, &config, &line_up));
+    assert_eq!(again, sequents);
+    assert!(
+        count <= CEILING,
+        "the front end must split, intern and fingerprint each formula once \
+         ({sequents} Array List sequents allocated {count}, ceiling {CEILING})"
     );
 }
