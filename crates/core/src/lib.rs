@@ -149,13 +149,6 @@ impl VerifyOptions {
         self
     }
 
-    /// Sets the module-level wall-clock budget.
-    #[must_use]
-    pub fn with_module_deadline(mut self, deadline: Duration) -> Self {
-        self.module_deadline = Some(deadline);
-        self
-    }
-
     /// Controls whether integrated proof constructs are kept (`false` is the
     /// Table 2 baseline).
     #[must_use]

@@ -1,4 +1,4 @@
-//! Formulas with cached structural hash, size and free-variable set.
+//! Formulas with cached structural hash and size.
 //!
 //! The provers' term indexes and instance-deduplication sets repeatedly hash
 //! and compare the same formulas; recomputing a structural hash (a full tree
@@ -6,22 +6,16 @@
 //! [`Form`] together with its hash and node count computed once at
 //! construction: hashing is then a single `u64` write and equality checks
 //! compare the cached hashes before falling back to structural comparison.
-//! The free-variable set is computed lazily on first use (many wrappers
-//! never need it) and shared across clones.
 
 use crate::Form;
-use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
 
-/// A formula with precomputed structural hash and size, and a lazily cached
-/// free-variable set.
+/// A formula with precomputed structural hash and size.
 #[derive(Debug, Clone)]
 pub struct Hashed {
     form: Form,
     hash: u64,
     size: usize,
-    free_vars: Arc<OnceLock<BTreeSet<String>>>,
 }
 
 impl Hashed {
@@ -31,12 +25,7 @@ impl Hashed {
         form.hash(&mut hasher);
         let hash = hasher.finish();
         let size = form.size();
-        Hashed {
-            form,
-            hash,
-            size,
-            free_vars: Arc::new(OnceLock::new()),
-        }
+        Hashed { form, hash, size }
     }
 
     /// The wrapped formula.
@@ -52,18 +41,6 @@ impl Hashed {
     /// The cached node count.
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// The cached free-variable set, computed on first use and shared across
-    /// clones of this wrapper.
-    pub fn free_vars(&self) -> &BTreeSet<String> {
-        self.free_vars
-            .get_or_init(|| crate::subst::free_vars(&self.form))
-    }
-
-    /// Unwraps the formula.
-    pub fn into_form(self) -> Form {
-        self.form
     }
 }
 
@@ -109,19 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn free_vars_are_cached_and_shared() {
-        let h = Hashed::new(parse_form("forall i:int. i < size --> p(i, x)").unwrap());
-        let clone = h.clone();
-        let fv = h.free_vars();
-        assert!(fv.contains("size") && fv.contains("x") && !fv.contains("i"));
-        // The clone shares the same lazily-initialised cell.
-        assert!(std::ptr::eq(clone.free_vars(), fv));
-    }
-
-    #[test]
-    // The free-vars cache does not participate in Eq/Hash (see clippy.toml;
-    // the crate-local path is not covered by that config entry).
-    #[allow(clippy::mutable_key_type)]
     fn works_as_a_set_key() {
         let mut set = HashSet::new();
         assert!(set.insert(Hashed::new(parse_form("p(a)").unwrap())));

@@ -36,11 +36,6 @@ impl Sort {
         Sort::Set(Box::new(Sort::Obj))
     }
 
-    /// `int set` — sets of integers.
-    pub fn int_set() -> Sort {
-        Sort::Set(Box::new(Sort::Int))
-    }
-
     /// `(int * obj) set` — the sort of indexed-content abstraction variables.
     pub fn int_obj_set() -> Sort {
         Sort::Set(Box::new(Sort::Tuple(vec![Sort::Int, Sort::Obj])))
@@ -49,16 +44,6 @@ impl Sort {
     /// An object-valued field: `obj => obj`.
     pub fn obj_field() -> Sort {
         Sort::Fn(vec![Sort::Obj], Box::new(Sort::Obj))
-    }
-
-    /// An integer-valued field: `obj => int`.
-    pub fn int_field() -> Sort {
-        Sort::Fn(vec![Sort::Obj], Box::new(Sort::Int))
-    }
-
-    /// A boolean-valued field: `obj => bool`.
-    pub fn bool_field() -> Sort {
-        Sort::Fn(vec![Sort::Obj], Box::new(Sort::Bool))
     }
 
     /// The global array state used for object arrays: `obj => int => obj`

@@ -68,16 +68,6 @@ impl SortEnv {
         self.vars.iter()
     }
 
-    /// Merges another environment into this one (other's entries win).
-    pub fn extend_from(&mut self, other: &SortEnv) {
-        for (k, v) in &other.vars {
-            self.vars.insert(k.clone(), v.clone());
-        }
-        for (k, v) in &other.funs {
-            self.funs.insert(k.clone(), v.clone());
-        }
-    }
-
     /// Computes the sort of a term, with extra local bindings for bound
     /// variables.  Unknown pieces yield [`Sort::Unknown`] rather than errors.
     pub fn sort_of_with(&self, form: &Form, locals: &HashMap<String, Sort>) -> Sort {

@@ -36,11 +36,6 @@ fn visit_free<'f>(form: &'f Form, bound: &mut Vec<&'f str>, f: &mut impl FnMut(&
     }
 }
 
-/// Returns `true` if `name` occurs free in `form`.
-pub fn occurs_free(name: &str, form: &Form) -> bool {
-    free_vars(form).contains(name)
-}
-
 /// A generator of fresh names, guaranteed distinct from all names it has seen.
 #[derive(Debug, Default, Clone)]
 pub struct FreshNames {

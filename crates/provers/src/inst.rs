@@ -611,11 +611,6 @@ impl Matcher {
             .all(|(p, t)| self.match_term(p, t, binders, assignment, trail))
     }
 
-    /// Number of indexed candidate terms (diagnostics and tests).
-    pub fn candidate_count(&self) -> usize {
-        self.index.values().map(Vec::len).sum()
-    }
-
     /// Does the asserted ground-equality congruence identify the two terms?
     /// (Used to filter per-round read-over-write axioms to pairs whose guard
     /// is actually entailed.)

@@ -8,9 +8,10 @@
 //!   proof-construct counts together with verification time;
 //! * [`table2`] — Table 2: methods and sequents verified *without* the
 //!   integrated proof language constructs versus *with* them;
-//! * [`baseline`] — the CI gate that compares a fresh Table 1 against the
-//!   committed `BENCH_table1.json`: methods verified, prover attribution and
-//!   ground-core counters, never wall-clock.
+//! * [`baseline`] — the gate that compares fresh Table 1 and Table 2
+//!   documents with the committed `BENCH_table1.json` and
+//!   `BENCH_table2.json`, field by field and never on wall-clock, and the
+//!   writer of both documents.
 //!
 //! How fast the running system is gets measured elsewhere, end to end on the
 //! `ipl` binary, by `perfbench/` (see `BENCHMARK.json`).
@@ -21,18 +22,6 @@ pub mod table1;
 pub mod table2;
 
 pub use benchmarks::{all, by_name, Benchmark};
-use ipl_provers::ProverConfig;
-
-/// The prover configuration used by the table harnesses: identical to the
-/// default cascade but with a tighter per-prover timeout so that the full
-/// suite completes quickly even when sequents fail (which is the expected
-/// outcome for the "without proof constructs" configuration).
-pub fn suite_config() -> ProverConfig {
-    ProverConfig {
-        per_prover_timeout_ms: 800,
-        ..ProverConfig::default()
-    }
-}
 
 /// Verifies one benchmark and returns its report.
 pub fn verify_benchmark(
@@ -52,8 +41,7 @@ mod tests {
     #[test]
     fn linked_list_fully_verifies() {
         let benchmark = by_name("Linked List").unwrap();
-        let options = ipl_core::VerifyOptions::default().with_config(suite_config());
-        let report = verify_benchmark(&benchmark, &options).unwrap();
+        let report = verify_benchmark(&benchmark, &ipl_core::VerifyOptions::default()).unwrap();
         assert!(
             report.fully_proved(),
             "linked list should fully verify:\n{}",
@@ -68,8 +56,7 @@ mod tests {
         // (`put` among the failures, defeated by the blind sort-pool
         // cross-product).  All five must now prove with the default config.
         let benchmark = by_name("Association List").unwrap();
-        let options = ipl_core::VerifyOptions::default().with_config(suite_config());
-        let report = verify_benchmark(&benchmark, &options).unwrap();
+        let report = verify_benchmark(&benchmark, &ipl_core::VerifyOptions::default()).unwrap();
         assert!(
             report.fully_proved(),
             "association list should fully verify:\n{}",
@@ -82,8 +69,7 @@ mod tests {
         // Regression pin: Priority Queue verified 0 of 6 methods before the
         // incremental congruence closure + E-matching rework.
         let benchmark = by_name("Priority Queue").unwrap();
-        let options = ipl_core::VerifyOptions::default().with_config(suite_config());
-        let report = verify_benchmark(&benchmark, &options).unwrap();
+        let report = verify_benchmark(&benchmark, &ipl_core::VerifyOptions::default()).unwrap();
         for method in ["findMax", "sizeOf", "clear"] {
             let m = report.methods.iter().find(|m| m.name == method).unwrap();
             assert!(
@@ -98,8 +84,7 @@ mod tests {
     fn priority_queue_induction_needs_the_induct_construct() {
         let benchmark = by_name("Priority Queue").unwrap();
         let proved_post = |options: ipl_core::VerifyOptions| {
-            let report =
-                verify_benchmark(&benchmark, &options.with_config(suite_config())).unwrap();
+            let report = verify_benchmark(&benchmark, &options).unwrap();
             let check_level = report.methods.iter().find(|m| m.name == "checkLevel");
             let sequents = &check_level.expect("checkLevel is verified").sequents;
             sequents

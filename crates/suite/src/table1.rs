@@ -2,8 +2,9 @@
 //! and integrated-proof-language construct counts for the verified data
 //! structures, together with verification time.
 
+use crate::baseline::object;
 use crate::benchmarks::{all, Benchmark};
-use ipl_core::json;
+use ipl_core::json::Json;
 use ipl_core::VerifyOptions;
 use ipl_gcl::cmd::ConstructCounts;
 use serde::{Deserialize, Serialize};
@@ -54,15 +55,17 @@ pub struct Table1Row {
 }
 
 /// Generates Table 1 by verifying every benchmark with its proof constructs,
-/// all through one long-lived [`ipl_core::Session`] (so the persistent store,
-/// when configured, is scanned once for the whole table).
-pub fn generate(options: &VerifyOptions) -> Vec<Table1Row> {
-    let session = ipl_core::Session::new(options.clone());
-    all().iter().map(|b| row_in(&session, b)).collect()
+/// one after another through one long-lived [`ipl_core::Session`] on one
+/// worker.  A row's ground counters are the growth of the process-global
+/// counters across its benchmark, so they count its search alone only while
+/// nothing else in the process verifies; and two workers can both miss the
+/// cache on one fingerprint and both count its search.
+pub fn generate() -> Vec<Table1Row> {
+    let session = ipl_core::Session::new(VerifyOptions::default().with_jobs(1));
+    all().iter().map(|b| row(&session, b)).collect()
 }
 
-/// Generates one row through an existing session.
-pub fn row_in(session: &ipl_core::Session, benchmark: &Benchmark) -> Table1Row {
+fn row(session: &ipl_core::Session, benchmark: &Benchmark) -> Table1Row {
     let ground_before = ipl_provers::ground::stats_snapshot();
     let report = session
         .verify(&ipl_core::Request::new(benchmark.source))
@@ -104,83 +107,62 @@ pub fn row_in(session: &ipl_core::Session, benchmark: &Benchmark) -> Table1Row {
     }
 }
 
-/// Run-level facts accompanying the per-benchmark rows in
-/// `BENCH_table1.json`: total wall-clock and the scheduler/cache telemetry.
-#[derive(Debug, Clone, Default)]
-pub struct BenchMeta {
-    /// Wall-clock of the whole run, milliseconds.
-    pub total_wall_ms: u128,
-    /// Worker threads used by the verification driver.
-    pub jobs: usize,
-    /// Proof-cache hits across the run.
-    pub cache_hits: usize,
+/// The `BENCH_table1.json` document: per benchmark, methods and sequents
+/// verified, wall-clock, proof-cache hits, prover attribution, per-stage
+/// cost and ground-core counters; for the run, its wall-clock and cache
+/// hits.
+pub fn document(rows: &[Table1Row], total_wall_ms: u128) -> Json {
+    let benchmarks = rows.iter().map(|row| {
+        let count = |n: usize| Json::Number(n as f64);
+        object([
+            ("name", Json::String(row.name.clone())),
+            ("methods", count(row.methods)),
+            ("methods_verified", count(row.methods_verified)),
+            ("sequents_total", count(row.sequents_total)),
+            ("sequents_proved", count(row.sequents_proved)),
+            ("sequents_crashed", count(row.sequents_crashed)),
+            ("sequents_skipped", count(row.sequents_skipped)),
+            ("wall_ms", Json::Number(row.time.as_millis() as f64)),
+            ("cache_hits", count(row.cache_hits)),
+            (
+                "provers",
+                object(row.prover_counts.iter().map(|(k, &n)| (k, count(n)))),
+            ),
+            (
+                "stage_ms",
+                object(
+                    row.stage_ms
+                        .iter()
+                        .map(|(k, &ms)| (k, Json::Number(ms as f64))),
+                ),
+            ),
+            (
+                "ground_stats",
+                object(
+                    row.ground_stats
+                        .iter()
+                        .map(|(k, &n)| (k, Json::Number(n as f64))),
+                ),
+            ),
+        ])
+    });
+    object([
+        ("total_wall_ms", Json::Number(total_wall_ms as f64)),
+        ("cache_hits", Json::Number(cache_hits(rows) as f64)),
+        ("benchmarks", Json::Array(benchmarks.collect())),
+    ])
 }
 
-/// Serialises the rows as the machine-readable `BENCH_table1.json` document
-/// consumed by the CI perf-trajectory artifact and the regression gate.
-/// (Hand-rolled JSON: the vendored `serde` is a no-op stub.)
-pub fn to_bench_json(rows: &[Table1Row], meta: &BenchMeta) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"total_wall_ms\": {},\n", meta.total_wall_ms));
-    out.push_str(&format!("  \"jobs\": {},\n", meta.jobs));
-    out.push_str(&format!("  \"cache_hits\": {},\n", meta.cache_hits));
-    out.push_str("  \"benchmarks\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let map_json = |entries: Vec<(String, String)>| {
-            let inner: Vec<String> = entries
-                .into_iter()
-                .map(|(k, v)| format!("{}: {v}", json::string(&k)))
-                .collect();
-            format!("{{{}}}", inner.join(", "))
-        };
-        let provers = map_json(
-            row.prover_counts
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_string()))
-                .collect(),
-        );
-        let stages = map_json(
-            row.stage_ms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_string()))
-                .collect(),
-        );
-        let ground = map_json(
-            row.ground_stats
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_string()))
-                .collect(),
-        );
-        out.push_str(&format!(
-            "    {{\"name\": {}, \"methods\": {}, \"methods_verified\": {}, \
-             \"sequents_total\": {}, \"sequents_proved\": {}, \
-             \"sequents_crashed\": {}, \"sequents_skipped\": {}, \"wall_ms\": {}, \
-             \"cache_hits\": {}, \"provers\": {}, \"stage_ms\": {}, \
-             \"ground_stats\": {}}}{}\n",
-            json::string(&row.name),
-            row.methods,
-            row.methods_verified,
-            row.sequents_total,
-            row.sequents_proved,
-            row.sequents_crashed,
-            row.sequents_skipped,
-            row.time.as_millis(),
-            row.cache_hits,
-            provers,
-            stages,
-            ground,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Proof-cache hits across the rows.
+fn cache_hits(rows: &[Table1Row]) -> usize {
+    rows.iter().map(|r| r.cache_hits).sum()
 }
 
 /// Renders the rows as a GitHub-flavoured markdown table (the CI job
 /// summary), including the prover that discharged each sequent and the
 /// per-stage cost, so reviewers see the Table-1 delta without downloading
 /// the artifact.
-pub fn render_markdown(rows: &[Table1Row], meta: &BenchMeta) -> String {
+pub fn render_markdown(rows: &[Table1Row], total_wall_ms: u128) -> String {
     let mut out = String::from("## Table 1 benchmark results\n\n");
     out.push_str(
         "| Benchmark | Methods | Sequents | Crashed/Skipped | Wall (ms) | Discharged by | \
@@ -231,8 +213,7 @@ pub fn render_markdown(rows: &[Table1Row], meta: &BenchMeta) -> String {
     let methods_verified: usize = rows.iter().map(|r| r.methods_verified).sum();
     let methods: usize = rows.iter().map(|r| r.methods).sum();
     out.push_str(&format!(
-        "\n**{methods_verified}/{methods} methods verified, total wall-clock {} ms**\n",
-        meta.total_wall_ms
+        "\n**{methods_verified}/{methods} methods verified, total wall-clock {total_wall_ms} ms**\n"
     ));
     let crashed: usize = rows.iter().map(|r| r.sequents_crashed).sum();
     let skipped: usize = rows.iter().map(|r| r.sequents_skipped).sum();
@@ -256,12 +237,10 @@ pub fn render_markdown(rows: &[Table1Row], meta: &BenchMeta) -> String {
         total_stat("conflicts"),
         total_stat("learned_clauses"),
     ));
+    let hits = cache_hits(rows);
     out.push_str(&format!(
-        "\nScheduler: {} worker thread{}, {} proof-cache hit{}\n",
-        meta.jobs,
-        if meta.jobs == 1 { "" } else { "s" },
-        meta.cache_hits,
-        if meta.cache_hits == 1 { "" } else { "s" },
+        "\nOne worker thread, {hits} proof-cache hit{}\n",
+        if hits == 1 { "" } else { "s" },
     ));
     out
 }
@@ -371,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_well_formed() {
+    fn document_prints_every_field_one_benchmark_per_line() {
         let row = Table1Row {
             name: "Linked List".to_string(),
             methods: 6,
@@ -405,32 +384,20 @@ mod tests {
             .into_iter()
             .collect(),
         };
-        let meta = BenchMeta {
-            total_wall_ms: 1234,
-            jobs: 4,
-            cache_hits: 7,
-        };
-        let json = to_bench_json(&[row], &meta);
-        assert!(json.contains(
-            "\"ground_stats\": {\"bool_propagations\": 540, \"conflicts\": 73, \
-             \"decisions\": 63, \"learned_clauses\": 18, \"theory_propagations\": 26}"
-        ));
-        assert!(json.contains("\"total_wall_ms\": 1234"));
-        assert!(json.contains("\"jobs\": 4"));
-        assert!(json.contains("\"cache_hits\": 7"));
-        assert!(json.contains("\"name\": \"Linked List\""));
-        assert!(json.contains("\"methods_verified\": 6"));
-        assert!(json.contains("\"sequents_crashed\": 1"));
-        assert!(json.contains("\"sequents_skipped\": 2"));
-        assert!(json.contains("\"wall_ms\": 12"));
-        assert!(json.contains("\"provers\": {\"smt-ground\": 30, \"trivial\": 10}"));
-        assert!(json.contains("\"stage_ms\": {\"bapa\": 2, \"smt-ground\": 9}"));
-        // Balanced braces/brackets as a cheap well-formedness check.
+        let text = crate::baseline::format_document(&document(&[row.clone(), row], 1234));
+        let line = "{\"cache_hits\": 7, \"ground_stats\": {\"bool_propagations\": 540, \
+                    \"conflicts\": 73, \"decisions\": 63, \"learned_clauses\": 18, \
+                    \"theory_propagations\": 26}, \"methods\": 6, \"methods_verified\": 6, \
+                    \"name\": \"Linked List\", \"provers\": {\"smt-ground\": 30, \"trivial\": 10}, \
+                    \"sequents_crashed\": 1, \"sequents_proved\": 40, \"sequents_skipped\": 2, \
+                    \"sequents_total\": 40, \"stage_ms\": {\"bapa\": 2, \"smt-ground\": 9}, \
+                    \"wall_ms\": 12}";
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
+            text,
+            format!(
+                "{{\n  \"benchmarks\": [\n    {line},\n    {line}\n  ],\n  \
+                 \"cache_hits\": 14,\n  \"total_wall_ms\": 1234\n}}\n"
+            )
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

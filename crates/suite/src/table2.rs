@@ -2,9 +2,10 @@
 //! proof language constructs — methods and sequents verified without the
 //! constructs versus with them.
 
+use crate::baseline::object;
 use crate::benchmarks::{all, Benchmark};
-use ipl_core::json;
-use ipl_core::VerifyOptions;
+use ipl_core::json::Json;
+use ipl_core::{Session, VerifyOptions};
 use serde::{Deserialize, Serialize};
 
 /// One row of Table 2.
@@ -28,38 +29,24 @@ pub struct Table2Row {
     pub sequents_total_with: usize,
     /// Sequents of the double run answered from the proof cache (the "with"
     /// pass re-proves every obligation it shares with the "without" pass for
-    /// free).  Derived from the two reports rather than the process-global
-    /// counters, which are reset at the start of every `Session::verify` call.
+    /// free).  Counted from the two reports' answers rather than from the
+    /// process-global cache counters, which every session in the process
+    /// adds to and verification never resets.
     pub cache_hits: usize,
 }
 
-/// Generates Table 2 by running each benchmark twice: one session per
-/// configuration (the session owns the cascade and store handle, so the
-/// eight benchmarks of each pass share them).
-pub fn generate(options: &VerifyOptions) -> Vec<Table2Row> {
-    let (without, with) = sessions(options);
-    all().iter().map(|b| row_in(&without, &with, b)).collect()
+/// Generates Table 2 by running each benchmark twice, on one worker: one
+/// session per configuration (the session owns the cascade and store
+/// handle, so the eight benchmarks of each pass share them).
+pub fn generate() -> Vec<Table2Row> {
+    let options = VerifyOptions::default().with_jobs(1);
+    let without = Session::new(options.clone().with_proof_constructs(false));
+    let with = Session::new(options);
+    all().iter().map(|b| row(&without, &with, b)).collect()
 }
 
-/// Generates one row with throwaway sessions.
-pub fn row(benchmark: &Benchmark, options: &VerifyOptions) -> Table2Row {
-    let (without, with) = sessions(options);
-    row_in(&without, &with, benchmark)
-}
-
-/// The two sessions of the double run: without proof constructs, and with.
-fn sessions(options: &VerifyOptions) -> (ipl_core::Session, ipl_core::Session) {
-    let without = ipl_core::Session::new(options.clone().with_proof_constructs(false));
-    let with = ipl_core::Session::new(options.clone());
-    (without, with)
-}
-
-fn row_in(
-    without_session: &ipl_core::Session,
-    with_session: &ipl_core::Session,
-    benchmark: &Benchmark,
-) -> Table2Row {
-    let verify = |session: &ipl_core::Session| {
+fn row(without_session: &Session, with_session: &Session, benchmark: &Benchmark) -> Table2Row {
+    let verify = |session: &Session| {
         session
             .verify(&ipl_core::Request::new(benchmark.source))
             .map(|response| response.report)
@@ -80,43 +67,31 @@ fn row_in(
     }
 }
 
-/// Serialises the rows as the machine-readable `BENCH_table2.json` document
-/// (CI artifact; hand-rolled JSON — the vendored `serde` is a no-op stub).
-/// `cache_hits` records how many sequents of the double run were answered
-/// from the proof cache: the "with" pass re-proves every obligation it
-/// shares with the "without" pass for free, which is the cache's headline
-/// win on this table.
-pub fn to_bench_json(
-    rows: &[Table2Row],
-    total_wall_ms: u128,
-    jobs: usize,
-    cache_hits: usize,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"total_wall_ms\": {total_wall_ms},\n"));
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"cache_hits\": {cache_hits},\n"));
-    out.push_str("  \"benchmarks\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": {}, \"methods_total\": {}, \
-             \"methods_without\": {}, \"sequents_without\": {}, \"sequents_total_without\": {}, \
-             \"methods_with\": {}, \"sequents_with\": {}, \"sequents_total_with\": {}, \
-             \"cache_hits\": {}}}{}\n",
-            json::string(&row.name),
-            row.methods_total,
-            row.methods_without,
-            row.sequents_without,
-            row.sequents_total_without,
-            row.methods_with,
-            row.sequents_with,
-            row.sequents_total_with,
-            row.cache_hits,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_table2.json` document: per benchmark, methods and sequents
+/// verified with and without proof constructs and the double run's
+/// proof-cache hits; for the run, its wall-clock and cache hits.  The
+/// "with" pass re-proves every obligation it shares with the "without" pass
+/// for free, which is the cache's headline win on this table.
+pub fn document(rows: &[Table2Row], total_wall_ms: u128) -> Json {
+    let count = |n: usize| Json::Number(n as f64);
+    let benchmarks = rows.iter().map(|row| {
+        object([
+            ("name", Json::String(row.name.clone())),
+            ("methods_total", count(row.methods_total)),
+            ("methods_without", count(row.methods_without)),
+            ("sequents_without", count(row.sequents_without)),
+            ("sequents_total_without", count(row.sequents_total_without)),
+            ("methods_with", count(row.methods_with)),
+            ("sequents_with", count(row.sequents_with)),
+            ("sequents_total_with", count(row.sequents_total_with)),
+            ("cache_hits", count(row.cache_hits)),
+        ])
+    });
+    object([
+        ("total_wall_ms", Json::Number(total_wall_ms as f64)),
+        ("cache_hits", count(rows.iter().map(|r| r.cache_hits).sum())),
+        ("benchmarks", Json::Array(benchmarks.collect())),
+    ])
 }
 
 /// Renders the table in the layout of the paper.
@@ -166,8 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_well_formed() {
-        let rows = vec![Table2Row {
+    fn document_prints_every_field_one_benchmark_per_line() {
+        let row = Table2Row {
             name: "Linked List".into(),
             methods_without: 5,
             sequents_without: 40,
@@ -177,14 +152,15 @@ mod tests {
             sequents_with: 48,
             sequents_total_with: 48,
             cache_hits: 17,
-        }];
-        let json = to_bench_json(&rows, 777, 4, 31);
-        assert!(json.contains("\"total_wall_ms\": 777"));
-        assert!(json.contains("\"jobs\": 4"));
-        assert!(json.contains("\"cache_hits\": 31"));
-        assert!(json.contains("\"cache_hits\": 17"));
-        assert!(json.contains("\"methods_with\": 6"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(ipl_core::json::parse_json(&json).is_ok());
+        };
+        let text = crate::baseline::format_document(&document(&[row], 777));
+        assert_eq!(
+            text,
+            "{\n  \"benchmarks\": [\n    {\"cache_hits\": 17, \"methods_total\": 6, \
+             \"methods_with\": 6, \"methods_without\": 5, \"name\": \"Linked List\", \
+             \"sequents_total_with\": 48, \"sequents_total_without\": 44, \
+             \"sequents_with\": 48, \"sequents_without\": 40}\n  ],\n  \
+             \"cache_hits\": 17,\n  \"total_wall_ms\": 777\n}\n"
+        );
     }
 }

@@ -8,7 +8,7 @@ use ipl::suite::by_name;
 
 fn main() {
     let benchmark = by_name("Array List").expect("benchmark exists");
-    let options = VerifyOptions::default().with_config(ipl::suite::suite_config());
+    let options = VerifyOptions::default();
     let verify = |options: VerifyOptions| {
         Session::new(options)
             .verify(&Request::new(benchmark.source))

@@ -20,7 +20,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let dump = args.iter().any(|a| a == "--dump");
     let names: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let options = ipl::core::VerifyOptions::default().with_config(ipl::suite::suite_config());
+    let options = ipl::core::VerifyOptions::default();
     for benchmark in ipl::suite::all() {
         if !names.is_empty() && !names.iter().any(|n| benchmark.name.contains(n.as_str())) {
             continue;
@@ -50,7 +50,7 @@ fn dump_method(benchmark: &ipl::suite::Benchmark, method_name: &str) {
     use ipl::gcl::wlp::vc_of;
     let module = ipl::lang::parse_module(benchmark.source).unwrap();
     let lowered = ipl::lang::lower_module(&module).unwrap();
-    let cascade = ipl::provers::Cascade::standard(ipl::suite::suite_config());
+    let cascade = ipl::provers::Cascade::standard(ipl::provers::ProverConfig::default());
     for method in &lowered.methods {
         if method.name != method_name {
             continue;

@@ -6,12 +6,11 @@
 //! ipl cache DIR            inspect the proof-store files in a cache directory
 //! ```
 //!
-//! `ipl verify` is the serving entry point the ROADMAP's
-//! "verification-as-a-service" item asks for: pointed at a cache directory
-//! (`--cache-dir` or `$IPL_CACHE_DIR`), it preloads every previously proved
-//! fingerprint before dispatch and persists every fresh proof after, so the
-//! second run over an unchanged module costs one hash lookup per sequent —
-//! across processes and, with a shared directory, across machines.
+//! Pointed at a cache directory (`--cache-dir` or `$IPL_CACHE_DIR`),
+//! `ipl verify` preloads every previously proved fingerprint before dispatch
+//! and persists every fresh proof after, so the second run over an unchanged
+//! module costs one hash lookup per sequent — across processes and, with a
+//! shared directory, across machines.
 
 use ipl::core::{ModuleReport, Request, SequentReport, Session, VerifyOptions};
 use ipl::provers::{cache_store, fault};

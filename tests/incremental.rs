@@ -51,7 +51,7 @@ fn options(cache_dir: Option<PathBuf>, use_cache: bool) -> VerifyOptions {
         .with_config(ipl::provers::ProverConfig {
             use_cache,
             per_prover_timeout_ms: 600_000,
-            ..ipl::suite::suite_config()
+            ..ipl::provers::ProverConfig::default()
         })
         .with_jobs(1);
     options.cache_dir = cache_dir;

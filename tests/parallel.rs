@@ -21,7 +21,7 @@ fn options(jobs: usize) -> VerifyOptions {
         .with_config(ipl::provers::ProverConfig {
             use_cache: false,
             per_prover_timeout_ms: 600_000,
-            ..ipl::suite::suite_config()
+            ..ipl::provers::ProverConfig::default()
         })
         .with_jobs(jobs)
 }
