@@ -196,7 +196,7 @@ impl Session {
                     Ok(count) => appended = count,
                     Err(e) => eprintln!(
                         "warning: could not persist proofs to {}: {e}",
-                        handle.store().path().display()
+                        handle.path().display()
                     ),
                 }
             }
@@ -214,8 +214,7 @@ impl Session {
 
     /// Compacts the session's persistent store in place: duplicates and
     /// corrupt ranges are dropped via write-to-temp + atomic rename and the
-    /// generation stamp is bumped (see
-    /// [`CacheStore::compact`](ipl_provers::cache_store::CacheStore::compact)).
+    /// generation stamp is bumped (see [`StoreHandle::compact`]).
     /// The warm index swaps over without a rescan — `store_preloads` stays
     /// at most 1 — and the set of answerable fingerprints is unchanged.
     /// Returns `None` when the session has no store.
@@ -259,7 +258,7 @@ impl Session {
             ..SessionStats::default()
         };
         if let Some(handle) = store.as_ref() {
-            stats.store_entries = handle.store().len();
+            stats.store_entries = handle.len();
             stats.store_preloads = handle.preload_count();
             stats.store_appended = handle.appended();
         }
@@ -344,6 +343,34 @@ mod tests {
         assert_eq!(second.store_preloads, 1, "no second scan of the log");
         assert_eq!(second.store_appended, 0, "nothing new to persist");
         assert!(second.store_entries >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sequent_proved_twice_in_one_request_is_stored_once() {
+        // The second method repeats the first one's sequent: it is answered
+        // from the memory cache, and both answers reach one append batch.
+        let twins = r#"
+            module Twins {
+              var value: int;
+              method a()
+                modifies value
+                ensures "value = old(value) + 1"
+              { value := value + 1; }
+              method b()
+                modifies value
+                ensures "value = old(value) + 1"
+              { value := value + 1; }
+            }
+        "#;
+        let dir = temp_dir("twins");
+        let session = Session::new(VerifyOptions::default().with_cache_dir(&dir));
+        let response = session.verify(&Request::new(twins).with_jobs(1)).unwrap();
+        assert!(response.report.fully_proved());
+        let files = ipl_provers::cache_store::scan_dir(&dir).unwrap();
+        assert_eq!(files.len(), 1);
+        assert_eq!(files[0].entries, 1, "one sequent, one entry on disk");
+        assert_eq!(response.store_appended, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

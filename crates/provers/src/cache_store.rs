@@ -9,6 +9,12 @@
 //! follows the prove-once/check-cheaply asymmetry: proving a sequent is
 //! expensive, replaying its 128-bit content fingerprint is a set probe.
 //!
+//! A [`StoreHandle`] is the one way in: it opens the log and scans it once,
+//! replays it into the in-memory cache at most once
+//! ([`StoreHandle::ensure_preloaded`]), appends freshly proved fingerprints
+//! after every verify, and compacts on request.  [`inspect`], [`scan_dir`],
+//! [`compact_file`] and [`compact_dir`] serve `ipl cache` without a handle.
+//!
 //! ## File format
 //!
 //! One store file per `(schema version, prover configuration)` pair, named
@@ -24,8 +30,8 @@
 //!
 //! The checksum covers every preceding byte of the entry, so a torn write
 //! (crash mid-append, disk full) invalidates exactly the torn bytes.  The
-//! generation counts whole-file rewrites ([`CacheStore::compact`]): a warm
-//! handle uses it to tell "same log, more entries" from "log replaced".
+//! generation counts whole-file rewrites ([`StoreHandle::compact`],
+//! [`compact_file`]).
 //!
 //! ## Crash safety and concurrency
 //!
@@ -35,22 +41,22 @@
 //! complete entries appended *after* a torn one — by another process, say —
 //! survive.  A pure torn tail is truncated (only while the advisory lock is
 //! actually held); mid-log garbage is left in place and removed by the next
-//! [`CacheStore::compact`].  A file whose header does not match the expected
-//! magic, schema version and configuration hash is treated as poisoned: it
-//! is moved to a `quarantine/` subdirectory (never silently rewritten in
-//! place) with a logged reason, and a fresh store file takes its path.
+//! compaction.  A file whose header does not match the expected magic,
+//! schema version and configuration hash is treated as poisoned: it is moved
+//! to a `quarantine/` subdirectory (never silently rewritten in place) with a
+//! logged reason, and a fresh store file takes its path.
 //!
-//! *Compaction* ([`CacheStore::compact`], [`compact_file`]) rewrites the log
-//! dropping duplicate fingerprints and corrupt ranges, by writing a temp
-//! file and atomically renaming it over the store, bumping the generation.
-//! Handles in other processes detect the swapped inode on their next append
-//! and reopen; their indexes stay valid because compaction only drops
-//! duplicates, never live fingerprints.
+//! *Compaction* rewrites the log dropping duplicate fingerprints and corrupt
+//! ranges, by writing a temp file and atomically renaming it over the store,
+//! bumping the generation.  Handles in other processes find the swapped
+//! inode the next time they take the lock and reopen; their indexes stay
+//! valid because compaction only drops duplicates, never live fingerprints.
 //!
-//! *Concurrent processes* sharing one cache directory are safe: every load
-//! and every append happens under an OS advisory file lock
-//! ([`std::fs::File::lock`]), and appends are single `write` calls on a file
-//! opened in append mode, so entries from two processes interleave at entry
+//! *Concurrent processes* sharing one cache directory are safe: every load,
+//! append and compaction happens under an OS advisory file lock
+//! ([`std::fs::File::lock`]) taken on the file that is at the path once the
+//! lock is held, and appends are single `write` calls on a file opened in
+//! append mode, so entries from two processes interleave at entry
 //! granularity.  A store handle only indexes the entries it has seen; a
 //! fresh `open` picks up everything every process appended.
 //!
@@ -92,20 +98,28 @@ const MAGIC: [u8; 8] = *b"IPLPROOF";
 pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 /// Longest admissible prover name; anything larger marks a corrupt entry.
 const MAX_PROVER_LEN: usize = 256;
+/// Why a file was moved to `quarantine/`.
+const FOREIGN_HEADER: &str = "foreign or damaged header";
 
-/// A persistent, append-only store of proved fingerprints backing the
-/// in-memory [`ProofCache`].
-pub struct CacheStore {
+/// A long-lived handle on the persistent, append-only store of proved
+/// fingerprints backing the in-memory [`ProofCache`].
+///
+/// Opening scans the whole log once; doing that once per verify would be the
+/// dominant fixed cost of a warm request, so a daemon or an incremental loop
+/// keeps one handle, replays it into the cache at most once and appends
+/// freshly proved fingerprints after every verify.
+pub struct StoreHandle {
     file: File,
     path: PathBuf,
     config_hash: u64,
-    /// The cascade line-up the store was opened with; preload maps each
+    /// The cascade line-up the store was opened with; the replay maps each
     /// logged prover name onto it.
     line_up: Vec<&'static str>,
-    /// Fingerprints known to be on disk (loaded or appended through this
-    /// handle); `append_new` skips them.
+    /// Fingerprints known to be on disk (loaded, appended or kept by a
+    /// compaction through this handle); appends skip them.
     index: HashSet<u128>,
-    /// Entries read at open time, in log order.
+    /// Entries read at open time (or kept by the last compaction), in log
+    /// order.
     loaded: Vec<(u128, String)>,
     /// Corrupt bytes skipped (and, for a pure torn tail, truncated) at open
     /// time.
@@ -113,33 +127,37 @@ pub struct CacheStore {
     /// `true` when complete entries were recovered *after* a corrupt range —
     /// i.e. the resync scan actually rescued someone's appends.
     salvaged: bool,
-    /// Generation stamp from the header; bumped on every compaction.
+    /// Generation stamp from the header this handle last read or wrote.
     generation: u64,
-    /// `true` when the existing file had a foreign or damaged header and was
-    /// quarantined, starting this handle on a fresh file.
-    poisoned: bool,
-    /// Where the poisoned file was moved, when it was.
+    /// Where a poisoned file found at open time was moved, when one was.
     quarantined: Option<PathBuf>,
     /// `true` once an advisory lock attempt came back `Unsupported` (some
     /// network/overlay filesystems) and the store fell back to lock-free
     /// operation for this handle.
     lock_degraded: bool,
+    /// Whether the loaded log was replayed into a cache; the daemon's "no
+    /// re-scan" guarantee is asserted against it.
+    preloaded: bool,
+    /// Total entries appended through this handle.
+    appended: usize,
 }
 
-impl std::fmt::Debug for CacheStore {
+impl std::fmt::Debug for StoreHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheStore")
+        f.debug_struct("StoreHandle")
             .field("path", &self.path)
             .field("entries", &self.index.len())
             .field("generation", &self.generation)
             .field("recovered_bytes", &self.recovered_bytes)
-            .field("poisoned", &self.poisoned)
+            .field("quarantined", &self.quarantined)
             .field("lock_degraded", &self.lock_degraded)
+            .field("preloaded", &self.preloaded)
+            .field("appended", &self.appended)
             .finish()
     }
 }
 
-impl CacheStore {
+impl StoreHandle {
     /// The configuration key a store file is segregated by: a deterministic
     /// hash of the prover budgets and the cascade line-up.  (Deterministic
     /// within one toolchain; the schema version in the filename guards
@@ -160,11 +178,11 @@ impl CacheStore {
 
     /// Opens (creating if necessary) the store for `config` in `dir`, loading
     /// every complete entry under an exclusive advisory lock.  A corrupt tail
-    /// is truncated; a file with a foreign header is rewritten fresh.  A
-    /// filesystem that does not support advisory locks degrades to lock-free
-    /// operation (logged once) instead of failing the run — single-process
-    /// use stays fully safe, concurrent processes fall back to the per-entry
-    /// checksums.
+    /// is truncated; a file with a foreign header is quarantined and a fresh
+    /// one takes its path.  A filesystem that does not support advisory locks
+    /// degrades to lock-free operation (logged once) instead of failing the
+    /// run — single-process use stays fully safe, concurrent processes fall
+    /// back to the per-entry checksums.
     ///
     /// # Errors
     ///
@@ -173,82 +191,66 @@ impl CacheStore {
         dir: &Path,
         config: &ProverConfig,
         provers: &[&'static str],
-    ) -> io::Result<CacheStore> {
+    ) -> io::Result<StoreHandle> {
         std::fs::create_dir_all(dir)?;
         let path = Self::file_path(dir, config, provers);
-        let config_hash = Self::config_key(config, provers);
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(&path)?;
-        let mut degraded = false;
-        let locked = lock_or_degrade(&file, &path, false, &mut degraded)?;
-        let result = Self::load_locked(file, path, config_hash, provers.to_vec(), degraded);
-        if locked {
-            if let Ok(store) = &result {
-                store.file.unlock()?;
-            }
-        }
-        result
-    }
-
-    fn load_locked(
-        mut file: File,
-        path: PathBuf,
-        config_hash: u64,
-        line_up: Vec<&'static str>,
-        lock_degraded: bool,
-    ) -> io::Result<CacheStore> {
-        let mut bytes = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut bytes)?;
-
-        let mut store = CacheStore {
-            file,
+        let mut handle = StoreHandle {
+            file: open_log(&path)?,
             path,
-            config_hash,
-            line_up,
+            config_hash: Self::config_key(config, provers),
+            line_up: provers.to_vec(),
             index: HashSet::new(),
             loaded: Vec::new(),
             recovered_bytes: 0,
             salvaged: false,
             generation: 0,
-            poisoned: false,
             quarantined: None,
-            lock_degraded,
+            lock_degraded: false,
+            preloaded: false,
+            appended: 0,
         };
-
-        if bytes.is_empty() {
-            store.write_header()?;
-            return Ok(store);
-        }
-        if !header_matches(&bytes, config_hash) {
-            // Poisoned: the name promised our schema and configuration but
-            // the header disagrees.  Nothing in the file can be trusted, so
-            // it is moved aside for post-mortem — never rewritten in place —
-            // and a fresh file takes its path.
-            store.poisoned = true;
-            store.quarantined = Some(quarantine_file(&store.path, "foreign or damaged header")?);
-            store.file = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create(true)
-                .open(&store.path)?;
-            store.write_header()?;
-            return Ok(store);
-        }
-        store.generation = header_generation(&bytes);
-
-        let log = decode_log(&bytes[HEADER_LEN..], config_hash);
-        for (fingerprint, prover) in log.entries {
-            if store.index.insert(fingerprint) {
-                store.loaded.push((fingerprint, prover));
+        loop {
+            let held = lock_live(
+                &mut handle.file,
+                &handle.path,
+                false,
+                &mut handle.lock_degraded,
+            )?;
+            let loaded = handle.load(held)?;
+            if held {
+                handle.file.unlock()?;
+            }
+            if loaded {
+                return Ok(handle);
             }
         }
-        store.recovered_bytes = log.skipped_bytes;
-        store.salvaged = log.resynced;
-        if log.skipped_bytes > 0 && !log.resynced && !lock_degraded {
+    }
+
+    /// Reads the log into the index (`held`: under the advisory lock).  A
+    /// file that is not a store of this schema and configuration is
+    /// poisoned: nothing in it can be trusted, so it is moved aside for
+    /// post-mortem — never rewritten in place — and `false` asks the caller
+    /// to lock and load the fresh file that takes its path.
+    fn load(&mut self, held: bool) -> io::Result<bool> {
+        let bytes = read_all(&self.file)?;
+        if bytes.is_empty() {
+            self.file
+                .write_all(&header_bytes(self.config_hash, self.generation))?;
+            return Ok(true);
+        }
+        let Some(log) = read_log(&bytes).filter(|log| log.is_ours(self.config_hash)) else {
+            self.quarantined = Some(quarantine_file(&self.path, FOREIGN_HEADER)?);
+            return Ok(false);
+        };
+        self.generation = log.generation;
+        for (fingerprint, prover) in log.entries {
+            if self.index.insert(fingerprint) {
+                self.loaded.push((fingerprint, prover));
+            }
+        }
+        self.recovered_bytes = log.skipped_bytes;
+        self.salvaged = log.resynced;
+        if log.skipped_bytes > 0 && !log.resynced && held {
             // A pure torn tail (crash mid-append, nothing readable after it):
             // drop it so future appends land on a clean boundary.  Only done
             // while the advisory lock is actually held — lock-free, another
@@ -256,14 +258,9 @@ impl CacheStore {
             // would destroy its entries.  Mid-log garbage (`resynced`) is
             // left in place for the next compaction; the resync scan reads
             // past it on every load.
-            store.file.set_len((HEADER_LEN + log.clean_len) as u64)?;
+            self.file.set_len((HEADER_LEN + log.clean_len) as u64)?;
         }
-        Ok(store)
-    }
-
-    fn write_header(&mut self) -> io::Result<()> {
-        self.file
-            .write_all(&header_bytes(self.config_hash, self.generation))
+        Ok(true)
     }
 
     /// The store file backing this handle.
@@ -281,7 +278,8 @@ impl CacheStore {
         self.index.is_empty()
     }
 
-    /// Entries read from disk when the store was opened, in log order.
+    /// Entries read from disk when the store was opened (or kept by its last
+    /// compaction), in log order.
     pub fn loaded_entries(&self) -> &[(u128, String)] {
         &self.loaded
     }
@@ -298,15 +296,15 @@ impl CacheStore {
         self.salvaged
     }
 
-    /// The header's generation stamp: how many times this log has been
-    /// compacted (rewritten wholesale) since it was created.
+    /// The generation stamp of the header this handle last read or wrote:
+    /// how many times the log had been compacted (rewritten wholesale).
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
     /// `true` when the existing file had a foreign header and was ignored.
     pub fn was_poisoned(&self) -> bool {
-        self.poisoned
+        self.quarantined.is_some()
     }
 
     /// Where the poisoned file was quarantined, when one was.
@@ -325,11 +323,16 @@ impl CacheStore {
         self.index.contains(&fingerprint.as_u128())
     }
 
-    /// Replays every loaded entry into the in-memory cache (without touching
-    /// its hit/miss counters), returning how many were inserted.  An entry
-    /// whose prover is not in the store's line-up names no stage that could
-    /// have proved it, and is skipped.
-    pub fn preload(&self, cache: &ProofCache) -> usize {
+    /// Replays the loaded log into `cache` (without touching its hit/miss
+    /// counters) the first time it is called; every later call is a no-op
+    /// returning 0.  Returns how many entries were replayed.  An entry whose
+    /// prover is not in the store's line-up names no stage that could have
+    /// proved it, and is skipped.
+    pub fn ensure_preloaded(&mut self, cache: &ProofCache) -> usize {
+        if self.preloaded {
+            return 0;
+        }
+        self.preloaded = true;
         let mut inserted = 0;
         for (fingerprint, prover) in &self.loaded {
             if let Some(&name) = self.line_up.iter().find(|name| **name == prover) {
@@ -340,9 +343,20 @@ impl CacheStore {
         inserted
     }
 
+    /// How many times the on-disk log was replayed into a cache (0 before
+    /// the first [`StoreHandle::ensure_preloaded`], 1 forever after).
+    pub fn preload_count(&self) -> usize {
+        usize::from(self.preloaded)
+    }
+
+    /// Total entries appended through this handle.
+    pub fn appended(&self) -> usize {
+        self.appended
+    }
+
     /// Appends the entries whose fingerprints this handle has not yet
-    /// persisted, as one locked, single-`write` batch.  Returns how many
-    /// entries were written.
+    /// persisted, each fingerprint once, as one locked, single-`write`
+    /// batch.  Returns how many entries were written.
     ///
     /// # Errors
     ///
@@ -353,44 +367,44 @@ impl CacheStore {
         self.append_with(entries, None)
     }
 
-    /// [`CacheStore::append_new`] under a request's fault plan, which may
+    /// [`StoreHandle::append_new`] under a request's fault plan, which may
     /// fail its lock (`lock_fail`), tear its write (`short_write`) or fail it
     /// before writing (`disk_full`).
     ///
     /// # Errors
     ///
-    /// As [`CacheStore::append_new`], plus the injected faults.
+    /// As [`StoreHandle::append_new`], plus the injected faults.
     pub fn append_with(
         &mut self,
         entries: &[(Fingerprint, String)],
         faults: Option<&FaultPlan>,
     ) -> io::Result<usize> {
-        let fresh: Vec<&(Fingerprint, String)> = entries
-            .iter()
-            .filter(|(fingerprint, _)| !self.index.contains(&fingerprint.as_u128()))
-            .collect();
+        let mut fresh = HashSet::new();
+        let mut buffer = Vec::new();
+        for (fingerprint, prover) in entries {
+            let raw = fingerprint.as_u128();
+            if !self.index.contains(&raw) && fresh.insert(raw) {
+                encode_entry(&mut buffer, raw, prover, self.config_hash);
+            }
+        }
         if fresh.is_empty() {
             return Ok(0);
         }
-        self.reopen_if_stale()?;
-        let mut buffer = Vec::new();
-        for (fingerprint, prover) in &fresh {
-            encode_entry(&mut buffer, fingerprint.as_u128(), prover, self.config_hash);
-        }
-        let path = self.path.clone();
         let lock_fails = faults.is_some_and(|plan| plan.store_lock_fails(batch_key(&buffer)));
-        let locked = lock_or_degrade(&self.file, &path, lock_fails, &mut self.lock_degraded)?;
-        let written = self.write_batch(&buffer, locked, faults);
-        if locked {
+        let held = lock_live(
+            &mut self.file,
+            &self.path,
+            lock_fails,
+            &mut self.lock_degraded,
+        )?;
+        let written = self.write_batch(&buffer, held, faults);
+        if held {
             self.file.unlock()?;
         }
         written?;
-        let mut count = 0;
-        for (fingerprint, _) in &fresh {
-            if self.index.insert(fingerprint.as_u128()) {
-                count += 1;
-            }
-        }
+        let count = fresh.len();
+        self.index.extend(fresh);
+        self.appended += count;
         Ok(count)
     }
 
@@ -399,9 +413,17 @@ impl CacheStore {
     fn write_batch(
         &mut self,
         buffer: &[u8],
-        locked: bool,
+        held: bool,
         faults: Option<&FaultPlan>,
     ) -> io::Result<()> {
+        let mut len_before = self.file.metadata().map(|m| m.len());
+        if let Ok(0) = len_before {
+            // The path was recreated under this handle (its file was
+            // quarantined or removed): the fresh file starts with a header.
+            self.file
+                .write_all(&header_bytes(self.config_hash, self.generation))?;
+            len_before = Ok(HEADER_LEN as u64);
+        }
         if let Some(plan) = faults {
             match plan.store_append_fault(batch_key(buffer), buffer.len()) {
                 Some(StoreFault::DiskFull) => {
@@ -419,9 +441,8 @@ impl CacheStore {
                 None => {}
             }
         }
-        let len_before = self.file.metadata().map(|m| m.len());
         let result = self.file.write_all(buffer).and_then(|()| self.file.flush());
-        if result.is_err() && locked {
+        if result.is_err() && held {
             // Best-effort rollback of a real torn write to the batch
             // boundary, so the log stays clean without waiting for the next
             // open's checksum recovery.  If the truncate fails too, that
@@ -437,95 +458,28 @@ impl CacheStore {
         result
     }
 
-    /// Detects that the file at `path` was atomically replaced (another
-    /// handle compacted it, or the loader quarantined a poisoned log) and
-    /// reopens the live file, so appends land in the current log rather
-    /// than the unlinked old inode.
-    fn reopen_if_stale(&mut self) -> io::Result<()> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::MetadataExt;
-            let stale = match (self.file.metadata(), std::fs::metadata(&self.path)) {
-                (Ok(ours), Ok(live)) => ours.dev() != live.dev() || ours.ino() != live.ino(),
-                // Path gone entirely (quarantined / deleted): recreate.
-                (_, Err(e)) if e.kind() == io::ErrorKind::NotFound => true,
-                _ => false,
-            };
-            if stale {
-                self.file = OpenOptions::new()
-                    .read(true)
-                    .append(true)
-                    .create(true)
-                    .open(&self.path)?;
-                let len = self.file.metadata()?.len();
-                if len == 0 {
-                    self.write_header()?;
-                } else {
-                    let mut header = vec![0u8; HEADER_LEN.min(len as usize)];
-                    self.file.seek(SeekFrom::Start(0))?;
-                    self.file.read_exact(&mut header)?;
-                    if header_matches(&header, self.config_hash) {
-                        self.generation = header_generation(&header);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Rewrites the log dropping duplicate fingerprints and corrupt byte
-    /// ranges, via write-to-temp + atomic rename, bumping the generation
-    /// stamp.  The handle's index swaps to the compacted contents without a
-    /// rescan.  Handles in other processes detect the swapped inode on
-    /// their next append ([`Self::reopen_if_stale`]); their indexes stay
-    /// valid because compaction only drops duplicates, never live
-    /// fingerprints.
+    /// ranges, bumping the generation stamp, then reopens onto the new
+    /// file.  The handle's index swaps to the compacted contents without a
+    /// rescan — [`StoreHandle::preload_count`] is unaffected.  Handles in
+    /// other processes find the swapped inode the next time they take the
+    /// lock; their indexes stay valid because compaction only drops
+    /// duplicates, never live fingerprints.
     ///
     /// # Errors
     ///
-    /// Propagates locking, read, write and rename errors; on error the
+    /// Propagates locking, read, write and rename errors, and fails when the
+    /// header no longer names this handle's configuration; on error the
     /// original log is untouched (the temp file may be left behind).
     pub fn compact(&mut self) -> io::Result<CompactStats> {
-        self.reopen_if_stale()?;
-        let path = self.path.clone();
-        let locked = lock_or_degrade(&self.file, &path, false, &mut self.lock_degraded)?;
-        let result = self.compact_locked();
-        if locked && result.is_err() {
-            let _ = self.file.unlock();
-        }
-        // On success the locked descriptor was dropped by the fd swap in
-        // `compact_locked`, releasing the advisory lock with it.
-        result
-    }
-
-    fn compact_locked(&mut self) -> io::Result<CompactStats> {
-        // Read back from disk under the lock: other handles may have
-        // appended entries this one has never seen, and they must survive.
-        let mut bytes = Vec::new();
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_to_end(&mut bytes)?;
-        if !header_matches(&bytes, self.config_hash) {
-            return Err(io::Error::other(format!(
-                "store header changed under compaction: {}",
-                self.path.display()
-            )));
-        }
-        let generation = header_generation(&bytes) + 1;
-        let log = decode_log(&bytes[HEADER_LEN..], self.config_hash);
-        let (stats, kept) = rewrite_compacted(
-            &self.path,
-            self.config_hash,
-            generation,
-            &log,
-            bytes.len() as u64,
-        )?;
-        // Swap to the compacted file; dropping the old descriptor releases
-        // the advisory lock held on the now-unlinked inode.
-        self.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        self.generation = generation;
+        let by = Compactor::Handle(self.config_hash);
+        let Rewrite::Compacted(stats, kept) =
+            compact_log(&mut self.file, &self.path, &mut self.lock_degraded, by)?
+        else {
+            unreachable!("only offline compaction quarantines");
+        };
+        self.file = open_log(&self.path)?;
+        self.generation = stats.generation;
         self.index = kept.iter().map(|(fingerprint, _)| *fingerprint).collect();
         self.loaded = kept;
         self.recovered_bytes = 0;
@@ -534,142 +488,84 @@ impl CacheStore {
     }
 }
 
-/// A long-lived wrapper around [`CacheStore`] for callers that verify
-/// repeatedly in one process (a daemon, an incremental loop).
-///
-/// [`CacheStore::open`] scans the whole log; doing that once per verify is
-/// the dominant fixed cost of a warm request.  A `StoreHandle` opens the
-/// store once and replays it into the in-memory cache at most once —
-/// [`StoreHandle::ensure_preloaded`] is idempotent — while still appending
-/// freshly proved fingerprints after every verify.
-#[derive(Debug)]
-pub struct StoreHandle {
-    store: CacheStore,
-    /// How many times the loaded log was actually replayed into a cache.
-    /// Stays at 1 for the life of the handle; the daemon's "no re-scan"
-    /// guarantee is asserted against this counter.
-    preloads: usize,
-    /// Total entries appended through this handle.
-    appended: usize,
+/// Opens (creating if necessary) a store file for reading and appending.
+fn open_log(path: &Path) -> io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)
 }
 
-impl StoreHandle {
-    /// Opens (creating if necessary) the store for `config` in `dir`.  The
-    /// log is scanned here, once; see [`CacheStore::open`] for recovery and
-    /// locking behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from [`CacheStore::open`].
-    pub fn open(
-        dir: &Path,
-        config: &ProverConfig,
-        provers: &[&'static str],
-    ) -> io::Result<StoreHandle> {
-        Ok(StoreHandle {
-            store: CacheStore::open(dir, config, provers)?,
-            preloads: 0,
-            appended: 0,
-        })
-    }
-
-    /// Replays the loaded log into `cache` the first time it is called;
-    /// every later call is a no-op returning 0.  Returns how many entries
-    /// were replayed.
-    pub fn ensure_preloaded(&mut self, cache: &ProofCache) -> usize {
-        if self.preloads > 0 {
-            return 0;
-        }
-        self.preloads = 1;
-        self.store.preload(cache)
-    }
-
-    /// How many times the on-disk log was replayed into a cache (0 before
-    /// the first [`StoreHandle::ensure_preloaded`], 1 forever after).
-    pub fn preload_count(&self) -> usize {
-        self.preloads
-    }
-
-    /// Total entries appended through this handle.
-    pub fn appended(&self) -> usize {
-        self.appended
-    }
-
-    /// Appends not-yet-persisted entries; see [`CacheStore::append_new`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates locking and write errors from [`CacheStore::append_new`].
-    pub fn append_new(&mut self, entries: &[(Fingerprint, String)]) -> io::Result<usize> {
-        self.append_with(entries, None)
-    }
-
-    /// Appends under a request's fault plan; see [`CacheStore::append_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`CacheStore::append_with`].
-    pub fn append_with(
-        &mut self,
-        entries: &[(Fingerprint, String)],
-        faults: Option<&FaultPlan>,
-    ) -> io::Result<usize> {
-        let written = self.store.append_with(entries, faults)?;
-        self.appended += written;
-        Ok(written)
-    }
-
-    /// Compacts the underlying store; see [`CacheStore::compact`].  The
-    /// handle's warm index swaps to the compacted log without a rescan —
-    /// [`StoreHandle::preload_count`] is unaffected.
-    ///
-    /// # Errors
-    ///
-    /// Propagates locking and I/O errors from [`CacheStore::compact`].
-    pub fn compact(&mut self) -> io::Result<CompactStats> {
-        self.store.compact()
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &CacheStore {
-        &self.store
-    }
+/// The whole file, from its first byte.
+fn read_all(mut file: &File) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    file.seek(SeekFrom::Start(0))?;
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
-/// Acquires the advisory lock, degrading to lock-free operation (with one
-/// warning per handle) when the filesystem reports locks as unsupported —
-/// or when `injected`, a fault plan's `lock_fail`, says it does.  Returns
-/// whether the lock is actually held.
-fn lock_or_degrade(
-    file: &File,
+/// Takes the advisory lock on the store file that is at `path` now.  When
+/// the lock is granted on a file that another handle has since replaced (a
+/// compaction renamed its copy over it) or moved away (a quarantine), the
+/// descriptor is reopened onto the live file — closing the old one releases
+/// its lock — and the lock is taken again, so whatever the caller reads or
+/// writes next is the live log.  When the filesystem reports locks
+/// unsupported — or `injected`, a fault plan's `lock_fail`, says it does —
+/// the caller goes on lock-free, with one warning per handle.  Returns
+/// whether the lock is held.
+fn lock_live(
+    file: &mut File,
     path: &Path,
     injected: bool,
     degraded: &mut bool,
 ) -> io::Result<bool> {
-    let result = if injected {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "injected fault: advisory lock unsupported",
-        ))
-    } else {
-        file.lock()
-    };
-    match result {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-            if !*degraded {
-                eprintln!(
-                    "ipl: warning: advisory file lock unsupported on {} ({e}); \
-                     continuing lock-free (safe single-process; concurrent \
-                     writers fall back to per-entry checksums)",
-                    path.display()
-                );
-                *degraded = true;
+    loop {
+        let result = if injected {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "injected fault: advisory lock unsupported",
+            ))
+        } else {
+            file.lock()
+        };
+        let held = match result {
+            Ok(()) => true,
+            Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+                if !*degraded {
+                    eprintln!(
+                        "ipl: warning: advisory file lock unsupported on {} ({e}); \
+                         continuing lock-free (safe single-process; concurrent \
+                         writers fall back to per-entry checksums)",
+                        path.display()
+                    );
+                    *degraded = true;
+                }
+                false
             }
-            Ok(false)
+            Err(e) => return Err(e),
+        };
+        if is_live(file, path) {
+            return Ok(held);
         }
-        Err(e) => Err(e),
+        *file = open_log(path)?;
     }
+}
+
+/// Whether `file` is still the file at `path`.
+#[cfg(unix)]
+fn is_live(file: &File, path: &Path) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    match (file.metadata(), std::fs::metadata(path)) {
+        (Ok(ours), Ok(live)) => ours.dev() == live.dev() && ours.ino() == live.ino(),
+        (_, Err(e)) => e.kind() != io::ErrorKind::NotFound,
+        (Err(_), Ok(_)) => true,
+    }
+}
+
+#[cfg(not(unix))]
+fn is_live(_file: &File, _path: &Path) -> bool {
+    true
 }
 
 /// Content key for store fault-injection decisions: a hash of the encoded
@@ -679,6 +575,84 @@ fn batch_key(buffer: &[u8]) -> u64 {
     0x0057_09e5_u64.hash(&mut hasher);
     buffer.hash(&mut hasher);
     hasher.finish()
+}
+
+/// What one read of a store file found: the header fields, every
+/// recoverable entry and the corruption accounting.
+struct Log {
+    schema: u32,
+    config_hash: u64,
+    generation: u64,
+    /// Every recoverable entry, in log order, duplicates preserved.
+    entries: Vec<(u128, String)>,
+    /// Bytes that decoded as no entry (torn writes, garbage).
+    skipped_bytes: u64,
+    /// Length of the gap-free prefix of the entry region — the truncation
+    /// point when the corruption is a pure torn tail.
+    clean_len: usize,
+    /// `true` when at least one entry decoded *after* a corrupt gap.
+    resynced: bool,
+}
+
+impl Log {
+    /// Whether the header names this schema version and `config_hash`.
+    fn is_ours(&self, config_hash: u64) -> bool {
+        self.schema == SCHEMA_VERSION && self.config_hash == config_hash
+    }
+}
+
+/// The one log reader: parses the header of a store file's bytes and decodes
+/// every recoverable entry written under the header's config hash, or
+/// returns `None` for bytes that are not a store (shorter than a header, or
+/// without the magic).  After an undecodable stretch the scan advances one
+/// byte at a time until the next checksum-valid entry.  A false resync would
+/// need a 64-bit checksum collision *and* a matching config hash at a
+/// misaligned offset, so complete entries after a torn one are recovered
+/// rather than discarded.
+fn read_log(bytes: &[u8]) -> Option<Log> {
+    if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
+        return None;
+    }
+    let mut log = Log {
+        schema: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
+        config_hash: u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")),
+        generation: u64::from_le_bytes(bytes[20..HEADER_LEN].try_into().expect("8 bytes")),
+        entries: Vec::new(),
+        skipped_bytes: 0,
+        clean_len: 0,
+        resynced: false,
+    };
+    let region = &bytes[HEADER_LEN..];
+    let mut pos = 0;
+    let mut gap_seen = false;
+    while pos < region.len() {
+        match decode_entry(&region[pos..], log.config_hash) {
+            Some((fingerprint, prover, consumed)) => {
+                log.entries.push((fingerprint, prover));
+                pos += consumed;
+                if gap_seen {
+                    log.resynced = true;
+                } else {
+                    log.clean_len = pos;
+                }
+            }
+            None => {
+                pos += 1;
+                log.skipped_bytes += 1;
+                gap_seen = true;
+            }
+        }
+    }
+    Some(log)
+}
+
+fn header_bytes(config_hash: u64, generation: u64) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..12].copy_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    header[12..20].copy_from_slice(&config_hash.to_le_bytes());
+    header[20..].copy_from_slice(&generation.to_le_bytes());
+    header
 }
 
 /// Summary of one store file, for `ipl cache` diagnostics.
@@ -704,24 +678,15 @@ pub struct StoreInfo {
 /// Propagates read errors.
 pub fn inspect(path: &Path) -> io::Result<StoreInfo> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
-        return Ok(StoreInfo {
-            path: path.to_path_buf(),
-            schema_version: None,
-            generation: None,
-            entries: 0,
-            corrupt_tail_bytes: bytes.len() as u64,
-        });
-    }
-    let schema = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let config_hash = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let log = decode_log(&bytes[HEADER_LEN..], config_hash);
+    let log = read_log(&bytes);
     Ok(StoreInfo {
         path: path.to_path_buf(),
-        schema_version: Some(schema),
-        generation: Some(header_generation(&bytes)),
-        entries: log.entries.len(),
-        corrupt_tail_bytes: log.skipped_bytes,
+        schema_version: log.as_ref().map(|log| log.schema),
+        generation: log.as_ref().map(|log| log.generation),
+        entries: log.as_ref().map_or(0, |log| log.entries.len()),
+        corrupt_tail_bytes: log
+            .as_ref()
+            .map_or(bytes.len() as u64, |log| log.skipped_bytes),
     })
 }
 
@@ -732,92 +697,44 @@ pub fn inspect(path: &Path) -> io::Result<StoreInfo> {
 /// Propagates directory-read errors; a missing directory yields an empty
 /// list.
 pub fn scan_dir(dir: &Path) -> io::Result<Vec<StoreInfo>> {
-    let mut infos = Vec::new();
+    store_files(dir)?.iter().map(|path| inspect(path)).collect()
+}
+
+/// Compacts every `.iplstore` file in a cache directory (any
+/// configuration), in path order.  A missing directory yields an empty
+/// list.
+///
+/// # Errors
+///
+/// Propagates directory-read errors and per-file errors from
+/// [`compact_file`].
+pub fn compact_dir(dir: &Path) -> io::Result<Vec<(PathBuf, FileCompaction)>> {
+    store_files(dir)?
+        .into_iter()
+        .map(|path| compact_file(&path).map(|outcome| (path, outcome)))
+        .collect()
+}
+
+/// The `.iplstore` files directly inside `dir`, in path order; a missing
+/// directory has none.
+fn store_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(infos),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
+    let mut paths = Vec::new();
     for entry in entries {
         let path = entry?.path();
         if path.extension().and_then(|e| e.to_str()) == Some("iplstore") {
-            infos.push(inspect(&path)?);
+            paths.push(path);
         }
     }
-    infos.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(infos)
+    paths.sort();
+    Ok(paths)
 }
 
-fn header_matches(bytes: &[u8], config_hash: u64) -> bool {
-    bytes.len() >= HEADER_LEN
-        && bytes[..8] == MAGIC
-        && bytes[8..12] == SCHEMA_VERSION.to_le_bytes()
-        && bytes[12..20] == config_hash.to_le_bytes()
-}
-
-fn header_generation(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[20..HEADER_LEN].try_into().expect("8 bytes"))
-}
-
-fn header_bytes(config_hash: u64, generation: u64) -> [u8; HEADER_LEN] {
-    let mut header = [0u8; HEADER_LEN];
-    header[..8].copy_from_slice(&MAGIC);
-    header[8..12].copy_from_slice(&SCHEMA_VERSION.to_le_bytes());
-    header[12..20].copy_from_slice(&config_hash.to_le_bytes());
-    header[20..].copy_from_slice(&generation.to_le_bytes());
-    header
-}
-
-/// One decoded entry region, with corruption accounting.
-struct DecodedLog {
-    /// Every recoverable entry, in log order, duplicates preserved.
-    entries: Vec<(u128, String)>,
-    /// Bytes that decoded as no entry (torn writes, garbage).
-    skipped_bytes: u64,
-    /// Length of the gap-free prefix of the entry region — the truncation
-    /// point when the corruption is a pure torn tail.
-    clean_len: usize,
-    /// `true` when at least one entry decoded *after* a corrupt gap.
-    resynced: bool,
-}
-
-/// Decodes every recoverable entry from an entry region, resynchronising
-/// past corrupt byte ranges: after an undecodable stretch the scan advances
-/// one byte at a time until the next checksum-valid entry.  A false resync
-/// would need a 64-bit checksum collision *and* a matching config hash at a
-/// misaligned offset, so complete entries after a torn one are recovered
-/// rather than discarded.
-fn decode_log(bytes: &[u8], config_hash: u64) -> DecodedLog {
-    let mut log = DecodedLog {
-        entries: Vec::new(),
-        skipped_bytes: 0,
-        clean_len: 0,
-        resynced: false,
-    };
-    let mut pos = 0;
-    let mut gap_seen = false;
-    while pos < bytes.len() {
-        match decode_entry(&bytes[pos..], config_hash) {
-            Some((fingerprint, prover, consumed)) => {
-                log.entries.push((fingerprint, prover));
-                pos += consumed;
-                if gap_seen {
-                    log.resynced = true;
-                } else {
-                    log.clean_len = pos;
-                }
-            }
-            None => {
-                pos += 1;
-                log.skipped_bytes += 1;
-                gap_seen = true;
-            }
-        }
-    }
-    log
-}
-
-/// Statistics from one compaction ([`CacheStore::compact`] /
+/// Statistics from one compaction ([`StoreHandle::compact`] /
 /// [`compact_file`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactStats {
@@ -837,27 +754,114 @@ pub struct CompactStats {
     pub generation: u64,
 }
 
-/// Writes a deduplicated copy of `log` as a temp file next to `path` and
-/// atomically renames it into place.  Returns the stats and the kept
-/// entries in log order.
-fn rewrite_compacted(
+/// Outcome of [`compact_file`]: either the log was rewritten in place, or
+/// it could not be trusted and was moved to `quarantine/`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FileCompaction {
+    /// The log was compacted; the stats describe the rewrite.
+    Compacted(CompactStats),
+    /// The file's header was foreign (wrong magic or schema version) and it
+    /// was quarantined instead of touched.
+    Quarantined {
+        /// Where the file was moved.
+        to: PathBuf,
+        /// Why it could not be compacted.
+        reason: String,
+    },
+}
+
+/// Compacts one store file offline (no open handle needed): duplicates and
+/// corrupt ranges are dropped via write-to-temp + atomic rename and the
+/// generation stamp is bumped.  A file whose header is foreign — wrong
+/// magic, wrong schema version — is moved to `quarantine/` instead of being
+/// rewritten in place.  The config hash is taken from the file's own header
+/// (offline compaction trusts a self-consistent file).
+///
+/// # Errors
+///
+/// Propagates locking and I/O errors.
+pub fn compact_file(path: &Path) -> io::Result<FileCompaction> {
+    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+    let mut degraded = false;
+    Ok(
+        match compact_log(&mut file, path, &mut degraded, Compactor::Offline)? {
+            Rewrite::Compacted(stats, _) => FileCompaction::Compacted(stats),
+            Rewrite::Quarantined(to) => FileCompaction::Quarantined {
+                to,
+                reason: FOREIGN_HEADER.to_string(),
+            },
+        },
+    )
+}
+
+/// Whose compaction [`compact_log`] runs, which decides the headers it
+/// accepts.
+#[derive(Clone, Copy)]
+enum Compactor {
+    /// A handle's own: the header must name the handle's configuration, and
+    /// any other header is an error.
+    Handle(u64),
+    /// `ipl cache --compact`: the header's configuration is trusted, and a
+    /// file that is not a store of this schema is quarantined.
+    Offline,
+}
+
+/// What [`compact_log`] did.
+enum Rewrite {
+    /// The log was rewritten; the kept entries are in log order.
+    Compacted(CompactStats, Vec<(u128, String)>),
+    /// The file was moved to `quarantine/`.
+    Quarantined(PathBuf),
+}
+
+/// The one compaction routine.  Locks the file at `path` (reopening `file`
+/// onto it when it was replaced), reads it, and writes a copy without
+/// duplicate fingerprints or corrupt ranges under the next generation: a
+/// synced temp file renamed over the path.  A header the compactor does not
+/// accept is handled by its rule, still under the lock.
+fn compact_log(
+    file: &mut File,
     path: &Path,
-    config_hash: u64,
-    generation: u64,
-    log: &DecodedLog,
-    bytes_before: u64,
-) -> io::Result<(CompactStats, Vec<(u128, String)>)> {
-    let mut seen = HashSet::new();
-    let mut kept = Vec::new();
-    for (fingerprint, prover) in &log.entries {
-        if seen.insert(*fingerprint) {
-            kept.push((*fingerprint, prover.clone()));
-        }
+    degraded: &mut bool,
+    by: Compactor,
+) -> io::Result<Rewrite> {
+    let held = lock_live(file, path, false, degraded)?;
+    let result = rewrite_log(file, path, by);
+    if held {
+        let _ = file.unlock();
     }
-    let mut out = Vec::with_capacity(bytes_before as usize);
-    out.extend_from_slice(&header_bytes(config_hash, generation));
+    result
+}
+
+fn rewrite_log(file: &File, path: &Path, by: Compactor) -> io::Result<Rewrite> {
+    // Read back from disk under the lock: other handles may have appended
+    // entries this one has never seen, and they must survive.
+    let bytes = read_all(file)?;
+    let accepted = read_log(&bytes).filter(|log| match by {
+        Compactor::Handle(config_hash) => log.is_ours(config_hash),
+        Compactor::Offline => log.schema == SCHEMA_VERSION,
+    });
+    let Some(log) = accepted else {
+        return match by {
+            Compactor::Handle(_) => Err(io::Error::other(format!(
+                "store header changed under compaction: {}",
+                path.display()
+            ))),
+            Compactor::Offline => quarantine_file(path, FOREIGN_HEADER).map(Rewrite::Quarantined),
+        };
+    };
+    let entries_before = log.entries.len();
+    let mut seen = HashSet::new();
+    let kept: Vec<(u128, String)> = log
+        .entries
+        .into_iter()
+        .filter(|(fingerprint, _)| seen.insert(*fingerprint))
+        .collect();
+    let generation = log.generation + 1;
+    let mut out = Vec::with_capacity(bytes.len());
+    out.extend_from_slice(&header_bytes(log.config_hash, generation));
     for (fingerprint, prover) in &kept {
-        encode_entry(&mut out, *fingerprint, prover, config_hash);
+        encode_entry(&mut out, *fingerprint, prover, log.config_hash);
     }
     let file_name = path
         .file_name()
@@ -882,15 +886,15 @@ fn rewrite_compacted(
         }
     }
     let stats = CompactStats {
-        entries_before: log.entries.len(),
+        entries_before,
         entries_after: kept.len(),
-        duplicates_dropped: log.entries.len() - kept.len(),
+        duplicates_dropped: entries_before - kept.len(),
         corrupt_bytes_dropped: log.skipped_bytes,
-        bytes_before,
+        bytes_before: bytes.len() as u64,
         bytes_after: out.len() as u64,
         generation,
     };
-    Ok((stats, kept))
+    Ok(Rewrite::Compacted(stats, kept))
 }
 
 /// Moves an untrustworthy store file into a `quarantine/` subdirectory next
@@ -921,94 +925,6 @@ fn quarantine_file(path: &Path, reason: &str) -> io::Result<PathBuf> {
         target.display()
     );
     Ok(target)
-}
-
-/// Outcome of [`compact_file`]: either the log was rewritten in place, or
-/// it could not be trusted and was moved to `quarantine/`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FileCompaction {
-    /// The log was compacted; the stats describe the rewrite.
-    Compacted(CompactStats),
-    /// The file's header was foreign (wrong magic or schema version) and it
-    /// was quarantined instead of touched.
-    Quarantined {
-        /// Where the file was moved.
-        to: PathBuf,
-        /// Why it could not be compacted.
-        reason: String,
-    },
-}
-
-/// Compacts one store file offline (no open handle needed), under the
-/// advisory lock: duplicates and corrupt ranges are dropped via
-/// write-to-temp + atomic rename and the generation stamp is bumped.  A
-/// file whose header is foreign — wrong magic, wrong schema version — is
-/// moved to `quarantine/` instead of being rewritten in place.  The
-/// config hash is taken from the file's own header (offline compaction
-/// trusts a self-consistent file).
-///
-/// # Errors
-///
-/// Propagates locking and I/O errors.
-pub fn compact_file(path: &Path) -> io::Result<FileCompaction> {
-    let file = OpenOptions::new().read(true).write(true).open(path)?;
-    let mut degraded = false;
-    let locked = lock_or_degrade(&file, path, false, &mut degraded)?;
-    let result = compact_file_locked(path);
-    if locked {
-        let _ = file.unlock();
-    }
-    result
-}
-
-fn compact_file_locked(path: &Path) -> io::Result<FileCompaction> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < HEADER_LEN
-        || bytes[..8] != MAGIC
-        || bytes[8..12] != SCHEMA_VERSION.to_le_bytes()
-    {
-        let reason = "foreign or damaged header";
-        let to = quarantine_file(path, reason)?;
-        return Ok(FileCompaction::Quarantined {
-            to,
-            reason: reason.to_string(),
-        });
-    }
-    let config_hash = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let generation = header_generation(&bytes) + 1;
-    let log = decode_log(&bytes[HEADER_LEN..], config_hash);
-    let (stats, _) = rewrite_compacted(path, config_hash, generation, &log, bytes.len() as u64)?;
-    Ok(FileCompaction::Compacted(stats))
-}
-
-/// Compacts every `.iplstore` file in a cache directory (any
-/// configuration), in path order.  A missing directory yields an empty
-/// list.
-///
-/// # Errors
-///
-/// Propagates directory-read errors and per-file errors from
-/// [`compact_file`].
-pub fn compact_dir(dir: &Path) -> io::Result<Vec<(PathBuf, FileCompaction)>> {
-    let mut results = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(results),
-        Err(e) => return Err(e),
-    };
-    let mut paths = Vec::new();
-    for entry in entries {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("iplstore") {
-            paths.push(path);
-        }
-    }
-    paths.sort();
-    for path in paths {
-        let outcome = compact_file(&path)?;
-        results.push((path, outcome));
-    }
-    Ok(results)
 }
 
 fn encode_entry(out: &mut Vec<u8>, fingerprint: u128, prover: &str, config_hash: u64) {
@@ -1081,7 +997,7 @@ mod tests {
         let dir = temp_dir("reopen");
         let config = ProverConfig::default();
         let provers = ["syntactic", "smt-ground"];
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert!(store.is_empty());
         assert_eq!(
             store
@@ -1095,7 +1011,7 @@ mod tests {
             0
         );
 
-        let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
+        let reopened = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert_eq!(reopened.len(), 2);
         assert!(reopened.contains(fp(1)));
         assert!(reopened.contains(fp(2)));
@@ -1111,17 +1027,18 @@ mod tests {
     fn different_configs_use_different_files() {
         let dir = temp_dir("configs");
         let provers = ["smt-ground"];
-        let mut default_store = CacheStore::open(&dir, &ProverConfig::default(), &provers).unwrap();
+        let mut default_store =
+            StoreHandle::open(&dir, &ProverConfig::default(), &provers).unwrap();
         default_store
             .append_new(&[(fp(7), "smt-ground".into())])
             .unwrap();
-        let quick_store = CacheStore::open(&dir, &ProverConfig::quick(), &provers).unwrap();
+        let quick_store = StoreHandle::open(&dir, &ProverConfig::quick(), &provers).unwrap();
         assert_ne!(default_store.path(), quick_store.path());
         assert!(quick_store.is_empty());
         // The line-up is part of the key too.
         assert_ne!(
-            CacheStore::file_path(&dir, &ProverConfig::default(), &provers),
-            CacheStore::file_path(&dir, &ProverConfig::default(), &["syntactic"])
+            StoreHandle::file_path(&dir, &ProverConfig::default(), &provers),
+            StoreHandle::file_path(&dir, &ProverConfig::default(), &["syntactic"])
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1131,7 +1048,7 @@ mod tests {
         let dir = temp_dir("truncate");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
         store
             .append_new(&[(fp(10), "a".into()), (fp(11), "b".into())])
             .unwrap();
@@ -1141,7 +1058,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
 
-        let mut recovered = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut recovered = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert_eq!(recovered.len(), 1);
         assert!(recovered.contains(fp(10)));
         assert!(!recovered.contains(fp(11)));
@@ -1149,41 +1066,9 @@ mod tests {
         // The file was truncated to the last good entry, so appends land on a
         // clean boundary and survive the next load.
         recovered.append_new(&[(fp(12), "c".into())]).unwrap();
-        let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
+        let reopened = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert_eq!(reopened.len(), 2);
         assert!(reopened.contains(fp(12)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn poisoned_header_is_ignored_not_replayed() {
-        let dir = temp_dir("poison");
-        let config = ProverConfig::default();
-        let provers = ["smt-ground"];
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
-        store.append_new(&[(fp(21), "a".into())]).unwrap();
-        let path = store.path().to_path_buf();
-        drop(store);
-        // Flip the schema version in the header: the file now claims a layout
-        // we do not understand.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] = bytes[8].wrapping_add(1);
-        std::fs::write(&path, &bytes).unwrap();
-
-        let fresh = CacheStore::open(&dir, &config, &provers).unwrap();
-        assert!(fresh.was_poisoned());
-        assert!(fresh.is_empty(), "poisoned entries must not be replayed");
-        // The poisoned bytes were moved to quarantine/, not rewritten in
-        // place: the evidence survives for post-mortem.
-        let quarantined = fresh.quarantined().expect("quarantine path").to_path_buf();
-        assert!(quarantined.starts_with(dir.join("quarantine")));
-        assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
-        // And the fresh file at the original path is sound again.
-        let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
-        assert!(!reopened.was_poisoned());
-        assert!(reopened.quarantined().is_none());
-        // Quarantined files are invisible to the directory scan.
-        assert_eq!(scan_dir(&dir).unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1194,14 +1079,18 @@ mod tests {
         let provers = ["smt-ground"];
         // Two handles opened before either appends: each considers fp(1)
         // fresh, so the log ends up with a duplicate entry.
-        let mut a = CacheStore::open(&dir, &config, &provers).unwrap();
-        let mut b = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut a = StoreHandle::open(&dir, &config, &provers).unwrap();
+        let mut b = StoreHandle::open(&dir, &config, &provers).unwrap();
         a.append_new(&[(fp(1), "a".into()), (fp(2), "a".into())])
             .unwrap();
         b.append_new(&[(fp(1), "b".into())]).unwrap();
         let info = inspect(a.path()).unwrap();
+        assert_eq!(info.schema_version, Some(SCHEMA_VERSION));
         assert_eq!(info.entries, 3, "duplicate landed on disk");
         assert_eq!(info.generation, Some(0));
+        assert_eq!(info.corrupt_tail_bytes, 0);
+        assert_eq!(scan_dir(&dir).unwrap(), vec![info]);
+        assert!(scan_dir(&dir.join("missing")).unwrap().is_empty());
 
         let stats = a.compact().unwrap();
         assert_eq!(stats.entries_before, 3);
@@ -1218,14 +1107,14 @@ mod tests {
         let info = inspect(a.path()).unwrap();
         assert_eq!(info.entries, 2);
         assert_eq!(info.generation, Some(1));
-        let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
+        let reopened = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.generation(), 1);
 
         // Handle b's descriptor points at the unlinked pre-compaction inode;
         // its next append detects the swap and lands in the live log.
         b.append_new(&[(fp(3), "b".into())]).unwrap();
-        let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
+        let reopened = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert_eq!(reopened.len(), 3);
         assert!(reopened.contains(fp(3)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1236,7 +1125,7 @@ mod tests {
         let dir = temp_dir("salvage");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
         store.append_new(&[(fp(71), "a".into())]).unwrap();
         let path = store.path().to_path_buf();
         let good_len = std::fs::metadata(&path).unwrap().len();
@@ -1245,11 +1134,11 @@ mod tests {
         // garbage bytes, then a valid entry appended straight after them.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[0xfe; 7]);
-        let config_hash = CacheStore::config_key(&config, &provers);
+        let config_hash = StoreHandle::config_key(&config, &provers);
         encode_entry(&mut bytes, 72, "b", config_hash);
         std::fs::write(&path, &bytes).unwrap();
 
-        let store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let store = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert!(
             store.salvaged(),
             "resync must rescue the entry past the gap"
@@ -1261,11 +1150,11 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes.len() as u64);
         drop(store);
         // ...and compaction scrubs it.
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
         let stats = store.compact().unwrap();
         assert_eq!(stats.corrupt_bytes_dropped, 7);
         assert_eq!(stats.entries_after, 2);
-        let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
+        let reopened = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert!(!reopened.salvaged());
         assert_eq!(reopened.recovered_bytes(), 0);
         assert_eq!(reopened.len(), 2);
@@ -1278,7 +1167,7 @@ mod tests {
         let dir = temp_dir("compactdir");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
         store
             .append_new(&[(fp(81), "a".into()), (fp(82), "a".into())])
             .unwrap();
@@ -1318,7 +1207,7 @@ mod tests {
     }
 
     #[test]
-    fn preload_feeds_the_memory_cache() {
+    fn preload_replays_once_and_appends_keep_going() {
         let dir = temp_dir("preload");
         let config = ProverConfig::default();
         let provers = ["smt-ground"];
@@ -1326,7 +1215,7 @@ mod tests {
         // A prover outside the store's line-up could not have proved it.
         let stranger = 0xdead_beef_dead_beef_dead_beef_dead_bee0u128;
         {
-            let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+            let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
             store
                 .append_new(&[
                     (fp(raw), "smt-ground".into()),
@@ -1334,11 +1223,18 @@ mod tests {
                 ])
                 .unwrap();
         }
-        let store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut handle = StoreHandle::open(&dir, &config, &provers).unwrap();
+        assert_eq!(handle.preload_count(), 0);
         let cache = ProofCache::global();
-        assert_eq!(store.preload(cache), 1);
+        assert_eq!(handle.ensure_preloaded(cache), 1);
         assert_eq!(cache.lookup(fp(raw)).as_deref(), Some("smt-ground"));
         assert_eq!(cache.lookup(fp(stranger)), None);
+        assert_eq!(handle.ensure_preloaded(cache), 0, "second preload is free");
+        assert_eq!(handle.preload_count(), 1);
+        assert_eq!(handle.append_new(&[(fp(62), "bapa".into())]).unwrap(), 1);
+        assert_eq!(handle.append_new(&[(fp(62), "bapa".into())]).unwrap(), 0);
+        assert_eq!(handle.appended(), 1);
+        assert_eq!(handle.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1352,12 +1248,12 @@ mod tests {
             store_lock_fail_bp: 10_000,
             ..FaultPlan::default()
         };
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
         let appended = store.append_with(&[(fp(31), "a".into())], Some(&plan));
         assert_eq!(appended.unwrap(), 1);
         assert!(store.lock_degraded(), "the append's lock was Unsupported");
         // Lock-free appends are still complete, checksummed entries.
-        let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
+        let reopened = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert!(!reopened.lock_degraded());
         assert!(reopened.contains(fp(31)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1374,7 +1270,7 @@ mod tests {
             ..FaultPlan::default()
         };
         {
-            let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+            let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
             store.append_new(&[(fp(41), "a".into())]).unwrap();
             let err = store
                 .append_with(&[(fp(42), "b".into())], Some(&plan))
@@ -1387,11 +1283,11 @@ mod tests {
         }
         // The torn tail is dropped; the store stays usable and the entry
         // written before the fault survives.
-        let mut recovered = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut recovered = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert!(recovered.contains(fp(41)));
         assert!(!recovered.contains(fp(42)));
         recovered.append_new(&[(fp(43), "c".into())]).unwrap();
-        let reopened = CacheStore::open(&dir, &config, &provers).unwrap();
+        let reopened = StoreHandle::open(&dir, &config, &provers).unwrap();
         assert_eq!(reopened.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1406,7 +1302,7 @@ mod tests {
             store_disk_full_bp: 10_000,
             ..FaultPlan::default()
         };
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
+        let mut store = StoreHandle::open(&dir, &config, &provers).unwrap();
         let len_before = std::fs::metadata(store.path()).unwrap().len();
         let err = store
             .append_with(&[(fp(51), "a".into())], Some(&plan))
@@ -1415,48 +1311,6 @@ mod tests {
         assert_eq!(std::fs::metadata(store.path()).unwrap().len(), len_before);
         // The handle recovers as soon as the disk does.
         assert_eq!(store.append_new(&[(fp(51), "a".into())]).unwrap(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_handle_preloads_once_and_keeps_appending() {
-        let dir = temp_dir("handle");
-        let config = ProverConfig::default();
-        let provers = ["smt-ground"];
-        {
-            let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
-            store.append_new(&[(fp(61), "smt-ground".into())]).unwrap();
-        }
-        let mut handle = StoreHandle::open(&dir, &config, &provers).unwrap();
-        assert_eq!(handle.preload_count(), 0);
-        let cache = ProofCache::global();
-        assert_eq!(handle.ensure_preloaded(cache), 1);
-        assert_eq!(handle.ensure_preloaded(cache), 0, "second preload is free");
-        assert_eq!(handle.preload_count(), 1);
-        assert_eq!(handle.append_new(&[(fp(62), "bapa".into())]).unwrap(), 1);
-        assert_eq!(handle.append_new(&[(fp(62), "bapa".into())]).unwrap(), 0);
-        assert_eq!(handle.appended(), 1);
-        assert_eq!(handle.store().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn inspect_reports_header_and_entry_counts() {
-        let dir = temp_dir("inspect");
-        let config = ProverConfig::default();
-        let provers = ["smt-ground"];
-        let mut store = CacheStore::open(&dir, &config, &provers).unwrap();
-        store
-            .append_new(&[(fp(1), "a".into()), (fp(2), "b".into())])
-            .unwrap();
-        let info = inspect(store.path()).unwrap();
-        assert_eq!(info.schema_version, Some(SCHEMA_VERSION));
-        assert_eq!(info.entries, 2);
-        assert_eq!(info.corrupt_tail_bytes, 0);
-        let scanned = scan_dir(&dir).unwrap();
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0], info);
-        assert!(scan_dir(&dir.join("missing")).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

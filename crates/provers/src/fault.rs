@@ -9,7 +9,7 @@
 //! (`ipl_core::Request::fault_plan`, the daemon frame's `fault_plan` key) and
 //! reaches each injection site as an argument: the cascade's stage dispatch
 //! ([`RequestScope`](crate::cascade::RequestScope)) and the store append
-//! ([`CacheStore::append_with`](crate::cache_store::CacheStore::append_with)).
+//! ([`StoreHandle::append_with`](crate::cache_store::StoreHandle::append_with)).
 //! No plan is process-global, so a chaos request never faults the requests
 //! running beside it.  Every decision is a pure hash of `(seed, fault kind,
 //! site key)`, where the site key is derived from the *content* being
@@ -99,7 +99,7 @@ impl Default for FaultPlan {
     }
 }
 
-/// The standard chaos plan used by CI's `chaos-smoke` job: 1% stage panics,
+/// The standard chaos plan, the spec's `default` preset: 1% stage panics,
 /// 5% injected delays, 0.5% spurious Unknowns, seeded store faults, and
 /// connection-level serve faults (drops, stalls, spurious overload).
 pub fn default_chaos(seed: u64) -> FaultPlan {

@@ -2,11 +2,12 @@
 //! write/truncate/reload interleavings recover every complete entry, random
 //! injected I/O faults (short writes, disk-full) never corrupt what a reload
 //! sees, two handles on one directory never lose each other's appends, and a
-//! file with a poisoned header is ignored rather than mis-replayed.  Faults
+//! file with a poisoned header is ignored rather than mis-replayed, and an
+//! append that waits behind a compaction lands in the compacted log.  Faults
 //! are injected by passing a plan to the one append it governs.
 
 use ipl_provers::cache::Fingerprint;
-use ipl_provers::cache_store::{CacheStore, HEADER_LEN, SCHEMA_VERSION};
+use ipl_provers::cache_store::{scan_dir, StoreHandle, HEADER_LEN, SCHEMA_VERSION};
 use ipl_provers::fault::FaultPlan;
 use ipl_provers::ProverConfig;
 use proptest::prelude::*;
@@ -71,7 +72,7 @@ proptest! {
         let mut seen = BTreeMap::new();
         for batch in &batches {
             // A fresh handle per batch: exercises load + append interleaving.
-            let mut store = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+            let mut store = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
             let entries: Vec<(Fingerprint, String)> = batch
                 .iter()
                 .map(|&(raw, prover)| (fp(raw), PROVERS[prover].to_string()))
@@ -85,12 +86,12 @@ proptest! {
         }
 
         // Truncate up to `cut` bytes off the end (never into the header).
-        let path = CacheStore::file_path(&dir, &config, &PROVERS);
+        let path = StoreHandle::file_path(&dir, &config, &PROVERS);
         let bytes = std::fs::read(&path).unwrap();
         let keep = bytes.len().saturating_sub(cut).max(HEADER_LEN);
         std::fs::write(&path, &bytes[..keep]).unwrap();
 
-        let store = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+        let store = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
         prop_assert!(!store.was_poisoned());
         let loaded = store.loaded_entries();
         // The log is append-ordered, so the survivors are a prefix of the
@@ -127,7 +128,7 @@ proptest! {
 
         let mut attempted: BTreeMap<(u128, &str), ()> = BTreeMap::new();
         let mut durable: Vec<u128> = Vec::new();
-        let mut store = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+        let mut store = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
         for batch in &batches {
             let entries: Vec<(Fingerprint, String)> = batch
                 .iter()
@@ -147,13 +148,13 @@ proptest! {
                     );
                     // Crash-restart semantics: the handle dies with the
                     // process; the next open truncates any torn tail.
-                    store = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+                    store = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
                 }
             }
         }
         drop(store);
 
-        let recovered = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+        let recovered = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
         prop_assert!(!recovered.was_poisoned());
         // Nothing fabricated: every survivor was attempted, with the
         // attribution it was attempted under.
@@ -178,7 +179,7 @@ proptest! {
             .append_new(&[(sentinel, "shape".to_string())])
             .unwrap();
         drop(recovered);
-        let last = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+        let last = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
         prop_assert!(last.contains(sentinel));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -191,8 +192,8 @@ fn two_handles_on_one_directory_keep_both_sets_of_entries() {
     // load must see every entry from both.
     let dir = temp_dir("two-handles");
     let config = ProverConfig::default();
-    let mut a = CacheStore::open(&dir, &config, &PROVERS).unwrap();
-    let mut b = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let mut a = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
+    let mut b = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
 
     std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -207,7 +208,7 @@ fn two_handles_on_one_directory_keep_both_sets_of_entries() {
         });
     });
 
-    let merged = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let merged = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     assert_eq!(merged.len(), 100, "all 100 entries from both handles");
     for i in 0..50u128 {
         assert!(merged.contains(fp(i)));
@@ -232,8 +233,8 @@ fn torn_write_by_one_handle_never_costs_another_handles_later_appends() {
     // salvage-resync past the torn range instead of cutting at it.
     let dir = temp_dir("torn-interleave");
     let config = ProverConfig::default();
-    let mut a = CacheStore::open(&dir, &config, &PROVERS).unwrap();
-    let mut b = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let mut a = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
+    let mut b = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     a.append_new(&[(fp(1), "smt-ground".to_string())]).unwrap();
 
     // Tear A's next batch mid-entry.  100% short-write probability so the
@@ -262,7 +263,7 @@ fn torn_write_by_one_handle_never_costs_another_handles_later_appends() {
     // A fresh load salvages everything complete: the entry before the tear
     // and both of B's entries after it.  The torn bytes are skipped, not
     // used as a truncation point.
-    let merged = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let merged = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     assert!(merged.contains(fp(1)));
     assert!(merged.contains(fp(3)), "B's first entry survived the load");
     assert!(merged.contains(fp(4)), "B's second entry survived the load");
@@ -272,12 +273,12 @@ fn torn_write_by_one_handle_never_costs_another_handles_later_appends() {
     drop(merged);
 
     // Compaction scrubs the torn range for good; nothing else is lost.
-    let mut compactor = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let mut compactor = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     let stats = compactor.compact().unwrap();
     assert_eq!(stats.entries_after, 3);
     assert!(stats.corrupt_bytes_dropped > 0);
     drop(compactor);
-    let clean = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let clean = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     assert!(!clean.salvaged());
     assert_eq!(clean.recovered_bytes(), 0);
     assert_eq!(clean.len(), 3);
@@ -286,9 +287,64 @@ fn torn_write_by_one_handle_never_costs_another_handles_later_appends() {
     // (stale-inode detection reopens it under the hood).
     let mut a = a;
     a.append_new(&[(fp(5), "syntactic".to_string())]).unwrap();
-    let last = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let last = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     assert!(last.contains(fp(5)));
     assert_eq!(last.len(), 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Blocks until some thread waits for an advisory lock on the file with
+/// inode `ino` (Linux lists waiters in `/proc/locks` with `->`).
+#[cfg(target_os = "linux")]
+fn wait_for_a_lock_waiter(ino: u64) {
+    let file = format!(":{ino} ");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !std::fs::read_to_string("/proc/locks")
+        .unwrap()
+        .lines()
+        .any(|line| line.contains("->") && line.contains(&file))
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the append never waited for the lock"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_append_waiting_behind_a_compaction_lands_in_the_live_log() {
+    use std::os::unix::fs::MetadataExt;
+    // A compaction's shape: a second descriptor holds the lock while the
+    // handle's append waits for it, a copy is renamed over the path, and
+    // only then is the lock released.  The append must not write into the
+    // unlinked old file it was waiting on.
+    let dir = temp_dir("append-behind-compaction");
+    let config = ProverConfig::default();
+    let mut handle = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
+    let path = handle.path().to_path_buf();
+    let compactor = std::fs::File::open(&path).unwrap();
+    compactor.lock().unwrap();
+
+    let appender = std::thread::spawn(move || {
+        let written = handle.append_new(&[(fp(9), "smt-ground".to_string())]);
+        (handle, written)
+    });
+    wait_for_a_lock_waiter(compactor.metadata().unwrap().ino());
+    let copy = path.with_extension("copy");
+    std::fs::copy(&path, &copy).unwrap();
+    std::fs::rename(&copy, &path).unwrap();
+    compactor.unlock().unwrap();
+
+    let (handle, written) = appender.join().unwrap();
+    assert_eq!(written.unwrap(), 1);
+    assert!(handle.contains(fp(9)));
+    let reopened = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
+    assert!(
+        reopened.contains(fp(9)),
+        "the append went to the replaced file, not the live log"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -296,7 +352,7 @@ fn torn_write_by_one_handle_never_costs_another_handles_later_appends() {
 fn poisoned_schema_version_is_ignored_not_misreplayed() {
     let dir = temp_dir("poisoned-schema");
     let config = ProverConfig::default();
-    let mut store = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let mut store = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     store
         .append_new(&[
             (fp(1), "smt-ground".to_string()),
@@ -312,21 +368,29 @@ fn poisoned_schema_version_is_ignored_not_misreplayed() {
     bytes[8..12].copy_from_slice(&(SCHEMA_VERSION + 1).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
-    let reopened = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let reopened = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     assert!(reopened.was_poisoned());
     assert!(
         reopened.is_empty(),
         "entries under a foreign schema must never be replayed"
     );
     assert!(!reopened.contains(fp(1)));
+    // The poisoned bytes were moved to quarantine/, not rewritten in place:
+    // the evidence survives for post-mortem.
+    let quarantined = reopened.quarantined().expect("quarantine path");
+    assert!(quarantined.starts_with(dir.join("quarantine")));
+    assert_eq!(std::fs::read(quarantined).unwrap(), bytes);
 
-    // The poisoned file was rewritten fresh and is usable again.
-    let mut recovered = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    // A fresh file took the path and is usable again.
+    let mut recovered = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     assert!(!recovered.was_poisoned());
+    assert!(recovered.quarantined().is_none());
+    // Quarantined files are invisible to the directory scan.
+    assert_eq!(scan_dir(&dir).unwrap().len(), 1);
     recovered
         .append_new(&[(fp(3), "shape".to_string())])
         .unwrap();
-    let last = CacheStore::open(&dir, &config, &PROVERS).unwrap();
+    let last = StoreHandle::open(&dir, &config, &PROVERS).unwrap();
     assert_eq!(last.len(), 1);
     assert!(last.contains(fp(3)));
     let _ = std::fs::remove_dir_all(&dir);

@@ -75,9 +75,6 @@ serve options:
                      how long a drain (SIGTERM or shutdown {\"drain\": true})
                      lets in-flight requests finish before they answer
                      Skipped(DeadlineExceeded) partial reports (default 5000)
-  --compact-every N  compact the proof store after every N verified requests
-                     (0 = never; duplicates dropped, generation bumped, warm
-                     index kept — no rescan)
   --fault-plan SPEC  daemon-level chaos plan (also $IPL_FAULT_PLAN) for every
                      request that carries no `fault_plan` of its own; adds
                      connection-level kinds conn_drop/stall/stall_ms/overload
@@ -115,36 +112,77 @@ fn main() -> ExitCode {
     }
 }
 
+/// The options `ipl verify` and `ipl serve` share.  `$IPL_CACHE_DIR` and
+/// `$IPL_FAULT_PLAN` give the defaults, and a flag beats its variable.
+struct SharedOptions {
+    options: VerifyOptions,
+    fault_spec: Option<String>,
+}
+
+impl SharedOptions {
+    fn from_env() -> SharedOptions {
+        let mut options = VerifyOptions::default();
+        options.cache_dir = std::env::var_os("IPL_CACHE_DIR").map(PathBuf::from);
+        SharedOptions {
+            options,
+            fault_spec: std::env::var("IPL_FAULT_PLAN").ok(),
+        }
+    }
+
+    /// Takes `arg`, and its value from `rest`, when it is a shared option.
+    /// Returns whether it was one, or the usage error for a missing or
+    /// malformed value.
+    fn parse(&mut self, arg: &str, rest: &mut std::slice::Iter<String>) -> Result<bool, ExitCode> {
+        match arg {
+            "--cache-dir" => match rest.next() {
+                Some(dir) => self.options.cache_dir = Some(PathBuf::from(dir)),
+                None => return Err(usage_error("--cache-dir needs a directory")),
+            },
+            "--no-cache" => {
+                self.options.config.use_cache = false;
+                self.options.cache_dir = None;
+            }
+            "--jobs" => match rest.next().and_then(|n| n.parse().ok()) {
+                Some(jobs) => self.options.jobs = jobs,
+                None => return Err(usage_error("--jobs needs a number")),
+            },
+            "--module-deadline-ms" => match rest.next().and_then(|n| n.parse().ok()) {
+                Some(ms) => self.options.module_deadline = Some(Duration::from_millis(ms)),
+                None => return Err(usage_error("--module-deadline-ms needs a number")),
+            },
+            "--fault-plan" => match rest.next() {
+                Some(spec) => self.fault_spec = Some(spec.clone()),
+                None => return Err(usage_error("--fault-plan needs a plan spec")),
+            },
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The verify options and the fault plan, or the usage error for a
+    /// malformed plan.
+    fn finish(self) -> Result<(VerifyOptions, Option<fault::FaultPlan>), ExitCode> {
+        let plan = self.fault_spec.as_deref().map(fault::FaultPlan::parse);
+        match plan.transpose() {
+            Ok(plan) => Ok((self.options, plan)),
+            Err(e) => Err(usage_error(&e)),
+        }
+    }
+}
+
 fn cmd_verify(args: &[String]) -> ExitCode {
-    let mut options = VerifyOptions::default();
-    let mut cache_dir = std::env::var_os("IPL_CACHE_DIR").map(PathBuf::from);
-    let mut fault_spec = std::env::var("IPL_FAULT_PLAN").ok();
+    let mut shared = SharedOptions::from_env();
     let mut quiet = false;
     let mut files: Vec<PathBuf> = Vec::new();
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        match shared.parse(arg, &mut iter) {
+            Err(code) => return code,
+            Ok(true) => continue,
+            Ok(false) => {}
+        }
         match arg.as_str() {
-            "--cache-dir" => match iter.next() {
-                Some(dir) => cache_dir = Some(PathBuf::from(dir)),
-                None => return usage_error("--cache-dir needs a directory"),
-            },
-            "--no-cache" => {
-                options.config.use_cache = false;
-                cache_dir = None;
-            }
-            "--jobs" => match iter.next().and_then(|n| n.parse().ok()) {
-                Some(jobs) => options.jobs = jobs,
-                None => return usage_error("--jobs needs a number"),
-            },
-            "--module-deadline-ms" => match iter.next().and_then(|n| n.parse().ok()) {
-                Some(ms) => options.module_deadline = Some(Duration::from_millis(ms)),
-                None => return usage_error("--module-deadline-ms needs a number"),
-            },
-            "--fault-plan" => match iter.next() {
-                Some(spec) => fault_spec = Some(spec.clone()),
-                None => return usage_error("--fault-plan needs a plan spec"),
-            },
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -159,14 +197,9 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     if files.is_empty() {
         return usage_error("no input files");
     }
-    options.cache_dir = cache_dir;
-    let plan = match fault_spec
-        .as_deref()
-        .map(fault::FaultPlan::parse)
-        .transpose()
-    {
-        Ok(plan) => plan,
-        Err(e) => return usage_error(&e),
+    let (options, plan) = match shared.finish() {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
 
     // One session for every file on the command line: the cascade is built
@@ -238,9 +271,7 @@ fn install_sigterm_handler() {
 fn install_sigterm_handler() {}
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut options = VerifyOptions::default();
-    let mut cache_dir = std::env::var_os("IPL_CACHE_DIR").map(PathBuf::from);
-    let mut fault_spec = std::env::var("IPL_FAULT_PLAN").ok();
+    let mut shared = SharedOptions::from_env();
     let mut listen: Option<PathBuf> = None;
     let mut max_inflight = 0usize;
     let mut queue_depth: Option<usize> = None;
@@ -248,23 +279,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        match shared.parse(arg, &mut iter) {
+            Err(code) => return code,
+            Ok(true) => continue,
+            Ok(false) => {}
+        }
         match arg.as_str() {
-            "--cache-dir" => match iter.next() {
-                Some(dir) => cache_dir = Some(PathBuf::from(dir)),
-                None => return usage_error("--cache-dir needs a directory"),
-            },
-            "--no-cache" => {
-                options.config.use_cache = false;
-                cache_dir = None;
-            }
-            "--jobs" => match iter.next().and_then(|n| n.parse().ok()) {
-                Some(jobs) => options.jobs = jobs,
-                None => return usage_error("--jobs needs a number"),
-            },
-            "--module-deadline-ms" => match iter.next().and_then(|n| n.parse().ok()) {
-                Some(ms) => options.module_deadline = Some(Duration::from_millis(ms)),
-                None => return usage_error("--module-deadline-ms needs a number"),
-            },
             "--listen" => match iter.next() {
                 Some(path) => listen = Some(PathBuf::from(path)),
                 None => return usage_error("--listen needs a socket path"),
@@ -289,14 +309,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 Some(ms) => serve_config.drain_deadline = Duration::from_millis(ms),
                 None => return usage_error("--drain-deadline-ms needs a number"),
             },
-            "--compact-every" => match iter.next().and_then(|n| n.parse().ok()) {
-                Some(n) => serve_config.compact_every = n,
-                None => return usage_error("--compact-every needs a number"),
-            },
-            "--fault-plan" => match iter.next() {
-                Some(spec) => fault_spec = Some(spec.clone()),
-                None => return usage_error("--fault-plan needs a plan spec"),
-            },
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -304,7 +316,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             other => return usage_error(&format!("unknown serve argument `{other}`")),
         }
     }
-    options.cache_dir = cache_dir;
     if max_inflight > 0 {
         serve_config.max_inflight = max_inflight;
         serve_config.queue_depth = 2 * max_inflight;
@@ -312,12 +323,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     if let Some(depth) = queue_depth {
         serve_config.queue_depth = depth;
     }
-    if let Some(spec) = fault_spec.as_deref() {
-        match fault::FaultPlan::parse(spec) {
-            Ok(plan) => serve_config.fault_plan = Some(plan),
-            Err(e) => return usage_error(&e),
-        }
-    }
+    let (options, plan) = match shared.finish() {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
+    };
+    serve_config.fault_plan = plan;
 
     install_sigterm_handler();
     let daemon = Arc::new(Daemon::new(Arc::new(Session::new(options)), serve_config));

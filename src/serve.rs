@@ -59,10 +59,13 @@
 //!
 //! * `stats` — cumulative session telemetry;
 //! * `health` — liveness plus admission state: `{"ok": true, "health": "ok",
-//!   "inflight": 1, "queued": 0, "max_inflight": 4, "draining": false,
-//!   "requests": 17, "store_entries": 120, "store_generation": 2}`;
+//!   "inflight": 1, "queued": 0, "max_inflight": 4, "queue_depth": 8,
+//!   "draining": false, "requests": 17, "store_entries": 120,
+//!   "store_preloads": 1}`;
 //! * `compact` — compacts the persistent store in place (duplicates and
-//!   corrupt ranges dropped, generation bumped) and reports the stats;
+//!   corrupt ranges dropped, generation bumped) and reports the stats; the
+//!   daemon compacts only when asked, by this op or by
+//!   `ipl cache DIR --compact`;
 //! * `shutdown` — `{"op": "shutdown"}` stops immediately;
 //!   `{"op": "shutdown", "drain": true}` stops accepting, finishes in-flight
 //!   requests under the drain deadline (late ones answer
@@ -228,7 +231,7 @@ fn id_field(id: Option<&Json>) -> String {
     }
 }
 
-/// Tuning for a [`Daemon`]: admission bounds, timeouts, maintenance.
+/// Tuning for a [`Daemon`]: admission bounds, timeouts and chaos.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Verify requests allowed to run concurrently.
@@ -243,8 +246,6 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// A connection that accepts no byte for this long is shed.
     pub write_timeout: Duration,
-    /// Compact the store after every N verified requests (0 = never).
-    pub compact_every: usize,
     /// Daemon-level chaos plan for every request that carries no
     /// `fault_plan` of its own: its connection-level faults (overload,
     /// stalls, mid-frame drops), its prover stages and its store append.
@@ -260,7 +261,6 @@ impl Default for ServeConfig {
             drain_deadline: Duration::from_secs(5),
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            compact_every: 0,
             fault_plan: None,
         }
     }
@@ -419,15 +419,14 @@ pub enum ShutdownKind {
 }
 
 /// A long-lived serving wrapper around one warm [`Session`]: bounded
-/// admission, drain orchestration, connection-level chaos, periodic store
-/// compaction, and the transports ([`Daemon::serve_stdin`],
+/// admission, drain orchestration, connection-level chaos, and the
+/// transports ([`Daemon::serve_stdin`],
 /// [`Daemon::serve_socket`]) that call [`Daemon::handle`] once per complete
 /// request line and act on the returned [`Served`].
 pub struct Daemon {
     session: Arc<Session>,
     config: ServeConfig,
     admission: Admission,
-    verified: AtomicUsize,
     /// Set by an immediate `shutdown`: every stream and the accept loop stop.
     stopping: AtomicBool,
     /// Socket connections being served; a drain waits for them.
@@ -442,7 +441,6 @@ impl Daemon {
             session,
             config,
             admission,
-            verified: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
         }
@@ -524,7 +522,6 @@ impl Daemon {
                     Ticket::Admitted(permit) => {
                         served.frame = handle_verify(&self.session, &frame, id, plan);
                         drop(permit);
-                        self.maybe_compact();
                     }
                 }
             }
@@ -564,28 +561,6 @@ impl Daemon {
     /// Whether a drain has begun.
     pub fn draining(&self) -> bool {
         self.session.drain_deadline().is_some()
-    }
-
-    /// Compacts the session's store on the in-daemon trigger, logging (not
-    /// failing) on error — compaction is maintenance, not a request.
-    fn maybe_compact(&self) {
-        let done = self.verified.fetch_add(1, Ordering::Relaxed) + 1;
-        let every = self.config.compact_every;
-        if every == 0 || !done.is_multiple_of(every) {
-            return;
-        }
-        match self.session.compact_store() {
-            Ok(Some(stats)) => eprintln!(
-                "ipl serve: compacted store (generation {}, {} -> {} entries, {} -> {} bytes)",
-                stats.generation,
-                stats.entries_before,
-                stats.entries_after,
-                stats.bytes_before,
-                stats.bytes_after
-            ),
-            Ok(None) => {}
-            Err(e) => eprintln!("ipl serve: store compaction failed: {e}"),
-        }
     }
 
     fn overloaded_frame(
@@ -1181,14 +1156,13 @@ mod tests {
             Some(0)
         );
         // Store-less daemons answer gracefully.
-        let bare = daemon_default_for_compat();
+        let bare = Daemon::new(
+            Arc::new(Session::new(VerifyOptions::default())),
+            ServeConfig::default(),
+        );
         let answer = parse_json(&bare.handle("{\"op\": \"compact\"}").frame).unwrap();
         assert_eq!(answer.get("compacted"), Some(&Json::Bool(false)));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn daemon_default_for_compat() -> Daemon {
-        daemon(ServeConfig::default())
     }
 
     #[test]
@@ -1213,34 +1187,5 @@ mod tests {
             .collect();
         assert_eq!(ids, [Some(1), Some(2)], "nothing after a shutdown is read");
         assert!(daemon.stopping.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn in_daemon_compaction_triggers_every_n_verifies() {
-        let dir = std::env::temp_dir().join(format!(
-            "ipl-serve-autocompact-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let session = Arc::new(Session::new(VerifyOptions::default().with_cache_dir(&dir)));
-        let daemon = Daemon::new(
-            session,
-            ServeConfig {
-                compact_every: 2,
-                ..ServeConfig::default()
-            },
-        );
-        for id in 0..4 {
-            let answer = parse_json(&daemon.handle(&verify_line(id, COUNTER)).frame).unwrap();
-            assert_eq!(answer.get("ok"), Some(&Json::Bool(true)));
-        }
-        let health = parse_json(&daemon.handle("{\"op\": \"health\"}").frame).unwrap();
-        assert_eq!(health.get("requests").and_then(Json::as_u128), Some(4));
-        // 4 verifies at compact_every=2: two compactions, generation 2.
-        let info = crate::provers::cache_store::scan_dir(&dir).unwrap();
-        assert_eq!(info.len(), 1);
-        assert_eq!(info[0].generation, Some(2));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

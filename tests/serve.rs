@@ -658,7 +658,8 @@ fn a_chaos_connection_leaves_a_clean_connection_untouched() {
 /// Every accepted request gets exactly one well-formed frame with its own
 /// id, no frame ever claims full success alongside crashes or skips, and
 /// the store counts stay stable — the log is scanned once, duplicates never
-/// accumulate, and periodic in-daemon compaction keeps warm answers intact.
+/// accumulate, and a `compact` op every 50 requests keeps warm answers
+/// intact.
 #[test]
 fn soak_chaos_requests_each_get_exactly_one_wellformed_frame() {
     let dir = temp_dir("soak");
@@ -667,8 +668,6 @@ fn soak_chaos_requests_each_get_exactly_one_wellformed_frame() {
         dir.to_str().unwrap(),
         "--jobs",
         "1",
-        "--compact-every",
-        "50",
         "--fault-plan",
         "seed=9,stall=5,stall_ms=1,overload=2,conn_drop=3,panic=1,delay=1,delay_ms=1",
     ]);
@@ -677,6 +676,15 @@ fn soak_chaos_requests_each_get_exactly_one_wellformed_frame() {
     let mut served = 0u128;
     let mut entries_after_warmup = None;
     for i in 0..200u128 {
+        if i % 50 == 49 {
+            let compacted = daemon.request("{\"id\": \"compact\", \"op\": \"compact\"}");
+            assert_eq!(
+                compacted.get("compacted"),
+                Some(&Json::Bool(true)),
+                "{compacted:?}"
+            );
+            assert_eq!(u(&compacted, "generation"), (i + 1) / 50);
+        }
         let frame = daemon.request(&format!(
             "{{\"id\": {i}, \"op\": \"verify\", \"source\": {}}}",
             json::string(
