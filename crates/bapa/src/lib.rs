@@ -1,11 +1,13 @@
 //! # `ipl-bapa` — Boolean Algebra with Presburger Arithmetic
 //!
-//! A from-scratch implementation of the BAPA decision procedure used by Jahob
+//! A from-scratch stand-in for the BAPA decision procedure used by Jahob
 //! (Kuncak, Nguyen, Rinard — "Deciding Boolean Algebra with Presburger
 //! Arithmetic") as one of the specialised reasoners in the prover cascade of
-//! *"An Integrated Proof Language for Imperative Programs"*.
+//! *"An Integrated Proof Language for Imperative Programs"*.  It keeps the
+//! procedure's Venn-region reduction but refutes the resulting arithmetic
+//! rather than deciding it (step 3 below).
 //!
-//! The procedure decides validity of formulas that combine:
+//! The procedure proves validity of formulas that combine:
 //!
 //! * set algebra over set variables (union, intersection, difference, subset,
 //!   equality, emptiness, finite literals of element variables), and
@@ -20,16 +22,17 @@
 //!    integer variable per Venn region of its set variables and rewrites
 //!    every cardinality and set-algebra atom into linear arithmetic over
 //!    those variables.
-//! 3. [`presburger`] decides the resulting Presburger sentence: Cooper's
-//!    quantifier-elimination algorithm for small problems, with a sound
-//!    Fourier–Motzkin refutation fallback for larger ones.
+//! 3. [`presburger`] refutes the resulting linear arithmetic by
+//!    Fourier–Motzkin elimination with integer tightening.  Refutation is
+//!    sound but incomplete over the integers, so a parity argument, for
+//!    one, stays unproved.
 //!
 //! The top-level entry point is [`prove_valid`], which checks validity of
 //! `assumptions --> goal` and errs on the side of returning
 //! [`BapaOutcome::Unknown`] whenever the formula leaves the fragment or the
-//! problem exceeds the configured size limits.  As in Jahob, the procedure
-//! is one stage of the prover cascade (the `bapa` stage of `ipl-provers`),
-//! called once per sequent, not a theory inside the ground solver.
+//! problem exceeds the size limits.  As in Jahob, the procedure is one stage
+//! of the prover cascade (the `bapa` stage of `ipl-provers`), called once
+//! per sequent, not a theory inside the ground solver.
 
 pub mod extract;
 pub mod presburger;
@@ -38,6 +41,7 @@ pub mod venn;
 pub use presburger::{id_conjunction_infeasible, IdLinExpr};
 
 use ipl_logic::Form;
+use std::time::Instant;
 
 /// The result of a BAPA validity query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,46 +53,12 @@ pub enum BapaOutcome {
     Unknown,
 }
 
-/// Resource limits for the BAPA procedure.
-#[derive(Debug, Clone, Copy)]
-pub struct BapaLimits {
-    /// Maximum number of distinct set variables (the Venn construction is
-    /// exponential in this number).
-    pub max_set_vars: usize,
-    /// Maximum number of integer variables Cooper's algorithm is applied to;
-    /// above this the Fourier–Motzkin fallback is used.
-    pub max_cooper_vars: usize,
-    /// Hard cap on formula nodes produced during quantifier elimination.
-    pub max_qe_nodes: usize,
-    /// Cooperative deadline: the Venn-region and quantifier-elimination
-    /// loops poll it and give up (reporting `Unknown`) once it passes.
-    pub deadline: Option<std::time::Instant>,
-}
-
-impl Default for BapaLimits {
-    fn default() -> Self {
-        BapaLimits {
-            max_set_vars: 6,
-            max_cooper_vars: 6,
-            max_qe_nodes: 20_000,
-            deadline: None,
-        }
-    }
-}
-
-impl BapaLimits {
-    /// Returns `true` once the deadline (if any) has passed.
-    pub fn expired(&self) -> bool {
-        matches!(self.deadline, Some(deadline) if std::time::Instant::now() >= deadline)
-    }
-}
-
 /// Checks validity of `(/\ assumptions) --> goal` within the BAPA fragment.
 ///
 /// Returns [`BapaOutcome::Unknown`] (never an error) when any part of the
-/// input is outside the fragment; the caller simply moves on to the next
-/// prover in the cascade.
-pub fn prove_valid(assumptions: &[Form], goal: &Form, limits: &BapaLimits) -> BapaOutcome {
+/// input is outside the fragment, or once the cooperative `deadline` passes;
+/// the caller simply moves on to the next prover in the cascade.
+pub fn prove_valid(assumptions: &[Form], goal: &Form, deadline: Option<Instant>) -> BapaOutcome {
     // Classify variables by scanning the whole problem (assumptions and goal
     // together), so that e.g. an element variable used in a membership in one
     // assumption is recognised as an element in a disequality elsewhere.
@@ -114,7 +84,7 @@ pub fn prove_valid(assumptions: &[Form], goal: &Form, limits: &BapaLimits) -> Ba
         parts.extend(venn::conjuncts(&t));
     }
     parts.push(extract::BapaForm::Not(Box::new(goal)));
-    if venn::conjunction_unsatisfiable(&parts, limits) {
+    if venn::conjunction_unsatisfiable(&parts, deadline) {
         BapaOutcome::Valid
     } else {
         BapaOutcome::Unknown
@@ -129,7 +99,7 @@ mod tests {
     fn valid(assumptions: &[&str], goal: &str) -> bool {
         let assumptions: Vec<Form> = assumptions.iter().map(|s| parse_form(s).unwrap()).collect();
         let goal = parse_form(goal).unwrap();
-        prove_valid(&assumptions, &goal, &BapaLimits::default()) == BapaOutcome::Valid
+        prove_valid(&assumptions, &goal, None) == BapaOutcome::Valid
     }
 
     #[test]
@@ -211,14 +181,8 @@ mod tests {
         let goal = parse_form("card(s) >= 0").unwrap();
         // The out-of-fragment assumption is dropped (soundly); the goal itself
         // is provable because cardinalities are non-negative.
-        assert_eq!(
-            prove_valid(&assumptions, &goal, &BapaLimits::default()),
-            BapaOutcome::Valid
-        );
+        assert_eq!(prove_valid(&assumptions, &goal, None), BapaOutcome::Valid);
         let goal = parse_form("y.next = x").unwrap();
-        assert_eq!(
-            prove_valid(&assumptions, &goal, &BapaLimits::default()),
-            BapaOutcome::Unknown
-        );
+        assert_eq!(prove_valid(&assumptions, &goal, None), BapaOutcome::Unknown);
     }
 }

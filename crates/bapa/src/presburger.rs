@@ -1,484 +1,38 @@
-//! Quantifier-free and quantified Presburger arithmetic.
+//! Linear integer arithmetic, refuted by Fourier–Motzkin elimination.
 //!
-//! Two deciders are provided:
+//! [`id_conjunction_infeasible`] is the one Presburger procedure: rational
+//! Fourier–Motzkin elimination over a conjunction of `expr <= 0`
+//! constraints, with integer tightening (every constraint is divided by the
+//! gcd of its coefficients and its constant rounded towards the tighter
+//! bound).  The ground solver hands it its asserted arithmetic literals
+//! directly; [`unsatisfiable`] runs it on every disjunct of the DNF of a
+//! [`PForm`], the shape the BAPA stage's Venn translation produces.
 //!
-//! * a **Fourier–Motzkin refutation** over the rationals (with integer
-//!   tightening of strict inequalities), which is sound for proving
-//!   unsatisfiability and fast; and
-//! * **Cooper's quantifier elimination**, a complete decision procedure for
-//!   Presburger sentences, used when the variable count is small enough.
-//!
-//! [`unsatisfiable`] combines the two: it returns `true` only when the
-//! sentence is definitely unsatisfiable.
+//! The procedure is sound for refutation and incomplete over the integers:
+//! `x = 2y ∧ x = 2z + 1` has rational models and no integer model, and it
+//! is left open.  Every `i64` operation on an [`IdLinExpr`] is checked; an
+//! expression that overflowed is marked, and no conjunction holding one is
+//! ever refuted.
 
-use crate::BapaLimits;
-use std::collections::{BTreeMap, BTreeSet};
+/// Give-up cap on the number of constraints one elimination step may leave.
+const MAX_CONSTRAINTS: usize = 20_000;
 
-/// A linear expression `sum(coeff_i * var_i) + constant`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LinExpr {
-    /// Variable coefficients (zero coefficients are removed).
-    pub coeffs: BTreeMap<String, i64>,
-    /// The constant term.
-    pub constant: i64,
-}
+/// Give-up cap on the number of disjuncts of a DNF expansion.
+const MAX_DISJUNCTS: usize = 4_096;
 
-impl LinExpr {
-    /// The constant expression.
-    pub fn constant(value: i64) -> LinExpr {
-        LinExpr {
-            coeffs: BTreeMap::new(),
-            constant: value,
-        }
-    }
-
-    /// The expression `coeff * var`.
-    pub fn variable(name: &str, coeff: i64) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        if coeff != 0 {
-            coeffs.insert(name.to_string(), coeff);
-        }
-        LinExpr {
-            coeffs,
-            constant: 0,
-        }
-    }
-
-    /// Adds `coeff * var` to this expression in place.
-    pub fn add_var(&mut self, name: &str, coeff: i64) {
-        let entry = self.coeffs.entry(name.to_string()).or_insert(0);
-        *entry += coeff;
-        if *entry == 0 {
-            self.coeffs.remove(name);
-        }
-    }
-
-    /// Returns `self + other`.
-    pub fn plus(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        out.constant += other.constant;
-        for (name, coeff) in &other.coeffs {
-            out.add_var(name, *coeff);
-        }
-        out
-    }
-
-    /// Returns `k * self`.
-    pub fn scaled(&self, k: i64) -> LinExpr {
-        if k == 0 {
-            return LinExpr::constant(0);
-        }
-        LinExpr {
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|(n, c)| (n.clone(), c * k))
-                .collect(),
-            constant: self.constant * k,
-        }
-    }
-
-    /// Returns `self + k`.
-    pub fn shifted(&self, k: i64) -> LinExpr {
-        let mut out = self.clone();
-        out.constant += k;
-        out
-    }
-
-    /// The coefficient of a variable (zero if absent).
-    pub fn coeff(&self, name: &str) -> i64 {
-        self.coeffs.get(name).copied().unwrap_or(0)
-    }
-
-    /// Removes the variable and returns its former coefficient.
-    pub fn remove(&mut self, name: &str) -> i64 {
-        self.coeffs.remove(name).unwrap_or(0)
-    }
-
-    /// Returns `true` if the expression has no variables.
-    pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
-    /// Substitutes `var := replacement` (the replacement is itself linear).
-    pub fn substitute(&self, name: &str, replacement: &LinExpr) -> LinExpr {
-        let coeff = self.coeff(name);
-        if coeff == 0 {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        out.remove(name);
-        out.plus(&replacement.scaled(coeff))
-    }
-}
-
-/// Presburger formulas.  `Le(e)` means `e <= 0`; `Divides(d, e)` means
-/// `d | e`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PForm {
-    /// Truth.
-    True,
-    /// Falsity.
-    False,
-    /// `expr <= 0`.
-    Le(LinExpr),
-    /// `d` divides `expr` (`d > 0`).
-    Divides(i64, LinExpr),
-    /// Negation.
-    Not(Box<PForm>),
-    /// Conjunction.
-    And(Vec<PForm>),
-    /// Disjunction.
-    Or(Vec<PForm>),
-    /// Existential quantification over an integer variable.
-    Exists(String, Box<PForm>),
-}
-
-impl PForm {
-    /// `expr <= 0`, with constant folding.
-    pub fn le(expr: LinExpr) -> PForm {
-        if expr.is_constant() {
-            if expr.constant <= 0 {
-                PForm::True
-            } else {
-                PForm::False
-            }
-        } else {
-            PForm::Le(expr)
-        }
-    }
-
-    /// Negation with simplification.
-    // Associated smart constructor named after the connective, not an
-    // operator on self; `std::ops::Not` would change every call site.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(inner: PForm) -> PForm {
-        match inner {
-            PForm::True => PForm::False,
-            PForm::False => PForm::True,
-            PForm::Not(inner) => *inner,
-            other => PForm::Not(Box::new(other)),
-        }
-    }
-
-    /// Flattening conjunction.
-    pub fn and(parts: Vec<PForm>) -> PForm {
-        let mut out = Vec::new();
-        for p in parts {
-            match p {
-                PForm::True => {}
-                PForm::False => return PForm::False,
-                PForm::And(inner) => out.extend(inner),
-                other => out.push(other),
-            }
-        }
-        match out.len() {
-            0 => PForm::True,
-            1 => out.pop().expect("len checked"),
-            _ => PForm::And(out),
-        }
-    }
-
-    /// Flattening disjunction.
-    pub fn or(parts: Vec<PForm>) -> PForm {
-        let mut out = Vec::new();
-        for p in parts {
-            match p {
-                PForm::False => {}
-                PForm::True => return PForm::True,
-                PForm::Or(inner) => out.extend(inner),
-                other => out.push(other),
-            }
-        }
-        match out.len() {
-            0 => PForm::False,
-            1 => out.pop().expect("len checked"),
-            _ => PForm::Or(out),
-        }
-    }
-
-    /// Collects free variables (quantified variables are excluded).
-    pub fn collect_vars(&self, out: &mut BTreeSet<String>) {
-        match self {
-            PForm::True | PForm::False => {}
-            PForm::Le(e) | PForm::Divides(_, e) => out.extend(e.coeffs.keys().cloned()),
-            PForm::Not(inner) => inner.collect_vars(out),
-            PForm::And(parts) | PForm::Or(parts) => parts.iter().for_each(|p| p.collect_vars(out)),
-            PForm::Exists(var, body) => {
-                let mut inner = BTreeSet::new();
-                body.collect_vars(&mut inner);
-                inner.remove(var);
-                out.extend(inner);
-            }
-        }
-    }
-
-    /// Number of nodes (used for quantifier-elimination budgets).
-    pub fn size(&self) -> usize {
-        match self {
-            PForm::True | PForm::False | PForm::Le(_) | PForm::Divides(..) => 1,
-            PForm::Not(inner) => 1 + inner.size(),
-            PForm::And(parts) | PForm::Or(parts) => {
-                1 + parts.iter().map(PForm::size).sum::<usize>()
-            }
-            PForm::Exists(_, body) => 1 + body.size(),
-        }
-    }
-
-    /// Negation normal form over the literal set `{Le, Divides}`.
-    pub fn nnf(&self) -> PForm {
-        self.nnf_signed(true)
-    }
-
-    fn nnf_signed(&self, positive: bool) -> PForm {
-        match self {
-            PForm::True => {
-                if positive {
-                    PForm::True
-                } else {
-                    PForm::False
-                }
-            }
-            PForm::False => {
-                if positive {
-                    PForm::False
-                } else {
-                    PForm::True
-                }
-            }
-            PForm::Le(e) => {
-                if positive {
-                    PForm::le(e.clone())
-                } else {
-                    // not (e <= 0)  <=>  e >= 1  <=>  -e + 1 <= 0 (integers)
-                    PForm::le(e.scaled(-1).shifted(1))
-                }
-            }
-            PForm::Divides(d, e) => {
-                if positive {
-                    PForm::Divides(*d, e.clone())
-                } else {
-                    PForm::Not(Box::new(PForm::Divides(*d, e.clone())))
-                }
-            }
-            PForm::Not(inner) => inner.nnf_signed(!positive),
-            PForm::And(parts) => {
-                let converted: Vec<PForm> = parts.iter().map(|p| p.nnf_signed(positive)).collect();
-                if positive {
-                    PForm::and(converted)
-                } else {
-                    PForm::or(converted)
-                }
-            }
-            PForm::Or(parts) => {
-                let converted: Vec<PForm> = parts.iter().map(|p| p.nnf_signed(positive)).collect();
-                if positive {
-                    PForm::or(converted)
-                } else {
-                    PForm::and(converted)
-                }
-            }
-            PForm::Exists(var, body) => {
-                // Quantifiers are only produced at the top level by the Venn
-                // translation; a negated existential cannot be put in NNF over
-                // this literal language, so keep it (Cooper handles prenex
-                // sentences only and the callers guarantee that shape).
-                if positive {
-                    PForm::Exists(var.clone(), Box::new(body.nnf_signed(true)))
-                } else {
-                    PForm::Not(Box::new(PForm::Exists(
-                        var.clone(),
-                        Box::new(body.nnf_signed(true)),
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Substitutes a variable by a linear expression in every literal.
-    pub fn substitute(&self, name: &str, replacement: &LinExpr) -> PForm {
-        match self {
-            PForm::True | PForm::False => self.clone(),
-            PForm::Le(e) => PForm::le(e.substitute(name, replacement)),
-            PForm::Divides(d, e) => PForm::Divides(*d, e.substitute(name, replacement)),
-            PForm::Not(inner) => PForm::not(inner.substitute(name, replacement)),
-            PForm::And(parts) => PForm::and(
-                parts
-                    .iter()
-                    .map(|p| p.substitute(name, replacement))
-                    .collect(),
-            ),
-            PForm::Or(parts) => PForm::or(
-                parts
-                    .iter()
-                    .map(|p| p.substitute(name, replacement))
-                    .collect(),
-            ),
-            PForm::Exists(var, body) => {
-                if var == name {
-                    self.clone()
-                } else {
-                    PForm::Exists(var.clone(), Box::new(body.substitute(name, replacement)))
-                }
-            }
-        }
-    }
-
-    /// Evaluates a variable-free formula.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the formula still contains variables or quantifiers.
-    pub fn eval_closed(&self) -> bool {
-        match self {
-            PForm::True => true,
-            PForm::False => false,
-            PForm::Le(e) => {
-                assert!(e.is_constant(), "eval_closed on open formula");
-                e.constant <= 0
-            }
-            PForm::Divides(d, e) => {
-                assert!(e.is_constant(), "eval_closed on open formula");
-                e.constant.rem_euclid(*d) == 0
-            }
-            PForm::Not(inner) => !inner.eval_closed(),
-            PForm::And(parts) => parts.iter().all(PForm::eval_closed),
-            PForm::Or(parts) => parts.iter().any(PForm::eval_closed),
-            PForm::Exists(..) => panic!("eval_closed on quantified formula"),
-        }
-    }
-}
-
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.max(1)
-}
-
-fn lcm(a: i64, b: i64) -> i64 {
-    (a / gcd(a, b)).saturating_mul(b).abs().max(1)
-}
-
-/// Ceiling division for a positive divisor.
-fn div_ceil(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    a.div_euclid(b) + i64::from(a.rem_euclid(b) != 0)
-}
-
-// --------------------------------------------------------------------------
-// Fourier–Motzkin refutation
-// --------------------------------------------------------------------------
-
-/// Dense interner from variable names to the integer ids the refutation core
-/// works over.  One instance lives for the duration of a single
-/// [`fm_unsatisfiable`] call — ids never escape it.
-#[derive(Default)]
-struct NameIds(std::collections::HashMap<String, usize>);
-
-impl NameIds {
-    fn id(&mut self, name: &str) -> usize {
-        if let Some(&id) = self.0.get(name) {
-            return id;
-        }
-        let id = self.0.len();
-        self.0.insert(name.to_string(), id);
-        id
-    }
-}
-
-/// Converts a string-keyed expression into the id-keyed form (canonical by
-/// construction: `BTreeMap` iteration is name-ordered but ids are assigned in
-/// first-seen order, so a final canonicalisation pass re-sorts).
-fn to_id_expr(e: &LinExpr, ids: &mut NameIds) -> IdLinExpr {
-    let mut out = IdLinExpr::constant(e.constant);
-    for (name, &k) in &e.coeffs {
-        out.push_term(ids.id(name), k);
-    }
-    out.canonicalize();
-    out
-}
-
-/// Converts an NNF, quantifier-free formula into disjunctive normal form as a
-/// list of conjunctions of id-keyed `<= 0` constraints.  Divisibility
-/// literals are dropped (weakening, hence sound for refutation).  Returns
-/// `None` if the DNF exceeds the cap.  Working over [`IdLinExpr`] here keeps
-/// the cross-product clones flat `memcpy`s instead of `BTreeMap` rebuilds —
-/// the Venn sentences this decides have dozens of region variables per
-/// constraint.
-fn dnf_id(form: &PForm, ids: &mut NameIds, cap: usize) -> Option<Vec<Vec<IdLinExpr>>> {
-    match form {
-        PForm::True => Some(vec![Vec::new()]),
-        PForm::False => Some(vec![]),
-        PForm::Le(e) => Some(vec![vec![to_id_expr(e, ids)]]),
-        PForm::Divides(..) | PForm::Not(_) => Some(vec![Vec::new()]), // dropped
-        PForm::And(parts) => {
-            let mut acc = vec![Vec::new()];
-            for part in parts {
-                let branches = dnf_id(part, ids, cap)?;
-                let mut next = Vec::new();
-                for a in &acc {
-                    for b in &branches {
-                        let mut merged = a.clone();
-                        merged.extend(b.iter().cloned());
-                        next.push(merged);
-                        if next.len() > cap {
-                            return None;
-                        }
-                    }
-                }
-                acc = next;
-            }
-            Some(acc)
-        }
-        PForm::Or(parts) => {
-            let mut out = Vec::new();
-            for part in parts {
-                out.extend(dnf_id(part, ids, cap)?);
-                if out.len() > cap {
-                    return None;
-                }
-            }
-            Some(out)
-        }
-        PForm::Exists(_, body) => dnf_id(body, ids, cap),
-    }
-}
-
-/// Sound unsatisfiability check by rational Fourier–Motzkin on the DNF.  The
-/// string-keyed input is interned once; the DNF expansion and the elimination
-/// itself run entirely over [`IdLinExpr`].
-pub fn fm_unsatisfiable(body: &PForm) -> bool {
-    let nnf = body.nnf();
-    let mut ids = NameIds::default();
-    match dnf_id(&nnf, &mut ids, 4_096) {
-        Some(conjuncts) => conjuncts
-            .into_iter()
-            .all(|c| id_conjunction_infeasible(&c, 20_000)),
-        None => false,
-    }
-}
-
-// --------------------------------------------------------------------------
-// Integer-keyed Fourier–Motzkin (the ground solver's hot path)
-// --------------------------------------------------------------------------
-
-/// A linear expression keyed by small integer variable ids instead of
-/// `String` names: `sum(coeff_i * id_i) + constant`.
+/// A linear expression keyed by small integer variable ids:
+/// `sum(coeff_i * id_i) + constant`.
 ///
-/// This is the representation the ground CDCL(T) solver feeds to its
-/// incremental Fourier–Motzkin re-check: re-keying a constraint onto the
-/// current congruence-class representatives becomes an integer lookup plus a
-/// sorted merge, where the string-keyed path used to format and hash a
-/// `t{rep}` name per coefficient per check.  Terms are a `(id, coefficient)`
-/// list sorted by id with no zero coefficients, so combining two expressions
-/// is a linear merge and the buffers can be pooled (see
-/// [`IdLinExpr::clear`]).  The string-keyed [`LinExpr`] remains the API for
-/// the Venn translator and Cooper elimination, which genuinely work over
-/// named set/element variables.
+/// Terms are a `(id, coefficient)` list sorted by id with no zero
+/// coefficients, so combining two expressions is a linear merge and the
+/// buffers can be pooled (see [`IdLinExpr::clear`]).  The ground solver keys
+/// its constraints by congruence-class id, the Venn translation by region
+/// and integer-variable number.
+///
+/// No coefficient is ever `i64::MIN`, so negating one never overflows.  An
+/// operation whose result would leave that range marks the expression as
+/// overflowed instead, and [`id_conjunction_infeasible`] never refutes a
+/// conjunction holding a marked expression.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct IdLinExpr {
     /// `(variable id, coefficient)` pairs, strictly sorted by id once
@@ -486,14 +40,24 @@ pub struct IdLinExpr {
     terms: Vec<(usize, i64)>,
     /// The constant term.
     pub constant: i64,
+    /// Set once an operation overflowed: the expression no longer denotes
+    /// the value it was built from.
+    overflow: bool,
+}
+
+/// `ka * a + kb * b`, computed exactly, or `None` if it is `i64::MIN` or
+/// out of `i64`'s range.
+fn mul_add(ka: i64, a: i64, kb: i64, b: i64) -> Option<i64> {
+    let sum = (i128::from(ka) * i128::from(a)).checked_add(i128::from(kb) * i128::from(b))?;
+    i64::try_from(sum).ok().filter(|&v| v != i64::MIN)
 }
 
 impl IdLinExpr {
     /// The constant expression.
     pub fn constant(value: i64) -> IdLinExpr {
         IdLinExpr {
-            terms: Vec::new(),
             constant: value,
+            ..IdLinExpr::default()
         }
     }
 
@@ -502,12 +66,20 @@ impl IdLinExpr {
     pub fn clear(&mut self) {
         self.terms.clear();
         self.constant = 0;
+        self.overflow = false;
+    }
+
+    /// Returns `true` once an operation on this expression overflowed.
+    fn overflowed(&self) -> bool {
+        self.overflow
     }
 
     /// Appends `coeff * id` without normalising.  Call
     /// [`IdLinExpr::canonicalize`] once the expression is fully accumulated.
     pub fn push_term(&mut self, id: usize, coeff: i64) {
-        if coeff != 0 {
+        if coeff == i64::MIN {
+            self.overflow = true;
+        } else if coeff != 0 {
             self.terms.push((id, coeff));
         }
     }
@@ -520,11 +92,12 @@ impl IdLinExpr {
         for r in 0..self.terms.len() {
             let (id, k) = self.terms[r];
             if w > 0 && self.terms[w - 1].0 == id {
-                self.terms[w - 1].1 += k;
-                if self.terms[w - 1].1 == 0 {
-                    w -= 1;
+                match mul_add(1, self.terms[w - 1].1, 1, k) {
+                    Some(0) => w -= 1,
+                    Some(sum) => self.terms[w - 1].1 = sum,
+                    None => self.overflow = true,
                 }
-            } else if k != 0 {
+            } else {
                 self.terms[w] = (id, k);
                 w += 1;
             }
@@ -532,14 +105,23 @@ impl IdLinExpr {
         self.terms.truncate(w);
     }
 
+    /// Passes every variable id through `rename` and re-canonicalises, so
+    /// ids that rename alike merge.
+    pub fn rename(&mut self, mut rename: impl FnMut(usize) -> usize) {
+        for term in &mut self.terms {
+            term.0 = rename(term.0);
+        }
+        self.canonicalize();
+    }
+
     /// The `(id, coefficient)` terms (sorted by id once canonical).
-    pub fn terms(&self) -> &[(usize, i64)] {
+    fn terms(&self) -> &[(usize, i64)] {
         &self.terms
     }
 
     /// The coefficient of a variable (zero if absent).  Requires canonical
     /// form.
-    pub fn coeff(&self, id: usize) -> i64 {
+    fn coeff(&self, id: usize) -> i64 {
         self.terms
             .binary_search_by_key(&id, |&(i, _)| i)
             .map(|i| self.terms[i].1)
@@ -547,86 +129,111 @@ impl IdLinExpr {
     }
 
     /// Returns `true` if the expression has no variables.
-    pub fn is_constant(&self) -> bool {
+    fn is_constant(&self) -> bool {
         self.terms.is_empty()
     }
 
-    /// Scales the expression in place by a non-zero factor.
+    /// Scales the expression in place.
     pub fn scale(&mut self, k: i64) {
-        debug_assert_ne!(k, 0);
-        for t in &mut self.terms {
-            t.1 *= k;
+        if k == 0 {
+            self.clear();
+            return;
         }
-        self.constant *= k;
+        for t in &mut self.terms {
+            match mul_add(k, t.1, 0, 0) {
+                Some(c) => t.1 = c,
+                None => self.overflow = true,
+            }
+        }
+        self.shift_scaled(k, 0);
     }
 
     /// Adds `k` to the constant term in place.
     pub fn shift(&mut self, k: i64) {
-        self.constant += k;
+        self.shift_scaled(1, k);
+    }
+
+    /// Sets the constant to `ka * constant + k`.
+    fn shift_scaled(&mut self, ka: i64, k: i64) {
+        match mul_add(ka, self.constant, 1, k) {
+            Some(c) => self.constant = c,
+            None => self.overflow = true,
+        }
     }
 
     /// Writes `ka * a + kb * b` into `out` (cleared first, capacity
     /// retained) by a linear merge of the two sorted term lists.
     pub fn combine_into(out: &mut IdLinExpr, a: &IdLinExpr, ka: i64, b: &IdLinExpr, kb: i64) {
         out.terms.clear();
+        out.overflow = a.overflow || b.overflow;
         let (mut i, mut j) = (0usize, 0usize);
         while i < a.terms.len() || j < b.terms.len() {
-            let next = match (a.terms.get(i), b.terms.get(j)) {
-                (Some(&(ia, ca)), Some(&(ib, cb))) => {
-                    if ia == ib {
-                        i += 1;
-                        j += 1;
-                        (ia, ka * ca + kb * cb)
-                    } else if ia < ib {
-                        i += 1;
-                        (ia, ka * ca)
-                    } else {
-                        j += 1;
-                        (ib, kb * cb)
-                    }
+            let (id, ca, cb) = match (a.terms.get(i), b.terms.get(j)) {
+                (Some(&(ia, ca)), Some(&(ib, cb))) if ia == ib => {
+                    i += 1;
+                    j += 1;
+                    (ia, ca, cb)
+                }
+                (Some(&(ia, ca)), Some(&(ib, _))) if ia < ib => {
+                    i += 1;
+                    (ia, ca, 0)
                 }
                 (Some(&(ia, ca)), None) => {
                     i += 1;
-                    (ia, ka * ca)
+                    (ia, ca, 0)
                 }
-                (None, Some(&(ib, cb))) => {
+                (_, Some(&(ib, cb))) => {
                     j += 1;
-                    (ib, kb * cb)
+                    (ib, 0, cb)
                 }
                 (None, None) => unreachable!("loop condition"),
             };
-            if next.1 != 0 {
-                out.terms.push(next);
+            match mul_add(ka, ca, kb, cb) {
+                Some(0) => {}
+                Some(c) => out.terms.push((id, c)),
+                None => out.overflow = true,
             }
         }
-        out.constant = ka * a.constant + kb * b.constant;
+        match mul_add(ka, a.constant, kb, b.constant) {
+            Some(c) => out.constant = c,
+            None => out.overflow = true,
+        }
     }
 
     /// Normalises one constraint `self <= 0`: divides by the gcd of the
     /// coefficients and rounds the constant towards the tighter integer
-    /// bound, exactly like the string-keyed [`Conjunct`] normalisation.
+    /// bound.
     fn normalise_le(&mut self) {
-        let mut g = 0i64;
-        for &(_, c) in &self.terms {
-            g = gcd(g, c);
-        }
+        let g = self.terms.iter().fold(0, |g, &(_, c)| gcd(g, c));
         if g > 1 {
             for t in &mut self.terms {
                 t.1 /= g;
             }
-            self.constant = div_ceil(self.constant, g);
+            let c = self.constant;
+            self.constant = c.div_euclid(g) + i64::from(c.rem_euclid(g) != 0);
         }
     }
 }
 
-/// Fourier–Motzkin elimination over a conjunction of `expr <= 0` id-keyed
+/// The gcd of `|a|` and `|b|`; neither may be `i64::MIN`.
+fn gcd(a: i64, b: i64) -> i64 {
+    let (mut a, mut b) = (a.abs(), b.abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Fourier–Motzkin elimination over a conjunction of `expr <= 0`
 /// constraints: returns `true` if the conjunction is infeasible over the
-/// rationals (which implies integer infeasibility).  The semantics mirror
-/// [`Conjunct::infeasible`] — gcd normalisation with integer tightening, the
-/// fewest-new-constraints variable pick, positive combinations, and the
-/// give-up cap — but the ground solver hands constraints straight in as a
-/// conjunction, skipping the NNF/DNF detour of [`fm_unsatisfiable`] entirely.
-pub fn id_conjunction_infeasible(constraints: &[IdLinExpr], max_constraints: usize) -> bool {
+/// rationals once every constraint is tightened to the integers (which
+/// implies integer infeasibility).  It picks the variable whose elimination
+/// produces the fewest new constraints (the smallest id on a tie), and gives
+/// up — answering `false` — past the constraint cap or on any overflow.
+pub fn id_conjunction_infeasible(constraints: &[IdLinExpr]) -> bool {
+    if constraints.iter().any(IdLinExpr::overflowed) {
+        return false;
+    }
     let mut les: Vec<IdLinExpr> = constraints.to_vec();
     // (variable, lower-bound count, upper-bound count) aggregation scratch.
     let mut counts: Vec<(usize, usize, usize)> = Vec::new();
@@ -637,13 +244,9 @@ pub fn id_conjunction_infeasible(constraints: &[IdLinExpr], max_constraints: usi
         les.sort_unstable();
         les.dedup();
         // Constant contradictions?
-        for le in &les {
-            if le.is_constant() && le.constant > 0 {
-                return true;
-            }
+        if les.iter().any(|le| le.is_constant() && le.constant > 0) {
+            return true;
         }
-        // Pick the variable whose elimination produces the fewest new
-        // constraints (classic Fourier–Motzkin heuristic).
         counts.clear();
         for le in &les {
             for &(id, c) in le.terms() {
@@ -686,356 +289,196 @@ pub fn id_conjunction_infeasible(constraints: &[IdLinExpr], max_constraints: usi
                 let cl = lower.coeff(var).abs();
                 let mut combined = IdLinExpr::default();
                 IdLinExpr::combine_into(&mut combined, upper, cl, lower, cu);
+                if combined.overflowed() {
+                    return false;
+                }
                 debug_assert_eq!(combined.coeff(var), 0);
                 rest.push(combined);
             }
         }
-        if rest.len() > max_constraints {
+        if rest.len() > MAX_CONSTRAINTS {
             return false; // give up rather than blow up
         }
         les = rest;
     }
 }
 
-// --------------------------------------------------------------------------
-// Cooper's algorithm
-// --------------------------------------------------------------------------
-
-/// Eliminates one existential quantifier `exists x. body` where `body` is
-/// quantifier-free and in NNF.  Returns `None` if the result would exceed the
-/// node budget.
-fn cooper_eliminate(var: &str, body: &PForm, budget: usize) -> Option<PForm> {
-    // 1. Compute the lcm of the coefficients of `var`.
-    let mut coeff_lcm = 1i64;
-    collect_coeff_lcm(body, var, &mut coeff_lcm);
-    // 2. Scale every literal so the coefficient of var is +-coeff_lcm, then
-    //    conceptually substitute y = coeff_lcm * var and add coeff_lcm | y.
-    let scaled = scale_var(body, var, coeff_lcm);
-    let scaled = PForm::and(vec![
-        scaled,
-        PForm::Divides(coeff_lcm, LinExpr::variable(var, 1)),
-    ]);
-    // 3. delta = lcm of the divisors of all divisibility literals.
-    let mut delta = 1i64;
-    collect_divisor_lcm(&scaled, var, &mut delta);
-    // 4. Lower bounds: literals of the form  -y + b <= 0  (i.e. y >= b).
-    let mut lower_bounds: Vec<LinExpr> = Vec::new();
-    collect_lower_bounds(&scaled, var, &mut lower_bounds);
-
-    let mut disjuncts = Vec::new();
-    for j in 1..=delta {
-        // F_{-infinity}[y := j]
-        let minus_inf = minus_infinity(&scaled, var);
-        disjuncts.push(minus_inf.substitute(var, &LinExpr::constant(j)));
-        // F[y := b + j] for every lower bound b.
-        for bound in &lower_bounds {
-            disjuncts.push(scaled.substitute(var, &bound.shifted(j)));
-        }
-        let total: usize = disjuncts.iter().map(PForm::size).sum();
-        if total > budget {
-            return None;
-        }
-    }
-    Some(PForm::or(disjuncts))
+/// Quantifier-free Presburger formulas in negation normal form, over
+/// `Le(e)`, meaning `e <= 0`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PForm {
+    /// Truth.
+    True,
+    /// Falsity.
+    False,
+    /// `expr <= 0`.
+    Le(IdLinExpr),
+    /// Conjunction.
+    And(Vec<PForm>),
+    /// Disjunction.
+    Or(Vec<PForm>),
 }
 
-fn collect_coeff_lcm(form: &PForm, var: &str, acc: &mut i64) {
-    match form {
-        PForm::Le(e) | PForm::Divides(_, e) => {
-            let c = e.coeff(var);
-            if c != 0 {
-                *acc = lcm(*acc, c.abs());
+impl PForm {
+    /// `expr <= 0`, folded when `expr` is a constant that did not overflow.
+    pub fn le(expr: IdLinExpr) -> PForm {
+        if !expr.is_constant() || expr.overflowed() {
+            PForm::Le(expr)
+        } else if expr.constant <= 0 {
+            PForm::True
+        } else {
+            PForm::False
+        }
+    }
+
+    /// Flattening conjunction.
+    pub fn and(parts: Vec<PForm>) -> PForm {
+        PForm::junction(parts, true)
+    }
+
+    /// Flattening disjunction.
+    pub fn or(parts: Vec<PForm>) -> PForm {
+        PForm::junction(parts, false)
+    }
+
+    /// A conjunction (`and`) or disjunction, flattening nested ones of the
+    /// same kind and folding the units.
+    fn junction(parts: Vec<PForm>, and: bool) -> PForm {
+        let mut out = Vec::new();
+        for p in parts {
+            match p {
+                PForm::True if and => {}
+                PForm::False if !and => {}
+                PForm::True | PForm::False => return p,
+                PForm::And(inner) if and => out.extend(inner),
+                PForm::Or(inner) if !and => out.extend(inner),
+                other => out.push(other),
             }
         }
-        PForm::Not(inner) => collect_coeff_lcm(inner, var, acc),
-        PForm::And(parts) | PForm::Or(parts) => {
-            parts.iter().for_each(|p| collect_coeff_lcm(p, var, acc))
+        match out.len() {
+            0 if and => PForm::True,
+            0 => PForm::False,
+            1 => out.pop().expect("len checked"),
+            _ if and => PForm::And(out),
+            _ => PForm::Or(out),
         }
-        _ => {}
     }
 }
 
-/// Scales literals so the coefficient of `var` becomes `+-target` and then
-/// renames `target*var` to just `var` (the standard Cooper step).
-fn scale_var(form: &PForm, var: &str, target: i64) -> PForm {
+/// The disjunctive normal form of a formula, as a list of conjunctions of
+/// `<= 0` constraints, or `None` once it has more than [`MAX_DISJUNCTS`].
+fn dnf(form: &PForm) -> Option<Vec<Vec<IdLinExpr>>> {
     match form {
-        PForm::Le(e) => {
-            let c = e.coeff(var);
-            if c == 0 {
-                PForm::le(e.clone())
-            } else {
-                let factor = target / c.abs();
-                let mut scaled = e.scaled(factor);
-                // Now the coefficient of var is +-target; rename to +-1.
-                let sign = if c > 0 { 1 } else { -1 };
-                scaled.remove(var);
-                scaled.add_var(var, sign);
-                PForm::Le(scaled)
+        PForm::True => Some(vec![Vec::new()]),
+        PForm::False => Some(vec![]),
+        PForm::Le(e) => Some(vec![vec![e.clone()]]),
+        PForm::And(parts) => {
+            let mut acc = vec![Vec::new()];
+            for part in parts {
+                let branches = dnf(part)?;
+                let mut next = Vec::new();
+                for a in &acc {
+                    for b in &branches {
+                        let mut merged = a.clone();
+                        merged.extend(b.iter().cloned());
+                        next.push(merged);
+                        if next.len() > MAX_DISJUNCTS {
+                            return None;
+                        }
+                    }
+                }
+                acc = next;
             }
+            Some(acc)
         }
-        PForm::Divides(d, e) => {
-            let c = e.coeff(var);
-            if c == 0 {
-                PForm::Divides(*d, e.clone())
-            } else {
-                let factor = target / c.abs();
-                let mut scaled = e.scaled(factor);
-                let sign = if c > 0 { 1 } else { -1 };
-                scaled.remove(var);
-                scaled.add_var(var, sign);
-                PForm::Divides(d * factor, scaled)
+        PForm::Or(parts) => {
+            let mut out = Vec::new();
+            for part in parts {
+                out.extend(dnf(part)?);
+                if out.len() > MAX_DISJUNCTS {
+                    return None;
+                }
             }
+            Some(out)
         }
-        PForm::Not(inner) => PForm::Not(Box::new(scale_var(inner, var, target))),
-        PForm::And(parts) => PForm::and(parts.iter().map(|p| scale_var(p, var, target)).collect()),
-        PForm::Or(parts) => PForm::or(parts.iter().map(|p| scale_var(p, var, target)).collect()),
-        other => other.clone(),
     }
 }
 
-fn collect_divisor_lcm(form: &PForm, var: &str, acc: &mut i64) {
-    match form {
-        PForm::Divides(d, e) if e.coeff(var) != 0 => {
-            *acc = lcm(*acc, *d);
-        }
-        PForm::Not(inner) => collect_divisor_lcm(inner, var, acc),
-        PForm::And(parts) | PForm::Or(parts) => {
-            parts.iter().for_each(|p| collect_divisor_lcm(p, var, acc))
-        }
-        _ => {}
+/// Returns `true` only if the formula is unsatisfiable: Fourier–Motzkin
+/// refutes every disjunct of its DNF.  A DNF past the cap is not refuted.
+pub fn unsatisfiable(form: &PForm) -> bool {
+    match dnf(form) {
+        Some(disjuncts) => disjuncts.iter().all(|c| id_conjunction_infeasible(c)),
+        None => false,
     }
-}
-
-fn collect_lower_bounds(form: &PForm, var: &str, out: &mut Vec<LinExpr>) {
-    match form {
-        // -var + rest <= 0  means  var >= rest, i.e. the *strict* lower
-        // bound used by Cooper's B-set is rest - 1.
-        PForm::Le(e) if e.coeff(var) == -1 => {
-            let mut rest = e.clone();
-            rest.remove(var);
-            out.push(rest.shifted(-1));
-        }
-        PForm::Not(inner) => collect_lower_bounds(inner, var, out),
-        PForm::And(parts) | PForm::Or(parts) => {
-            parts.iter().for_each(|p| collect_lower_bounds(p, var, out))
-        }
-        _ => {}
-    }
-}
-
-/// The `F_{-infinity}` transformation: upper-bound literals become true,
-/// lower-bound literals become false.
-fn minus_infinity(form: &PForm, var: &str) -> PForm {
-    match form {
-        PForm::Le(e) => match e.coeff(var) {
-            0 => PForm::le(e.clone()),
-            c if c > 0 => PForm::True, // var <= something: true at -infinity
-            _ => PForm::False,         // var >= something: false at -infinity
-        },
-        PForm::Divides(..) => form.clone(),
-        PForm::Not(inner) => PForm::not(minus_infinity(inner, var)),
-        PForm::And(parts) => PForm::and(parts.iter().map(|p| minus_infinity(p, var)).collect()),
-        PForm::Or(parts) => PForm::or(parts.iter().map(|p| minus_infinity(p, var)).collect()),
-        other => other.clone(),
-    }
-}
-
-/// Decides a prenex existential sentence `exists x1 ... xn. body` with
-/// Cooper's algorithm.  Returns `None` if the quantifier-elimination budget is
-/// exceeded.
-pub fn cooper_decide(sentence: &PForm, limits: &BapaLimits) -> Option<bool> {
-    // Peel the existential prefix.
-    let mut vars = Vec::new();
-    let mut body = sentence;
-    while let PForm::Exists(var, inner) = body {
-        vars.push(var.clone());
-        body = inner;
-    }
-    if vars.len() > limits.max_cooper_vars {
-        return None;
-    }
-    let mut current = body.nnf();
-    // Eliminate innermost-first (reverse declaration order).
-    for var in vars.iter().rev() {
-        if limits.expired() {
-            return None;
-        }
-        current = cooper_eliminate(var, &current, limits.max_qe_nodes)?.nnf();
-        if current.size() > limits.max_qe_nodes {
-            return None;
-        }
-    }
-    let mut remaining = BTreeSet::new();
-    current.collect_vars(&mut remaining);
-    if !remaining.is_empty() {
-        return None; // non-prenex input; refuse rather than mis-evaluate
-    }
-    Some(current.eval_closed())
-}
-
-/// Returns `true` only if the sentence is definitely unsatisfiable.
-pub fn unsatisfiable(sentence: &PForm, limits: &BapaLimits) -> bool {
-    // Fast sound refutation first.
-    fm_unsatisfiable(sentence) || matches!(cooper_decide(sentence, limits), Some(false))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn v(name: &str) -> LinExpr {
-        LinExpr::variable(name, 1)
-    }
-
-    fn exists_all(vars: &[&str], body: PForm) -> PForm {
-        let mut out = body;
-        for var in vars.iter().rev() {
-            out = PForm::Exists(var.to_string(), Box::new(out));
+    /// `sum(coeff * id) + constant`, canonical.
+    fn expr(terms: &[(usize, i64)], constant: i64) -> IdLinExpr {
+        let mut e = IdLinExpr::constant(constant);
+        for &(id, coeff) in terms {
+            e.push_term(id, coeff);
         }
-        out
+        e.canonicalize();
+        e
     }
 
-    #[test]
-    fn linear_expression_algebra() {
-        let e = v("x").scaled(2).plus(&v("y").scaled(-1)).shifted(3);
-        assert_eq!(e.coeff("x"), 2);
-        assert_eq!(e.coeff("y"), -1);
-        assert_eq!(e.constant, 3);
-        let s = e.substitute("x", &v("y").shifted(1));
-        assert_eq!(s.coeff("x"), 0);
-        assert_eq!(s.coeff("y"), 1);
-        assert_eq!(s.constant, 5);
+    /// `lhs = rhs` as the two constraints `lhs - rhs <= 0` and its negation.
+    fn eq(lhs_minus_rhs: IdLinExpr) -> PForm {
+        let mut neg = lhs_minus_rhs.clone();
+        neg.scale(-1);
+        PForm::and(vec![PForm::le(lhs_minus_rhs), PForm::le(neg)])
     }
 
     #[test]
     fn fm_detects_simple_contradiction() {
         // x <= 0  and  x >= 1
         let body = PForm::and(vec![
-            PForm::le(v("x")),
-            PForm::le(v("x").scaled(-1).shifted(1)),
+            PForm::le(expr(&[(0, 1)], 0)),
+            PForm::le(expr(&[(0, -1)], 1)),
         ]);
-        assert!(fm_unsatisfiable(&body));
+        assert!(unsatisfiable(&body));
     }
 
     #[test]
     fn fm_does_not_claim_satisfiable_systems_unsat() {
         let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1)),   // x >= 0
-            PForm::le(v("x").shifted(-10)), // x <= 10
+            PForm::le(expr(&[(0, -1)], 0)),  // x >= 0
+            PForm::le(expr(&[(0, 1)], -10)), // x <= 10
         ]);
-        assert!(!fm_unsatisfiable(&body));
+        assert!(!unsatisfiable(&body));
     }
 
     #[test]
-    fn cooper_decides_satisfiable_sentence() {
-        // exists x. x >= 0 /\ x <= 10
+    fn gcd_tightening_refutes_an_odd_multiple() {
+        // 2x >= 3 and 2x <= 3 have the rational model x = 3/2 and no
+        // integer one; tightening rounds them to x >= 2 and x <= 1.
         let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1)),
-            PForm::le(v("x").shifted(-10)),
+            PForm::le(expr(&[(0, -2)], 3)),
+            PForm::le(expr(&[(0, 2)], -3)),
         ]);
-        let sentence = exists_all(&["x"], body);
-        assert_eq!(cooper_decide(&sentence, &BapaLimits::default()), Some(true));
+        assert!(unsatisfiable(&body));
     }
 
+    /// The known gap of refutation by Fourier–Motzkin: `x = 2y` and
+    /// `x = 2z + 1` have the rational model `x = 1, y = 1/2, z = 0` but no
+    /// integer model, since `x` cannot be both even and odd.  Elimination
+    /// projects over the rationals, and gcd tightening only rounds a
+    /// constraint whose own coefficients share a factor, so no step sees the
+    /// parity.  The procedure leaves the conjunction open rather than
+    /// deciding it exactly.
     #[test]
-    fn cooper_decides_unsatisfiable_sentence() {
-        // exists x. x >= 1 /\ x <= 0
+    fn parity_goals_stay_open() {
+        let (x, y, z) = (0, 1, 2);
         let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1).shifted(1)),
-            PForm::le(v("x")),
+            eq(expr(&[(x, 1), (y, -2)], 0)),
+            eq(expr(&[(x, 1), (z, -2)], -1)),
         ]);
-        let sentence = exists_all(&["x"], body);
-        assert_eq!(
-            cooper_decide(&sentence, &BapaLimits::default()),
-            Some(false)
-        );
-    }
-
-    #[test]
-    fn cooper_handles_divisibility() {
-        // exists x. 0 <= x <= 5 /\ 2 | x /\ 3 | x  -> x = 0 works, satisfiable.
-        let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1)),
-            PForm::le(v("x").shifted(-5)),
-            PForm::Divides(2, v("x")),
-            PForm::Divides(3, v("x")),
-        ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x"], body), &BapaLimits::default()),
-            Some(true)
-        );
-
-        // exists x. 1 <= x <= 5 /\ 2 | x /\ 3 | x  -> needs x = 6, unsatisfiable.
-        let body = PForm::and(vec![
-            PForm::le(v("x").scaled(-1).shifted(1)),
-            PForm::le(v("x").shifted(-5)),
-            PForm::Divides(2, v("x")),
-            PForm::Divides(3, v("x")),
-        ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x"], body), &BapaLimits::default()),
-            Some(false)
-        );
-    }
-
-    #[test]
-    fn cooper_with_two_variables() {
-        // exists x y. x = 2y /\ x = 2y + 1  is unsatisfiable.
-        let eq1a = v("x").plus(&v("y").scaled(-2));
-        let eq1b = eq1a.scaled(-1);
-        let eq2a = v("x").plus(&v("y").scaled(-2)).shifted(-1);
-        let eq2b = eq2a.scaled(-1);
-        let body = PForm::and(vec![
-            PForm::le(eq1a),
-            PForm::le(eq1b),
-            PForm::le(eq2a),
-            PForm::le(eq2b),
-        ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x", "y"], body), &BapaLimits::default()),
-            Some(false)
-        );
-    }
-
-    #[test]
-    fn cooper_scaled_coefficients() {
-        // exists x. 2x >= 3 /\ 2x <= 4  -> x = 2, satisfiable.
-        let body = PForm::and(vec![
-            PForm::le(LinExpr::variable("x", -2).shifted(3)),
-            PForm::le(LinExpr::variable("x", 2).shifted(-4)),
-        ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x"], body), &BapaLimits::default()),
-            Some(true)
-        );
-
-        // exists x. 2x >= 3 /\ 2x <= 3  -> 2x = 3 has no integer solution.
-        let body = PForm::and(vec![
-            PForm::le(LinExpr::variable("x", -2).shifted(3)),
-            PForm::le(LinExpr::variable("x", 2).shifted(-3)),
-        ]);
-        assert_eq!(
-            cooper_decide(&exists_all(&["x"], body), &BapaLimits::default()),
-            Some(false)
-        );
-    }
-
-    #[test]
-    fn unsatisfiable_combines_both_engines() {
-        // Rationally feasible but integer infeasible: FM cannot refute, Cooper can.
-        let body = PForm::and(vec![
-            PForm::le(LinExpr::variable("x", -2).shifted(3)),
-            PForm::le(LinExpr::variable("x", 2).shifted(-3)),
-        ]);
-        let sentence = exists_all(&["x"], body);
-        assert!(unsatisfiable(&sentence, &BapaLimits::default()));
-    }
-
-    #[test]
-    fn negated_le_tightens_for_integers() {
-        // not(x <= 0) became x >= 1 in NNF: so x <= 0 /\ not(x <= 0) is unsat.
-        let body = PForm::and(vec![PForm::le(v("x")), PForm::not(PForm::le(v("x")))]);
-        assert!(fm_unsatisfiable(&body));
+        assert!(!unsatisfiable(&body));
     }
 
     #[test]
@@ -1049,10 +492,7 @@ mod tests {
         assert_eq!(e.terms(), &[(2, -1), (4, 5)]);
         assert_eq!(e.coeff(7), 0);
         assert_eq!(e.coeff(4), 5);
-        let mut f = IdLinExpr::constant(-1);
-        f.push_term(4, -5);
-        f.push_term(9, 1);
-        f.canonicalize();
+        let f = expr(&[(4, -5), (9, 1)], -1);
         let mut out = IdLinExpr::default();
         IdLinExpr::combine_into(&mut out, &e, 1, &f, 1);
         assert_eq!(out.terms(), &[(2, -1), (9, 1)]);
@@ -1060,39 +500,69 @@ mod tests {
         IdLinExpr::combine_into(&mut out, &e, 2, &f, -3);
         assert_eq!(out.coeff(4), 25);
         assert_eq!(out.constant, 9);
+        let mut renamed = out.clone();
+        renamed.rename(|id| id % 5);
+        assert_eq!(renamed.terms(), &[(2, -2), (4, 22)]);
     }
 
     #[test]
     fn id_fm_detects_simple_contradiction() {
         // x <= 0  and  x >= 1.
-        let mut le = IdLinExpr::default();
-        le.push_term(0, 1);
-        le.canonicalize();
-        let mut ge = IdLinExpr::constant(1);
-        ge.push_term(0, -1);
-        ge.canonicalize();
-        assert!(id_conjunction_infeasible(&[le.clone(), ge], 20_000));
-        assert!(!id_conjunction_infeasible(&[le], 20_000));
+        let le = expr(&[(0, 1)], 0);
+        let ge = expr(&[(0, -1)], 1);
+        assert!(id_conjunction_infeasible(&[le.clone(), ge]));
+        assert!(!id_conjunction_infeasible(&[le]));
     }
 
     #[test]
     fn id_fm_tightens_scaled_constraints() {
         // 2x <= -3 and 2x >= -3: rationally a point, but gcd tightening
         // rounds 2x <= -3 down to x <= -2 and 2x >= -3 up to x >= -1.
-        let mut upper = IdLinExpr::constant(3);
-        upper.push_term(0, 2);
-        upper.canonicalize();
-        let mut lower = IdLinExpr::constant(-3);
-        lower.push_term(0, -2);
-        lower.canonicalize();
-        assert!(id_conjunction_infeasible(&[upper, lower], 20_000));
+        let upper = expr(&[(0, 2)], 3);
+        let lower = expr(&[(0, -2)], -3);
+        assert!(id_conjunction_infeasible(&[upper, lower]));
     }
 
-    /// The id-keyed conjunction path and the string-keyed DNF path must agree
-    /// on every pure conjunction: the ground solver switched from the latter
-    /// to the former, so a divergence here is a solver soundness bug.
+    /// Wrapped `i64` arithmetic would refute both satisfiable systems below;
+    /// checked arithmetic marks the overflow and leaves them open.
     #[test]
-    fn id_fm_agrees_with_string_fm_on_random_conjunctions() {
+    fn overflowing_expressions_are_never_refuted() {
+        // 2 * i64::MAX * x + 2 * x + 1 <= 0, i.e. 2^64 x + 1 <= 0 (x = -1):
+        // merging the terms wraps the coefficient of x to 0, leaving 1 <= 0.
+        let mut merged = IdLinExpr::constant(1);
+        for coeff in [i64::MAX, i64::MAX, 1, 1] {
+            merged.push_term(0, coeff);
+        }
+        merged.canonicalize();
+        assert!(merged.overflowed());
+        assert!(!id_conjunction_infeasible(&[merged.clone()]));
+        assert!(!unsatisfiable(&PForm::le(merged)));
+
+        // 2^32 x + y <= 0 and -2^32 x - y - 2^31 - 1 <= 0 (x = 0, y = -1):
+        // eliminating x first scales the second constant by 2^32, which
+        // wraps from -2^63 - 2^32 to a positive constant.
+        let upper = expr(&[(0, 1 << 32), (1, 1)], 0);
+        let lower = expr(&[(0, -(1 << 32)), (1, -1)], -(1 << 31) - 1);
+        assert!(!id_conjunction_infeasible(&[upper, lower]));
+
+        // Scaling and shifting past the range overflow too.
+        let mut e = expr(&[(0, i64::MAX)], -i64::MAX);
+        e.scale(-1);
+        assert!(!e.overflowed(), "-i64::MAX negates exactly");
+        e.shift(1);
+        assert!(e.overflowed());
+        let mut e = expr(&[(0, i64::MAX)], 0);
+        e.scale(2);
+        assert!(e.overflowed());
+        e.clear();
+        assert!(!e.overflowed());
+    }
+
+    /// The DNF entry point and the conjunction entry point must agree on
+    /// every pure conjunction: the BAPA stage reaches the elimination
+    /// through the former and the ground solver through the latter.
+    #[test]
+    fn dnf_entry_agrees_with_conjunction_entry_on_random_conjunctions() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1103,23 +573,21 @@ mod tests {
         for _ in 0..500 {
             let n_constraints = 1 + (next() % 6) as usize;
             let n_vars = 1 + (next() % 4) as usize;
-            let mut id_les = Vec::new();
-            let mut parts = Vec::new();
+            let mut les = Vec::new();
             for _ in 0..n_constraints {
-                let mut id_le = IdLinExpr::constant((next() % 9) as i64 - 4);
-                let mut le = LinExpr::constant(id_le.constant);
+                let mut le = IdLinExpr::constant((next() % 9) as i64 - 4);
                 for var in 0..n_vars {
-                    let coeff = (next() % 7) as i64 - 3;
-                    id_le.push_term(var, coeff);
-                    le.add_var(&format!("t{var}"), coeff);
+                    le.push_term(var, (next() % 7) as i64 - 3);
                 }
-                id_le.canonicalize();
-                id_les.push(id_le);
-                parts.push(PForm::le(le));
+                le.canonicalize();
+                les.push(le);
             }
-            let id_verdict = id_conjunction_infeasible(&id_les, 20_000);
-            let string_verdict = fm_unsatisfiable(&PForm::and(parts));
-            assert_eq!(id_verdict, string_verdict, "diverged on {id_les:?}");
+            let conjunction = PForm::and(les.iter().cloned().map(PForm::le).collect());
+            assert_eq!(
+                id_conjunction_infeasible(&les),
+                unsatisfiable(&conjunction),
+                "diverged on {les:?}"
+            );
         }
     }
 }

@@ -4,44 +4,37 @@
 //! variables) partitions the universe; with `n` set variables there are `2^n`
 //! Venn regions.  Introducing one non-negative integer variable per region
 //! cardinality turns every set-algebra and cardinality atom into linear
-//! arithmetic, after which the sentence is decided by [`crate::presburger`].
+//! arithmetic, which [`crate::presburger::unsatisfiable`] then refutes by
+//! Fourier–Motzkin elimination.
 //!
-//! This translator is the remaining client of the *string-keyed* [`LinExpr`]
-//! API: region variables are synthesised names (`venn$r`, `single$e`), not
-//! interned term ids, and the translation runs once per query rather than
-//! in a hot incremental loop.  The ground solver's incremental arithmetic
-//! uses the integer-keyed [`crate::presburger::IdLinExpr`] entry points
-//! instead.
+//! The translation emits [`IdLinExpr`] directly.  Region `r` is variable
+//! `r - 1`, since region 0 (outside every set) never counts; integer
+//! variables are numbered after the regions, in the order the translation
+//! meets them.  Negations are pushed to the atoms as the translation goes,
+//! so its output is already in negation normal form.
 
 use crate::extract::{BapaForm, IntTerm, SetTerm};
-use crate::presburger::{LinExpr, PForm};
-use crate::BapaLimits;
+use crate::presburger::{IdLinExpr, PForm};
 use std::collections::BTreeSet;
+use std::time::Instant;
+
+/// Maximum number of set variables of one component (the Venn construction
+/// is exponential in this number).
+const MAX_SET_VARS: usize = 6;
 
 /// Name of the implicit singleton set for an element variable.
 fn singleton_set(elem: &str) -> String {
     format!("single${elem}")
 }
 
-/// Name of the cardinality variable of a Venn region.
-fn region_var(region: usize) -> String {
-    format!("venn${region}")
-}
-
-/// Context for the translation: the ordered list of set variables.
+/// Context for the translation: the ordered set variables, and the integer
+/// variables met so far.
 struct VennCtx {
     sets: Vec<String>,
-    // Precomputed `venn$r` names: `card` walks every region per set term,
-    // so formatting these on demand dominated the translation.
-    region_names: Vec<String>,
+    ints: Vec<String>,
 }
 
 impl VennCtx {
-    fn new(sets: Vec<String>) -> VennCtx {
-        let region_names = (0..1usize << sets.len()).map(region_var).collect();
-        VennCtx { sets, region_names }
-    }
-
     fn region_count(&self) -> usize {
         1usize << self.sets.len()
     }
@@ -74,62 +67,97 @@ impl VennCtx {
         }
     }
 
-    /// The cardinality of a set term as a linear expression over region vars.
-    fn card(&self, term: &SetTerm) -> LinExpr {
-        let mut expr = LinExpr::constant(0);
+    /// The cardinality of a set term as a linear expression over region vars
+    /// (canonical as built: each region is pushed once, in id order).
+    fn card(&self, term: &SetTerm) -> IdLinExpr {
+        let mut expr = IdLinExpr::default();
         for region in 1..self.region_count() {
-            // Region 0 (outside every set) never contributes to any card.
             if self.region_in(region, term) {
-                expr.add_var(&self.region_names[region], 1);
+                expr.push_term(region - 1, 1);
             }
         }
         expr
     }
 
-    fn int_term(&self, term: &IntTerm) -> LinExpr {
+    /// The variable of an integer variable name, numbered on first meeting.
+    fn int_var(&mut self, name: &str) -> usize {
+        let index = match self.ints.iter().position(|n| n == name) {
+            Some(index) => index,
+            None => {
+                self.ints.push(name.to_string());
+                self.ints.len() - 1
+            }
+        };
+        self.region_count() - 1 + index
+    }
+
+    fn int_term(&mut self, term: &IntTerm) -> IdLinExpr {
         match term {
-            IntTerm::Const(value) => LinExpr::constant(*value),
-            IntTerm::Var(name) => LinExpr::variable(name, 1),
+            IntTerm::Const(value) => IdLinExpr::constant(*value),
+            IntTerm::Var(name) => {
+                let mut expr = IdLinExpr::default();
+                expr.push_term(self.int_var(name), 1);
+                expr
+            }
             IntTerm::Card(set) => self.card(set),
-            IntTerm::Add(a, b) => self.int_term(a).plus(&self.int_term(b)),
-            IntTerm::Sub(a, b) => self.int_term(a).plus(&self.int_term(b).scaled(-1)),
-            IntTerm::MulConst(k, a) => self.int_term(a).scaled(*k),
+            IntTerm::Add(a, b) => self.combination(a, b, 1),
+            IntTerm::Sub(a, b) => self.combination(a, b, -1),
+            IntTerm::MulConst(k, a) => {
+                let mut expr = self.int_term(a);
+                expr.scale(*k);
+                expr
+            }
         }
     }
 
-    fn form(&self, form: &BapaForm) -> PForm {
+    /// `a + kb * b`.
+    fn combination(&mut self, a: &IntTerm, b: &IntTerm, kb: i64) -> IdLinExpr {
+        let (a, b) = (self.int_term(a), self.int_term(b));
+        let mut out = IdLinExpr::default();
+        IdLinExpr::combine_into(&mut out, &a, 1, &b, kb);
+        out
+    }
+
+    /// Translates `form` if `positive`, and its negation otherwise.
+    fn form(&mut self, form: &BapaForm, positive: bool) -> PForm {
         match form {
-            BapaForm::True => PForm::True,
-            BapaForm::False => PForm::False,
-            BapaForm::Not(inner) => PForm::not(self.form(inner)),
-            BapaForm::And(parts) => PForm::and(parts.iter().map(|p| self.form(p)).collect()),
-            BapaForm::Or(parts) => PForm::or(parts.iter().map(|p| self.form(p)).collect()),
-            // a <= b  <=>  a - b <= 0
-            BapaForm::IntLe(a, b) => PForm::le(self.int_term(a).plus(&self.int_term(b).scaled(-1))),
-            // a < b  <=>  a - b + 1 <= 0 (integers)
-            BapaForm::IntLt(a, b) => PForm::le(
-                self.int_term(a)
-                    .plus(&self.int_term(b).scaled(-1))
-                    .shifted(1),
-            ),
-            BapaForm::IntEq(a, b) => {
-                let diff = self.int_term(a).plus(&self.int_term(b).scaled(-1));
-                PForm::and(vec![PForm::le(diff.clone()), PForm::le(diff.scaled(-1))])
+            BapaForm::True | BapaForm::False => {
+                if matches!(form, BapaForm::True) == positive {
+                    PForm::True
+                } else {
+                    PForm::False
+                }
             }
+            BapaForm::Not(inner) => self.form(inner, !positive),
+            BapaForm::And(parts) | BapaForm::Or(parts) => {
+                let parts = parts.iter().map(|p| self.form(p, positive)).collect();
+                if matches!(form, BapaForm::And(_)) == positive {
+                    PForm::and(parts)
+                } else {
+                    PForm::or(parts)
+                }
+            }
+            // a <= b  <=>  a - b <= 0
+            BapaForm::IntLe(a, b) => literal(self.combination(a, b, -1), positive),
+            // a < b  <=>  a - b + 1 <= 0 (integers)
+            BapaForm::IntLt(a, b) => {
+                let mut diff = self.combination(a, b, -1);
+                diff.shift(1);
+                literal(diff, positive)
+            }
+            BapaForm::IntEq(a, b) => zero(self.combination(a, b, -1), positive),
             // A = B  <=>  |A \ B| + |B \ A| = 0
             BapaForm::SetEq(a, b) => {
                 let sym_diff = SetTerm::Union(
                     Box::new(SetTerm::Diff(Box::new(a.clone()), Box::new(b.clone()))),
                     Box::new(SetTerm::Diff(Box::new(b.clone()), Box::new(a.clone()))),
                 );
-                let card = self.card(&sym_diff);
-                PForm::and(vec![PForm::le(card.clone()), PForm::le(card.scaled(-1))])
+                zero(self.card(&sym_diff), positive)
             }
             // A subseteq B  <=>  |A \ B| = 0
             BapaForm::Subset(a, b) => {
                 let diff = SetTerm::Diff(Box::new(a.clone()), Box::new(b.clone()));
-                let card = self.card(&diff);
-                PForm::and(vec![PForm::le(card.clone()), PForm::le(card.scaled(-1))])
+                zero(self.card(&diff), positive)
             }
             // x in S  <=>  |single$x \ S| = 0 (with the global |single$x| = 1)
             BapaForm::Member(elem, set) => {
@@ -137,15 +165,37 @@ impl VennCtx {
                     Box::new(SetTerm::Singleton(elem.clone())),
                     Box::new(set.clone()),
                 );
-                let card = self.card(&diff);
-                PForm::and(vec![PForm::le(card.clone()), PForm::le(card.scaled(-1))])
+                zero(self.card(&diff), positive)
             }
             // x = y  <=>  single$x = single$y
-            BapaForm::ElemEq(a, b) => self.form(&BapaForm::SetEq(
-                SetTerm::Singleton(a.clone()),
-                SetTerm::Singleton(b.clone()),
-            )),
+            BapaForm::ElemEq(a, b) => self.form(
+                &BapaForm::SetEq(SetTerm::Singleton(a.clone()), SetTerm::Singleton(b.clone())),
+                positive,
+            ),
         }
+    }
+}
+
+/// `expr <= 0` if `positive`, and otherwise its integer negation
+/// `-expr + 1 <= 0`.
+fn literal(mut expr: IdLinExpr, positive: bool) -> PForm {
+    if !positive {
+        expr.scale(-1);
+        expr.shift(1);
+    }
+    PForm::le(expr)
+}
+
+/// `expr = 0`, as `expr <= 0 /\ -expr <= 0`, if `positive`, and otherwise
+/// its negation.
+fn zero(expr: IdLinExpr, positive: bool) -> PForm {
+    let mut neg = expr.clone();
+    neg.scale(-1);
+    let both = vec![literal(expr, positive), literal(neg, positive)];
+    if positive {
+        PForm::and(both)
+    } else {
+        PForm::or(both)
     }
 }
 
@@ -217,21 +267,20 @@ pub fn conjuncts(form: &BapaForm) -> Vec<BapaForm> {
     }
 }
 
-/// Checks unsatisfiability of a conjunction of BAPA formulas by solving each
-/// shared-variable connected component independently.
+/// Checks unsatisfiability of a conjunction of BAPA formulas by refuting
+/// each shared-variable connected component independently.
 ///
-/// A component whose set-variable count exceeds the limit is skipped (it can
-/// neither prove nor disprove unsatisfiability on its own), so the check
-/// degrades gracefully instead of giving up on the whole conjunction the way
-/// the monolithic translation did.
-pub fn conjunction_unsatisfiable(parts: &[BapaForm], limits: &BapaLimits) -> bool {
+/// A component over more set variables than the Venn construction allows is
+/// skipped (it can neither prove nor disprove unsatisfiability on its own),
+/// and the check gives up, answering `false`, once `deadline` passes.
+pub fn conjunction_unsatisfiable(parts: &[BapaForm], deadline: Option<Instant>) -> bool {
     for component in components(parts) {
-        if limits.expired() {
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
             return false;
         }
         let formula = BapaForm::and(component.iter().map(|&i| parts[i].clone()).collect());
-        if let Some(sentence) = to_presburger(&formula, limits) {
-            if crate::presburger::unsatisfiable(&sentence, limits) {
+        if let Some(form) = to_presburger(&formula) {
+            if crate::presburger::unsatisfiable(&form) {
                 return true;
             }
         }
@@ -239,12 +288,12 @@ pub fn conjunction_unsatisfiable(parts: &[BapaForm], limits: &BapaLimits) -> boo
     false
 }
 
-/// Translates a BAPA formula into an existentially closed Presburger sentence
-/// whose satisfiability coincides with the satisfiability of the input.
+/// Translates a BAPA formula into a quantifier-free Presburger formula whose
+/// satisfiability coincides with the satisfiability of the input.
 ///
-/// Returns `None` when the number of set variables exceeds the configured
-/// limit (the Venn construction is exponential in that number).
-pub fn to_presburger(form: &BapaForm, limits: &BapaLimits) -> Option<PForm> {
+/// Returns `None` when the number of set variables exceeds the limit (the
+/// Venn construction is exponential in that number).
+pub fn to_presburger(form: &BapaForm) -> Option<PForm> {
     let mut set_names: BTreeSet<String> = BTreeSet::new();
     form.set_vars(&mut set_names);
     let mut elem_names: BTreeSet<String> = BTreeSet::new();
@@ -252,33 +301,29 @@ pub fn to_presburger(form: &BapaForm, limits: &BapaLimits) -> Option<PForm> {
     for elem in &elem_names {
         set_names.insert(singleton_set(elem));
     }
-    if set_names.len() > limits.max_set_vars {
+    if set_names.len() > MAX_SET_VARS {
         return None;
     }
-    let ctx = VennCtx::new(set_names.into_iter().collect());
+    let mut ctx = VennCtx {
+        sets: set_names.into_iter().collect(),
+        ints: Vec::new(),
+    };
 
     let mut conjuncts = Vec::new();
     // Region cardinalities are non-negative.
     for region in 1..ctx.region_count() {
-        conjuncts.push(PForm::le(LinExpr::variable(&ctx.region_names[region], -1)));
+        let mut neg_card = IdLinExpr::default();
+        neg_card.push_term(region - 1, -1);
+        conjuncts.push(PForm::le(neg_card));
     }
     // Every element variable denotes exactly one element: |single$x| = 1.
     for elem in &elem_names {
-        let card = ctx.card(&SetTerm::Singleton(elem.clone()));
-        conjuncts.push(PForm::le(card.clone().shifted(-1)));
-        conjuncts.push(PForm::le(card.scaled(-1).shifted(1)));
+        let mut card = ctx.card(&SetTerm::Singleton(elem.clone()));
+        card.shift(-1);
+        conjuncts.push(zero(card, true));
     }
-    conjuncts.push(ctx.form(form));
-    let body = PForm::and(conjuncts);
-
-    // Existentially close over every variable (region vars and free int vars).
-    let mut vars: BTreeSet<String> = BTreeSet::new();
-    body.collect_vars(&mut vars);
-    let mut sentence = body;
-    for var in vars {
-        sentence = PForm::Exists(var, Box::new(sentence));
-    }
-    Some(sentence)
+    conjuncts.push(ctx.form(form, true));
+    Some(PForm::and(conjuncts))
 }
 
 #[cfg(test)]
@@ -291,8 +336,7 @@ mod tests {
     fn unsat(input: &str) -> bool {
         let form = parse_form(input).unwrap();
         let bapa = extract(&form).expect("formula in fragment");
-        let sentence = to_presburger(&bapa, &BapaLimits::default()).expect("within limits");
-        unsatisfiable(&sentence, &BapaLimits::default())
+        unsatisfiable(&to_presburger(&bapa).expect("within limits"))
     }
 
     #[test]
@@ -318,7 +362,15 @@ mod tests {
             parse_form("card(a union b union c union d union e union f union g union h) = 0")
                 .unwrap();
         let bapa = extract(&form).unwrap();
-        assert!(to_presburger(&bapa, &BapaLimits::default()).is_none());
+        assert!(to_presburger(&bapa).is_none());
+    }
+
+    #[test]
+    fn negated_atoms_tighten_for_integers() {
+        // ~(x <= 0) translates to x >= 1, so it contradicts x <= 0.
+        assert!(unsat("x <= 0 & ~(x <= 0)"));
+        assert!(unsat("~(x < y | y <= x)"));
+        assert!(!unsat("~(x <= 0) & x <= 1"));
     }
 
     #[test]

@@ -976,11 +976,7 @@ impl P {
 
     fn unary_expr(&mut self) -> Result<Form, LangError> {
         if self.eat_punct("-") {
-            let inner = self.unary_expr()?;
-            return Ok(match inner {
-                Form::Int(value) => Form::Int(-value),
-                other => Form::Neg(std::sync::Arc::new(other)),
-            });
+            return Ok(Form::neg(self.unary_expr()?));
         }
         self.postfix_expr()
     }

@@ -247,13 +247,14 @@ impl Form {
         }
     }
 
-    /// Integer addition with constant folding.
+    /// Integer addition with constant folding.  A sum that overflows `i64`
+    /// is left unfolded, as is every folding below that would overflow.
     // Associated smart constructor named after the connective, not an operator
     // on self; implementing the std::ops trait would change every call site.
     #[allow(clippy::should_implement_trait)]
     pub fn add(lhs: Form, rhs: Form) -> Form {
         match (&lhs, &rhs) {
-            (Form::Int(a), Form::Int(b)) => Form::Int(a + b),
+            (Form::Int(a), Form::Int(b)) if a.checked_add(*b).is_some() => Form::Int(a + b),
             (Form::Int(0), _) => rhs,
             (_, Form::Int(0)) => lhs,
             _ => Form::Add(Arc::new(lhs), Arc::new(rhs)),
@@ -266,7 +267,7 @@ impl Form {
     #[allow(clippy::should_implement_trait)]
     pub fn sub(lhs: Form, rhs: Form) -> Form {
         match (&lhs, &rhs) {
-            (Form::Int(a), Form::Int(b)) => Form::Int(a - b),
+            (Form::Int(a), Form::Int(b)) if a.checked_sub(*b).is_some() => Form::Int(a - b),
             (_, Form::Int(0)) => lhs,
             _ => Form::Sub(Arc::new(lhs), Arc::new(rhs)),
         }
@@ -278,11 +279,22 @@ impl Form {
     #[allow(clippy::should_implement_trait)]
     pub fn mul(lhs: Form, rhs: Form) -> Form {
         match (&lhs, &rhs) {
-            (Form::Int(a), Form::Int(b)) => Form::Int(a * b),
+            (Form::Int(a), Form::Int(b)) if a.checked_mul(*b).is_some() => Form::Int(a * b),
             (Form::Int(1), _) => rhs,
             (_, Form::Int(1)) => lhs,
             (Form::Int(0), _) | (_, Form::Int(0)) => Form::Int(0),
             _ => Form::Mul(Arc::new(lhs), Arc::new(rhs)),
+        }
+    }
+
+    /// Integer negation with constant folding (`-i64::MIN` stays unfolded).
+    // Associated smart constructor named after the connective, not an operator
+    // on self; implementing the std::ops trait would change every call site.
+    #[allow(clippy::should_implement_trait)]
+    pub fn neg(inner: Form) -> Form {
+        match inner {
+            Form::Int(value) if value != i64::MIN => Form::Int(-value),
+            other => Form::Neg(Arc::new(other)),
         }
     }
 

@@ -433,11 +433,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Form, ParseError> {
         if self.eat_punct("-") {
-            let inner = self.parse_unary()?;
-            return Ok(match inner {
-                Form::Int(value) => Form::Int(-value),
-                other => Form::Neg(Arc::new(other)),
-            });
+            return Ok(Form::neg(self.parse_unary()?));
         }
         self.parse_postfix()
     }

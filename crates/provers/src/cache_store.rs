@@ -67,6 +67,12 @@
 //! it was not proved under.  The header and per-entry config hash exist to
 //! keep files separated and corruption detectable, not as the soundness
 //! boundary.
+//!
+//! A stage that grows weaker keeps the schema: an entry records that its
+//! sequent was proved, not how.  When the `bapa` stage lost Cooper's
+//! quantifier elimination, v4 stores kept their entries, and a `bapa` entry
+//! an older build stored from a Cooper refutation still names a valid
+//! sequent, so replaying it is sound.
 
 use crate::cache::{Fingerprint, ProofCache};
 use crate::fault::{FaultPlan, StoreFault};

@@ -115,11 +115,7 @@ impl Prover for BapaProver {
         if !mentions_cardinality(&query.goal) {
             return Outcome::Unknown;
         }
-        let limits = ipl_bapa::BapaLimits {
-            deadline: cancel.deadline(),
-            ..ipl_bapa::BapaLimits::default()
-        };
-        match ipl_bapa::prove_valid(&query.assumption_forms(), &query.goal, &limits) {
+        match ipl_bapa::prove_valid(&query.assumption_forms(), &query.goal, cancel.deadline()) {
             ipl_bapa::BapaOutcome::Valid => Outcome::Proved,
             ipl_bapa::BapaOutcome::Unknown => Outcome::Unknown,
         }
@@ -158,11 +154,7 @@ impl Prover for ShapeProver {
         {
             return Outcome::Unknown;
         }
-        let limits = ipl_shape::ShapeLimits {
-            deadline: cancel.deadline(),
-            ..ipl_shape::ShapeLimits::default()
-        };
-        match ipl_shape::prove_valid(&query.assumption_forms(), &query.goal, &limits) {
+        match ipl_shape::prove_valid(&query.assumption_forms(), &query.goal, cancel.deadline()) {
             ipl_shape::ShapeOutcome::Valid => Outcome::Proved,
             ipl_shape::ShapeOutcome::Unknown => Outcome::Unknown,
         }

@@ -47,11 +47,6 @@ use ipl_logic::{Form, Sort, SortEnv};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Constraint-count give-up cap of the Fourier–Motzkin refutation, matching
-/// the cap `fm_unsatisfiable` applies per DNF conjunct so the id-keyed path
-/// gives the same verdicts as the string-keyed one it replaced.
-const FM_MAX_CONSTRAINTS: usize = 20_000;
-
 /// Base interval (in conflicts) of the Luby restart sequence.
 const RESTART_BASE: u64 = 64;
 
@@ -195,10 +190,9 @@ enum Reason {
     Decision,
     /// Propagated by this clause (its first literal is the propagated one).
     Clause(u32),
-    /// Asserted with no clause to resolve on: a learned unit, a learned
-    /// clause dropped at the cap, or the flipped decision of the no-learning
-    /// search.  Conflict analysis crossing it falls back to the decision
-    /// clause.
+    /// Asserted with no clause to resolve on: a learned unit or a learned
+    /// clause dropped at the cap.  Conflict analysis crossing it falls back
+    /// to the decision clause.
     Theory,
     /// Theory-propagated: the congruence closure entailed the watched
     /// equality `a = b`.  Conflict analysis resolves through the lazy
@@ -791,15 +785,14 @@ impl<'a> Solver<'a> {
         i
     }
 
-    /// Fills a fresh pooled slot with the canonicalised `x - y + shift`.
+    /// Fills a fresh pooled slot with the canonicalised `x - y + shift`, over
+    /// the interned ids of its opaque subterms.
     fn arith_diff_into(&mut self, x: &Form, y: &Form, shift: i64) -> usize {
         let slot = self.arith_slot();
-        let mut out = std::mem::take(&mut self.arith_exprs[slot]);
-        self.lin_into(x, 1, &mut out);
-        self.lin_into(y, -1, &mut out);
-        out.canonicalize();
-        out.shift(shift);
-        self.arith_exprs[slot] = out;
+        let cc = &mut self.cc;
+        linear_diff_into(x, y, shift, &mut self.arith_exprs[slot], &mut |t| {
+            cc.intern(t)
+        });
         slot
     }
 
@@ -834,31 +827,6 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Accumulates `k * form` into a linear expression over term ids (the
-    /// caller canonicalises once at the end).  Total: every non-arithmetic
-    /// subterm (including non-linear products) is abstracted by its interned
-    /// id, so linearisation cannot fail.
-    fn lin_into(&mut self, form: &Form, k: i64, out: &mut IdLinExpr) {
-        match form {
-            Form::Int(value) => out.constant += k * value,
-            Form::Add(a, b) => {
-                self.lin_into(a, k, out);
-                self.lin_into(b, k, out);
-            }
-            Form::Sub(a, b) => {
-                self.lin_into(a, k, out);
-                self.lin_into(b, -k, out);
-            }
-            Form::Neg(a) => self.lin_into(a, -k, out),
-            Form::Mul(a, b) => match (a.as_ref(), b.as_ref()) {
-                (Form::Int(c), other) | (other, Form::Int(c)) => self.lin_into(other, k * c, out),
-                // Non-linear multiplication: abstract the whole product.
-                _ => out.push_term(self.cc.intern(form), k),
-            },
-            other => out.push_term(self.cc.intern(other), k),
-        }
-    }
-
     /// Checks the asserted arithmetic constraints for a linear-integer
     /// conflict over the current congruence classes.  Re-runs only when the
     /// constraint stack or the class structure changed since the last check.
@@ -879,14 +847,10 @@ impl<'a> Solver<'a> {
             self.rekey_buf.push(IdLinExpr::default());
         }
         for i in 0..n {
-            self.rekey_buf[i].clear();
-            self.rekey_buf[i].constant = self.arith_exprs[i].constant;
-            for &(id, k) in self.arith_exprs[i].terms() {
-                self.rekey_buf[i].push_term(self.cc.find(id), k);
-            }
-            self.rekey_buf[i].canonicalize();
+            self.rekey_buf[i].clone_from(&self.arith_exprs[i]);
+            self.rekey_buf[i].rename(|id| self.cc.find(id));
         }
-        if id_conjunction_infeasible(&self.rekey_buf[..n], FM_MAX_CONSTRAINTS) {
+        if id_conjunction_infeasible(&self.rekey_buf[..n]) {
             true
         } else {
             self.arith_memo = Some(state);
@@ -1410,7 +1374,7 @@ pub fn theory_conflict(literals: &[Form], env: &SortEnv) -> bool {
     if constraints.is_empty() {
         return false;
     }
-    id_conjunction_infeasible(&constraints, FM_MAX_CONSTRAINTS)
+    id_conjunction_infeasible(&constraints)
 }
 
 /// Linearises `a - b + shift` into a canonical id-keyed expression, mapping
@@ -1418,11 +1382,24 @@ pub fn theory_conflict(literals: &[Form], env: &SortEnv) -> bool {
 /// no per-coefficient allocation).
 fn linear_diff(a: &Form, b: &Form, shift: i64, cc: &mut Congruence) -> IdLinExpr {
     let mut out = IdLinExpr::default();
-    linearise(a, 1, cc, &mut out);
-    linearise(b, -1, cc, &mut out);
+    linear_diff_into(a, b, shift, &mut out, &mut |t| cc.class_of(t));
+    out
+}
+
+/// Writes the canonical `a - b + shift` into `out`, abstracting every opaque
+/// subterm by the id `term_id` gives it.
+fn linear_diff_into(
+    a: &Form,
+    b: &Form,
+    shift: i64,
+    out: &mut IdLinExpr,
+    term_id: &mut impl FnMut(&Form) -> TermId,
+) {
+    out.clear();
+    linearise(a, 1, out, term_id);
+    linearise(b, -1, out, term_id);
     out.canonicalize();
     out.shift(shift);
-    out
 }
 
 fn is_arith(form: &Form) -> bool {
@@ -1432,28 +1409,43 @@ fn is_arith(form: &Form) -> bool {
     )
 }
 
-/// Accumulates `k * form` over congruence-class ids.  Total: every
-/// non-arithmetic subterm (including non-linear products) is abstracted by
-/// its class id, so linearisation cannot fail.
-fn linearise(form: &Form, k: i64, cc: &mut Congruence, out: &mut IdLinExpr) {
+/// Accumulates `k * form` into `out` (the caller canonicalises once at the
+/// end).  Total: a subterm that is not linear arithmetic, a non-linear
+/// product, and a subterm whose coefficient or constant would overflow
+/// `i64` are each abstracted as one opaque term by `term_id`, so
+/// linearisation cannot fail and never wraps.
+fn linearise(form: &Form, k: i64, out: &mut IdLinExpr, term_id: &mut impl FnMut(&Form) -> TermId) {
     match form {
-        Form::Int(value) => out.constant += k * value,
+        Form::Int(value) => {
+            if let Some(kv) = k.checked_mul(*value) {
+                return out.shift(kv);
+            }
+        }
         Form::Add(a, b) => {
-            linearise(a, k, cc, out);
-            linearise(b, k, cc, out);
+            linearise(a, k, out, term_id);
+            return linearise(b, k, out, term_id);
         }
         Form::Sub(a, b) => {
-            linearise(a, k, cc, out);
-            linearise(b, -k, cc, out);
+            if let Some(neg) = k.checked_neg() {
+                linearise(a, k, out, term_id);
+                return linearise(b, neg, out, term_id);
+            }
         }
-        Form::Neg(a) => linearise(a, -k, cc, out),
-        Form::Mul(a, b) => match (a.as_ref(), b.as_ref()) {
-            (Form::Int(c), other) | (other, Form::Int(c)) => linearise(other, k * c, cc, out),
-            // Non-linear multiplication: abstract the whole product.
-            _ => out.push_term(cc.class_of(form), k),
-        },
-        other => out.push_term(cc.class_of(other), k),
+        Form::Neg(a) => {
+            if let Some(neg) = k.checked_neg() {
+                return linearise(a, neg, out, term_id);
+            }
+        }
+        Form::Mul(a, b) => {
+            if let (Form::Int(c), other) | (other, Form::Int(c)) = (a.as_ref(), b.as_ref()) {
+                if let Some(kc) = k.checked_mul(*c) {
+                    return linearise(other, kc, out, term_id);
+                }
+            }
+        }
+        _ => {}
     }
+    out.push_term(term_id(form), k);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,18 +6,18 @@
 //!
 //! * [`syntactic`] — the cheap syntactic checks performed during splitting
 //!   (goal among assumptions, `false` among assumptions, reflexive goals);
-//! * [`ground`] — an SMT-lite solver for ground formulas: a tableau search
-//!   over the boolean structure threading one incremental, backtrackable
-//!   congruence-closure engine ([`cc`]) through the branches, combined with
-//!   linear integer arithmetic (a Fourier–Motzkin refutation shared with
-//!   `ipl-bapa`);
+//! * [`ground`] — an SMT-lite solver for ground formulas: a CDCL(T) search
+//!   with clause learning over the boolean structure, threading one
+//!   incremental, backtrackable congruence-closure engine ([`cc`]) through
+//!   the trail, combined with linear integer arithmetic (a Fourier–Motzkin
+//!   refutation shared with `ipl-bapa`);
 //! * [`inst`] — trigger-driven E-matching instantiation on top of the ground
 //!   solver (the stand-in for the E-matching SMT solvers and the first-order
 //!   provers of the paper): triggers are selected per quantifier and matched
 //!   against a term index of the ground set, with a bounded sort-pool
 //!   enumeration as the fallback for trigger-less quantifiers;
-//! * adapters for the [`ipl-bapa`] cardinality decision procedure and the
-//!   [`ipl-shape`] reachability prover;
+//! * adapters for the `ipl-bapa` cardinality prover and the `ipl-shape`
+//!   reachability prover;
 //! * [`cascade`] — the dispatcher that runs the provers in order with per-
 //!   prover budgets and records which prover discharged each sequent.
 //!
@@ -87,8 +87,8 @@ impl Cancel {
         }
     }
 
-    /// The deadline of this token, for handing down to sub-solvers with
-    /// their own limit structures (e.g. `BapaLimits::deadline`).
+    /// The deadline of this token, for handing down to sub-solvers that
+    /// poll a plain deadline (the `bapa` and `shape` stages).
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
     }
@@ -192,7 +192,8 @@ pub enum SkipReason {
 /// [`cache`]), so runs under different budgets never share cached proofs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProverConfig {
-    /// Maximum number of branch nodes explored by the ground tableau.
+    /// Maximum number of iterations of the ground solver's CDCL(T) loop;
+    /// each one ends in a conflict, a restart or a decision.
     pub max_branch_nodes: usize,
     /// Number of quantifier-instantiation rounds.
     pub instantiation_rounds: usize,

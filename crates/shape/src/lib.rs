@@ -30,6 +30,7 @@
 
 use ipl_logic::Form;
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 /// The result of a shape query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,34 +41,11 @@ pub enum ShapeOutcome {
     Unknown,
 }
 
-/// Resource limits for the saturation loop.
-#[derive(Debug, Clone, Copy)]
-pub struct ShapeLimits {
-    /// Maximum number of saturation rounds.
-    pub max_rounds: usize,
-    /// Maximum number of derived reachability facts.
-    pub max_facts: usize,
-    /// Cooperative deadline: the saturation loop polls it between rounds and
-    /// gives up (reporting `Unknown`) once it passes.
-    pub deadline: Option<std::time::Instant>,
-}
+/// Maximum number of saturation rounds.
+const MAX_ROUNDS: usize = 64;
 
-impl Default for ShapeLimits {
-    fn default() -> Self {
-        ShapeLimits {
-            max_rounds: 64,
-            max_facts: 50_000,
-            deadline: None,
-        }
-    }
-}
-
-impl ShapeLimits {
-    /// Returns `true` once the deadline (if any) has passed.
-    pub fn expired(&self) -> bool {
-        matches!(self.deadline, Some(deadline) if std::time::Instant::now() >= deadline)
-    }
-}
+/// Maximum number of derived reachability facts.
+const MAX_FACTS: usize = 50_000;
 
 /// Node identifier inside the saturation state.
 type NodeId = usize;
@@ -376,7 +354,9 @@ fn assume(form: &Form, state: &mut State, aliases: &FieldAliases, positive: bool
 }
 
 /// Proves validity of `(/\ assumptions) --> goal` for ground shape formulas.
-pub fn prove_valid(assumptions: &[Form], goal: &Form, limits: &ShapeLimits) -> ShapeOutcome {
+/// The saturation loop polls the cooperative `deadline` between rounds and
+/// gives up, answering [`ShapeOutcome::Unknown`], once it passes.
+pub fn prove_valid(assumptions: &[Form], goal: &Form, deadline: Option<Instant>) -> ShapeOutcome {
     let aliases = field_aliases(assumptions, goal);
     let mut state = State::default();
     for a in assumptions {
@@ -386,8 +366,8 @@ pub fn prove_valid(assumptions: &[Form], goal: &Form, limits: &ShapeLimits) -> S
     assume(goal, &mut state, &aliases, false);
 
     // Saturate.
-    for _ in 0..limits.max_rounds {
-        if limits.expired() {
+    for _ in 0..MAX_ROUNDS {
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
             return ShapeOutcome::Unknown;
         }
         // Apply pending equalities.
@@ -475,7 +455,7 @@ pub fn prove_valid(assumptions: &[Form], goal: &Form, limits: &ShapeLimits) -> S
             for (f2, c, d) in &current {
                 if f1 == f2 && b == c {
                     state.reach.insert((f1.clone(), *a, *d));
-                    if state.reach.len() > limits.max_facts {
+                    if state.reach.len() > MAX_FACTS {
                         return ShapeOutcome::Unknown;
                     }
                 }
@@ -506,7 +486,7 @@ mod tests {
     fn valid(assumptions: &[&str], goal: &str) -> bool {
         let assumptions: Vec<Form> = assumptions.iter().map(|s| parse_form(s).unwrap()).collect();
         let goal = parse_form(goal).unwrap();
-        prove_valid(&assumptions, &goal, &ShapeLimits::default()) == ShapeOutcome::Valid
+        prove_valid(&assumptions, &goal, None) == ShapeOutcome::Valid
     }
 
     #[test]

@@ -137,3 +137,46 @@ fn hash_table_cardinality_sequents_reach_the_bapa_stage() {
         report.prover_counts()
     );
 }
+
+/// Verifies a one-method module and asserts its one postcondition is
+/// reported unproved, without a crash.
+fn assert_unproved_without_crash(source: &str) {
+    let report = verify(source, &VerifyOptions::default()).unwrap();
+    assert!(!report.fully_proved(), "{}", report.render());
+    assert_eq!(report.crashed_sequents(), 0, "{}", report.render());
+}
+
+#[test]
+fn overflowing_constant_products_stay_unfolded() {
+    // 2^62 * 4 = 2^64 is 0 modulo 2^64: a wrapping fold would make this
+    // false postcondition hold.
+    assert_unproved_without_crash(
+        r#"
+module Wrap {
+  var value: int;
+  method fold()
+    ensures "4611686018427387904 * 4 = 0"
+  {
+  }
+}
+"#,
+    );
+}
+
+#[test]
+fn overflowing_coefficients_stay_opaque() {
+    // Linearising scales the coefficient of k by 2^62 * 4, which wraps to
+    // 0 and would drop k from the constraint.
+    assert_unproved_without_crash(
+        r#"
+module Wrap {
+  var value: int;
+  method scale(k: int)
+    requires "k = 1"
+    ensures "4611686018427387904 * (4 * k) = 0"
+  {
+  }
+}
+"#,
+    );
+}

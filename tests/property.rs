@@ -7,8 +7,8 @@
 //! * substitution of a variable that does not occur free is the identity,
 //! * splitting produces exactly one sequent per non-trivial goal leaf,
 //! * stripping proof constructs really removes every proof construct,
-//! * the two Presburger engines (Fourier–Motzkin refutation and Cooper's
-//!   algorithm) never contradict each other,
+//! * Fourier–Motzkin never refutes a linear conjunction that has an integer
+//!   model in a small box,
 //! * BAPA's component-wise refutation never refutes a conjunction that has
 //!   a model over a small universe.
 
@@ -20,8 +20,8 @@ use ipl::logic::parser::parse_form;
 use ipl::logic::simplify::simplify;
 use ipl::logic::subst::{free_vars, substitute_one};
 use ipl::logic::Form;
-use ipl_bapa::presburger::{cooper_decide, fm_unsatisfiable, LinExpr, PForm};
-use ipl_bapa::{prove_valid, BapaLimits, BapaOutcome};
+use ipl_bapa::presburger::{unsatisfiable, IdLinExpr, PForm};
+use ipl_bapa::{prove_valid, BapaOutcome};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -172,6 +172,26 @@ fn small_model(atoms: &[Form]) -> Option<SetModel> {
             }
         })
         .find(|m| atoms.iter().all(|atom| satisfies(atom, m)))
+}
+
+/// Half the side of the integer box [`box_model`] searches.
+const BOX: i64 = 12;
+
+/// Conjunctions `cx*x + cy*y + k <= 0` of one to four constraints.
+fn linear_conjunction() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    prop::collection::vec((-3i64..4, -3i64..4, -6i64..7), 1..5)
+}
+
+/// Searches every integer point of `[-BOX, BOX]^2` for a model of the
+/// conjunction.
+fn box_model(constraints: &[(i64, i64, i64)]) -> Option<(i64, i64)> {
+    (-BOX..=BOX)
+        .flat_map(|x| (-BOX..=BOX).map(move |y| (x, y)))
+        .find(|&(x, y)| {
+            constraints
+                .iter()
+                .all(|&(cx, cy, k)| cx * x + cy * y + k <= 0)
+        })
 }
 
 /// Reference evaluator for the ground fragment used by the strategies.
@@ -337,7 +357,7 @@ proptest! {
         let mut modelled = 0usize;
         for atoms in &batch {
             let model = small_model(atoms);
-            if prove_valid(atoms, &Form::FALSE, &BapaLimits::default()) == BapaOutcome::Valid {
+            if prove_valid(atoms, &Form::FALSE, None) == BapaOutcome::Valid {
                 refuted += 1;
                 prop_assert!(
                     model.is_none(),
@@ -363,31 +383,51 @@ proptest! {
     }
 
     #[test]
-    fn fm_refutation_agrees_with_cooper(
-        coeffs in prop::collection::vec((-3i64..4, -3i64..4, -6i64..7), 1..5)
+    fn fm_refutations_have_no_model_in_a_box(
+        batch in prop::collection::vec(linear_conjunction(), 64)
     ) {
-        // Random conjunctions  c1*x + c2*y + k <= 0.
-        let body = PForm::and(
-            coeffs
-                .iter()
-                .map(|(cx, cy, k)| {
-                    let expr = LinExpr::variable("x", *cx)
-                        .plus(&LinExpr::variable("y", *cy))
-                        .shifted(*k);
-                    PForm::le(expr)
-                })
-                .collect(),
-        );
-        let sentence = PForm::Exists(
-            "x".to_string(),
-            Box::new(PForm::Exists("y".to_string(), Box::new(body.clone()))),
-        );
-        let fm_says_unsat = fm_unsatisfiable(&body);
-        if let Some(satisfiable) = cooper_decide(&sentence, &BapaLimits::default()) {
-            if fm_says_unsat {
-                // FM refutation is sound, so Cooper must agree.
-                prop_assert!(!satisfiable, "FM claims unsat but Cooper found a model: {body:?}");
+        // Fourier–Motzkin with integer tightening is sound for refutation but
+        // incomplete over the integers.  Evaluating the constraints at every
+        // integer point of a box shares no code with the elimination:
+        // whenever it refutes a conjunction, no point may satisfy it.
+        let mut refuted = 0usize;
+        let mut modelled = 0usize;
+        for constraints in &batch {
+            let model = box_model(constraints);
+            let conjunction = PForm::and(
+                constraints
+                    .iter()
+                    .map(|&(cx, cy, k)| {
+                        let mut le = IdLinExpr::constant(k);
+                        le.push_term(0, cx);
+                        le.push_term(1, cy);
+                        le.canonicalize();
+                        PForm::le(le)
+                    })
+                    .collect(),
+            );
+            if unsatisfiable(&conjunction) {
+                refuted += 1;
+                prop_assert!(
+                    model.is_none(),
+                    "FM refutes {:?}, but {:?} satisfies it",
+                    constraints,
+                    model
+                );
+            } else if model.is_some() {
+                modelled += 1;
             }
         }
+        // The check is only as good as the search's reach: the box must
+        // model most of what FM leaves open, or a box too small to hold any
+        // model would pass every refutation.
+        let open = batch.len() - refuted;
+        prop_assert!(refuted > 0, "FM refuted nothing in {:?}", batch);
+        prop_assert!(
+            modelled * 4 >= open * 3,
+            "the box modelled only {}/{} conjunctions FM left open",
+            modelled,
+            open
+        );
     }
 }
