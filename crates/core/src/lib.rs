@@ -15,21 +15,29 @@
 //! The public entry point is [`session::Session`]: build one from a
 //! [`VerifyOptions`], then call [`Session::verify`](session::Session::verify)
 //! with a [`session::Request`].  The session owns the long-lived state — the
-//! prover cascade and the persistent store handle (scanned once, not per
-//! call) — which is what `ipl serve` keeps warm across requests.
+//! prover cascade, the per-method front-end memo and the persistent store
+//! handle (scanned once, not per call) — which is what `ipl serve` keeps
+//! warm across requests.
 //! [`VerifyOptions::without_proof_constructs`] reproduces the "Without Proof
 //! Language Constructs" configuration of Table 2 by stripping every proof
 //! statement before verification.
 //!
-//! ## The parallel scheduler
+//! ## The memo and the parallel scheduler
+//!
+//! First the session's front-end memo answers every method it remembers
+//! whose proofs the proof cache still holds: a structural comparison of the
+//! method's key plus one cache lookup per sequent, exactly the answers the
+//! cascade's own cache lookup would give (see the `memo` module).  The
+//! other methods are lowered, in order.
 //!
 //! Sequent proving is embarrassingly parallel: every sequent is an
 //! independent query against a `Send + Sync` cascade over `Arc`-shared terms.
 //! [`Session::verify`] therefore runs a small hand-rolled worker pool
 //! ([`VerifyOptions::jobs`] threads, default = available parallelism) in two
-//! waves: first the per-method pipeline front-end (translate → wlp → split,
-//! which hash-conses the sequent terms), then one flat work list of every
-//! non-trivial sequent in the module.  Workers pull indices from a shared
+//! waves over the methods the memo did not answer: first the per-method
+//! pipeline front-end (translate → wlp → split, which hash-conses the sequent
+//! terms, then each query and its fingerprint), then one flat work list of
+//! every query left in the module.  Workers pull indices from a shared
 //! atomic cursor and write results into per-slot cells, so reports are
 //! assembled **in input order and deterministically** regardless of thread
 //! count — `jobs = 1` and `jobs = N` produce identical reports (timings
@@ -40,14 +48,16 @@
 
 pub mod error;
 pub mod json;
+mod memo;
 pub mod report;
 pub mod session;
 
 pub use error::{Span, VerifyError};
+use ipl_gcl::cmd::ConstructCounts;
 use ipl_gcl::split::{split_all, Sequent};
 use ipl_gcl::translate::{translate_ext, TranslateCtx};
 use ipl_gcl::wlp::vc_of;
-use ipl_lang::lower::{lower_module, LoweredMethod};
+use ipl_lang::lower::{lower_method, module_env, LoweredMethod};
 use ipl_lang::Module;
 use ipl_logic::{Labeled, SortEnv};
 use ipl_provers::cache::Fingerprint;
@@ -55,6 +65,7 @@ pub use ipl_provers::cache_store::CompactStats;
 use ipl_provers::drain::Drain;
 use ipl_provers::fault::FaultPlan;
 use ipl_provers::{containment, Cascade, Outcome, ProverAnswer, ProverConfig, Query, RequestScope};
+use memo::{Keys, Memo, Obligation, Obligations};
 pub use report::{MethodReport, ModuleReport, SequentReport};
 pub use session::{Request, Response, Session, SessionStats};
 use std::path::PathBuf;
@@ -158,22 +169,24 @@ impl VerifyOptions {
     }
 }
 
-/// The two prover waves behind [`Session::verify`]: lower, prepare every
-/// method, dispatch every non-trivial sequent under the session's `drain`
-/// and the request's `faults`, assemble the report deterministically.  The
-/// store is the caller's business (the session preloads before and appends
-/// after); this function only *collects* the freshly provable
-/// `(fingerprint, prover)` pairs and returns them alongside the report.
+/// What [`Session::verify`] runs: the memo answers the methods it
+/// knows, then two prover waves run the rest (lower and prepare every other
+/// method; dispatch its non-trivial sequents under the session's `drain`
+/// and the request's `faults`), and the report is assembled
+/// deterministically.  The store is the caller's business (the session
+/// preloads before and appends after); this function only *collects* the
+/// provable `(fingerprint, prover)` pairs and returns them alongside the
+/// report.
 pub(crate) fn drive(
     module: &Module,
     options: &VerifyOptions,
     cascade: &Cascade,
+    memo: &Memo,
     drain: &Drain,
     faults: Option<&FaultPlan>,
 ) -> Result<(ModuleReport, Vec<(Fingerprint, String)>), VerifyError> {
-    let lowered = lower_module(module)?;
     let jobs = options.effective_jobs();
-    let mut report = ModuleReport::new(&lowered.name, module);
+    let mut report = ModuleReport::new(&module.name, module);
     report.jobs = jobs;
 
     // The module deadline starts counting now: front-end and dispatch share
@@ -186,58 +199,120 @@ pub(crate) fn drive(
         faults,
     };
 
+    // The memo answers each method it knows whose every proof the proof
+    // cache still holds.  With the cache off there are no fingerprints, and
+    // the memo is bypassed.
+    let keys = cascade
+        .config()
+        .use_cache
+        .then(|| Keys::new(module, options.use_proof_constructs));
+    let remembered: Vec<Option<Prepared<'_>>> = (0..module.methods.len())
+        .map(|index| {
+            let start = Instant::now();
+            let obligations = memo.get(keys.as_ref()?, index)?;
+            let replayed = replay(&obligations, cascade)?;
+            Some(Prepared {
+                name: &module.methods[index].name,
+                obligations,
+                queries: Vec::new(),
+                replayed,
+                remembered: true,
+                front_end: start.elapsed(),
+                crashed: None,
+            })
+        })
+        .collect();
+
+    // Lower every other method, in order, so the first lowering error fails
+    // the request before anything is proved, as it would without the memo.
+    let mut env = None;
+    let mut lowered = Vec::new();
+    for (method, slot) in module.methods.iter().zip(&remembered) {
+        if slot.is_none() {
+            let env = env.get_or_insert_with(|| module_env(module));
+            lowered.push(lower_method(module, method, env)?);
+        }
+    }
+
     // Wave 1: the pipeline front-end, one work item per method.  A panicking
     // front-end quarantines that one method (the recovery closure marks it
     // crashed) and the other methods proceed.
-    let prepared = parallel_map(
+    let mut fresh = parallel_map(
         jobs,
-        &lowered.methods,
-        |method| prepare(method, options),
-        Prepared::crashed,
-    );
+        &lowered,
+        |method| prepare(method, options, cascade),
+        |method, message| Prepared::crashed(&method.name, message),
+    )
+    .into_iter();
+    let mut prepared: Vec<Prepared<'_>> = remembered
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| fresh.next().expect("one per lowered method")))
+        .collect();
 
-    // Wave 2: one flat work list of every non-trivial sequent in the module,
-    // so a single proof-heavy method cannot serialise the pool.
-    let mut work: Vec<(usize, usize)> = Vec::new();
-    for (method_index, p) in prepared.iter().enumerate() {
-        for (sequent_index, sequent) in p.sequents.iter().enumerate() {
-            if !sequent.is_trivially_valid() {
-                work.push((method_index, sequent_index));
-            }
-        }
-    }
+    // Wave 2: one flat work list of every query left, across the module, so
+    // a single proof-heavy method cannot serialise the pool.
+    let work: Vec<(usize, usize)> = prepared
+        .iter()
+        .enumerate()
+        .flat_map(|(method_index, p)| (0..p.queries.len()).map(move |q| (method_index, q)))
+        .collect();
     let answers = parallel_map(
         jobs,
         &work,
-        |&(method_index, sequent_index)| {
+        |&(method_index, query_index)| {
             let p = &prepared[method_index];
-            let sequent = &p.sequents[sequent_index];
-            cascade.prove_under(&sequent_query(sequent, &p.env), &scope)
+            let (sequent_index, query) = &p.queries[query_index];
+            let fingerprint = p.obligations.sequents[*sequent_index].fingerprint;
+            cascade.prove_under(query, fingerprint, &scope)
         },
-        // A panic that escapes even the cascade's own stage containment
-        // (driver bug, query construction) still only quarantines its one
-        // sequent; the worker thread survives and keeps claiming work, so
-        // `--jobs N` never degrades to N-1.
+        // A panic that escapes even the cascade's own stage containment (a
+        // bug outside the provers) still only quarantines its one sequent;
+        // the worker thread survives and keeps claiming work, so `--jobs N`
+        // never degrades to N-1.
         |_, message| crashed_answer("driver", message),
     );
-
-    // This run's freshly proved fingerprints, for the caller to persist
-    // (`StoreHandle::append_new` skips everything already on disk).
-    let proved: Vec<(Fingerprint, String)> = answers
-        .iter()
-        .filter(|answer| answer.outcome == Outcome::Proved)
-        .filter_map(|answer| Some((answer.fingerprint?, answer.prover.clone()?)))
+    let mut per_method: Vec<Vec<(usize, ProverAnswer)>> = prepared
+        .iter_mut()
+        .map(|p| std::mem::take(&mut p.replayed))
         .collect();
-
-    // Deterministic assembly in input order.
-    let mut per_method: Vec<Vec<(usize, ProverAnswer)>> = vec![Vec::new(); prepared.len()];
-    for (&(method_index, sequent_index), answer) in work.iter().zip(answers) {
+    for (&(method_index, query_index), answer) in work.iter().zip(answers) {
+        let sequent_index = prepared[method_index].queries[query_index].0;
         per_method[method_index].push((sequent_index, answer));
     }
-    for (p, answers) in prepared.into_iter().zip(per_method) {
-        report.methods.push(assemble(p, answers));
+
+    // Deterministic assembly in input order.  The proved fingerprints, cache
+    // hits included, go to the caller to persist (`StoreHandle::append_new`
+    // skips everything already on disk).
+    let mut proved: Vec<(Fingerprint, String)> = Vec::new();
+    for (index, (p, mut answers)) in prepared.iter().zip(per_method).enumerate() {
+        answers.sort_by_key(|(sequent_index, _)| *sequent_index);
+        proved.extend(
+            answers
+                .iter()
+                .filter(|(_, answer)| answer.outcome == Outcome::Proved)
+                .filter_map(|(_, answer)| Some((answer.fingerprint?, answer.prover.clone()?))),
+        );
+        let method = assemble(p, answers);
+        if let Some(keys) = &keys {
+            if !p.remembered && method.fully_proved() {
+                memo.insert(keys, index, Arc::clone(&p.obligations));
+            }
+        }
+        report.methods.push(method);
     }
     Ok((report, proved))
+}
+
+/// The proof cache's answer for every non-trivial sequent of `obligations`,
+/// by sequent index, or `None` when one of them is missing.
+fn replay(obligations: &Obligations, cascade: &Cascade) -> Option<Vec<(usize, ProverAnswer)>> {
+    obligations
+        .sequents
+        .iter()
+        .enumerate()
+        .filter(|(_, sequent)| !sequent.trivial)
+        .map(|(index, sequent)| Some((index, cascade.replay(sequent.fingerprint?)?)))
+        .collect()
 }
 
 /// The answer recorded for a sequent whose dispatch (not any prover stage)
@@ -256,40 +331,53 @@ fn crashed_answer(stage: &str, message: String) -> ProverAnswer {
     }
 }
 
-/// The pipeline front-end output for one method: its split, hash-consed
-/// sequents, the proof-construct counts of the command that was verified,
-/// and the front-end wall-clock.
+/// One method ready for the prover wave: its obligations, the query of each
+/// sequent still to dispatch, and the answers the memo already gave.
 struct Prepared<'a> {
-    method: &'a LoweredMethod,
-    /// The method's sort environment, shared by its sequents' queries.
-    env: Arc<SortEnv>,
-    sequents: Vec<Sequent>,
-    counts: ipl_gcl::cmd::ConstructCounts,
-    front_end: std::time::Duration,
+    name: &'a str,
+    obligations: Arc<Obligations>,
+    /// The query of each non-trivial sequent, by sequent index (empty when
+    /// the memo answered).
+    queries: Vec<(usize, Query)>,
+    /// The proof cache's answers, by sequent index, when the memo answered.
+    replayed: Vec<(usize, ProverAnswer)>,
+    /// The memo answered, so there is nothing new to remember.
+    remembered: bool,
+    /// Front-end wall-clock (the memo lookup, when it answered).
+    front_end: Duration,
     /// Panic message when the front-end itself crashed; the method is then
     /// reported as one quarantined sequent instead of poisoning the run.
     crashed: Option<String>,
 }
 
 impl<'a> Prepared<'a> {
-    fn crashed(method: &'a LoweredMethod, message: String) -> Prepared<'a> {
+    fn crashed(name: &'a str, message: String) -> Prepared<'a> {
         Prepared {
-            method,
-            env: Arc::default(),
-            sequents: Vec::new(),
-            counts: ipl_gcl::cmd::ConstructCounts::default(),
+            name,
+            obligations: Arc::new(Obligations {
+                counts: ConstructCounts::default(),
+                sequents: Vec::new(),
+            }),
+            queries: Vec::new(),
+            replayed: Vec::new(),
+            remembered: false,
             front_end: Duration::ZERO,
             crashed: Some(message),
         }
     }
 }
 
-/// Runs translate → wlp → split for one method.  Split interns every
-/// sequent formula as it builds it, so structurally equal subterms — within
-/// the method, across methods and across modules — share one allocation
-/// (pointer-equality fast paths, memoised substitution, deduplicated
-/// memory).
-fn prepare<'a>(method: &'a LoweredMethod, options: &VerifyOptions) -> Prepared<'a> {
+/// Runs translate → wlp → split for one method, then builds the query of
+/// each non-trivial sequent and its fingerprint, the one the cascade and the
+/// memo use.  Split interns every sequent formula as it builds it, so
+/// structurally equal subterms — within the method, across methods and
+/// across modules — share one allocation (pointer-equality fast paths,
+/// memoised substitution, deduplicated memory).
+fn prepare<'a>(
+    method: &'a LoweredMethod,
+    options: &VerifyOptions,
+    cascade: &Cascade,
+) -> Prepared<'a> {
     let start = Instant::now();
     let command = if options.use_proof_constructs {
         method.command.clone()
@@ -303,37 +391,53 @@ fn prepare<'a>(method: &'a LoweredMethod, options: &VerifyOptions) -> Prepared<'
     };
     let mut ctx = TranslateCtx::new();
     let simple = translate_ext(&command, &mut ctx);
-    let sequents = split_all(&vc_of(&simple));
+    let env = Arc::new(method.env.clone());
+    let mut sequents = Vec::new();
+    let mut queries = Vec::new();
+    for sequent in split_all(&vc_of(&simple)) {
+        let trivial = sequent.is_trivially_valid();
+        let mut fingerprint = None;
+        if !trivial {
+            let query = sequent_query(&sequent, &env);
+            fingerprint = cascade.fingerprint(&query);
+            queries.push((sequents.len(), query));
+        }
+        sequents.push(Obligation {
+            name: sequent.name,
+            goal_label: sequent.goal_label,
+            trivial,
+            fingerprint,
+        });
+    }
     Prepared {
-        method,
-        env: Arc::new(method.env.clone()),
-        sequents,
-        counts,
+        name: &method.name,
+        obligations: Arc::new(Obligations { counts, sequents }),
+        queries,
+        replayed: Vec::new(),
+        remembered: false,
         front_end: start.elapsed(),
         crashed: None,
     }
 }
 
-/// Folds the per-sequent answers (indexed by position in
-/// `prepared.sequents`) into the method report, in sequent order.
-fn assemble(prepared: Prepared<'_>, mut answers: Vec<(usize, ProverAnswer)>) -> MethodReport {
-    answers.sort_by_key(|(sequent_index, _)| *sequent_index);
-    let mut answers = answers.into_iter().peekable();
-
-    let mut report = MethodReport::new(&prepared.method.name);
-    report.counts = prepared.counts;
-    if let Some(message) = prepared.crashed {
+/// Folds the per-sequent answers (sorted by sequent index) into the method
+/// report, in sequent order.
+fn assemble(prepared: &Prepared<'_>, answers: Vec<(usize, ProverAnswer)>) -> MethodReport {
+    let mut answers = answers.into_iter();
+    let mut report = MethodReport::new(prepared.name);
+    report.counts = prepared.obligations.counts;
+    if let Some(message) = &prepared.crashed {
         // The front-end never produced sequents; report the method as one
         // quarantined obligation so it can never count as verified.
         report.total_sequents = 1;
         report.crashed_sequents = 1;
         report.sequents.push(SequentReport {
-            name: format!("{}::front-end", prepared.method.name),
+            name: format!("{}::front-end", prepared.name),
             goal_label: "FrontEnd".to_string(),
             proved: false,
             outcome: Outcome::Crashed {
                 stage: "front-end".to_string(),
-                message,
+                message: message.clone(),
             },
             prover: None,
             duration: Duration::ZERO,
@@ -341,18 +445,17 @@ fn assemble(prepared: Prepared<'_>, mut answers: Vec<(usize, ProverAnswer)>) -> 
         return report;
     }
     let mut duration = prepared.front_end;
-    for (sequent_index, sequent) in prepared.sequents.iter().enumerate() {
-        if sequent.is_trivially_valid() {
+    for (sequent_index, sequent) in prepared.obligations.sequents.iter().enumerate() {
+        report.total_sequents += 1;
+        if sequent.trivial {
             report.trivial_sequents += 1;
             report.proved_sequents += 1;
-            report.total_sequents += 1;
             *report
                 .prover_counts
                 .entry("trivial".to_string())
                 .or_insert(0) += 1;
             continue;
         }
-        report.total_sequents += 1;
         let answer = match answers.next() {
             Some((index, answer)) if index == sequent_index => answer,
             _ => unreachable!("every non-trivial sequent has exactly one answer"),
@@ -375,7 +478,7 @@ fn assemble(prepared: Prepared<'_>, mut answers: Vec<(usize, ProverAnswer)>) -> 
             *report
                 .stage_durations
                 .entry(stage.clone())
-                .or_insert(std::time::Duration::ZERO) += *stage_duration;
+                .or_insert(Duration::ZERO) += *stage_duration;
         }
         duration += answer.duration;
         report.sequents.push(SequentReport {

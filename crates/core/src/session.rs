@@ -2,10 +2,13 @@
 //!
 //! A [`Session`] owns everything worth keeping warm between verification
 //! requests: the prover cascade built for one [`VerifyOptions`]
-//! (crate::VerifyOptions) and the persistent proof store handle (opened and
-//! scanned **once**, not per call).  It also owns the drain that winds its
-//! in-flight requests down at shutdown.  `ipl serve` holds one `Session` for
-//! its whole lifetime; `ipl verify` holds one for all the files it is given.
+//! (crate::VerifyOptions), the per-method front-end memo (at most 128
+//! methods) and the persistent proof store handle (opened and scanned
+//! **once**, not per call).  It also owns the drain that winds its
+//! in-flight requests down at shutdown.  The proof cache and the intern
+//! table it fills are process-wide, and bounded too.  `ipl serve` holds one
+//! `Session` for its whole lifetime; `ipl verify` holds one for all the
+//! files it is given.
 //!
 //! Requests are plain values ([`Request`]) and answers carry the report plus
 //! session-level telemetry ([`Response`]), so the same surface serves the
@@ -13,6 +16,7 @@
 //! belongs to one request — its deadline, worker count and fault plan —
 //! travels on the `Request`, so concurrent requests never see each other's.
 
+use crate::memo::Memo;
 use crate::{drive, ModuleReport, VerifyError, VerifyOptions};
 use ipl_provers::cache::ProofCache;
 use ipl_provers::cache_store::{CompactStats, StoreHandle};
@@ -108,14 +112,19 @@ pub struct SessionStats {
     pub store_preloads: usize,
     /// Total entries appended to the store by this session.
     pub store_appended: usize,
+    /// Methods the front-end memo remembers (at most 128).
+    pub memo_entries: usize,
 }
 
-/// Long-lived verification state: one cascade, one store handle and one
-/// drain.  Shared across threads (`&Session` is enough to verify), so a
-/// daemon can serve concurrent connections from one session.
+/// Long-lived verification state: one cascade, one front-end memo, one
+/// store handle and one drain.  Shared across threads (`&Session` is enough
+/// to verify), so a daemon can serve concurrent connections from one
+/// session.
 pub struct Session {
     options: VerifyOptions,
     cascade: Cascade,
+    /// The per-method front-end memo (see [`crate::memo`]).
+    memo: Memo,
     /// The persistent store, opened (and its log scanned) once at session
     /// construction.  `None` when no cache dir is configured, the in-memory
     /// cache is off, or the store could not be opened (degraded with a
@@ -145,6 +154,7 @@ impl Session {
         Session {
             options,
             cascade,
+            memo: Memo::default(),
             store: Mutex::new(store),
             requests: AtomicUsize::new(0),
             drain: Drain::default(),
@@ -184,7 +194,14 @@ impl Session {
             }
         }
         let faults = request.fault_plan.as_ref();
-        let (report, proved) = drive(&module, &options, &self.cascade, &self.drain, faults)?;
+        let (report, proved) = drive(
+            &module,
+            &options,
+            &self.cascade,
+            &self.memo,
+            &self.drain,
+            faults,
+        )?;
         if report.skipped_sequents() > 0 && self.drain.passed() {
             self.drain_cuts.fetch_add(1, Ordering::Relaxed);
         }
@@ -255,6 +272,7 @@ impl Session {
         let store = self.store.lock().expect("store handle poisoned");
         let mut stats = SessionStats {
             requests: self.requests.load(Ordering::Relaxed),
+            memo_entries: self.memo.len(),
             ..SessionStats::default()
         };
         if let Some(handle) = store.as_ref() {

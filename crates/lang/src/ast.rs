@@ -10,7 +10,7 @@ use ipl_logic::{Form, Sort};
 use serde::{Deserialize, Serialize};
 
 /// Program-level types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Type {
     /// Mathematical integers (Java `int` without overflow, as in Jahob).
     Int,
@@ -36,7 +36,7 @@ impl Type {
 }
 
 /// A module: the unit of verification (the counterpart of a Java class).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Module {
     /// Module name.
     pub name: String,
@@ -87,7 +87,7 @@ fn count_stmts(stmts: &[Stmt]) -> usize {
 }
 
 /// A method with its contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Method {
     /// Method name.
     pub name: String,
@@ -106,8 +106,32 @@ pub struct Method {
     pub body: Vec<Stmt>,
 }
 
+impl Method {
+    /// Calls `f` with the callee of every `call` in the body, in source
+    /// order and once per call site, including the calls inside `if`,
+    /// `while` and `fix` bodies: every call whose contract lowering reads.
+    pub fn for_each_callee(&self, mut f: impl FnMut(&str)) {
+        fn walk(stmts: &[Stmt], f: &mut impl FnMut(&str)) {
+            for stmt in stmts {
+                match stmt {
+                    Stmt::Call { method, .. } => f(method),
+                    Stmt::If(_, then_branch, else_branch) => {
+                        walk(then_branch, f);
+                        walk(else_branch, f);
+                    }
+                    Stmt::While { body, .. } | Stmt::Proof(ProofStmt::Fix { body, .. }) => {
+                        walk(body, f)
+                    }
+                    _ => {}
+                }
+            }
+        }
+        walk(&self.body, &mut f);
+    }
+}
+
 /// Statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Stmt {
     /// Local variable declaration with optional initialiser.
     VarDecl(String, Type, Option<Form>),
@@ -179,7 +203,7 @@ pub enum Stmt {
 }
 
 /// The integrated proof language statements (surface form).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ProofStmt {
     /// `note L: "F" [from a, b];`
     Note {

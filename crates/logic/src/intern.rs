@@ -15,12 +15,14 @@
 //!   hit rates.
 //!
 //! The table is sharded by hash so that the parallel verification driver's
-//! workers intern concurrently without contending on one lock.  Entries are
-//! held strongly and live until [`clear`] is called: the suite's working set
-//! of distinct subterms is small (tens of thousands of nodes), and a stable
-//! address space means pointers can be used as memo keys without
-//! use-after-free aliasing hazards.  Long-running servers should call
-//! [`clear`] between independent workloads.
+//! workers intern concurrently without contending on one lock.  It is
+//! bounded: a shard that reaches 1,024 entries is emptied before its next
+//! insert, so the table never holds more than 16,384.  Emptying is safe
+//! because the entries are plain `Arc`s, which stay valid for whoever holds
+//! them, and every pointer-keyed memo (the one [`share`] keeps, for
+//! instance) lives for a single call whose input keeps its keys alive.  A
+//! subterm interned before and after a shard was emptied is merely two
+//! structurally equal allocations.
 //!
 //! Hashing is structural but computed *per node* from the already-computed
 //! hashes of the interned children, so one [`share`] call is linear in the
@@ -34,6 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 const SHARD_COUNT: usize = 16;
+
+/// Entries one shard holds before it is emptied.
+const SHARD_CAPACITY: usize = 1_024;
 
 /// The canonical allocations whose structural hash is one value.  Almost
 /// every hash has exactly one, so it is held inline rather than in a `Vec`
@@ -82,63 +87,75 @@ pub struct InternStats {
 
 fn interner() -> &'static Interner {
     static TABLE: OnceLock<Interner> = OnceLock::new();
-    TABLE.get_or_init(|| Interner {
-        shards: (0..SHARD_COUNT)
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect(),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
+    TABLE.get_or_init(Interner::new)
 }
 
-/// Returns the canonical allocation for `node`, whose recursive positions
-/// must already be canonical (so the structural comparison against bucket
-/// candidates short-circuits on pointer identity one level down).
-fn intern_node(node: Form, hash: u64) -> Arc<Form> {
-    let table = interner();
-    let shard = &table.shards[(hash as usize) % SHARD_COUNT];
-    let mut buckets = shard.lock().expect("intern shard poisoned");
-    if let Some(bucket) = buckets.get(&hash) {
-        if let Some(found) = bucket.entries().iter().find(|c| ***c == node) {
-            table.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(found);
+impl Interner {
+    fn new() -> Interner {
+        Interner {
+            shards: (0..SHARD_COUNT)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
-    table.misses.fetch_add(1, Ordering::Relaxed);
-    let canonical = Arc::new(node);
-    match buckets.entry(hash) {
-        Entry::Vacant(slot) => {
-            slot.insert(Bucket::One(Arc::clone(&canonical)));
+
+    /// Returns the canonical allocation for `node`, whose recursive positions
+    /// must already be canonical (so the structural comparison against
+    /// bucket candidates short-circuits on pointer identity one level down).
+    fn intern(&self, node: Form, hash: u64) -> Arc<Form> {
+        let shard = &self.shards[(hash as usize) % SHARD_COUNT];
+        let mut buckets = shard.lock().expect("intern shard poisoned");
+        if let Some(bucket) = buckets.get(&hash) {
+            if let Some(found) = bucket.entries().iter().find(|c| ***c == node) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(found);
+            }
         }
-        Entry::Occupied(mut slot) => slot.get_mut().push(Arc::clone(&canonical)),
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        // Counting buckets counts entries, since a hash shared by two
+        // formulas is all but unheard of.
+        if buckets.len() >= SHARD_CAPACITY {
+            buckets.clear();
+        }
+        let canonical = Arc::new(node);
+        match buckets.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket::One(Arc::clone(&canonical)));
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().push(Arc::clone(&canonical)),
+        }
+        canonical
     }
-    canonical
+
+    fn stats(&self) -> InternStats {
+        let entries = self
+            .shards
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .expect("intern shard poisoned")
+                    .values()
+                    .map(|bucket| bucket.entries().len())
+                    .sum::<usize>()
+            })
+            .sum();
+        InternStats {
+            entries,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Statistics of the global intern table.
 pub fn stats() -> InternStats {
-    let table = interner();
-    let entries = table
-        .shards
-        .iter()
-        .map(|s| {
-            s.lock()
-                .expect("intern shard poisoned")
-                .values()
-                .map(|bucket| bucket.entries().len())
-                .sum::<usize>()
-        })
-        .sum();
-    InternStats {
-        entries,
-        hits: table.hits.load(Ordering::Relaxed),
-        misses: table.misses.load(Ordering::Relaxed),
-    }
+    interner().stats()
 }
 
 /// Empties the intern table (outstanding `Arc`s stay valid; future [`share`]
-/// calls start from an empty table).  Intended for tests and long-running
-/// processes that switch workloads.
+/// calls start from an empty table), as a fresh process starts.
 pub fn clear() {
     for shard in &interner().shards {
         shard.lock().expect("intern shard poisoned").clear();
@@ -157,7 +174,7 @@ pub fn share(form: &Form) -> Form {
 pub fn share_arc(form: &Form) -> Arc<Form> {
     let mut memo = HashMap::new();
     let (shared, hash) = share_rec(form, &mut memo);
-    intern_node(shared, hash)
+    interner().intern(shared, hash)
 }
 
 /// Per-call memo: the address of an `Arc` child of the input → its
@@ -184,7 +201,7 @@ fn share_rec(form: &Form, memo: &mut Memo) -> (Form, u64) {
             Some((canonical, h)) => (Arc::clone(canonical), *h),
             None => {
                 let (shared, h) = share_rec(c, memo);
-                let canonical = intern_node(shared, h);
+                let canonical = interner().intern(shared, h);
                 memo.insert(key, (Arc::clone(&canonical), h));
                 (canonical, h)
             }
@@ -339,6 +356,34 @@ mod tests {
         for (entry, form) in entries.iter().zip(&forms) {
             assert!(Arc::ptr_eq(entry, form), "insertion order, same allocation");
         }
+    }
+
+    #[test]
+    fn a_private_table_stays_bounded_and_its_outstanding_arcs_stay_valid() {
+        let table = Interner::new();
+        let node_hash = |form: &Form| {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            form.hash(&mut hasher);
+            hasher.finish()
+        };
+        let first = Form::Int(-1);
+        let held = table.intern(first.clone(), node_hash(&first));
+        for value in 0..100_000 {
+            let node = Form::Int(value);
+            let hash = node_hash(&node);
+            let canonical = table.intern(node, hash);
+            assert!(Arc::ptr_eq(
+                &canonical,
+                &table.intern(Form::Int(value), hash)
+            ));
+            if value % 1_024 == 0 {
+                assert!(table.stats().entries <= SHARD_CAPACITY * SHARD_COUNT);
+            }
+        }
+        assert!(table.stats().entries <= SHARD_CAPACITY * SHARD_COUNT);
+        assert_eq!(*held, first, "emptied shards leave held allocations intact");
+        let again = table.intern(first.clone(), node_hash(&first));
+        assert_eq!(again, held);
     }
 
     #[test]

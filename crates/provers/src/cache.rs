@@ -23,6 +23,12 @@
 //! the parallel verification driver's workers share it, and successive
 //! verification runs in one process (Table 2's double run, repeated
 //! `Session::verify` calls in a server) hit it across runs.
+//!
+//! It is also bounded: each shard keeps two [`Generations`] of at most 512
+//! entries, so the whole cache never holds more than 16,384.  A proof looked
+//! up in every generation stays; one nobody asks for again is dropped two
+//! generations after its last use, and proving it again (or replaying it
+//! from the persistent store in a new process) costs only time.
 
 use crate::{ProverConfig, Query};
 use ipl_logic::Form;
@@ -33,6 +39,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 const SHARD_COUNT: usize = 16;
+
+/// Entries one shard keeps per generation.
+const SHARD_CAPACITY: usize = 512;
 
 /// A 128-bit content fingerprint (two independently seeded 64-bit structural
 /// hashes; a collision would require both to collide simultaneously).
@@ -64,10 +73,73 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+/// A map bounded by two generations of at most `capacity` entries each.
+///
+/// Inserts go to the young generation.  When it is full, it becomes the old
+/// one and the previous old generation is dropped.  A lookup that finds an
+/// entry in the old generation moves it to the young one, so an entry used
+/// at least once per generation is never dropped, and the map never holds
+/// more than `2 * capacity` entries.
+#[derive(Debug)]
+pub struct Generations<K, V> {
+    capacity: usize,
+    young: HashMap<K, V>,
+    old: HashMap<K, V>,
+}
+
+impl<K: Eq + Hash, V> Generations<K, V> {
+    /// An empty map keeping at most `capacity` entries per generation.
+    pub fn new(capacity: usize) -> Generations<K, V> {
+        Generations {
+            capacity,
+            young: HashMap::new(),
+            old: HashMap::new(),
+        }
+    }
+
+    /// The value under `key`, moved to the young generation if it was old.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        if !self.young.contains_key(key) {
+            let (key, value) = self.old.remove_entry(key)?;
+            self.insert(key, value);
+        }
+        self.young.get(key)
+    }
+
+    /// Inserts `value` under `key` in the young generation, replacing any
+    /// earlier value.
+    pub fn insert(&mut self, key: K, value: V) {
+        self.old.remove(&key);
+        if self.young.len() >= self.capacity && !self.young.contains_key(&key) {
+            // The retired old generation's table is reused, so a full map
+            // stops allocating.
+            std::mem::swap(&mut self.young, &mut self.old);
+            self.young.clear();
+        }
+        self.young.insert(key, value);
+    }
+
+    /// Entries held in both generations.
+    pub fn len(&self) -> usize {
+        self.young.len() + self.old.len()
+    }
+
+    /// Whether both generations are empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops every entry.
+    pub fn clear(&mut self) {
+        self.young.clear();
+        self.old.clear();
+    }
+}
+
 /// The global memo table of proved sequents: each fingerprint maps to the
 /// name of the cascade stage that proved it.
 pub struct ProofCache {
-    shards: Vec<Mutex<HashMap<u128, &'static str>>>,
+    shards: Vec<Mutex<Generations<u128, &'static str>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -76,13 +148,17 @@ impl ProofCache {
     /// The process-global cache instance.
     pub fn global() -> &'static ProofCache {
         static CACHE: OnceLock<ProofCache> = OnceLock::new();
-        CACHE.get_or_init(|| ProofCache {
+        CACHE.get_or_init(ProofCache::new)
+    }
+
+    fn new() -> ProofCache {
+        ProofCache {
             shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Generations::new(SHARD_CAPACITY)))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Computes the content fingerprint of a query under the given budgets
@@ -140,7 +216,7 @@ impl ProofCache {
     }
 
     /// Looks up a fingerprint; returns the name of the prover that originally
-    /// discharged the sequent.
+    /// discharged the sequent.  A hit keeps the entry for another generation.
     pub fn lookup(&self, fingerprint: Fingerprint) -> Option<String> {
         let shard = &self.shards[(fingerprint.0 as usize) % SHARD_COUNT];
         let found = shard
@@ -330,6 +406,31 @@ mod tests {
         assert_ne!(
             ProofCache::fingerprint(&int_query, &config, provers),
             ProofCache::fingerprint(&obj_query, &config, provers)
+        );
+    }
+
+    #[test]
+    fn a_private_cache_stays_bounded_and_keeps_what_every_generation_uses() {
+        let cache = ProofCache::new();
+        let kept = Fingerprint(u128::MAX);
+        let forgotten = Fingerprint(u128::MAX - 16);
+        cache.record(kept, "smt-ground");
+        cache.record(forgotten, "smt-ground");
+        for i in 0..100_000u128 {
+            cache.record(Fingerprint(i), "syntactic");
+            // Every shard fills a generation in 16 * SHARD_CAPACITY inserts,
+            // so this touches `kept` several times per generation.
+            if i % 1_024 == 0 {
+                assert_eq!(cache.lookup(kept).as_deref(), Some("smt-ground"));
+                assert!(cache.stats().entries <= 2 * SHARD_CAPACITY * SHARD_COUNT);
+            }
+        }
+        assert!(cache.stats().entries <= 2 * SHARD_CAPACITY * SHARD_COUNT);
+        assert_eq!(cache.lookup(kept).as_deref(), Some("smt-ground"));
+        assert_eq!(cache.lookup(forgotten), None, "an unused entry ages out");
+        assert_eq!(
+            cache.lookup(Fingerprint(99_999)).as_deref(),
+            Some("syntactic")
         );
     }
 

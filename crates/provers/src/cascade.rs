@@ -267,18 +267,44 @@ impl Cascade {
         self.line_up.clone()
     }
 
+    /// The content fingerprint of `query` under this cascade's budgets and
+    /// line-up, or `None` when the proof cache is off
+    /// ([`ProverConfig::use_cache`]).
+    pub fn fingerprint(&self, query: &Query) -> Option<Fingerprint> {
+        self.config
+            .use_cache
+            .then(|| ProofCache::fingerprint(query, &self.config, &self.line_up))
+    }
+
+    /// The proof cache's answer for a fingerprint: the recorded `Proved`
+    /// outcome, attributed to the prover that originally found it, or
+    /// `None` when the cache holds no proof.
+    pub fn replay(&self, fingerprint: Fingerprint) -> Option<ProverAnswer> {
+        let start = Instant::now();
+        let prover = ProofCache::global().lookup(fingerprint)?;
+        Some(ProverAnswer {
+            outcome: Outcome::Proved,
+            prover: Some(prover),
+            duration: start.elapsed(),
+            stage_durations: Vec::new(),
+            cached: true,
+            fingerprint: Some(fingerprint),
+        })
+    }
+
     /// Runs the cascade on a query.
     ///
     /// When the proof cache is enabled ([`ProverConfig::use_cache`]) the
-    /// query's content fingerprint is consulted first: a hit replays the
-    /// recorded `Proved` outcome (attributed to the prover that originally
-    /// found it) without running any stage.
+    /// query's content fingerprint is consulted first: a hit
+    /// [replays](Self::replay) the proof without running any stage.
     pub fn prove(&self, query: &Query) -> ProverAnswer {
-        self.prove_under(query, &RequestScope::default())
+        self.prove_under(query, self.fingerprint(query), &RequestScope::default())
     }
 
     /// Runs the cascade for one request: under its module deadline and its
-    /// session's drain, injecting its plan's faults.
+    /// session's drain, injecting its plan's faults.  `fingerprint` is the
+    /// query's [`fingerprint`](Self::fingerprint), which the caller computes
+    /// once; a hit in the proof cache answers without running any stage.
     ///
     /// Every stage's cooperative [`Cancel`] deadline is clamped to the
     /// scope's deadline, so one sequent can never spend past the module
@@ -287,23 +313,15 @@ impl Cascade {
     /// panics is contained ([`crate::containment`]) and quarantines the
     /// query as `Crashed` — later stages are not attempted for a crashed
     /// query, so a fault never launders into a verdict.
-    pub fn prove_under(&self, query: &Query, scope: &RequestScope<'_>) -> ProverAnswer {
+    pub fn prove_under(
+        &self,
+        query: &Query,
+        fingerprint: Option<Fingerprint>,
+        scope: &RequestScope<'_>,
+    ) -> ProverAnswer {
         let start = Instant::now();
-        let fingerprint = self
-            .config
-            .use_cache
-            .then(|| ProofCache::fingerprint(query, &self.config, &self.line_up));
-        if let Some(fp) = fingerprint {
-            if let Some(prover) = ProofCache::global().lookup(fp) {
-                return ProverAnswer {
-                    outcome: Outcome::Proved,
-                    prover: Some(prover),
-                    duration: start.elapsed(),
-                    stage_durations: Vec::new(),
-                    cached: true,
-                    fingerprint,
-                };
-            }
+        if let Some(answer) = fingerprint.and_then(|fp| self.replay(fp)) {
+            return answer;
         }
         if scope.expired() {
             return ProverAnswer::settled(
@@ -685,7 +703,7 @@ mod tests {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             ..RequestScope::default()
         };
-        let answer = cascade.prove_under(&query(&["p"], "p"), &past);
+        let answer = cascade.prove_under(&query(&["p"], "p"), None, &past);
         assert_eq!(
             answer.outcome,
             Outcome::Skipped(crate::SkipReason::DeadlineExceeded)

@@ -1,11 +1,15 @@
 //! The newline-delimited JSON protocol behind `ipl serve`.
 //!
 //! A daemon holds ONE long-lived [`ipl_core::Session`] and answers one JSON
-//! request per line: the hash-cons intern table, the in-memory proof cache
-//! and the preloaded store index all stay warm across requests, so the
-//! second verification of an unchanged module costs a hash lookup per
-//! sequent instead of a prover run — and the on-disk store log is scanned
-//! once per *process*, not once per request.
+//! request per line.  The session's front-end memo, the process-wide proof
+//! cache and intern table, and the preloaded store index all stay warm
+//! across requests: a method the memo knows, whose proofs the proof cache
+//! still holds, costs one structural comparison of its key plus one cache
+//! lookup per sequent, with no lowering, `wlp`, split or fingerprinting;
+//! after an edit, only the edited method and its callers run the front end
+//! again.  The on-disk store log is scanned once per *process*, not once per
+//! request.  All three tables are bounded, so a long-running daemon's memory
+//! does not grow with the number of distinct edits it has seen.
 //!
 //! ## Requests
 //!
@@ -31,7 +35,9 @@
 //!
 //! Unknown keys are ignored.  Frames are standard JSON ([`crate::core::json`]):
 //! a string may use every RFC 8259 escape (`\r`, `\u00e9`, surrogate pairs),
-//! and answers escape control characters the same way.
+//! and answers escape control characters the same way.  A frame may be at
+//! most 4 MiB: a longer one is answered with one `protocol` error frame, the
+//! rest of it up to the next newline is discarded, and the stream goes on.
 //!
 //! ## Responses
 //!
@@ -57,11 +63,19 @@
 //!
 //! ## Operations beyond `verify`
 //!
-//! * `stats` — cumulative session telemetry;
+//! * `stats` — cumulative session telemetry and the sizes of the warm
+//!   tables: `{"ok": true, "requests": 17, "store_entries": 120,
+//!   "store_preloads": 1, "store_appended": 120, "memo_entries": 46,
+//!   "proof_cache_entries": 201, "intern_entries": 5120}` —
+//!   `memo_entries` counts the methods the session's memo remembers (at
+//!   most 128), `proof_cache_entries` the proofs the process-wide proof
+//!   cache holds (at most 16,384) and `intern_entries` the formulas the
+//!   process-wide intern table holds (at most 16,384);
 //! * `health` — liveness plus admission state: `{"ok": true, "health": "ok",
 //!   "inflight": 1, "queued": 0, "max_inflight": 4, "queue_depth": 8,
 //!   "draining": false, "requests": 17, "store_entries": 120,
-//!   "store_preloads": 1}`;
+//!   "store_preloads": 1, "memo_entries": 46, "proof_cache_entries": 201,
+//!   "intern_entries": 5120}`;
 //! * `compact` — compacts the persistent store in place (duplicates and
 //!   corrupt ranges dropped, generation bumped) and reports the stats; the
 //!   daemon compacts only when asked, by this op or by
@@ -100,9 +114,11 @@
 //! an I/O failure.
 
 use crate::core::json::{self, parse_json, Json};
-use crate::core::{Request, Session, VerifyError};
+use crate::core::{Request, Session, SessionStats, VerifyError};
+use crate::logic::intern;
+use crate::provers::cache::ProofCache;
 use crate::provers::{containment, fault};
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -119,6 +135,13 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// Base back-off hint carried by overloaded frames, scaled by how many
 /// requests are already waiting.
 const RETRY_AFTER_MS: u64 = 250;
+
+/// The longest request line a stream buffers.  The largest Table 1 module
+/// is about 3 KB of source.
+const MAX_FRAME_BYTES: usize = 4 << 20;
+
+/// The most bytes one read of a stream takes.
+const CHUNK_BYTES: usize = 4096;
 
 fn handle_verify(
     session: &Session,
@@ -193,12 +216,25 @@ fn stats_frame(session: &Session, id: Option<&Json>) -> String {
     let stats = session.stats();
     format!(
         "{{{}\"ok\": true, \"requests\": {}, \"store_entries\": {}, \
-         \"store_preloads\": {}, \"store_appended\": {}}}",
+         \"store_preloads\": {}, \"store_appended\": {}, {}}}",
         id_field(id),
         stats.requests,
         stats.store_entries,
         stats.store_preloads,
         stats.store_appended,
+        table_fields(&stats),
+    )
+}
+
+/// The entry counts of the warm tables, for the `stats` and `health`
+/// frames: the session's memo, and the process-wide proof cache and intern
+/// table.
+fn table_fields(stats: &SessionStats) -> String {
+    format!(
+        "\"memo_entries\": {}, \"proof_cache_entries\": {}, \"intern_entries\": {}",
+        stats.memo_entries,
+        ProofCache::global().stats().entries,
+        intern::stats().entries,
     )
 }
 
@@ -585,13 +621,14 @@ impl Daemon {
             "{{{}\"ok\": true, \"health\": \"ok\", \"inflight\": {inflight}, \
              \"queued\": {waiting}, \"max_inflight\": {}, \"queue_depth\": {}, \
              \"draining\": {draining}, \"requests\": {}, \"store_entries\": {}, \
-             \"store_preloads\": {}}}",
+             \"store_preloads\": {}, {}}}",
             id_field(id),
             self.admission.max_inflight,
             self.admission.queue_depth,
             stats.requests,
             stats.store_entries,
             stats.store_preloads,
+            table_fields(&stats),
         )
     }
 
@@ -715,7 +752,7 @@ impl Daemon {
                 }
             }
             let _open = Open(&daemon.connections);
-            let mut chunk = [0u8; 4096];
+            let mut chunk = [0u8; CHUNK_BYTES];
             let mut last_byte = Instant::now();
             let fill = |pending: &mut Vec<u8>| match (&stream).read(&mut chunk) {
                 Ok(n) => {
@@ -761,9 +798,13 @@ impl Daemon {
 
     /// The one frame loop both transports run: read, answer every complete
     /// line, act on `shutdown`.  `fill` appends what arrives within about one
-    /// [`POLL_TICK`] and returns its length, 0 at the end of the stream.  On
-    /// a `severable` stream an injected mid-frame drop writes half the frame
-    /// and ends the loop, and the caller closes the stream.
+    /// [`POLL_TICK`], at most [`CHUNK_BYTES`], and returns its length, 0 at
+    /// the end of the stream.  A line longer than [`MAX_FRAME_BYTES`] is
+    /// answered with one `protocol` error frame as soon as it passes the
+    /// cap, and the rest of it is discarded as it arrives, so the buffer
+    /// never holds more than the cap plus one chunk.  On a `severable`
+    /// stream an injected mid-frame drop writes half the frame and ends the
+    /// loop, and the caller closes the stream.
     fn frame_loop(
         &self,
         mut fill: impl FnMut(&mut Vec<u8>) -> io::Result<usize>,
@@ -773,6 +814,8 @@ impl Daemon {
         let mut pending = Vec::new();
         // `pending[..scanned]` holds no newline: only fresh bytes are searched.
         let mut scanned = 0;
+        // Set while the rest of an oversized line is being discarded.
+        let mut oversized = false;
         loop {
             let mut start = 0;
             while let Some(offset) = pending[scanned..].iter().position(|&b| b == b'\n') {
@@ -781,6 +824,9 @@ impl Daemon {
                 let line = line.strip_suffix(b"\r").unwrap_or(line);
                 start = end + 1;
                 scanned = start;
+                if std::mem::take(&mut oversized) {
+                    continue;
+                }
                 let Some(mut served) = self.handle_bytes(line) else {
                     continue;
                 };
@@ -807,6 +853,17 @@ impl Daemon {
                 }
             }
             pending.drain(..start);
+            if pending.len() > MAX_FRAME_BYTES && !oversized {
+                let message = format!("bad frame: longer than {MAX_FRAME_BYTES} bytes");
+                let mut frame = error_frame(None, "protocol", &message, None);
+                frame.push('\n');
+                out.write_all(frame.as_bytes())?;
+                out.flush()?;
+                oversized = true;
+            }
+            if oversized {
+                pending.clear();
+            }
             scanned = pending.len();
             // No new requests during a drain: a stream closes once it has
             // answered what it holds.
@@ -831,25 +888,25 @@ fn idle(e: &io::Error) -> bool {
     )
 }
 
-/// Reads stdin line by line on its own thread, so the frame loop can wait
-/// for input one tick at a time; an empty line marks the end of input.  The
-/// channel holds at most a few lines, so a client that writes faster than
-/// the daemon answers is held back as before.  The thread is not joined: it
-/// may sit in `read` until the process exits.
+/// Reads stdin in chunks of at most [`CHUNK_BYTES`] on its own thread, as
+/// a socket is read, so the frame loop can wait for input one tick at a time
+/// and bounds every line it buffers.  At the end of input it sends one
+/// newline, which ends an unterminated last line, and hangs up.  The channel
+/// holds at most a few chunks, so a client that writes faster than the
+/// daemon answers is held back.  The thread is not joined: it may sit in
+/// `read` until the process exits.
 fn read_stdin_in_background() -> mpsc::Receiver<io::Result<Vec<u8>>> {
     let (sender, receiver) = mpsc::sync_channel(4);
     std::thread::spawn(move || {
         let mut stdin = io::stdin().lock();
+        let mut chunk = [0u8; CHUNK_BYTES];
         loop {
-            let mut line = Vec::new();
-            let read = stdin.read_until(b'\n', &mut line).map(|_| {
-                // End of input also ends an unterminated last line.
-                if !line.is_empty() && !line.ends_with(b"\n") {
-                    line.push(b'\n');
-                }
-                line
-            });
-            let last = !matches!(&read, Ok(line) if !line.is_empty());
+            let (read, last) = match stdin.read(&mut chunk) {
+                Ok(0) => (Ok(b"\n".to_vec()), true),
+                Ok(n) => (Ok(chunk[..n].to_vec()), false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => (Err(e), true),
+            };
             if sender.send(read).is_err() || last {
                 return;
             }
@@ -1163,6 +1220,61 @@ mod tests {
         let answer = parse_json(&bare.handle("{\"op\": \"compact\"}").frame).unwrap();
         assert_eq!(answer.get("compacted"), Some(&Json::Bool(false)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_once_and_the_stream_goes_on() {
+        static FILLER: [u8; CHUNK_BYTES] = [b'x'; CHUNK_BYTES];
+        let daemon = daemon(ServeConfig::default());
+        let mut unsent = 3 * MAX_FRAME_BYTES;
+        let mut tail = Some(&b"\n{\"id\": 2, \"op\": \"stats\"}\n"[..]);
+        let mut largest = 0;
+        let fill = |pending: &mut Vec<u8>| {
+            let chunk = if unsent > 0 {
+                let n = unsent.min(CHUNK_BYTES);
+                unsent -= n;
+                &FILLER[..n]
+            } else {
+                tail.take().unwrap_or_default()
+            };
+            pending.extend_from_slice(chunk);
+            largest = largest.max(pending.len());
+            Ok(chunk.len())
+        };
+        let mut sent = Vec::new();
+        daemon.frame_loop(fill, &mut sent, false).unwrap();
+        let frames: Vec<Json> = String::from_utf8(sent)
+            .unwrap()
+            .lines()
+            .map(|line| parse_json(line).unwrap())
+            .collect();
+        assert_eq!(frames.len(), 2, "{frames:?}");
+        assert_eq!(
+            frames[0]
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("protocol")
+        );
+        assert_eq!(frames[1].get("id").and_then(Json::as_u128), Some(2));
+        assert_eq!(frames[1].get("ok"), Some(&Json::Bool(true)));
+        assert!(
+            largest <= MAX_FRAME_BYTES + CHUNK_BYTES,
+            "the buffer grew to {largest} bytes"
+        );
+    }
+
+    #[test]
+    fn stats_frames_count_the_warm_tables() {
+        let daemon = daemon(ServeConfig::default());
+        frame(&daemon, &verify_line(1, COUNTER));
+        for op in ["stats", "health"] {
+            let answer = frame(&daemon, &format!("{{\"op\": \"{op}\"}}"));
+            let count = |field| answer.get(field).and_then(Json::as_u128);
+            assert_eq!(count("memo_entries"), Some(1), "{op}");
+            assert!(count("proof_cache_entries").is_some_and(|n| n >= 1), "{op}");
+            assert!(count("intern_entries").is_some_and(|n| n >= 1), "{op}");
+        }
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! * the front end of Array List, up to the cache lookup, stays under an
 //!   allocation ceiling, so a regression back to copying the assumption
 //!   list per `assume`, re-interning every inherited hypothesis or
-//!   allocating a string per fingerprinted symbol trips it.
+//!   allocating a string per fingerprinted symbol trips it;
+//! * a warm session answers an unchanged Array List from its front-end
+//!   memo, so the request allocates little beyond parsing and the report.
 //!
 //! The count is per thread, so tests running in parallel in this binary do
 //! not pollute each other's numbers.
 
+use ipl::core::{Request, Session, VerifyOptions};
 use ipl::gcl::split::split_all;
 use ipl::gcl::translate::{translate_ext, TranslateCtx};
 use ipl::gcl::wlp::vc_of;
@@ -181,5 +184,27 @@ fn array_list_front_end_stays_under_the_allocation_ceiling() {
         count <= CEILING,
         "the front end must split, intern and fingerprint each formula once \
          ({sequents} Array List sequents allocated {count}, ceiling {CEILING})"
+    );
+}
+
+#[test]
+fn a_warm_unchanged_array_list_request_stays_under_the_allocation_ceiling() {
+    // Measured: 1,232 allocations in both the debug and the release
+    // profile, 999 of them parsing.  Running the front end of every method
+    // again, as `Session::verify` did before the memo, spent 8,992.
+    const CEILING: u64 = 2_500;
+    let benchmark = ipl::suite::by_name("Array List").expect("benchmark exists");
+    let session = Session::new(VerifyOptions::default().with_jobs(1));
+    let request = Request::new(benchmark.source);
+    // The first request proves and fills the memo; the second warms the
+    // lazily initialised globals on the memo's path.
+    assert!(session.verify(&request).unwrap().report.fully_proved());
+    session.verify(&request).unwrap();
+    let (response, count) = allocations(|| session.verify(&request).unwrap());
+    assert!(response.report.fully_proved());
+    assert!(
+        count <= CEILING,
+        "an unchanged module must be answered from the memo \
+         (a warm Array List request allocated {count}, ceiling {CEILING})"
     );
 }
