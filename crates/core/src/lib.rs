@@ -59,11 +59,12 @@ use ipl_gcl::translate::{translate_ext, TranslateCtx};
 use ipl_gcl::wlp::vc_of;
 use ipl_lang::lower::{lower_method, module_env, LoweredMethod};
 use ipl_lang::Module;
-use ipl_logic::{Labeled, SortEnv};
+use ipl_logic::Labeled;
 use ipl_provers::cache::Fingerprint;
 pub use ipl_provers::cache_store::CompactStats;
 use ipl_provers::drain::Drain;
 use ipl_provers::fault::FaultPlan;
+use ipl_provers::preprocess::NormalForms;
 use ipl_provers::{containment, Cascade, Outcome, ProverAnswer, ProverConfig, Query, RequestScope};
 use memo::{Keys, Memo, Obligation, Obligations};
 pub use report::{MethodReport, ModuleReport, SequentReport};
@@ -250,20 +251,30 @@ pub(crate) fn drive(
         .collect();
 
     // Wave 2: one flat work list of every query left, across the module, so
-    // a single proof-heavy method cannot serialise the pool.
-    let work: Vec<(usize, usize)> = prepared
-        .iter()
+    // a single proof-heavy method cannot serialise the pool.  The worker that
+    // proves a query takes it and drops it once answered, and with it its
+    // refutation problem and, after the method's last query, the method's
+    // normal-form memo.
+    let work: Vec<(usize, usize, Mutex<Option<Query>>)> = prepared
+        .iter_mut()
         .enumerate()
-        .flat_map(|(method_index, p)| (0..p.queries.len()).map(move |q| (method_index, q)))
+        .flat_map(|(method_index, p)| {
+            std::mem::take(&mut p.queries)
+                .into_iter()
+                .map(move |(sequent_index, query)| {
+                    (method_index, sequent_index, Mutex::new(Some(query)))
+                })
+        })
         .collect();
     let answers = parallel_map(
         jobs,
         &work,
-        |&(method_index, query_index)| {
-            let p = &prepared[method_index];
-            let (sequent_index, query) = &p.queries[query_index];
-            let fingerprint = p.obligations.sequents[*sequent_index].fingerprint;
-            cascade.prove_under(query, fingerprint, &scope)
+        |(method_index, sequent_index, query)| {
+            let query = query.lock().expect("work slot poisoned").take();
+            let query = query.expect("each query is proved once");
+            let fingerprint =
+                prepared[*method_index].obligations.sequents[*sequent_index].fingerprint;
+            cascade.prove_under(&query, fingerprint, &scope)
         },
         // A panic that escapes even the cascade's own stage containment (a
         // bug outside the provers) still only quarantines its one sequent;
@@ -275,9 +286,8 @@ pub(crate) fn drive(
         .iter_mut()
         .map(|p| std::mem::take(&mut p.replayed))
         .collect();
-    for (&(method_index, query_index), answer) in work.iter().zip(answers) {
-        let sequent_index = prepared[method_index].queries[query_index].0;
-        per_method[method_index].push((sequent_index, answer));
+    for ((method_index, sequent_index, _), answer) in work.iter().zip(answers) {
+        per_method[*method_index].push((*sequent_index, answer));
     }
 
     // Deterministic assembly in input order.  The proved fingerprints, cache
@@ -372,7 +382,9 @@ impl<'a> Prepared<'a> {
 /// memo use.  Split interns every sequent formula as it builds it, so
 /// structurally equal subterms — within the method, across methods and
 /// across modules — share one allocation (pointer-equality fast paths,
-/// memoised substitution, deduplicated memory).
+/// memoised substitution, deduplicated memory).  The method's queries share
+/// one normal-form memo, so an assumption many sequents carry is normalised
+/// once; it goes with the method's last query.
 fn prepare<'a>(
     method: &'a LoweredMethod,
     options: &VerifyOptions,
@@ -391,14 +403,14 @@ fn prepare<'a>(
     };
     let mut ctx = TranslateCtx::new();
     let simple = translate_ext(&command, &mut ctx);
-    let env = Arc::new(method.env.clone());
+    let normal_forms = Arc::new(NormalForms::new(method.env.clone()));
     let mut sequents = Vec::new();
     let mut queries = Vec::new();
     for sequent in split_all(&vc_of(&simple)) {
         let trivial = sequent.is_trivially_valid();
         let mut fingerprint = None;
         if !trivial {
-            let query = sequent_query(&sequent, &env);
+            let query = sequent_query(&sequent, &normal_forms);
             fingerprint = cascade.fingerprint(&query);
             queries.push((sequents.len(), query));
         }
@@ -497,15 +509,15 @@ fn assemble(prepared: &Prepared<'_>, answers: Vec<(usize, ProverAnswer)>) -> Met
     report
 }
 
-/// Builds the prover query for one sequent, applying the `from`-clause
-/// assumption selection.
-fn sequent_query(sequent: &Sequent, env: &Arc<SortEnv>) -> Query {
+/// Builds the prover query for one sequent of a method, applying the
+/// `from`-clause assumption selection.
+fn sequent_query(sequent: &Sequent, normal_forms: &Arc<NormalForms>) -> Query {
     let assumptions: Vec<Labeled> = sequent
         .selected_assumptions()
         .into_iter()
         .cloned()
         .collect();
-    Query::new(assumptions, sequent.goal.clone(), Arc::clone(env))
+    Query::in_method(assumptions, sequent.goal.clone(), normal_forms)
 }
 
 /// Maps `f` over `items` on a scoped worker pool of at most `jobs` threads.

@@ -40,6 +40,7 @@ fn visit_free<'f>(form: &'f Form, bound: &mut Vec<&'f str>, f: &mut impl FnMut(&
 #[derive(Debug, Default, Clone)]
 pub struct FreshNames {
     counter: u64,
+    issued: usize,
     used: BTreeSet<String>,
 }
 
@@ -68,9 +69,17 @@ impl FreshNames {
             let candidate = format!("{stem}_{}", self.counter);
             if !self.used.contains(&candidate) {
                 self.used.insert(candidate.clone());
+                self.issued += 1;
                 return candidate;
             }
         }
+    }
+
+    /// How many names [`fresh`](Self::fresh) has produced.  A pass whose
+    /// count did not move drew no name, so its result does not depend on
+    /// this generator's state.
+    pub fn issued(&self) -> usize {
+        self.issued
     }
 }
 
@@ -272,6 +281,8 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, "x_1");
         assert_ne!(b, "x_1");
+        // Skipping the reserved `x_1` is not an issued name.
+        assert_eq!(gen.issued(), 2);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::drain::Drain;
 use crate::fault::FaultPlan;
 use crate::ground::{refute, GroundResult};
 use crate::inst::refute_with_instantiation;
-use crate::preprocess::build_problem;
 use crate::syntactic::Syntactic;
 use crate::{Cancel, Outcome, Prover, ProverConfig, Query, SkipReason};
 use ipl_logic::hashed::Hashed;
@@ -66,8 +65,7 @@ impl Prover for GroundSmt {
     }
 
     fn prove(&self, query: &Query, config: &ProverConfig, cancel: &Cancel) -> Outcome {
-        let problem = build_problem(&query.assumption_forms(), &query.goal, &query.env);
-        match refute(&problem.ground, &query.env, config, cancel) {
+        match refute(&query.problem().ground, &query.env, config, cancel) {
             GroundResult::Unsat => Outcome::Proved,
             GroundResult::Unknown => Outcome::Unknown,
         }
@@ -86,9 +84,8 @@ impl Prover for InstSmt {
     }
 
     fn prove(&self, query: &Query, config: &ProverConfig, cancel: &Cancel) -> Outcome {
-        let problem = build_problem(&query.assumption_forms(), &query.goal, &query.env);
         match refute_with_instantiation(
-            &problem,
+            query.problem(),
             &query.env,
             config,
             query.assumptions.len(),
@@ -150,7 +147,7 @@ impl Prover for ShapeProver {
     fn prove(&self, query: &Query, _config: &ProverConfig, cancel: &Cancel) -> Outcome {
         if cancel.is_cancelled()
             || (!mentions_reach(&query.goal)
-                && !query.assumption_forms().iter().any(mentions_reach))
+                && !query.assumptions.iter().any(|a| mentions_reach(&a.form)))
         {
             return Outcome::Unknown;
         }

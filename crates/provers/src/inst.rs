@@ -20,6 +20,16 @@
 //! per-quantifier budget keeps its watermark, and newly learned unit
 //! equalities (which can make old terms match) rewind every quantifier.
 //!
+//! So the same binder assignment comes back round after round, from a
+//! rewound match or from the pool enumerating again.  Each quantifier
+//! therefore remembers the assignments it has instantiated and whether each
+//! instance simplified to `true`, as E-matching SMT solvers keep a table of
+//! instantiated (quantifier, bindings) pairs: a repeat costs one lookup
+//! instead of a substitution, a simplification and a hash, and is not
+//! offered again.  An instance offered once was either added or already
+//! present, so the ground set of every round is the one the engine built
+//! before the table.
+//!
 //! The search remains budgeted — rounds, matches per quantifier and total
 //! instances are all capped.  This mirrors the behaviour of the paper's
 //! automated provers: powerful, but defeated by large assumption bases and by
@@ -125,14 +135,14 @@ pub fn refute_with_instantiation(
                 quantifier.matched_total += assignments.len();
                 // Advance the frontier only when this round's matching was
                 // exhaustive: a truncated scan must be allowed to revisit old
-                // candidates next round (duplicates are cheap — the instance
-                // set deduplicates).
+                // candidates next round.  A revisited assignment costs one
+                // lookup: the quantifier remembers what it instantiated.
                 if assignments.len() < MAX_MATCHES_PER_QUANTIFIER {
                     quantifier.frontier = round + 1;
                 }
                 for assignment in &assignments {
-                    let instance = simplify(&substitute(&quantifier.body, assignment));
-                    if !instance.is_true() {
+                    let terms = quantifier.terms_of(assignment);
+                    if let Instance::New(instance) = quantifier.instantiate(terms) {
                         instances.push(instance);
                     }
                 }
@@ -259,6 +269,17 @@ fn collect_equalities(form: &Form, out: &mut HashSet<Hashed>) {
     rec(form, true, out);
 }
 
+/// What instantiating a quantifier at one binder assignment gave.
+enum Instance {
+    /// A new assignment, whose instance does not simplify to `true`.
+    New(Form),
+    /// An assignment instantiated before, whose instance is not `true`:
+    /// the instance was offered then.
+    Repeated,
+    /// The instance simplifies to `true`, now or when it was first built.
+    True,
+}
+
 /// A universally quantified assumption prepared for matching.
 #[derive(Debug)]
 struct Quantifier {
@@ -278,6 +299,9 @@ struct Quantifier {
     frontier: usize,
     /// Total matches produced so far (decides the pool fallback).
     matched_total: usize,
+    /// Every binder assignment instantiated so far, as its terms in binder
+    /// order, with whether its instance simplified to `true`.
+    instantiated: HashMap<Vec<Form>, bool>,
 }
 
 impl Quantifier {
@@ -298,6 +322,40 @@ impl Quantifier {
             triggers,
             frontier: 0,
             matched_total: 0,
+            instantiated: HashMap::new(),
+        }
+    }
+
+    /// The terms of a matched assignment in binder order (triggers cover
+    /// every binder, so a match assigns each).
+    fn terms_of(&self, assignment: &HashMap<String, Form>) -> Vec<Form> {
+        let terms = self.bindings.iter().map(|(name, _)| &assignment[name]);
+        terms.cloned().collect()
+    }
+
+    /// Instantiates the body at the assignment `terms` (in binder order),
+    /// unless this quantifier has instantiated it before.
+    fn instantiate(&mut self, terms: Vec<Form>) -> Instance {
+        if let Some(&is_true) = self.instantiated.get(&terms) {
+            return if is_true {
+                Instance::True
+            } else {
+                Instance::Repeated
+            };
+        }
+        let map: HashMap<String, Form> = self
+            .bindings
+            .iter()
+            .map(|(name, _)| name.clone())
+            .zip(terms.iter().cloned())
+            .collect();
+        let instance = simplify(&substitute(&self.body, &map));
+        let is_true = instance.is_true();
+        self.instantiated.insert(terms, is_true);
+        if is_true {
+            Instance::True
+        } else {
+            Instance::New(instance)
         }
     }
 }
@@ -789,17 +847,19 @@ fn mentions(form: &Form, names: &[String]) -> bool {
 }
 
 /// Generates instances of one quantifier by enumerating the sort pool (the
-/// fallback for quantifiers without triggers).
+/// fallback for quantifiers without triggers).  The odometer stops after
+/// `max_instances_per_quantifier` non-`true` instances, counting those the
+/// quantifier built in an earlier round, which it does not offer again.
 fn instantiate_from_pool(
-    quantifier: &Quantifier,
+    quantifier: &mut Quantifier,
     pool: &TermPool,
     config: &ProverConfig,
 ) -> Vec<Form> {
-    let bindings = &quantifier.bindings;
-    if bindings.is_empty() {
+    if quantifier.bindings.is_empty() {
         return Vec::new();
     }
-    let candidate_lists: Vec<Cow<'_, [Form]>> = bindings
+    let candidate_lists: Vec<Cow<'_, [Form]>> = quantifier
+        .bindings
         .iter()
         .map(|(_, sort)| pool.candidates(sort))
         .collect();
@@ -807,22 +867,28 @@ fn instantiate_from_pool(
         return Vec::new();
     }
     let mut out = Vec::new();
-    let mut indices = vec![0usize; bindings.len()];
+    let mut offered = 0usize;
+    let mut indices = vec![0usize; candidate_lists.len()];
     let limit = config.max_instances_per_quantifier;
     'outer: loop {
-        let mut map = HashMap::new();
-        for (slot, (name, _)) in bindings.iter().enumerate() {
-            map.insert(name.clone(), candidate_lists[slot][indices[slot]].clone());
+        let terms = indices
+            .iter()
+            .zip(&candidate_lists)
+            .map(|(&index, candidates)| candidates[index].clone())
+            .collect();
+        match quantifier.instantiate(terms) {
+            Instance::New(instance) => {
+                out.push(instance);
+                offered += 1;
+            }
+            Instance::Repeated => offered += 1,
+            Instance::True => {}
         }
-        let instance = simplify(&substitute(&quantifier.body, &map));
-        if !instance.is_true() {
-            out.push(instance);
-        }
-        if out.len() >= limit {
+        if offered >= limit {
             break;
         }
         // Advance the odometer.
-        let mut slot = bindings.len();
+        let mut slot = indices.len();
         loop {
             if slot == 0 {
                 break 'outer;
@@ -888,6 +954,23 @@ mod tests {
         assert!(triggers_of(quantifier).is_empty());
         assert!(proves(&[quantifier, "0 <= x"], "x <= k"));
         assert!(!proves(&["0 <= x"], "x <= k"));
+    }
+
+    #[test]
+    fn a_remembered_pool_instance_still_counts_toward_the_limit() {
+        // No trigger, so every round the pool enumerates `i`, `size`, `y`,
+        // ... in that order.  At one instance per quantifier per round the
+        // odometer stops at `i` every round, remembered or not: a repeat
+        // that did not count would let the later rounds reach `y`.
+        let quantifier = "forall n:int. 0 <= n --> n < size";
+        assert!(triggers_of(quantifier).is_empty());
+        let assumptions = [quantifier, "0 <= y", "i < 5"];
+        let per_quantifier = |limit| ProverConfig {
+            max_instances_per_quantifier: limit,
+            ..ProverConfig::default()
+        };
+        assert!(!proves_with(&assumptions, "y < size", &per_quantifier(1)));
+        assert!(proves_with(&assumptions, "y < size", &per_quantifier(3)));
     }
 
     #[test]

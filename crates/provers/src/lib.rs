@@ -16,6 +16,10 @@
 //!   provers of the paper): triggers are selected per quantifier and matched
 //!   against a term index of the ground set, with a bounded sort-pool
 //!   enumeration as the fallback for trigger-less quantifiers;
+//! * [`preprocess`] — the refutation problem of a query (normal form,
+//!   skolems, read-over-write axioms), built once per query and shared by
+//!   the ground and instantiating stages, with the normal forms of the
+//!   assumptions shared by the queries of one method;
 //! * adapters for the `ipl-bapa` cardinality prover and the `ipl-shape`
 //!   reachability prover;
 //! * [`cascade`] — the dispatcher that runs the provers in order with per-
@@ -39,8 +43,9 @@ pub mod preprocess;
 pub mod syntactic;
 
 use ipl_logic::{Form, Labeled, SortEnv};
+use preprocess::{NormalForms, Problem};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use cascade::{Cascade, ProverAnswer, RequestScope};
@@ -102,6 +107,10 @@ impl Cancel {
 
 /// A proof query: prove `goal` from `assumptions` under the sort environment
 /// `env`.
+///
+/// The refutation [`Problem`] is built from these fields on first use and
+/// kept, so every stage that needs it shares one; change no field after a
+/// stage has run.
 #[derive(Debug, Clone)]
 pub struct Query {
     /// Labelled assumptions (already filtered by any `from` clause).
@@ -111,6 +120,9 @@ pub struct Query {
     /// Sorts of the free variables and signatures of the named symbols,
     /// shared by the queries of one method.
     pub env: Arc<SortEnv>,
+    /// The normal-form memo of the query's method, if it has one.
+    normal_forms: Option<Arc<NormalForms>>,
+    problem: OnceLock<Problem>,
 }
 
 impl Query {
@@ -121,12 +133,44 @@ impl Query {
             assumptions,
             goal,
             env: env.into(),
+            normal_forms: None,
+            problem: OnceLock::new(),
+        }
+    }
+
+    /// Creates a query of a method whose queries share `normal_forms`, and
+    /// with it the method's sort environment: an assumption the method's
+    /// queries share is normalised once for all of them.
+    pub fn in_method(
+        assumptions: Vec<Labeled>,
+        goal: Form,
+        normal_forms: &Arc<NormalForms>,
+    ) -> Self {
+        Query {
+            normal_forms: Some(Arc::clone(normal_forms)),
+            ..Query::new(assumptions, goal, Arc::clone(normal_forms.env()))
         }
     }
 
     /// The assumption formulas without their labels.
     pub fn assumption_forms(&self) -> Vec<Form> {
         self.assumptions.iter().map(|a| a.form.clone()).collect()
+    }
+
+    /// The refutation problem of this query, built on the first call
+    /// (through the method's normal-form memo when the query has one) and
+    /// shared by every later one.  It equals [`preprocess::build_problem`]'s.
+    pub fn problem(&self) -> &Problem {
+        self.problem.get_or_init(|| {
+            // The memo's entries hold under its own env only, so a query
+            // whose `env` was replaced builds without it.
+            let memo = self
+                .normal_forms
+                .as_deref()
+                .filter(|memo| Arc::ptr_eq(memo.env(), &self.env));
+            let assumptions = self.assumptions.iter().map(|a| &a.form);
+            preprocess::build(assumptions, &self.goal, &self.env, memo)
+        })
     }
 }
 

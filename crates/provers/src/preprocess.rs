@@ -12,15 +12,27 @@
 //!
 //! The result separates ground formulas from universally quantified ones; the
 //! latter feed the instantiation engine of [`crate::inst`].
+//!
+//! Each piece of this work is done once.  A [`Query`](crate::Query) builds
+//! its [`Problem`] on first use and every stage that needs it shares it.  The
+//! queries of one method share a [`NormalForms`] memo, so an assumption that
+//! many of the method's sequents carry is normalised once.  The memo keeps an
+//! assumption's pieces only when normalising it drew no fresh name: skolem
+//! constants and renamed binders take their names from a per-problem
+//! counter, so such an assumption is normalised again in every problem, and
+//! every problem is exactly the one [`build_problem`] builds.
 
 use ipl_logic::normal::{expand_sets, nnf, skolemize};
 use ipl_logic::simplify::simplify;
 use ipl_logic::subst::FreshNames;
 use ipl_logic::{Form, Sort, SortEnv};
-use std::collections::BTreeSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 /// A preprocessed refutation problem.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Problem {
     /// Ground (quantifier-free at the top level) formulas to refute.
     pub ground: Vec<Form>,
@@ -40,15 +52,30 @@ impl Problem {
 
 /// Builds the refutation problem for `assumptions |- goal`.
 pub fn build_problem(assumptions: &[Form], goal: &Form, env: &SortEnv) -> Problem {
+    build(assumptions.iter(), goal, env, None)
+}
+
+/// The one builder behind [`build_problem`] and [`NormalForms`]: each
+/// assumption is normalised, or taken from `memo`, in order, then the
+/// negated goal, then the read-over-write axioms of the whole set.
+pub(crate) fn build<'a>(
+    assumptions: impl Iterator<Item = &'a Form> + Clone,
+    goal: &Form,
+    env: &SortEnv,
+    memo: Option<&NormalForms>,
+) -> Problem {
     let mut fresh = FreshNames::new();
-    for a in assumptions {
+    for a in assumptions.clone() {
         fresh.reserve_all(a);
     }
     fresh.reserve_all(goal);
 
     let mut problem = Problem::default();
     for assumption in assumptions {
-        add_refutation_form(assumption, env, &mut fresh, &mut problem);
+        match memo {
+            Some(memo) => memo.add(assumption, &mut fresh, &mut problem),
+            None => add_refutation_form(assumption, env, &mut fresh, &mut problem),
+        }
     }
     add_refutation_form(&Form::not(goal.clone()), env, &mut fresh, &mut problem);
 
@@ -56,6 +83,115 @@ pub fn build_problem(assumptions: &[Form], goal: &Form, env: &SortEnv) -> Proble
     let axioms = update_axioms(&problem);
     problem.ground.extend(axioms);
     problem
+}
+
+/// The normal forms of one method's assumptions under its sort environment,
+/// shared by the method's queries (see [`Query::in_method`](crate::Query::in_method)).
+///
+/// An entry is an assumption with the ground and quantified pieces
+/// normalising it filed, stored only when that drew no fresh name.  It is
+/// found by a hash of the assumption's top node over the addresses of its
+/// shared children, which split hash-conses, and confirmed by structural
+/// equality, which those shared children answer by pointer.  The entry keeps
+/// its assumption, and so those children, alive: an address cannot be
+/// reused while its entry exists.  A hash held by another assumption is a
+/// miss.
+pub struct NormalForms {
+    env: Arc<SortEnv>,
+    entries: Mutex<HashMap<u64, Entry>>,
+}
+
+/// One remembered assumption and its pieces, in filing order.
+struct Entry {
+    assumption: Form,
+    ground: Vec<Form>,
+    quantified: Vec<Form>,
+}
+
+impl NormalForms {
+    /// An empty memo for the queries of one method, whose sort environment
+    /// is `env`.
+    pub fn new(env: impl Into<Arc<SortEnv>>) -> NormalForms {
+        NormalForms {
+            env: env.into(),
+            entries: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The sort environment every entry was normalised under.
+    pub(crate) fn env(&self) -> &Arc<SortEnv> {
+        &self.env
+    }
+
+    /// Number of remembered assumptions.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Returns `true` if nothing is remembered yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
+        self.entries.lock().expect("normal-form memo poisoned")
+    }
+
+    /// Files the pieces of `assumption` into `problem`, as
+    /// [`add_refutation_form`] does, from the memo when it holds them.
+    fn add(&self, assumption: &Form, fresh: &mut FreshNames, problem: &mut Problem) {
+        let key = shallow_hash(assumption);
+        if let Some(entry) = self.lock().get(&key) {
+            if entry.assumption == *assumption {
+                problem.ground.extend(entry.ground.iter().cloned());
+                problem.quantified.extend(entry.quantified.iter().cloned());
+                return;
+            }
+        }
+        let (ground, quantified) = (problem.ground.len(), problem.quantified.len());
+        let issued = fresh.issued();
+        add_refutation_form(assumption, &self.env, fresh, problem);
+        if fresh.issued() == issued {
+            self.lock().entry(key).or_insert_with(|| Entry {
+                assumption: assumption.clone(),
+                ground: problem.ground[ground..].to_vec(),
+                quantified: problem.quantified[quantified..].to_vec(),
+            });
+        }
+    }
+}
+
+impl std::fmt::Debug for NormalForms {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NormalForms")
+            .field("entries", &self.len())
+            .finish()
+    }
+}
+
+/// A hash of the top of `form`: its variant, its leaf payload, the
+/// addresses of its `Arc` children, and the same of the elements of its
+/// `Vec` children, which live inside the node and are copied with it.
+/// Two forms with one hash may still differ, and two equal forms whose
+/// children are not shared hash apart; the memo compares structurally.
+fn shallow_hash(form: &Form) -> u64 {
+    fn walk(form: &Form, state: &mut DefaultHasher) {
+        std::mem::discriminant(form).hash(state);
+        match form {
+            Form::Var(_) | Form::Int(_) | Form::Bool(_) | Form::Null | Form::EmptySet => {
+                form.hash(state)
+            }
+            Form::And(parts)
+            | Form::Or(parts)
+            | Form::FiniteSet(parts)
+            | Form::Tuple(parts)
+            | Form::App(_, parts) => parts.iter().for_each(|part| walk(part, state)),
+            _ => form.for_each_child(|child| std::ptr::hash(child, state)),
+        }
+    }
+    let mut state = DefaultHasher::new();
+    walk(form, &mut state);
+    state.finish()
 }
 
 /// Normalises one formula of the refutation set and files its pieces into the
@@ -156,7 +292,7 @@ pub fn hoist_foralls(form: &Form, fresh: &mut FreshNames) -> Form {
                 if let Form::Forall(bindings, body) = part {
                     // Rename the binders apart so they cannot capture
                     // variables of the sibling disjuncts.
-                    let mut map = std::collections::HashMap::new();
+                    let mut map = HashMap::new();
                     let mut renamed = Vec::new();
                     for (name, sort) in bindings {
                         let new_name = fresh.fresh(&name);
@@ -177,7 +313,7 @@ pub fn hoist_foralls(form: &Form, fresh: &mut FreshNames) -> Form {
 
 /// Thin wrapper so the hoisting code can call capture-avoiding substitution
 /// without importing it at every call site.
-fn substitute_form(form: &Form, map: &std::collections::HashMap<String, Form>) -> Form {
+fn substitute_form(form: &Form, map: &HashMap<String, Form>) -> Form {
     ipl_logic::subst::substitute(form, map)
 }
 

@@ -27,12 +27,6 @@ pub struct Table2Row {
     pub sequents_with: usize,
     /// Total sequents with proof constructs.
     pub sequents_total_with: usize,
-    /// Sequents of the double run answered from the proof cache (the "with"
-    /// pass re-proves every obligation it shares with the "without" pass for
-    /// free).  Counted from the two reports' answers rather than from the
-    /// process-global cache counters, which every session in the process
-    /// adds to and verification never resets.
-    pub cache_hits: usize,
 }
 
 /// Generates Table 2 by running each benchmark twice, on one worker: one
@@ -63,15 +57,12 @@ fn row(without_session: &Session, with_session: &Session, benchmark: &Benchmark)
         methods_total: with.method_count,
         sequents_with: with.proved_sequents(),
         sequents_total_with: with.total_sequents(),
-        cache_hits: without.cache_hits() + with.cache_hits(),
     }
 }
 
 /// The `BENCH_table2.json` document: per benchmark, methods and sequents
-/// verified with and without proof constructs and the double run's
-/// proof-cache hits; for the run, its wall-clock and cache hits.  The
-/// "with" pass re-proves every obligation it shares with the "without" pass
-/// for free, which is the cache's headline win on this table.
+/// verified with and without proof constructs, as the paper's table has
+/// them; for the run, its wall-clock.
 pub fn document(rows: &[Table2Row], total_wall_ms: u128) -> Json {
     let count = |n: usize| Json::Number(n as f64);
     let benchmarks = rows.iter().map(|row| {
@@ -84,12 +75,10 @@ pub fn document(rows: &[Table2Row], total_wall_ms: u128) -> Json {
             ("methods_with", count(row.methods_with)),
             ("sequents_with", count(row.sequents_with)),
             ("sequents_total_with", count(row.sequents_total_with)),
-            ("cache_hits", count(row.cache_hits)),
         ])
     });
     object([
         ("total_wall_ms", Json::Number(total_wall_ms as f64)),
-        ("cache_hits", count(rows.iter().map(|r| r.cache_hits).sum())),
         ("benchmarks", Json::Array(benchmarks.collect())),
     ])
 }
@@ -133,7 +122,6 @@ mod tests {
             methods_total: 6,
             sequents_with: 44,
             sequents_total_with: 44,
-            cache_hits: 0,
         }];
         let text = render(&rows);
         assert!(text.contains("Linked List"));
@@ -151,16 +139,15 @@ mod tests {
             methods_total: 6,
             sequents_with: 48,
             sequents_total_with: 48,
-            cache_hits: 17,
         };
         let text = crate::baseline::format_document(&document(&[row], 777));
         assert_eq!(
             text,
-            "{\n  \"benchmarks\": [\n    {\"cache_hits\": 17, \"methods_total\": 6, \
+            "{\n  \"benchmarks\": [\n    {\"methods_total\": 6, \
              \"methods_with\": 6, \"methods_without\": 5, \"name\": \"Linked List\", \
              \"sequents_total_with\": 48, \"sequents_total_without\": 44, \
              \"sequents_with\": 48, \"sequents_without\": 40}\n  ],\n  \
-             \"cache_hits\": 17,\n  \"total_wall_ms\": 777\n}\n"
+             \"total_wall_ms\": 777\n}\n"
         );
     }
 }

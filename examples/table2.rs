@@ -2,12 +2,10 @@
 //! without versus with the integrated proof language constructs.
 //!
 //! Run with `cargo run --release --example table2` from the repository
-//! root.  The run writes `BENCH_table2.json`, including how many of the
-//! double run's sequents were answered by the content-addressed proof cache:
-//! every obligation the "with" configuration shares with the "without"
-//! configuration is re-proved for free.  `cargo test --test tables` checks
-//! the committed file against a fresh run; rerun this example to accept an
-//! intended change.
+//! root.  The run writes `BENCH_table2.json`: per data structure, the
+//! methods and sequents verified in each configuration, the columns of the
+//! paper's table.  `cargo test --test tables` checks the committed file
+//! against a fresh run; rerun this example to accept an intended change.
 
 use ipl::suite::{baseline, table2};
 use std::time::Instant;
@@ -19,10 +17,6 @@ fn main() -> std::io::Result<()> {
 
     println!("{}", table2::render(&rows));
     println!("  total wall-clock: {total_wall_ms} ms");
-    println!(
-        "  proof-cache hits across the double run: {}",
-        rows.iter().map(|r| r.cache_hits).sum::<usize>()
-    );
 
     let document = table2::document(&rows, total_wall_ms);
     std::fs::write("BENCH_table2.json", baseline::format_document(&document))?;

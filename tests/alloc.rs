@@ -1,5 +1,5 @@
-//! Allocation pins for the CDCL ground core and the front end.  A counting
-//! global allocator measures three deterministic facts:
+//! Allocation pins for the CDCL ground core, the front end and the prover
+//! cascade.  A counting global allocator measures deterministic facts:
 //!
 //! * the clause database allocates less than the retained naive tableau,
 //!   which clones the remaining disjunction list at every branch point;
@@ -10,7 +10,16 @@
 //!   list per `assume`, re-interning every inherited hypothesis or
 //!   allocating a string per fingerprinted symbol trips it;
 //! * a warm session answers an unchanged Array List from its front-end
-//!   memo, so the request allocates little beyond parsing and the report.
+//!   memo, so the request allocates little beyond parsing and the report;
+//! * a failing mutant, verified with the proof cache off, stays under an
+//!   allocation ceiling, so a regression back to substituting and
+//!   simplifying every instance the rounds revisit trips it;
+//! * Priority Queue, verified with the proof cache off, stays under an
+//!   allocation ceiling, so a regression back to normalising each
+//!   assumption once per sequent instead of once per method trips it;
+//! * the cascade's stages share each query's refutation problem, so
+//!   proving queries whose problems are built allocates for the search
+//!   alone, and a stage that builds a problem of its own trips a ceiling.
 //!
 //! The count is per thread, so tests running in parallel in this binary do
 //! not pollute each other's numbers.
@@ -25,6 +34,7 @@ use ipl::provers::cache::ProofCache;
 use ipl::provers::ground::{reference, refute, GroundResult};
 use ipl::provers::preprocess::build_problem;
 use ipl::provers::{Cancel, Cascade, ProverConfig, Query};
+use ipl::suite::benchmarks::Benchmark;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -206,5 +216,107 @@ fn a_warm_unchanged_array_list_request_stays_under_the_allocation_ceiling() {
         count <= CEILING,
         "an unchanged module must be answered from the memo \
          (a warm Array List request allocated {count}, ceiling {CEILING})"
+    );
+}
+
+/// The allocations of one `Session::verify` of `source` with the proof
+/// cache off, on one worker, after a warm-up request of the same source,
+/// so every sequent is searched and the lazily initialised globals and the
+/// intern table are warm.  Returns the failing methods with the count.
+fn uncached_verify_allocations(source: &str) -> (Vec<String>, u64) {
+    let options = VerifyOptions::default()
+        .with_jobs(1)
+        .with_config(ProverConfig::without_cache());
+    let session = Session::new(options);
+    let request = Request::new(source);
+    session.verify(&request).unwrap();
+    let (response, count) = allocations(|| session.verify(&request).unwrap());
+    let failing = response.report.methods.iter().filter(|m| !m.fully_proved());
+    (failing.map(|m| m.name.clone()).collect(), count)
+}
+
+fn benchmark(name: &str) -> Benchmark {
+    ipl::suite::by_name(name).expect("benchmark exists")
+}
+
+#[test]
+fn a_failing_mutant_searched_to_budget_stays_under_the_allocation_ceiling() {
+    // Association List `put` with its postcondition negated: the search runs
+    // to budget in the instantiating stage.  Measured: 88,385 allocations in
+    // both the debug and the release profile; 176,874 when every instance
+    // the rounds revisit is substituted, simplified and hashed again.
+    const CEILING: u64 = 110_000;
+    let source = benchmark("Association List").source;
+    let ensures = "ensures \"contents = old(contents) union {(k, v)} & count = old(count) + 1\"";
+    assert_eq!(source.matches(ensures).count(), 1, "put's postcondition");
+    let mutant = source.replace(
+        ensures,
+        "ensures \"~(contents = old(contents) union {(k, v)} & count = old(count) + 1)\"",
+    );
+    let (failing, count) = uncached_verify_allocations(&mutant);
+    assert_eq!(failing, ["put"], "exactly the mutated method fails");
+    assert!(
+        count <= CEILING,
+        "a revisited binder assignment must cost a lookup \
+         (the put mutant allocated {count}, ceiling {CEILING})"
+    );
+}
+
+#[test]
+fn an_uncached_priority_queue_stays_under_the_allocation_ceiling() {
+    // Measured: 58,638 allocations in both the debug and the release
+    // profile; 75,450 when each query normalises every assumption itself.
+    const CEILING: u64 = 66_000;
+    let (failing, count) = uncached_verify_allocations(benchmark("Priority Queue").source);
+    assert!(failing.is_empty(), "{failing:?}");
+    assert!(
+        count <= CEILING,
+        "each method must normalise an assumption once for all its queries \
+         (Priority Queue allocated {count}, ceiling {CEILING})"
+    );
+}
+
+/// The queries of Priority Queue's non-trivial sequents, each with its own
+/// refutation problem still unbuilt.
+fn priority_queue_queries() -> Vec<Query> {
+    let module = ipl::lang::parse_module(benchmark("Priority Queue").source).expect("parses");
+    let lowered = ipl::lang::lower_module(&module).expect("lowers");
+    let mut queries = Vec::new();
+    for method in &lowered.methods {
+        let simple = translate_ext(&method.command, &mut TranslateCtx::new());
+        let env = Arc::new(method.env.clone());
+        for sequent in split_all(&vc_of(&simple)) {
+            if !sequent.is_trivially_valid() {
+                let assumptions = sequent.selected_assumptions().into_iter().cloned();
+                let query = Query::new(assumptions.collect(), sequent.goal, Arc::clone(&env));
+                queries.push(query);
+            }
+        }
+    }
+    queries
+}
+
+#[test]
+fn the_stages_share_each_querys_refutation_problem() {
+    // Every non-trivial Priority Queue sequent reaches the ground stage and
+    // 19 of its 35 the instantiating stage.  The warm-up proof builds each
+    // query's problem, so the measured one builds none.  Measured: 41,902
+    // allocations in both the debug and the release profile; 66,311 when
+    // the ground stage builds a problem of its own.
+    const CEILING: u64 = 50_000;
+    let cascade = Cascade::standard(ProverConfig::without_cache());
+    let queries = priority_queue_queries();
+    let prove_all = || {
+        for query in &queries {
+            assert!(cascade.prove(query).outcome.is_proved());
+        }
+    };
+    prove_all();
+    let ((), count) = allocations(prove_all);
+    assert!(
+        count <= CEILING,
+        "the stages must share one problem per query (proving Priority Queue's \
+         {} queries again allocated {count}, ceiling {CEILING})",
+        queries.len()
     );
 }
