@@ -16,7 +16,7 @@
 //! ## Pipeline
 //!
 //! 1. [`extract`] maps an `ipl-logic` formula into the BAPA abstract syntax
-//!    ([`BapaForm`]), rejecting anything outside the fragment.
+//!    ([`BapaForm`](extract::BapaForm)), rejecting anything outside the fragment.
 //! 2. [`venn`] splits the conjunction into connected components of shared
 //!    variables and, for each component alone, introduces one non-negative
 //!    integer variable per Venn region of its set variables and rewrites

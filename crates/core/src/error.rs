@@ -21,8 +21,8 @@ pub struct Span {
     pub end: usize,
 }
 
-/// Why a verification request could not produce a [`ModuleReport`]
-/// (crate::ModuleReport).  Prover failures are *not* errors — an unproved,
+/// Why a verification request could not produce a
+/// [`ModuleReport`](crate::ModuleReport).  Prover failures are *not* errors — an unproved,
 /// crashed or deadline-skipped sequent is recorded in the report; this type
 /// covers the stages before dispatch (parse, lower) plus I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]

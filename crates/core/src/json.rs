@@ -9,6 +9,12 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 
+/// How deeply [`parse_json`] nests arrays and objects.  The reader recurses
+/// once per level, so a deeper document is refused with an error instead of
+/// overflowing the reading thread's stack.  Every document the workspace
+/// writes nests a few levels.
+const MAX_DEPTH: usize = 64;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -130,12 +136,14 @@ pub fn string(s: &str) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error, or when
-/// trailing non-whitespace follows the document.
+/// Returns a message with the byte offset of the first syntax error, when
+/// arrays and objects nest more than 64 deep, or when trailing
+/// non-whitespace follows the document.
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let mut reader = Reader {
         text: input,
         pos: 0,
+        depth: 0,
     };
     let value = reader.value()?;
     reader.skip_ws();
@@ -149,6 +157,8 @@ pub fn parse_json(input: &str) -> Result<Json, String> {
 struct Reader<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Reader<'_> {
@@ -178,8 +188,8 @@ impl Reader<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -187,6 +197,20 @@ impl Reader<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Reads an array or an object one level deeper, up to [`MAX_DEPTH`].
+    fn nested(&mut self, read: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = read(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -389,6 +413,23 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "{bad} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_read_to_the_cap_and_refused_past_it() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"k\": ".repeat(n), "}".repeat(n));
+        assert!(parse_json(&arrays(MAX_DEPTH)).is_ok() && parse_json(&objects(MAX_DEPTH)).is_ok());
+        for deep in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(20_000),
+        ] {
+            let error = parse_json(&deep).unwrap_err();
+            assert!(error.starts_with("nested deeper than 64 levels"), "{error}");
+        }
+        // Depth is nesting, not count.
+        assert!(parse_json(&format!("[{}[]]", "[[]], ".repeat(1_000))).is_ok());
     }
 
     #[test]

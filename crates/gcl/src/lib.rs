@@ -12,7 +12,7 @@
 //! * [`translate`] — the translation of code into simple guarded commands
 //!   (Figure 6), of each proof construct into simple guarded commands
 //!   (Figure 8), and of the `fix` construct (Figure 12, Appendix B).
-//! * [`wlp`] — weakest liberal preconditions over simple guarded commands
+//! * [`wlp`](mod@wlp) — weakest liberal preconditions over simple guarded commands
 //!   (Figure 5), producing a labelled verification-condition tree.
 //! * [`split`] — the splitting rules (Figure 7) that convert a verification
 //!   condition into a list of labelled sequents, preserving the labels used

@@ -4,9 +4,14 @@
 //! [`ipl_logic::parser::parse_form`]; everything else (declarations,
 //! statements, program expressions) is parsed here.  Program expressions are
 //! lowered directly to [`Form`] terms.
+//!
+//! Program text nested past [`MAX_NESTING`] levels is a parse error, as in
+//! formulas: a block, `else if`, parenthesis, bracket or unary operator is a
+//! level, and so is each operator of a chain of `+`/`-`, `*`, `.f` or `[i]`.
+//! A quoted formula counts its own levels from zero.
 
 use crate::ast::{Method, Module, ProofStmt, Stmt, Type};
-use ipl_logic::parser::parse_form;
+use ipl_logic::parser::{parse_form, MAX_NESTING};
 use ipl_logic::{Form, Sort};
 use std::fmt;
 
@@ -36,7 +41,11 @@ impl std::error::Error for LangError {}
 /// Returns a [`LangError`] describing the first syntax error.
 pub fn parse_module(source: &str) -> Result<Module, LangError> {
     let tokens = lex(source)?;
-    let mut p = P { tokens, pos: 0 };
+    let mut p = P {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let module = p.module()?;
     p.expect_eof()?;
     Ok(module)
@@ -199,6 +208,8 @@ fn lex(source: &str) -> Result<Vec<Sp>, LangError> {
 struct P {
     tokens: Vec<Sp>,
     pos: usize,
+    /// Nesting levels open around `pos`.
+    depth: usize,
 }
 
 impl P {
@@ -229,6 +240,28 @@ impl P {
             line: self.line(),
             span: Some(self.span()),
         }
+    }
+
+    /// Opens one more level, up to [`MAX_NESTING`]; a chain restores its
+    /// starting depth when it ends, and an error ends the parse.
+    fn deeper(&mut self) -> Result<(), LangError> {
+        if self.depth == MAX_NESTING {
+            self.pos -= 1; // report the token that opened the level
+            return Err(self.err(format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        self.deeper()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -343,9 +376,7 @@ impl P {
                 self.expect_punct(";")?;
                 module.vardefs.push((name, form));
             } else if self.eat_kw("invariant") {
-                let name = self.ident()?;
-                self.expect_punct(":")?;
-                let form = self.formula()?;
+                let (name, form) = self.label_formula()?;
                 self.expect_punct(";")?;
                 module.invariants.push((name, form));
             } else if self.peek_kw("method") {
@@ -389,7 +420,7 @@ impl P {
 
     fn sort_atom(&mut self) -> Result<Sort, LangError> {
         if self.eat_punct("(") {
-            let s = self.sort()?;
+            let s = self.nested(Self::sort)?;
             self.expect_punct(")")?;
             return Ok(s);
         }
@@ -402,7 +433,7 @@ impl P {
             "obj" => Ok(Sort::Obj),
             "set" => {
                 self.expect_punct("<")?;
-                let elem = self.sort()?;
+                let elem = self.nested(Self::sort)?;
                 self.expect_punct(">")?;
                 Ok(Sort::Set(Box::new(elem)))
             }
@@ -482,10 +513,12 @@ impl P {
 
     fn block(&mut self) -> Result<Vec<Stmt>, LangError> {
         self.expect_punct("{")?;
+        self.deeper()?;
         let mut out = Vec::new();
         while !self.eat_punct("}") {
             out.push(self.stmt()?);
         }
+        self.depth -= 1;
         Ok(out)
     }
 
@@ -520,7 +553,7 @@ impl P {
             let then_branch = self.block()?;
             let else_branch = if self.eat_kw("else") {
                 if self.peek_kw("if") {
-                    vec![self.stmt()?]
+                    vec![self.nested(Self::stmt)?]
                 } else {
                     self.block()?
                 }
@@ -619,7 +652,7 @@ impl P {
         let mut args = Vec::new();
         if !self.eat_punct(")") {
             loop {
-                args.push(self.expr()?);
+                args.push(self.nested(Self::expr)?);
                 if self.eat_punct(")") {
                     break;
                 }
@@ -632,13 +665,18 @@ impl P {
     /// `Label: "F"` or just `"F"`.
     fn labeled_formula(&mut self) -> Result<(Option<String>, Form), LangError> {
         if let Tok::Ident(_) = self.peek() {
-            let label = self.ident()?;
-            self.expect_punct(":")?;
-            let form = self.formula()?;
+            let (label, form) = self.label_formula()?;
             Ok((Some(label), form))
         } else {
             Ok((None, self.formula()?))
         }
+    }
+
+    /// `Label: "F"`.
+    fn label_formula(&mut self) -> Result<(String, Form), LangError> {
+        let label = self.ident()?;
+        self.expect_punct(":")?;
+        Ok((label, self.formula()?))
     }
 
     fn parse_from_clause(&mut self) -> Result<Option<Vec<String>>, LangError> {
@@ -664,30 +702,22 @@ impl P {
         let proof = match keyword.as_str() {
             "note" => {
                 self.bump();
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let form = self.formula()?;
+                let (label, form) = self.label_formula()?;
                 let from = self.parse_from_clause()?;
                 self.expect_punct(";")?;
                 ProofStmt::Note { label, form, from }
             }
             "localize" => {
                 self.bump();
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let form = self.formula()?;
+                let (label, form) = self.label_formula()?;
                 let body = self.proof_block()?;
                 ProofStmt::Localize { label, form, body }
             }
             "assuming" => {
                 self.bump();
-                let hyp_label = self.ident()?;
-                self.expect_punct(":")?;
-                let hyp = self.formula()?;
+                let (hyp_label, hyp) = self.label_formula()?;
                 self.expect_kw("show")?;
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let goal = self.formula()?;
+                let (label, goal) = self.label_formula()?;
                 let body = self.proof_block()?;
                 ProofStmt::Assuming {
                     hyp_label,
@@ -699,9 +729,7 @@ impl P {
             }
             "mp" => {
                 self.bump();
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let implication = self.formula()?;
+                let (label, implication) = self.label_formula()?;
                 self.expect_punct(";")?;
                 ProofStmt::Mp { label, implication }
             }
@@ -712,9 +740,7 @@ impl P {
                     cases.push(self.formula()?);
                 }
                 self.expect_kw("for")?;
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let goal = self.formula()?;
+                let (label, goal) = self.label_formula()?;
                 self.expect_punct(";")?;
                 ProofStmt::Cases { cases, label, goal }
             }
@@ -725,9 +751,7 @@ impl P {
                     other => return Err(self.err(format!("expected case index, found {other:?}"))),
                 };
                 self.expect_kw("of")?;
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let disjunction = self.formula()?;
+                let (label, disjunction) = self.label_formula()?;
                 self.expect_punct(";")?;
                 ProofStmt::ShowedCase {
                     index,
@@ -737,25 +761,19 @@ impl P {
             }
             "byContradiction" => {
                 self.bump();
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let form = self.formula()?;
+                let (label, form) = self.label_formula()?;
                 let body = self.proof_block()?;
                 ProofStmt::ByContradiction { label, form, body }
             }
             "contradiction" => {
                 self.bump();
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let form = self.formula()?;
+                let (label, form) = self.label_formula()?;
                 self.expect_punct(";")?;
                 ProofStmt::Contradiction { label, form }
             }
             "instantiate" => {
                 self.bump();
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let forall = self.formula()?;
+                let (label, forall) = self.label_formula()?;
                 self.expect_kw("with")?;
                 let mut terms = vec![self.formula()?];
                 while self.eat_punct(",") {
@@ -775,9 +793,7 @@ impl P {
                     terms.push(self.formula()?);
                 }
                 self.expect_kw("for")?;
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let exists = self.formula()?;
+                let (label, exists) = self.label_formula()?;
                 self.expect_punct(";")?;
                 ProofStmt::Witness {
                     terms,
@@ -789,13 +805,9 @@ impl P {
                 self.bump();
                 let vars = self.binder_list()?;
                 self.expect_kw("for")?;
-                let hyp_label = self.ident()?;
-                self.expect_punct(":")?;
-                let hyp = self.formula()?;
+                let (hyp_label, hyp) = self.label_formula()?;
                 self.expect_kw("show")?;
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let goal = self.formula()?;
+                let (label, goal) = self.label_formula()?;
                 let body = self.proof_block()?;
                 ProofStmt::PickWitness {
                     vars,
@@ -810,9 +822,7 @@ impl P {
                 self.bump();
                 let vars = self.binder_list()?;
                 self.expect_kw("show")?;
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let goal = self.formula()?;
+                let (label, goal) = self.label_formula()?;
                 let body = self.proof_block()?;
                 ProofStmt::PickAny {
                     vars,
@@ -823,9 +833,7 @@ impl P {
             }
             "induct" => {
                 self.bump();
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let form = self.formula()?;
+                let (label, form) = self.label_formula()?;
                 self.expect_kw("over")?;
                 let var = self.ident()?;
                 let body = self.proof_block()?;
@@ -842,9 +850,7 @@ impl P {
                 self.expect_kw("suchThat")?;
                 let such_that = self.formula()?;
                 self.expect_kw("show")?;
-                let label = self.ident()?;
-                self.expect_punct(":")?;
-                let goal = self.formula()?;
+                let (label, goal) = self.label_formula()?;
                 let body = self.block()?;
                 ProofStmt::Fix {
                     vars,
@@ -875,6 +881,7 @@ impl P {
 
     fn proof_block(&mut self) -> Result<Vec<ProofStmt>, LangError> {
         self.expect_punct("{")?;
+        self.deeper()?;
         let mut out = Vec::new();
         while !self.eat_punct("}") {
             match self.proof_stmt()? {
@@ -887,6 +894,7 @@ impl P {
                 }
             }
         }
+        self.depth -= 1;
         Ok(out)
     }
 
@@ -924,7 +932,7 @@ impl P {
 
     fn not_expr(&mut self) -> Result<Form, LangError> {
         if self.eat_punct("!") {
-            return Ok(Form::not(self.not_expr()?));
+            return Ok(Form::not(self.nested(Self::not_expr)?));
         }
         self.cmp_expr()
     }
@@ -954,44 +962,55 @@ impl P {
     }
 
     fn add_expr(&mut self) -> Result<Form, LangError> {
+        let depth = self.depth;
         let mut lhs = self.mul_expr()?;
         loop {
-            if self.eat_punct("+") {
-                lhs = Form::add(lhs, self.mul_expr()?);
+            let op = if self.eat_punct("+") {
+                Form::add
             } else if self.eat_punct("-") {
-                lhs = Form::sub(lhs, self.mul_expr()?);
+                Form::sub
             } else {
+                self.depth = depth;
                 return Ok(lhs);
-            }
+            };
+            self.deeper()?;
+            lhs = op(lhs, self.mul_expr()?);
         }
     }
 
     fn mul_expr(&mut self) -> Result<Form, LangError> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         while self.eat_punct("*") {
+            self.deeper()?;
             lhs = Form::mul(lhs, self.unary_expr()?);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Form, LangError> {
         if self.eat_punct("-") {
-            return Ok(Form::neg(self.unary_expr()?));
+            return Ok(Form::neg(self.nested(Self::unary_expr)?));
         }
         self.postfix_expr()
     }
 
     fn postfix_expr(&mut self) -> Result<Form, LangError> {
+        let depth = self.depth;
         let mut base = self.primary_expr()?;
         loop {
             if self.eat_punct(".") {
+                self.deeper()?;
                 let field = self.ident()?;
                 base = Form::field_read(Form::var(field), base);
             } else if self.eat_punct("[") {
+                self.deeper()?;
                 let idx = self.expr()?;
                 self.expect_punct("]")?;
                 base = Form::array_read(Form::var("arrayState"), base, idx);
             } else {
+                self.depth = depth;
                 return Ok(base);
             }
         }
@@ -1007,7 +1026,7 @@ impl P {
                 _ => Ok(Form::Var(name)),
             },
             Tok::Punct("(") => {
-                let inner = self.expr()?;
+                let inner = self.nested(Self::expr)?;
                 self.expect_punct(")")?;
                 Ok(inner)
             }
@@ -1222,5 +1241,47 @@ mod tests {
                 .to_string(),
             "line 2: unknown type `unknown`"
         );
+    }
+
+    #[test]
+    fn nesting_is_read_to_the_cap_and_refused_past_it() {
+        // The method body is one level, so `n` levels leave `n - 1` inside it.
+        for (n, read) in [(MAX_NESTING, true), (MAX_NESTING + 1, false)] {
+            let inside = n - 1;
+            for body in [
+                format!(
+                    "{}skip;{}",
+                    "if (x > 0) { ".repeat(inside),
+                    " }".repeat(inside)
+                ),
+                // Each `else if` is a level, and so is the last one's block.
+                format!(
+                    "if (x > 0) {{ }}{}",
+                    " else if (x > 0) { }".repeat(inside - 1)
+                ),
+                format!(
+                    "{}note N: \"true\";{}",
+                    "localize L: \"true\" { ".repeat(inside),
+                    " }".repeat(inside)
+                ),
+                format!("x := {}y{};", "(".repeat(inside), ")".repeat(inside)),
+                format!("x := {}y;", "- ".repeat(inside)),
+                format!("x := {};", vec!["y"; n].join(" + ")),
+                format!("x := y{};", ".f".repeat(inside)),
+            ] {
+                let source = format!("module M {{\n  method m() {{\n    {body}\n  }}\n}}");
+                match parse_module(&source) {
+                    Ok(_) => assert!(read, "{n} levels read: {body}"),
+                    Err(e) => {
+                        assert!(!read, "{n} levels refused: {body}: {e}");
+                        assert_eq!(
+                            (e.message.as_str(), e.line),
+                            ("nested deeper than 64 levels", 3)
+                        );
+                        assert!(e.span.is_some());
+                    }
+                }
+            }
+        }
     }
 }

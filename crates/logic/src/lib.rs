@@ -23,8 +23,6 @@
 //!   comprehension beta-reduction, set-operation expansion, negation normal
 //!   form, skolemisation and old-state elimination.
 //! * [`simplify`] — structural simplification (constant folding, unit laws).
-//! * [`hashed`] — formulas with cached structural hash, size and free-variable
-//!   set, used by the provers' term indexes and instance-deduplication sets.
 //! * [`intern`] — hash-consing: a global sharded intern table giving
 //!   structurally equal subtrees one canonical `Arc` allocation, so equality
 //!   is pointer identity and memo tables key on addresses.
@@ -41,7 +39,6 @@
 //! ```
 
 pub mod form;
-pub mod hashed;
 pub mod intern;
 pub mod normal;
 pub mod parser;
@@ -52,7 +49,6 @@ pub mod sorts;
 pub mod subst;
 
 pub use form::Form;
-pub use hashed::Hashed;
 pub use intern::{share, share_arc};
 pub use sort::Sort;
 pub use sorts::SortEnv;

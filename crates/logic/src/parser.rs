@@ -15,6 +15,12 @@
 //! `*`, `+`/`-`, `union`/`inter`/`minus`, comparisons (`=`, `~=`, `<`, `<=`,
 //! `>`, `>=`, `in`, `subseteq`), `~`, `&`, `|`, `-->` (right associative),
 //! `<->`, quantifiers.
+//!
+//! The parser and every later pass recurse once per level of nesting, so
+//! input nested past [`MAX_NESTING`] levels is a [`ParseError`], not a stack
+//! overflow.  A parenthesis, bracket, brace, binder, `if` or unary operator
+//! is a level, and so is each operator of a chain of `-->`, `<->`,
+//! `union`/`inter`/`minus`, `+`/`-`, `*`, `.f` or `[i]`; `&` and `|` are flat.
 
 use crate::form::{Binding, Form};
 use crate::sort::Sort;
@@ -38,17 +44,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How many levels formulas, sorts and (in `ipl-lang`) program text may
+/// nest.  The paper's benchmark sources nest a few.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a formula from its ASCII syntax.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first syntax error encountered.
 pub fn parse_form(input: &str) -> Result<Form, ParseError> {
-    let tokens = lex(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let form = parser.parse_form()?;
-    parser.expect_eof()?;
-    Ok(form)
+    Parser::parse_all(input, Parser::parse_form)
 }
 
 /// Parses a sort from its ASCII syntax (`int`, `bool`, `obj`, `set<T>`,
@@ -58,11 +64,7 @@ pub fn parse_form(input: &str) -> Result<Form, ParseError> {
 ///
 /// Returns a [`ParseError`] on malformed input.
 pub fn parse_sort(input: &str) -> Result<Sort, ParseError> {
-    let tokens = lex(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let sort = parser.parse_sort()?;
-    parser.expect_eof()?;
-    Ok(sort)
+    Parser::parse_all(input, Parser::parse_sort)
 }
 
 // --------------------------------------------------------------------------
@@ -159,9 +161,27 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Nesting levels open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
+    /// Lexes `input` and parses all of it with `parse`.
+    fn parse_all<T>(
+        input: &str,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let tokens = lex(input)?;
+        let mut parser = Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        };
+        let parsed = parse(&mut parser)?;
+        parser.expect_eof()?;
+        Ok(parsed)
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
     }
@@ -219,24 +239,49 @@ impl Parser {
         }
     }
 
+    /// Opens one more level, up to [`MAX_NESTING`]; a chain restores its
+    /// starting depth when it ends, and an error ends the parse.
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            self.pos -= 1; // report the token that opened the level
+            return Err(self.error(format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deeper()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     // form := iff
     fn parse_form(&mut self) -> Result<Form, ParseError> {
         self.parse_iff()
     }
 
     fn parse_iff(&mut self) -> Result<Form, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.parse_implies()?;
         while self.eat_punct("<->") {
+            self.deeper()?;
             let rhs = self.parse_implies()?;
             lhs = Form::iff(lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_implies(&mut self) -> Result<Form, ParseError> {
         let lhs = self.parse_or()?;
         if self.eat_punct("-->") || self.eat_punct("==>") {
-            let rhs = self.parse_implies()?;
+            let rhs = self.nested(Self::parse_implies)?;
             Ok(Form::implies(lhs, rhs))
         } else {
             Ok(lhs)
@@ -269,7 +314,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Form, ParseError> {
         if self.eat_punct("~") || self.eat_punct("!") {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Form::not(inner));
         }
         if matches!(self.peek(), Tok::Ident(name) if name == "forall" || name == "exists") {
@@ -285,7 +330,7 @@ impl Parser {
         };
         let bindings = self.parse_bindings()?;
         self.expect_punct(".")?;
-        let body = self.parse_form()?;
+        let body = self.nested(Self::parse_form)?;
         Ok(if is_forall {
             Form::forall(bindings, body)
         } else {
@@ -340,7 +385,7 @@ impl Parser {
 
     fn parse_sort_atom(&mut self) -> Result<Sort, ParseError> {
         if self.eat_punct("(") {
-            let sort = self.parse_sort()?;
+            let sort = self.nested(Self::parse_sort)?;
             self.expect_punct(")")?;
             return Ok(sort);
         }
@@ -351,7 +396,7 @@ impl Parser {
                 "obj" => Ok(Sort::Obj),
                 "set" => {
                     self.expect_punct("<")?;
-                    let elem = self.parse_sort()?;
+                    let elem = self.nested(Self::parse_sort)?;
                     self.expect_punct(">")?;
                     Ok(Sort::Set(Box::new(elem)))
                 }
@@ -390,58 +435,68 @@ impl Parser {
     }
 
     fn parse_set_expr(&mut self) -> Result<Form, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.parse_add()?;
         loop {
-            if self.eat_ident("union") {
-                let rhs = self.parse_add()?;
-                lhs = Form::Union(Arc::new(lhs), Arc::new(rhs));
+            let op = if self.eat_ident("union") {
+                Form::Union
             } else if self.eat_ident("inter") {
-                let rhs = self.parse_add()?;
-                lhs = Form::Inter(Arc::new(lhs), Arc::new(rhs));
+                Form::Inter
             } else if self.eat_ident("minus") {
-                let rhs = self.parse_add()?;
-                lhs = Form::Diff(Arc::new(lhs), Arc::new(rhs));
+                Form::Diff
             } else {
+                self.depth = depth;
                 return Ok(lhs);
-            }
+            };
+            self.deeper()?;
+            let rhs = self.parse_add()?;
+            lhs = op(Arc::new(lhs), Arc::new(rhs));
         }
     }
 
     fn parse_add(&mut self) -> Result<Form, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.parse_mul()?;
         loop {
-            if self.eat_punct("+") {
-                let rhs = self.parse_mul()?;
-                lhs = Form::add(lhs, rhs);
+            let op = if self.eat_punct("+") {
+                Form::add
             } else if self.eat_punct("-") {
-                let rhs = self.parse_mul()?;
-                lhs = Form::sub(lhs, rhs);
+                Form::sub
             } else {
+                self.depth = depth;
                 return Ok(lhs);
-            }
+            };
+            self.deeper()?;
+            let rhs = self.parse_mul()?;
+            lhs = op(lhs, rhs);
         }
     }
 
     fn parse_mul(&mut self) -> Result<Form, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.parse_unary()?;
         while self.eat_punct("*") {
+            self.deeper()?;
             let rhs = self.parse_unary()?;
             lhs = Form::mul(lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Form, ParseError> {
         if self.eat_punct("-") {
-            return Ok(Form::neg(self.parse_unary()?));
+            return Ok(Form::neg(self.nested(Self::parse_unary)?));
         }
         self.parse_postfix()
     }
 
     fn parse_postfix(&mut self) -> Result<Form, ParseError> {
+        let depth = self.depth;
         let mut base = self.parse_primary()?;
         loop {
             if self.eat_punct(".") {
+                self.deeper()?;
                 match self.bump() {
                     Tok::Ident(field) => {
                         base = Form::field_read(Form::var(field), base);
@@ -451,6 +506,7 @@ impl Parser {
                     }
                 }
             } else if self.eat_punct("[") {
+                self.deeper()?;
                 let idx = self.parse_form()?;
                 if self.eat_punct(":=") {
                     // Function update `f[x := v]` (field image after assignment).
@@ -462,6 +518,7 @@ impl Parser {
                     base = Form::array_read(Form::var("arrayState"), base, idx);
                 }
             } else {
+                self.depth = depth;
                 return Ok(base);
             }
         }
@@ -477,34 +534,23 @@ impl Parser {
                 "emptyset" => Ok(Form::EmptySet),
                 "old" => {
                     self.expect_punct("(")?;
-                    let inner = self.parse_form()?;
+                    let inner = self.nested(Self::parse_form)?;
                     self.expect_punct(")")?;
                     Ok(Form::old(inner))
                 }
                 "card" => {
                     self.expect_punct("(")?;
-                    let inner = self.parse_form()?;
+                    let inner = self.nested(Self::parse_form)?;
                     self.expect_punct(")")?;
                     Ok(Form::Card(Arc::new(inner)))
                 }
-                "if" => {
-                    let cond = self.parse_form()?;
-                    if !self.eat_ident("then") {
-                        return Err(self.error("expected `then`".to_string()));
-                    }
-                    let then = self.parse_form()?;
-                    if !self.eat_ident("else") {
-                        return Err(self.error("expected `else`".to_string()));
-                    }
-                    let els = self.parse_form()?;
-                    Ok(Form::Ite(Arc::new(cond), Arc::new(then), Arc::new(els)))
-                }
+                "if" => self.nested(Self::parse_ite),
                 _ => {
                     if self.eat_punct("(") {
                         let mut args = Vec::new();
                         if !self.eat_punct(")") {
                             loop {
-                                args.push(self.parse_form()?);
+                                args.push(self.nested(Self::parse_form)?);
                                 if self.eat_punct(")") {
                                     break;
                                 }
@@ -517,25 +563,42 @@ impl Parser {
                     }
                 }
             },
-            Tok::Punct("(") => {
-                let first = self.parse_form()?;
-                if self.eat_punct(",") {
-                    let mut elems = vec![first];
-                    loop {
-                        elems.push(self.parse_form()?);
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
-                    self.expect_punct(")")?;
-                    Ok(Form::Tuple(elems))
-                } else {
-                    self.expect_punct(")")?;
-                    Ok(first)
+            Tok::Punct("(") => self.nested(Self::parse_parenthesised),
+            Tok::Punct("{") => self.nested(Self::parse_braced),
+            other => Err(self.error(format!("unexpected token {other:?}"))),
+        }
+    }
+
+    /// Parses `c then t else e` after `if`.
+    fn parse_ite(&mut self) -> Result<Form, ParseError> {
+        let cond = self.parse_form()?;
+        if !self.eat_ident("then") {
+            return Err(self.error("expected `then`".to_string()));
+        }
+        let then = self.parse_form()?;
+        if !self.eat_ident("else") {
+            return Err(self.error("expected `else`".to_string()));
+        }
+        let els = self.parse_form()?;
+        Ok(Form::Ite(Arc::new(cond), Arc::new(then), Arc::new(els)))
+    }
+
+    /// Parses the inside of `( ... )`: a parenthesised formula or a tuple.
+    fn parse_parenthesised(&mut self) -> Result<Form, ParseError> {
+        let first = self.parse_form()?;
+        if self.eat_punct(",") {
+            let mut elems = vec![first];
+            loop {
+                elems.push(self.parse_form()?);
+                if !self.eat_punct(",") {
+                    break;
                 }
             }
-            Tok::Punct("{") => self.parse_braced(),
-            other => Err(self.error(format!("unexpected token {other:?}"))),
+            self.expect_punct(")")?;
+            Ok(Form::Tuple(elems))
+        } else {
+            self.expect_punct(")")?;
+            Ok(first)
         }
     }
 
@@ -760,5 +823,35 @@ mod tests {
         assert_eq!(parse_sort("set<int * obj>").unwrap(), Sort::int_obj_set());
         assert_eq!(parse_sort("set<obj>").unwrap(), Sort::obj_set());
         assert!(parse_sort("foo").is_err());
+    }
+
+    #[test]
+    fn nesting_is_read_to_the_cap_and_refused_past_it() {
+        let join = |n: usize, op: &str| vec!["y"; n + 1].join(op);
+        for (n, read) in [(MAX_NESTING, true), (MAX_NESTING + 1, false)] {
+            for text in [
+                format!("{}x = y{}", "(".repeat(n), ")".repeat(n)),
+                format!("x = {}y{}", "{".repeat(n), "}".repeat(n)),
+                format!("{}p", "~".repeat(n)),
+                format!("{}p", "forall a:int. ".repeat(n)),
+                join(n, " --> "),
+                format!("x = {}", join(n, " + ")),
+                format!("x = {}", join(n, " * ")),
+                format!("x{} = y", ".f".repeat(n)),
+            ] {
+                assert_eq!(parse_form(&text).is_ok(), read, "{n} levels: {text}");
+            }
+            let sort = format!("{}int{}", "set<".repeat(n), " >".repeat(n));
+            assert_eq!(parse_sort(&sort).is_ok(), read, "{n} levels: {sort}");
+        }
+        let error = parse_form(&"(".repeat(1_000)).unwrap_err();
+        assert_eq!(
+            (error.message.as_str(), error.offset),
+            ("nested deeper than 64 levels", 64)
+        );
+        // A chain ends its levels, so a flat conjunction of chains is fine.
+        assert!(
+            parse_form(&vec![format!("x = {}", join(MAX_NESTING, " + ")); 300].join(" & ")).is_ok()
+        );
     }
 }

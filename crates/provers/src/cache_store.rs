@@ -1,7 +1,7 @@
 //! The persistent proof store: an on-disk, append-only log of proved
 //! sequent fingerprints.
 //!
-//! The in-memory [`ProofCache`](crate::cache::ProofCache) answers repeat
+//! The in-memory [`ProofCache`] answers repeat
 //! dispatches for free *within* one process; this module makes the cache
 //! outlive the process, so that a warm re-run of an unchanged module — a CI
 //! job on an untouched branch, the second keystroke in an editor session —

@@ -14,8 +14,9 @@ use crate::ground::{refute, GroundResult};
 use crate::inst::refute_with_instantiation;
 use crate::syntactic::Syntactic;
 use crate::{Cancel, Outcome, Prover, ProverConfig, Query, SkipReason};
-use ipl_logic::hashed::Hashed;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -332,7 +333,11 @@ impl Cascade {
         // otherwise), never on dispatch order — the same plan faults the same
         // sequents at `--jobs 1` and `--jobs N`.
         let fault_key = fingerprint.map_or_else(
-            || Hashed::new(query.goal.clone()).hash_value(),
+            || {
+                let mut hasher = DefaultHasher::new();
+                query.goal.hash(&mut hasher);
+                hasher.finish()
+            },
             |fp| fp.as_u128() as u64,
         );
         let mut stage_durations = Vec::with_capacity(self.provers.len());

@@ -4,7 +4,7 @@
 //! run down with it (and, under the parallel driver, to kill one worker
 //! thread so `--jobs N` silently degraded to `N-1`).  [`contain`] wraps a
 //! dispatch in [`std::panic::catch_unwind`] behind an
-//! [`AssertUnwindSafe`](std::panic::AssertUnwindSafe) boundary and converts
+//! [`AssertUnwindSafe`] boundary and converts
 //! an escaped panic into an error message, so the caller can quarantine the
 //! one faulted sequent and let the rest of the run complete.
 //!

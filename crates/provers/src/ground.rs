@@ -41,27 +41,10 @@
 use crate::cc::{Congruence, Implied, TermId};
 use crate::{Cancel, ProverConfig};
 use ipl_bapa::presburger::{id_conjunction_infeasible, IdLinExpr};
-use ipl_logic::hashed::Hashed;
 use ipl_logic::normal::nnf;
 use ipl_logic::{Form, Sort, SortEnv};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Base interval (in conflicts) of the Luby restart sequence.
-const RESTART_BASE: u64 = 64;
-
-/// Hard cap on the number of live learned clauses per search; a conflict
-/// past the cap still backjumps, but its clause is recorded only if a
-/// reduction sweep frees room.
-const MAX_LEARNED_CLAUSES: usize = 10_000;
-
-/// Conflicts between two halvings of the variable and clause activities
-/// (the integer stand-in for VSIDS decay).
-const ACTIVITY_DECAY_INTERVAL: u64 = 128;
-
-/// Conflicts between two learned-clause reduction sweeps, each of which
-/// deletes the lower-activity half of the unlocked learned clauses.
-const DELETION_INTERVAL: u64 = 2_000;
 
 /// Result of a refutation attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,11 +97,6 @@ impl GroundStats {
             conflicts: self.conflicts.saturating_sub(earlier.conflicts),
             learned_clauses: self.learned_clauses.saturating_sub(earlier.learned_clauses),
         }
-    }
-
-    /// All propagations, boolean and theory.
-    pub fn propagations(&self) -> u64 {
-        self.bool_propagations + self.theory_propagations
     }
 }
 
@@ -190,9 +168,8 @@ enum Reason {
     Decision,
     /// Propagated by this clause (its first literal is the propagated one).
     Clause(u32),
-    /// Asserted with no clause to resolve on: a learned unit or a learned
-    /// clause dropped at the cap.  Conflict analysis crossing it falls back
-    /// to the decision clause.
+    /// Asserted with no clause to resolve on: a learned unit.  Conflict
+    /// analysis crossing it falls back to the decision clause.
     Theory,
     /// Theory-propagated: the congruence closure entailed the watched
     /// equality `a = b`.  Conflict analysis resolves through the lazy
@@ -258,10 +235,6 @@ struct Clause {
     /// clause is vacuously satisfiable, exactly like a disjunct the
     /// recursive tableau never expanded.  `None` for top-level clauses.
     relevance: Option<Lit>,
-    /// Tombstone set by the learned-clause reduction sweep.  The literals are
-    /// kept (an in-flight conflict may still reference them) but the clause
-    /// stops watching: `bool_propagate` drops its watch entries lazily.
-    deleted: bool,
 }
 
 /// One entry of the arithmetic constraint stack, unwound with the trail:
@@ -278,9 +251,9 @@ struct Solver<'a> {
 
     // ----- the SAT core -----
     /// Atom form -> variable.
-    atoms: HashMap<Hashed, usize>,
+    atoms: HashMap<Form, usize>,
     /// Encoded non-literal subformulas -> their proxy literal.
-    proxy_cache: HashMap<Hashed, Lit>,
+    proxy_cache: HashMap<Form, Lit>,
     /// Per-variable atom data (`None` for Plaisted–Greenbaum proxies).
     infos: Vec<Option<AtomInfo>>,
     /// Assignment: `0` unassigned, `1` true, `-1` false.
@@ -289,23 +262,18 @@ struct Solver<'a> {
     level: Vec<u32>,
     /// Reason of the assignment.
     reason: Vec<Reason>,
-    /// VSIDS-style activity (integer: bumped on conflict, halved periodically).
+    /// Conflict activity: bumped each time conflict analysis meets the
+    /// variable; `pick_branch` decides the most active open literal.
     activity: Vec<u64>,
     /// Scratch marks for conflict analysis.
     seen: Vec<bool>,
-    /// The clause database (input first, then learned).
+    /// The clause database: input first, then every clause learned in this
+    /// refutation (the step budget and the stage timeout bound how many).
     clauses: Vec<Clause>,
-    /// Per-clause activity (bumped when a clause participates in conflict
-    /// analysis, halved with the variable activities); drives the
-    /// lowest-activity-half deletion sweeps.
-    clause_activity: Vec<u64>,
     /// Number of input clauses (the prefix of `clauses`); the branch/leaf
     /// test ranges over these only — learned clauses are implied and never
     /// need satisfying.
     input_clauses: usize,
-    /// Number of live (non-tombstoned) learned clauses; kept under
-    /// [`MAX_LEARNED_CLAUSES`] by the reduction sweeps.
-    learned_count: usize,
     /// Watch lists, indexed by literal code.
     watches: Vec<Vec<u32>>,
     /// The assignment trail.
@@ -340,11 +308,6 @@ struct Solver<'a> {
     tp_memo: Option<(u64, u64)>,
     /// Pooled scratch for [`Congruence::implied_literals`].
     implied_scratch: Vec<Implied>,
-    /// Conflicts since the last restart, and the Luby-scheduled limit that
-    /// triggers the next one.
-    conflicts_since_restart: u64,
-    restart_count: u64,
-    restart_limit: u64,
 
     // ----- statistics -----
     n_decisions: u64,
@@ -369,9 +332,7 @@ impl<'a> Solver<'a> {
             activity: Vec::new(),
             seen: Vec::new(),
             clauses: Vec::new(),
-            clause_activity: Vec::new(),
             input_clauses: 0,
-            learned_count: 0,
             watches: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -387,9 +348,6 @@ impl<'a> Solver<'a> {
             tp_active: false,
             tp_memo: None,
             implied_scratch: Vec::new(),
-            conflicts_since_restart: 0,
-            restart_count: 0,
-            restart_limit: RESTART_BASE,
             n_decisions: 0,
             n_bool_propagations: 0,
             n_theory_propagations: 0,
@@ -416,8 +374,7 @@ impl<'a> Solver<'a> {
     /// The positive literal of an atom, interning it on first sight.
     fn atom_lit(&mut self, form: &Form) -> Lit {
         debug_assert!(!matches!(form, Form::Bool(_) | Form::Not(_)));
-        let key = Hashed::new(form.clone());
-        if let Some(&v) = self.atoms.get(&key) {
+        if let Some(&v) = self.atoms.get(form) {
             return (v as Lit) << 1;
         }
         let kind = match form {
@@ -438,7 +395,7 @@ impl<'a> Solver<'a> {
             kind,
         };
         let v = self.new_var(Some(info));
-        self.atoms.insert(key, v);
+        self.atoms.insert(form.clone(), v);
         (v as Lit) << 1
     }
 
@@ -475,8 +432,7 @@ impl<'a> Solver<'a> {
     /// polarity that occurs) by clauses over the encoded children.  Shared
     /// subtrees reuse their proxy through the cache.
     fn encode_junction(&mut self, whole: &Form, parts: &[Form], conj: bool) -> ELit {
-        let key = Hashed::new(whole.clone());
-        if let Some(&lit) = self.proxy_cache.get(&key) {
+        if let Some(&lit) = self.proxy_cache.get(whole) {
             return ELit::L(lit);
         }
         let mut lits: Vec<Lit> = Vec::with_capacity(parts.len());
@@ -516,7 +472,7 @@ impl<'a> Solver<'a> {
                     clause.extend(lits);
                     self.add_clause_guarded(clause, Some(p));
                 }
-                self.proxy_cache.insert(key, p);
+                self.proxy_cache.insert(whole.clone(), p);
                 ELit::L(p)
             }
         }
@@ -582,12 +538,7 @@ impl<'a> Solver<'a> {
         let ci = self.clauses.len() as u32;
         self.watches[lits[0] as usize].push(ci);
         self.watches[lits[1] as usize].push(ci);
-        self.clauses.push(Clause {
-            lits,
-            relevance,
-            deleted: false,
-        });
-        self.clause_activity.push(0);
+        self.clauses.push(Clause { lits, relevance });
     }
 
     // ----- assignment and propagation -----
@@ -691,10 +642,6 @@ impl<'a> Solver<'a> {
             let mut i = 0;
             'clauses: while i < ws.len() {
                 let ci = ws[i] as usize;
-                if self.clauses[ci].deleted {
-                    ws.swap_remove(i); // lazy watch removal of a tombstone
-                    continue;
-                }
                 // Make sure the false literal sits at index 1.
                 if self.clauses[ci].lits[0] == false_lit {
                     self.clauses[ci].lits.swap(0, 1);
@@ -953,18 +900,6 @@ impl<'a> Solver<'a> {
     /// contradiction holds at the root (the refutation succeeded).
     fn resolve_conflict(&mut self, conflict: Conflict) -> bool {
         self.n_conflicts += 1;
-        self.conflicts_since_restart += 1;
-        if self.n_conflicts.is_multiple_of(ACTIVITY_DECAY_INTERVAL) {
-            for a in &mut self.activity {
-                *a >>= 1;
-            }
-            for a in &mut self.clause_activity {
-                *a >>= 1;
-            }
-        }
-        if self.n_conflicts.is_multiple_of(DELETION_INTERVAL) {
-            self.reduce_learned();
-        }
         if self.current_level() == 0 {
             return false;
         }
@@ -972,9 +907,7 @@ impl<'a> Solver<'a> {
             Analyzed::Root => return false,
             Analyzed::Learned(learnt, backjump) => {
                 self.backtrack(backjump);
-                let reason = self.record_learnt(&learnt);
-                let ok = self.enqueue(learnt[0], reason);
-                debug_assert!(ok, "the asserting literal is unassigned after backjump");
+                self.learn(learnt);
                 return true;
             }
             Analyzed::Fallback => {}
@@ -988,77 +921,25 @@ impl<'a> Solver<'a> {
             learnt.push(d ^ 1);
         }
         self.backtrack(self.current_level() - 1);
-        let reason = self.record_learnt(&learnt);
-        let ok = self.enqueue(learnt[0], reason);
-        debug_assert!(ok, "the flipped decision is unassigned after backtracking");
+        self.learn(learnt);
         true
     }
 
-    /// Records a learned clause and returns the reason to attach to its
-    /// asserting literal.  The clause cap is live: reaching it triggers a
-    /// reduction sweep, and only if the sweep frees nothing (everything
-    /// locked) is the clause dropped.
-    fn record_learnt(&mut self, learnt: &[Lit]) -> Reason {
-        if learnt.len() < 2 {
-            return Reason::Theory;
-        }
-        if self.learned_count >= MAX_LEARNED_CLAUSES {
-            self.reduce_learned();
-            if self.learned_count >= MAX_LEARNED_CLAUSES {
-                return Reason::Theory;
-            }
-        }
-        let ci = self.clauses.len() as u32;
-        self.watches[learnt[0] as usize].push(ci);
-        self.watches[learnt[1] as usize].push(ci);
-        self.clauses.push(Clause {
-            lits: learnt.to_vec(),
-            relevance: None,
-            deleted: false,
-        });
-        // A fresh clause starts at the current maximum so it survives the
-        // next sweep long enough to prove itself.
-        let start = self
-            .clause_activity
-            .iter()
-            .skip(self.input_clauses)
-            .copied()
-            .max()
-            .unwrap_or(0);
-        self.clause_activity.push(start);
-        self.learned_count += 1;
-        self.n_learned += 1;
-        Reason::Clause(ci)
-    }
-
-    /// Activity-based learned-clause deletion: tombstones the lower-activity
-    /// half of the unlocked learned clauses.  Locked clauses (the reason of a
-    /// trail literal) are untouchable — analysis may still resolve through
-    /// them.  Watch entries of tombstones are dropped lazily by
-    /// `bool_propagate`; the literals stay so an in-flight conflict reference
-    /// remains readable.
-    fn reduce_learned(&mut self) {
-        let mut candidates: Vec<u32> = (self.input_clauses..self.clauses.len())
-            .filter(|&ci| !self.clauses[ci].deleted)
-            .map(|ci| ci as u32)
-            .collect();
-        if candidates.len() < 2 {
-            return;
-        }
-        let locked: std::collections::HashSet<u32> = self
-            .trail
-            .iter()
-            .filter_map(|&lit| match self.reason[(lit >> 1) as usize] {
-                Reason::Clause(ci) if ci as usize >= self.input_clauses => Some(ci),
-                _ => None,
-            })
-            .collect();
-        candidates.retain(|ci| !locked.contains(ci));
-        candidates.sort_by_key(|&ci| self.clause_activity[ci as usize]);
-        for &ci in &candidates[..candidates.len() / 2] {
-            self.clauses[ci as usize].deleted = true;
-            self.learned_count -= 1;
-        }
+    /// Asserts the first literal of a learned clause, which the backjump
+    /// left unassigned.  A clause of two or more literals becomes its
+    /// reason and stays for the rest of the refutation.
+    fn learn(&mut self, learnt: Vec<Lit>) {
+        let asserting = learnt[0];
+        let reason = if learnt.len() < 2 {
+            Reason::Theory
+        } else {
+            let ci = self.clauses.len() as u32;
+            self.add_clause(learnt);
+            self.n_learned += 1;
+            Reason::Clause(ci)
+        };
+        let ok = self.enqueue(asserting, reason);
+        debug_assert!(ok, "the asserting literal is unassigned after the backjump");
     }
 
     /// First-UIP conflict analysis.  Theory-propagated literals resolve
@@ -1067,10 +948,7 @@ impl<'a> Solver<'a> {
     /// propagated one, so the backwards walk stays well-founded.
     fn analyze(&mut self, conflict: Conflict) -> Analyzed {
         let mut src: Vec<Lit> = match conflict {
-            Conflict::Clause(ci) => {
-                self.clause_activity[ci as usize] += 1;
-                self.clauses[ci as usize].lits.clone()
-            }
+            Conflict::Clause(ci) => self.clauses[ci as usize].lits.clone(),
             Conflict::Lits(lits) => lits,
             Conflict::Opaque => return Analyzed::Fallback,
         };
@@ -1126,7 +1004,6 @@ impl<'a> Solver<'a> {
             match self.reason[pv] {
                 Reason::Clause(ci) => {
                     // The propagated literal is lits[0]; resolve on the rest.
-                    self.clause_activity[ci as usize] += 1;
                     src = self.clauses[ci as usize].lits[1..].to_vec();
                 }
                 Reason::CcEq { a, b } => match self.cc.explain_terms(a, b) {
@@ -1241,16 +1118,6 @@ impl<'a> Solver<'a> {
                 }
                 continue;
             }
-            // Luby-scheduled restart: back to the root, keeping the learned
-            // clauses and activities (checked only at quiescent points, so a
-            // restart never abandons an in-flight propagation).
-            if self.conflicts_since_restart >= self.restart_limit && self.current_level() > 0 {
-                self.conflicts_since_restart = 0;
-                self.restart_count += 1;
-                self.restart_limit = RESTART_BASE * luby(self.restart_count);
-                self.backtrack(0);
-                continue;
-            }
             match self.pick_branch() {
                 Some(lit) => self.decide(lit),
                 // Every input clause is satisfied and the theories agree:
@@ -1270,23 +1137,6 @@ enum Analyzed {
     /// No clause derivable (an unexplained theory step): learn the decision
     /// clause instead.
     Fallback,
-}
-
-/// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, ...): the value at
-/// 0-based index `x`, computed the classic MiniSat way.
-fn luby(mut x: u64) -> u64 {
-    let mut size = 1u64;
-    let mut seq = 0u32;
-    while size < x + 1 {
-        seq += 1;
-        size = 2 * size + 1;
-    }
-    while size - 1 != x {
-        size = (size - 1) / 2;
-        seq -= 1;
-        x %= size;
-    }
-    1u64 << seq
 }
 
 // ---------------------------------------------------------------------------

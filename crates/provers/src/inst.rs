@@ -6,12 +6,12 @@
 //! *triggers* — multi-patterns of uninterpreted applications, field reads,
 //! array reads and membership atoms that together cover every binder — and
 //! matches them against a term index built from the congruence classes of the
-//! current ground set ([`Matcher`]).  Instances are therefore generated only
+//! current ground set (`Matcher`).  Instances are therefore generated only
 //! for terms that actually occur in the problem, in the style of Simplify's
 //! E-matching, instead of the sort-indexed cross product the engine used to
 //! enumerate.  Quantifiers for which no trigger can be selected (purely
 //! arithmetic bodies, say) fall back to the bounded sort-pool enumeration
-//! ([`TermPool`]).
+//! (`TermPool`).
 //!
 //! Rounds keep an *instance frontier*: after the first round a quantifier is
 //! only matched against candidate terms added since it was last processed,
@@ -42,7 +42,6 @@ use crate::cc::Congruence;
 use crate::ground::{refute, GroundResult};
 use crate::preprocess::{axioms_for, Accesses, Problem};
 use crate::{Cancel, ProverConfig};
-use ipl_logic::hashed::Hashed;
 use ipl_logic::simplify::simplify;
 use ipl_logic::subst::substitute;
 use ipl_logic::{free_vars, Form, Sort, SortEnv};
@@ -83,12 +82,11 @@ pub fn refute_with_instantiation(
         .collect();
     // Seeded with the initial ground set so that neither re-derived axioms
     // nor instances duplicating an existing formula are added twice.
-    let mut seen_instances: HashSet<Hashed> =
-        ground.iter().map(|f| Hashed::new(f.clone())).collect();
+    let mut seen_instances: HashSet<Form> = ground.iter().cloned().collect();
     let instance_budget = config.effective_instances(assumption_count);
     let mut total_instances = 0usize;
 
-    let mut matcher = Matcher::new();
+    let mut matcher = Matcher::default();
     matcher.index_forms(&ground, 0);
 
     // Accesses of the problem and its instances (the initial ground set
@@ -97,7 +95,7 @@ pub fn refute_with_instantiation(
     // where a write equality is only branch-locally satisfiable and thus
     // invisible to the matcher's unit-equality congruence.
     let mut accesses = Accesses::default();
-    let mut ground_equalities: HashSet<Hashed> = HashSet::new();
+    let mut ground_equalities: HashSet<Form> = HashSet::new();
     for form in problem.all_forms() {
         accesses.collect(form);
     }
@@ -161,7 +159,7 @@ pub fn refute_with_instantiation(
                 if total_instances >= instance_budget {
                     break 'quantifiers; // budget is global: stop all quantifiers
                 }
-                if seen_instances.insert(Hashed::new(instance.clone())) {
+                if seen_instances.insert(instance.clone()) {
                     total_instances += 1;
                     match instance {
                         Form::Forall(..) => new_quantified.push(instance),
@@ -217,14 +215,13 @@ pub fn refute_with_instantiation(
                 // reads their select/store semantics.)
                 if let Form::Implies(guard, _) = &axiom {
                     if let Form::Eq(a, b) = guard.as_ref() {
-                        if !ground_equalities.contains(&Hashed::new((**guard).clone()))
-                            && !matcher.knows_equal(a, b)
+                        if !ground_equalities.contains(guard.as_ref()) && !matcher.knows_equal(a, b)
                         {
                             continue;
                         }
                     }
                 }
-                if seen_instances.insert(Hashed::new(axiom.clone())) {
+                if seen_instances.insert(axiom.clone()) {
                     new_axioms.push(axiom);
                 }
             }
@@ -244,12 +241,12 @@ pub fn refute_with_instantiation(
 /// implication antecedent do not — in particular the guards of existing
 /// read-over-write axioms, which only ever occur negated in a branch, must
 /// not readmit themselves.
-fn collect_equalities(form: &Form, out: &mut HashSet<Hashed>) {
-    fn rec(form: &Form, positive: bool, out: &mut HashSet<Hashed>) {
+fn collect_equalities(form: &Form, out: &mut HashSet<Form>) {
+    fn rec(form: &Form, positive: bool, out: &mut HashSet<Form>) {
         match form {
             Form::Eq(..) => {
                 if positive {
-                    out.insert(Hashed::new(form.clone()));
+                    out.insert(form.clone());
                 }
             }
             Form::Not(inner) => rec(inner, !positive, out),
@@ -372,13 +369,13 @@ impl Quantifier {
 /// [`MAX_TRIGGERS_PER_QUANTIFIER`], smallest first), then one greedily
 /// assembled multi-pattern.  Returns an empty list when the binders cannot be
 /// covered — the caller then falls back to sort-pool enumeration.
-pub fn select_triggers(bindings: &[(String, Sort)], body: &Form) -> Vec<Vec<Form>> {
+fn select_triggers(bindings: &[(String, Sort)], body: &Form) -> Vec<Vec<Form>> {
     let binders: HashSet<String> = bindings.iter().map(|(n, _)| n.clone()).collect();
     if binders.is_empty() {
         return Vec::new();
     }
     let mut candidates: Vec<PatternCandidate> = Vec::new();
-    let mut seen: HashSet<Hashed> = HashSet::new();
+    let mut seen: HashSet<Form> = HashSet::new();
     collect_patterns(body, &binders, &mut Vec::new(), &mut seen, &mut candidates);
 
     // Single patterns covering every binder, smallest first.
@@ -429,7 +426,7 @@ fn collect_patterns(
     form: &Form,
     binders: &HashSet<String>,
     nested: &mut Vec<String>,
-    seen: &mut HashSet<Hashed>,
+    seen: &mut HashSet<Form>,
     out: &mut Vec<PatternCandidate>,
 ) {
     if let Form::Forall(bs, body) | Form::Exists(bs, body) | Form::Compr(bs, body) = form {
@@ -440,8 +437,8 @@ fn collect_patterns(
         return;
     }
     if index_key(form).is_some() {
-        let hashed = Hashed::new(form.clone());
-        if hashed.size() <= MAX_PATTERN_SIZE && !seen.contains(&hashed) {
+        let size = form.size();
+        if size <= MAX_PATTERN_SIZE && !seen.contains(form) {
             let fv = free_vars(form);
             let coverage: Vec<String> = fv
                 .iter()
@@ -449,8 +446,7 @@ fn collect_patterns(
                 .cloned()
                 .collect();
             if !coverage.is_empty() && !fv.iter().any(|v| nested.contains(v)) {
-                let size = hashed.size();
-                seen.insert(hashed);
+                seen.insert(form.clone());
                 out.push(PatternCandidate {
                     pattern: form.clone(),
                     size,
@@ -499,18 +495,13 @@ struct Candidate {
 /// congruence engine tracking the asserted unit equalities so that matching
 /// works modulo the known congruence classes.
 #[derive(Debug, Default)]
-pub struct Matcher {
+struct Matcher {
     cc: Congruence,
     index: HashMap<IndexKey, Vec<Candidate>>,
-    indexed: HashSet<Hashed>,
+    indexed: HashSet<Form>,
 }
 
 impl Matcher {
-    /// Creates an empty matcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Indexes every matchable subterm of the given ground formulas with the
     /// given frontier stamp, and asserts their top-level unit equalities into
     /// the congruence engine.
@@ -533,7 +524,7 @@ impl Matcher {
         }
         if let Some(key) = index_key(form) {
             let ground = bound.is_empty() || !free_vars(form).iter().any(|v| bound.contains(v));
-            if ground && self.indexed.insert(Hashed::new(form.clone())) {
+            if ground && self.indexed.insert(form.clone()) {
                 self.cc.intern(form);
                 self.index.entry(key).or_default().push(Candidate {
                     form: form.clone(),
@@ -742,16 +733,16 @@ fn mentions_any(form: &Form, names: &HashSet<String>) -> bool {
 /// and buckets are sorted by term size once at construction, so lookups
 /// neither re-sort nor clone.
 #[derive(Debug, Default)]
-pub struct TermPool {
+struct TermPool {
     by_sort: BTreeMap<Sort, Vec<Form>>,
-    seen: HashSet<Hashed>,
+    seen: HashSet<Form>,
 }
 
 impl TermPool {
     /// Candidate terms for a binder of the given sort, smallest first.  For a
     /// known sort this borrows the pre-sorted bucket; only the (rare) unknown
     /// sort merges buckets on demand.
-    pub fn candidates(&self, sort: &Sort) -> Cow<'_, [Form]> {
+    fn candidates(&self, sort: &Sort) -> Cow<'_, [Form]> {
         match sort {
             Sort::Unknown => {
                 let mut all: Vec<(usize, Form)> = self
@@ -772,7 +763,7 @@ impl TermPool {
     }
 
     fn insert(&mut self, sort: Sort, term: Form) {
-        if self.seen.insert(Hashed::new(term.clone())) {
+        if self.seen.insert(term.clone()) {
             self.by_sort.entry(sort).or_default().push(term);
         }
     }
@@ -788,21 +779,11 @@ impl TermPool {
             bucket.extend(decorated.into_iter().map(|(_, t)| t));
         }
     }
-
-    /// Total number of pooled terms (for diagnostics).
-    pub fn len(&self) -> usize {
-        self.by_sort.values().map(Vec::len).sum()
-    }
-
-    /// Returns `true` if the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Collects the ground instantiation candidates occurring in the given
 /// formulas.
-pub fn term_pool<'a>(forms: impl Iterator<Item = &'a Form>, env: &SortEnv) -> TermPool {
+fn term_pool<'a>(forms: impl Iterator<Item = &'a Form>, env: &SortEnv) -> TermPool {
     let mut pool = TermPool::default();
     // Seed with the obvious constants.
     pool.insert(Sort::Int, Form::int(0));
@@ -1052,7 +1033,6 @@ mod tests {
             parse_form("first.next = a").unwrap(),
         ];
         let pool = term_pool(forms.iter(), &env);
-        assert!(!pool.is_empty());
         let ints = pool.candidates(&Sort::Int);
         assert!(ints.contains(&Form::var("index")));
         assert!(ints.contains(&Form::var("size")));

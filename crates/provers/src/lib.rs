@@ -229,15 +229,15 @@ pub enum SkipReason {
 }
 
 /// Resource budgets controlling the bounded search.  The search itself is
-/// fixed — clause learning, theory propagation, restarts, trigger selection
-/// and the sort-pool fallback always run — so only its bounds are settable.
+/// fixed — clause learning, theory propagation, trigger selection and the
+/// sort-pool fallback always run — so only its bounds are settable.
 ///
 /// The whole configuration hashes into the proof-cache fingerprint (see
 /// [`cache`]), so runs under different budgets never share cached proofs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProverConfig {
     /// Maximum number of iterations of the ground solver's CDCL(T) loop;
-    /// each one ends in a conflict, a restart or a decision.
+    /// each one ends in a conflict or a decision.
     pub max_branch_nodes: usize,
     /// Number of quantifier-instantiation rounds.
     pub instantiation_rounds: usize,

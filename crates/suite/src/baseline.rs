@@ -5,7 +5,7 @@
 //! array with one object per data structure.  [`compare`] matches the
 //! committed entries with a fresh run's by `name` and reports every field
 //! that differs, nested count maps key by key, except the fields in
-//! [`VOLATILE`]: wall-clock, per-stage time and proof-cache hits change from
+//! `VOLATILE`: wall-clock, per-stage time and proof-cache hits change from
 //! run to run.  Everything else (methods and sequents verified, prover
 //! attribution, ground-core counters) does not depend on the machine, as
 //! long as one worker runs the table from an empty proof cache: two workers

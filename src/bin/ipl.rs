@@ -55,10 +55,11 @@ quarantined and answered with an error frame; the daemon keeps serving.
 serve options:
   --cache-dir DIR    persistent proof store directory (default: $IPL_CACHE_DIR)
   --no-cache         disable the proof cache (and the store) entirely
-  --jobs N           default worker threads (requests may override)
+  --jobs N           default worker threads (requests may override with
+                     `jobs`, up to the machine's available parallelism)
   --module-deadline-ms N
                      default wall-clock budget per request (requests may
-                     override with `deadline_ms`)
+                     override with `deadline_ms`, in milliseconds)
   --listen PATH      accept connections on a Unix socket at PATH instead of
                      serving stdin (one protocol stream per connection; a
                      `shutdown` request stops the whole daemon)

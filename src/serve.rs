@@ -25,19 +25,28 @@
 //! ```
 //!
 //! * `source` (required for `verify`) — the annotated module text;
-//! * `deadline_ms` — wall-clock budget for this request; sequents dispatched
-//!   after it passes come back `skipped` and the report is partial;
-//! * `jobs` — worker threads for this request;
+//! * `deadline_ms` — wall-clock budget for this request, a non-negative
+//!   integer below 2^64; sequents dispatched after it passes come back
+//!   `skipped` and the report is partial;
+//! * `jobs` — worker threads for this request, a non-negative integer (`0`
+//!   means the machine's available parallelism); a larger count is cut to
+//!   the available parallelism;
 //! * `fault_plan` — a deterministic chaos-injection spec (as accepted by
 //!   `ipl verify --fault-plan`) that governs this request alone: its prover
 //!   stages, its store append and its connection-level faults.  A request
 //!   without one runs under the daemon's `--fault-plan`, if any.
 //!
-//! Unknown keys are ignored.  Frames are standard JSON ([`crate::core::json`]):
-//! a string may use every RFC 8259 escape (`\r`, `\u00e9`, surrogate pairs),
-//! and answers escape control characters the same way.  A frame may be at
-//! most 4 MiB: a longer one is answered with one `protocol` error frame, the
-//! rest of it up to the next newline is discarded, and the stream goes on.
+//! Unknown keys are ignored; a `deadline_ms` or `jobs` of any other shape is
+//! answered with a `protocol` error frame.  Frames are standard JSON
+//! ([`crate::core::json`]): a string may use every RFC 8259 escape (`\r`,
+//! `\u00e9`, surrogate pairs), and answers escape control characters the
+//! same way.  A frame may be at most 4 MiB: a longer one is answered with one
+//! `protocol` error frame, the rest of it up to the next newline is
+//! discarded, and the stream goes on.  Nesting is bounded too, since the
+//! readers recurse once per level: a frame whose arrays and objects nest more
+//! than 64 deep gets a `protocol` frame, and a source or quoted formula that
+//! nests more than 64 levels (blocks, parentheses, binders, unary operators,
+//! operator chains) gets a `parse` frame with its line and span.
 //!
 //! ## Responses
 //!
@@ -143,29 +152,54 @@ const MAX_FRAME_BYTES: usize = 4 << 20;
 /// The most bytes one read of a stream takes.
 const CHUNK_BYTES: usize = 4096;
 
+/// The [`Request`] a verify frame asks for, or the message of the `protocol`
+/// frame that answers it.  `jobs` is the request's worker-thread count, so
+/// it is cut to the machine's available parallelism.
+fn verify_request(
+    frame: &Json,
+    plan: Result<Option<fault::FaultPlan>, String>,
+) -> Result<Request, String> {
+    let source = frame
+        .get("source")
+        .and_then(Json::as_str)
+        .ok_or("verify needs a string `source`")?;
+    let mut request = Request::new(source);
+    if let Some(plan) = plan? {
+        request = request.with_fault_plan(plan);
+    }
+    if let Some(ms) = count_field(frame, "deadline_ms")? {
+        request = request.with_deadline(Duration::from_millis(ms));
+    }
+    if let Some(jobs) = count_field(frame, "jobs")? {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        request = request.with_jobs(usize::try_from(jobs).map_or(cores, |jobs| jobs.min(cores)));
+    }
+    Ok(request)
+}
+
+/// An optional key that must hold a non-negative integer below 2^64.
+fn count_field(frame: &Json, key: &str) -> Result<Option<u64>, String> {
+    let Some(value) = frame.get(key) else {
+        return Ok(None);
+    };
+    match value.as_u128().map(u64::try_from) {
+        Some(Ok(count)) => Ok(Some(count)),
+        _ => Err(format!(
+            "`{key}` must be a non-negative integer below 2^64, not {value}"
+        )),
+    }
+}
+
 fn handle_verify(
     session: &Session,
     frame: &Json,
     id: Option<&Json>,
     plan: Result<Option<fault::FaultPlan>, String>,
 ) -> String {
-    let Some(source) = frame.get("source").and_then(Json::as_str) else {
-        return error_frame(id, "protocol", "verify needs a string `source`", None);
-    };
-    let plan = match plan {
-        Ok(plan) => plan,
+    let request = match verify_request(frame, plan) {
+        Ok(request) => request,
         Err(e) => return error_frame(id, "protocol", &e, None),
     };
-    let mut request = Request::new(source);
-    if let Some(ms) = frame.get("deadline_ms").and_then(Json::as_u128) {
-        request = request.with_deadline(std::time::Duration::from_millis(ms as u64));
-    }
-    if let Some(jobs) = frame.get("jobs").and_then(Json::as_u128) {
-        request = request.with_jobs(jobs as usize);
-    }
-    if let Some(plan) = plan {
-        request = request.with_fault_plan(plan);
-    }
 
     // The whole request runs inside a containment boundary: an injected (or
     // real) panic anywhere in the driver becomes a `crashed` error frame and
@@ -950,6 +984,39 @@ mod tests {
         parse_json(&daemon.handle(line).frame).expect("every frame is valid JSON")
     }
 
+    fn error_kind(answer: &Json) -> Option<&str> {
+        answer.get("error")?.get("kind")?.as_str()
+    }
+
+    #[test]
+    fn deadlines_and_jobs_must_be_counts_in_range() {
+        let build = |keys: &str| {
+            let line = format!("{{\"source\": \"module M {{}}\"{keys}}}");
+            verify_request(&parse_json(&line).unwrap(), Ok(None))
+        };
+        let request = build(", \"deadline_ms\": 18446744073709549568, \"jobs\": 1").unwrap();
+        assert_eq!(
+            request.deadline,
+            Some(Duration::from_millis(u64::MAX - 2047))
+        );
+        assert_eq!(request.jobs, Some(1));
+        assert_eq!(build("").map(|r| (r.deadline, r.jobs)), Ok((None, None)));
+        // 2^64 does not fit; the rest are no count at all.
+        for bad in ["18446744073709551616", "-1", "2.5", "\"500\"", "null"] {
+            for key in ["deadline_ms", "jobs"] {
+                let error = build(&format!(", \"{key}\": {bad}")).unwrap_err();
+                assert!(error.starts_with(&format!("`{key}` must be")), "{error}");
+            }
+        }
+        // `jobs` is a thread count, so it is cut to the available
+        // parallelism; 0 still means "the available parallelism".
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        for (asked, granted) in [(1_000_000, cores), (0, 0)] {
+            let jobs = build(&format!(", \"jobs\": {asked}")).unwrap().jobs;
+            assert_eq!(jobs, Some(granted), "jobs {asked}");
+        }
+    }
+
     fn verify_line(id: usize, source: &str) -> String {
         format!(
             "{{\"id\": {id}, \"op\": \"verify\", \"source\": {}}}",
@@ -985,29 +1052,18 @@ mod tests {
             "not json at all",
             "{\"op\": \"verify\"}",
             "{\"op\": \"launch\"}",
+            "{\"source\": \"module M {}\", \"deadline_ms\": -5}",
+            "{\"source\": \"module M {}\", \"jobs\": 1.5}",
         ] {
             let answer = frame(&daemon, bad);
             assert_eq!(answer.get("ok"), Some(&Json::Bool(false)), "{bad}");
-            assert_eq!(
-                answer
-                    .get("error")
-                    .and_then(|e| e.get("kind"))
-                    .and_then(Json::as_str),
-                Some("protocol"),
-                "{bad}"
-            );
+            assert_eq!(error_kind(&answer), Some("protocol"), "{bad}");
         }
         // Undecodable bytes are one more malformed frame; blank lines are no
         // request at all.
         let served = daemon.handle_bytes(b"\xff\xfe").expect("answered");
         let answer = parse_json(&served.frame).unwrap();
-        assert_eq!(
-            answer
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str),
-            Some("protocol")
-        );
+        assert_eq!(error_kind(&answer), Some("protocol"));
         assert!(daemon.handle_bytes(b"  \r").is_none());
     }
 
@@ -1249,13 +1305,7 @@ mod tests {
             .map(|line| parse_json(line).unwrap())
             .collect();
         assert_eq!(frames.len(), 2, "{frames:?}");
-        assert_eq!(
-            frames[0]
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str),
-            Some("protocol")
-        );
+        assert_eq!(error_kind(&frames[0]), Some("protocol"));
         assert_eq!(frames[1].get("id").and_then(Json::as_u128), Some(2));
         assert_eq!(frames[1].get("ok"), Some(&Json::Bool(true)));
         assert!(

@@ -96,9 +96,8 @@ proptest! {
         let env = env();
         let naive = reference::refute_naive(&forms, &env, 500_000);
         // Both searches are complete on propositional inputs, so the CDCL
-        // engine must agree with the reference exactly — learning, theory
-        // propagation and restarts change the search order, never the
-        // verdict.
+        // engine must agree with the reference exactly — learning and
+        // theory propagation change the search order, never the verdict.
         let cdcl = refute(&forms, &env, &ProverConfig::default(), &Cancel::never());
         prop_assert!(cdcl == naive, "CDCL disagrees with the reference: {:?} vs {:?}", cdcl, naive);
     }

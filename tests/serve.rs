@@ -14,7 +14,10 @@
 //! 4. a chaos request's plan governs that request alone — a clean request
 //!    on another connection answers as it would on a fault-free daemon;
 //! 5. frames are standard JSON: a source sent with CRLF line endings or with
-//!    `\u` escapes verifies exactly like the plain one.
+//!    `\u` escapes verifies exactly like the plain one;
+//! 6. a frame, source or formula nested past the readers' cap of 64 levels
+//!    gets one error frame on its connection, which goes on serving, and
+//!    input at the cap verifies on a connection thread's stack.
 
 use ipl::core::json::{self, parse_json, Json};
 use std::io::{BufRead, BufReader, Write};
@@ -49,12 +52,7 @@ impl Daemon {
     /// Sends one request line and reads the one response frame it produces.
     fn request(&mut self, line: &str) -> Json {
         writeln!(self.stdin, "{line}").expect("daemon accepts the request");
-        let mut frame = String::new();
-        self.stdout
-            .read_line(&mut frame)
-            .expect("daemon answers the request");
-        assert!(!frame.is_empty(), "daemon closed the stream early");
-        parse_json(&frame).unwrap_or_else(|e| panic!("bad frame {frame:?}: {e}"))
+        read_frame(&mut self.stdout)
     }
 
     /// Sends `shutdown` and waits for a clean exit.
@@ -71,6 +69,19 @@ fn u(frame: &Json, key: &str) -> u128 {
         .get(key)
         .and_then(Json::as_u128)
         .unwrap_or_else(|| panic!("frame has no numeric `{key}`: {frame:?}"))
+}
+
+/// Reads one response frame.
+fn read_frame(reader: &mut impl BufRead) -> Json {
+    let mut frame = String::new();
+    reader.read_line(&mut frame).expect("daemon answers");
+    assert!(!frame.is_empty(), "daemon closed the stream early");
+    parse_json(&frame).unwrap_or_else(|e| panic!("bad frame {frame:?}: {e}"))
+}
+
+/// The `kind` of an error frame.
+fn error_kind(frame: &Json) -> Option<&str> {
+    frame.get("error")?.get("kind")?.as_str()
 }
 
 fn verify_frame(extra: &str) -> String {
@@ -230,12 +241,7 @@ fn parse_errors_answer_typed_frames_with_spans() {
 
     // A malformed frame is a protocol error, not a dead daemon.
     let bad = daemon.request("this is not json");
-    assert_eq!(
-        bad.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Json::as_str),
-        Some("protocol")
-    );
+    assert_eq!(error_kind(&bad), Some("protocol"));
 
     daemon.shutdown();
 }
@@ -245,13 +251,7 @@ fn parse_errors_answer_typed_frames_with_spans() {
 fn assert_bad_encoding_then_stats(mut read_frame: impl FnMut() -> Json) {
     let bad = read_frame();
     assert_eq!(bad.get("ok"), Some(&Json::Bool(false)), "{bad:?}");
-    assert_eq!(
-        bad.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Json::as_str),
-        Some("protocol"),
-        "{bad:?}"
-    );
+    assert_eq!(error_kind(&bad), Some("protocol"), "{bad:?}");
     let stats = read_frame();
     assert_eq!(
         stats.get("id").and_then(Json::as_u128),
@@ -270,12 +270,7 @@ fn non_utf8_lines_answer_protocol_frames_on_stdin() {
     let mut daemon = Daemon::spawn(&["--no-cache"]);
     daemon.stdin.write_all(BAD_ENCODING_THEN_STATS).unwrap();
     daemon.stdin.flush().unwrap();
-    assert_bad_encoding_then_stats(|| {
-        let mut frame = String::new();
-        daemon.stdout.read_line(&mut frame).unwrap();
-        assert!(!frame.is_empty(), "daemon closed the stream early");
-        parse_json(&frame).unwrap_or_else(|e| panic!("bad frame {frame:?}: {e}"))
-    });
+    assert_bad_encoding_then_stats(|| read_frame(&mut daemon.stdout));
     daemon.shutdown();
 }
 
@@ -287,20 +282,145 @@ fn non_utf8_lines_answer_protocol_frames_on_sockets() {
     let dir = temp_dir("non-utf8");
     std::fs::create_dir_all(&dir).unwrap();
     let socket = dir.join("ipl.sock");
-    let (mut child, stream) = spawn_socket_daemon(&socket, &[]);
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    writer.write_all(BAD_ENCODING_THEN_STATS).unwrap();
-    assert_bad_encoding_then_stats(|| {
-        let mut frame = String::new();
-        reader.read_line(&mut frame).unwrap();
-        parse_json(&frame).unwrap_or_else(|e| panic!("bad frame {frame:?}: {e}"))
-    });
-    writeln!(writer, "{{\"op\": \"shutdown\"}}").unwrap();
-    let mut bye = String::new();
-    reader.read_line(&mut bye).unwrap();
-    assert_eq!(wait_with_deadline(&mut child, 10), 0);
+    let (child, stream) = spawn_socket_daemon(&socket, &[]);
+    let mut client = Client::new(stream);
+    client.writer.write_all(BAD_ENCODING_THEN_STATS).unwrap();
+    assert_bad_encoding_then_stats(|| client.recv());
+    client.shutdown(child);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-method module that nests `n` levels one way: a parenthesised
+/// program expression, a parenthesised postcondition, `if`s, or a sum of `n`
+/// terms, which the parser builds left-nested.
+fn nested_module(shape: &str, n: usize) -> String {
+    let (open, close) = ("(".repeat(n), ")".repeat(n));
+    let (body, ensures) = match shape {
+        "parentheses" => (format!("x := {open}y{close};"), "x = y".to_string()),
+        "formula" => ("x := y;".to_string(), format!("{open}x = y{close}")),
+        "ifs" => {
+            let body = format!("{}x := y;{}", "if (y > 0) { ".repeat(n), " }".repeat(n));
+            (body, "y > 0 --> x = y".to_string())
+        }
+        _ => (
+            format!("x := {};", vec!["y"; n].join(" + ")),
+            format!("x = {n} * y"),
+        ),
+    };
+    format!("module Deep {{\n  var x: int;\n  var y: int;\n  method m()\n    modifies x\n    ensures \"{ensures}\"\n  {{\n    {body}\n  }}\n}}")
+}
+
+/// Each reader recursed once per level without a bound, so one request line
+/// nested a few thousand deep overflowed its connection thread's stack and
+/// aborted the whole daemon.  Input past the cap of 64 levels now gets one
+/// error frame and the connection goes on; input at the cap verifies.
+#[cfg(unix)]
+#[test]
+fn deeply_nested_input_is_refused_and_input_at_the_cap_verifies() {
+    let dir = temp_dir("deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    // One worker, so every request runs on its connection thread.
+    let (child, stream) = spawn_socket_daemon(&dir.join("ipl.sock"), &["--jobs", "1"]);
+    let mut client = Client::new(stream);
+    let mut verify = |shape: &str, n: usize| {
+        let source = json::string(&nested_module(shape, n));
+        client.request(&format!("{{\"op\": \"verify\", \"source\": {source}}}"))
+    };
+    for (shape, n) in [
+        ("parentheses", 1_500),
+        ("formula", 1_000),
+        ("ifs", 1_500),
+        ("sum", 3_000),
+    ] {
+        let frame = verify(shape, n);
+        assert_eq!(error_kind(&frame), Some("parse"), "{shape}: {frame:?}");
+        let error = frame.get("error").unwrap();
+        assert!(
+            error.get("line").is_some() && error.get("span").is_some(),
+            "{shape}"
+        );
+    }
+    // At the cap: 63 levels inside a method body, which is one; a quoted
+    // formula counts from zero.
+    for (shape, n) in [
+        ("parentheses", 63),
+        ("formula", 64),
+        ("ifs", 63),
+        ("sum", 64),
+    ] {
+        let frame = verify(shape, n);
+        assert_eq!(
+            frame.get("fully_proved"),
+            Some(&Json::Bool(true)),
+            "{shape}: {frame:?}"
+        );
+    }
+    let frame = client.request(&"[".repeat(20_000));
+    assert_eq!(error_kind(&frame), Some("protocol"), "{frame:?}");
+    // 63 arrays inside the frame's object are 64 levels.
+    let stats = format!(
+        "{{\"op\": \"stats\", \"id\": {}{}}}",
+        "[".repeat(63),
+        "]".repeat(63)
+    );
+    assert_eq!(client.request(&stats).get("ok"), Some(&Json::Bool(true)));
+    let frame = client.request(&verify_frame(""));
+    assert_eq!(
+        frame.get("fully_proved"),
+        Some(&Json::Bool(true)),
+        "{frame:?}"
+    );
+    client.shutdown(child);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One connection to a `--listen` daemon.
+#[cfg(unix)]
+struct Client {
+    writer: std::os::unix::net::UnixStream,
+    reader: BufReader<std::os::unix::net::UnixStream>,
+}
+
+#[cfg(unix)]
+impl Client {
+    fn new(stream: std::os::unix::net::UnixStream) -> Client {
+        let writer = stream.try_clone().expect("the stream clones");
+        Client {
+            writer,
+            reader: BufReader::new(stream),
+        }
+    }
+
+    /// Sends one request line.
+    fn send(&mut self, line: &str) {
+        writeln!(self.writer, "{line}").expect("daemon accepts the request");
+    }
+
+    fn recv(&mut self) -> Json {
+        read_frame(&mut self.reader)
+    }
+
+    fn request(&mut self, line: &str) -> Json {
+        self.send(line);
+        self.recv()
+    }
+
+    /// Sends `shutdown` and waits for the daemon to exit 0.
+    fn shutdown(mut self, mut child: Child) {
+        let bye = self.request("{\"op\": \"shutdown\"}");
+        assert_eq!(bye.get("shutdown"), Some(&Json::Bool(true)), "{bye:?}");
+        assert_eq!(wait_with_deadline(&mut child, 10), 0);
+    }
+}
+
+/// Sends SIGTERM to the daemon.
+#[cfg(unix)]
+fn sigterm(child: &Child) {
+    let term = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("kill -TERM runs");
+    assert!(term.success());
 }
 
 /// Spawns a socket-mode daemon and waits for the socket to accept.
@@ -363,7 +483,7 @@ fn mid_frame_disconnect_tears_down_only_that_connection() {
     let dir = temp_dir("midframe");
     std::fs::create_dir_all(&dir).unwrap();
     let socket = dir.join("ipl.sock");
-    let (mut child, dying) = spawn_socket_daemon(&socket, &["--jobs", "1"]);
+    let (child, dying) = spawn_socket_daemon(&socket, &["--jobs", "1"]);
 
     // Half a frame, no newline, then EOF on the write half.
     let mut dying_writer = dying.try_clone().unwrap();
@@ -387,20 +507,11 @@ fn mid_frame_disconnect_tears_down_only_that_connection() {
     );
 
     // A second connection is entirely unaffected.
-    let healthy = connect(&socket);
-    let mut writer = healthy.try_clone().unwrap();
-    let mut reader = BufReader::new(healthy);
-    writeln!(writer, "{{\"id\": 1, \"op\": \"health\"}}").unwrap();
-    let mut frame = String::new();
-    reader.read_line(&mut frame).unwrap();
-    let frame = parse_json(&frame).unwrap();
+    let mut healthy = Client::new(connect(&socket));
+    let frame = healthy.request("{\"id\": 1, \"op\": \"health\"}");
     assert_eq!(frame.get("ok"), Some(&Json::Bool(true)), "{frame:?}");
     assert_eq!(frame.get("draining"), Some(&Json::Bool(false)));
-
-    writeln!(writer, "{{\"op\": \"shutdown\"}}").unwrap();
-    let mut bye = String::new();
-    reader.read_line(&mut bye).unwrap();
-    assert_eq!(wait_with_deadline(&mut child, 10), 0);
+    healthy.shutdown(child);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -416,60 +527,40 @@ fn overloaded_daemons_answer_typed_refusal_frames() {
     // Injected: every verify refused, control ops still served.
     {
         let socket = dir.join("injected.sock");
-        let (mut child, stream) =
+        let (child, stream) =
             spawn_socket_daemon(&socket, &["--fault-plan", "seed=3,overload=100"]);
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        writeln!(writer, "{}", verify_frame("")).unwrap();
-        let mut frame = String::new();
-        reader.read_line(&mut frame).unwrap();
-        let frame = parse_json(&frame).unwrap();
+        let mut client = Client::new(stream);
+        let frame = client.request(&verify_frame(""));
         assert_eq!(frame.get("ok"), Some(&Json::Bool(false)), "{frame:?}");
         assert_eq!(frame.get("overloaded"), Some(&Json::Bool(true)));
         assert_eq!(frame.get("reason").and_then(Json::as_str), Some("injected"));
         assert!(u(&frame, "retry_after_ms") > 0);
-
-        writeln!(writer, "{{\"op\": \"health\"}}").unwrap();
-        let mut health = String::new();
-        reader.read_line(&mut health).unwrap();
         assert_eq!(
-            parse_json(&health).unwrap().get("ok"),
+            client.request("{\"op\": \"health\"}").get("ok"),
             Some(&Json::Bool(true)),
             "control ops bypass admission"
         );
-        writeln!(writer, "{{\"op\": \"shutdown\"}}").unwrap();
-        let mut bye = String::new();
-        reader.read_line(&mut bye).unwrap();
-        assert_eq!(wait_with_deadline(&mut child, 10), 0);
+        client.shutdown(child);
     }
 
     // Real capacity: a one-slot, zero-queue pool with a slow request in
     // flight refuses the second request with reason "capacity".
     {
         let socket = dir.join("capacity.sock");
-        let (mut child, slow) = spawn_socket_daemon(
+        let (child, slow) = spawn_socket_daemon(
             &socket,
             &["--jobs", "1", "--max-inflight", "1", "--queue", "0"],
         );
-        let mut slow_writer = slow.try_clone().unwrap();
-        let mut slow_reader = BufReader::new(slow);
+        let mut slow = Client::new(slow);
         // 100% injected stage delays keep this request in flight long
         // enough for the refusal below to be deterministic in practice.
-        writeln!(
-            slow_writer,
-            "{}",
-            verify_frame(", \"fault_plan\": \"seed=5,delay=100,delay_ms=40\"")
-        )
-        .unwrap();
+        slow.send(&verify_frame(
+            ", \"fault_plan\": \"seed=5,delay=100,delay_ms=40\"",
+        ));
         std::thread::sleep(std::time::Duration::from_millis(300));
 
-        let second = connect(&socket);
-        let mut writer = second.try_clone().unwrap();
-        let mut reader = BufReader::new(second);
-        writeln!(writer, "{}", verify_frame("")).unwrap();
-        let mut refusal = String::new();
-        reader.read_line(&mut refusal).unwrap();
-        let refusal = parse_json(&refusal).unwrap();
+        let mut second = Client::new(connect(&socket));
+        let refusal = second.request(&verify_frame(""));
         assert_eq!(
             refusal.get("overloaded"),
             Some(&Json::Bool(true)),
@@ -482,19 +573,13 @@ fn overloaded_daemons_answer_typed_refusal_frames() {
         assert!(u(&refusal, "retry_after_ms") > 0);
 
         // The slow request itself still completes with a real report.
-        let mut slow_frame = String::new();
-        slow_reader.read_line(&mut slow_frame).unwrap();
-        let slow_frame = parse_json(&slow_frame).unwrap();
+        let slow_frame = slow.recv();
         assert_eq!(
             slow_frame.get("ok"),
             Some(&Json::Bool(true)),
             "{slow_frame:?}"
         );
-
-        writeln!(writer, "{{\"op\": \"shutdown\"}}").unwrap();
-        let mut bye = String::new();
-        reader.read_line(&mut bye).unwrap();
-        assert_eq!(wait_with_deadline(&mut child, 10), 0);
+        second.shutdown(child);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -512,21 +597,12 @@ fn sigterm_drains_the_daemon_cleanly() {
         spawn_socket_daemon(&socket, &["--jobs", "1", "--drain-deadline-ms", "10000"]);
 
     // One completed request so the daemon has warm state to flush.
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "{}", verify_frame("")).unwrap();
-    let mut frame = String::new();
-    reader.read_line(&mut frame).unwrap();
-    assert_eq!(
-        parse_json(&frame).unwrap().get("ok"),
-        Some(&Json::Bool(true))
-    );
+    // The connection stays open and idle through the drain.
+    let mut client = Client::new(stream);
+    let frame = client.request(&verify_frame(""));
+    assert_eq!(frame.get("ok"), Some(&Json::Bool(true)));
 
-    let term = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("kill -TERM runs");
-    assert!(term.success());
+    sigterm(&child);
     // Nothing is in flight, so the drain must finish far inside the 10s
     // deadline and report a clean exit.
     assert_eq!(wait_with_deadline(&mut child, 8), 0);
@@ -546,27 +622,17 @@ fn drain_deadline_cuts_inflight_requests_to_partials_and_exits_4() {
     let (mut child, stream) =
         spawn_socket_daemon(&socket, &["--jobs", "1", "--drain-deadline-ms", "100"]);
 
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
+    let mut client = Client::new(stream);
     // Injected 50ms delays on every stage keep this request running well
     // past the 100ms drain deadline started below.
-    writeln!(
-        writer,
-        "{}",
-        verify_frame(", \"fault_plan\": \"seed=5,delay=100,delay_ms=50\"")
-    )
-    .unwrap();
+    client.send(&verify_frame(
+        ", \"fault_plan\": \"seed=5,delay=100,delay_ms=50\"",
+    ));
     std::thread::sleep(std::time::Duration::from_millis(250));
-    let term = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("kill -TERM runs");
-    assert!(term.success());
+    sigterm(&child);
 
     // The cut request is still answered — one well-formed frame, partial.
-    let mut frame = String::new();
-    reader.read_line(&mut frame).unwrap();
-    let frame = parse_json(&frame).unwrap();
+    let frame = client.recv();
     assert_eq!(frame.get("ok"), Some(&Json::Bool(true)), "{frame:?}");
     assert_eq!(
         frame.get("fully_proved"),
@@ -590,11 +656,7 @@ fn sigterm_stops_an_idle_stdin_daemon_with_exit_0() {
     // An answered request shows the daemon and its SIGTERM handler are up.
     let health = daemon.request("{\"op\": \"health\"}");
     assert_eq!(health.get("ok"), Some(&Json::Bool(true)), "{health:?}");
-    let term = Command::new("kill")
-        .args(["-TERM", &daemon.child.id().to_string()])
-        .status()
-        .expect("kill -TERM runs");
-    assert!(term.success());
+    sigterm(&daemon.child);
     // Stdin stays open: the daemon must notice the drain while idle.
     assert_eq!(wait_with_deadline(&mut daemon.child, 5), 0);
 }
@@ -623,33 +685,19 @@ fn a_chaos_connection_leaves_a_clean_connection_untouched() {
     let dir = temp_dir("isolation");
     std::fs::create_dir_all(&dir).unwrap();
     let socket = dir.join("ipl.sock");
-    let (mut child, chaos) = spawn_socket_daemon(&socket, &["--jobs", "1", "--max-inflight", "2"]);
+    let (child, chaos) = spawn_socket_daemon(&socket, &["--jobs", "1", "--max-inflight", "2"]);
+    let mut chaos = Client::new(chaos);
     // Every stage of this request sleeps 20 ms and then panics.
-    writeln!(
-        chaos.try_clone().unwrap(),
-        "{}",
-        verify_frame(", \"id\": 1, \"fault_plan\": \"seed=1,panic=100,delay=100,delay_ms=20\"")
-    )
-    .unwrap();
+    chaos.send(&verify_frame(
+        ", \"id\": 1, \"fault_plan\": \"seed=1,panic=100,delay=100,delay_ms=20\"",
+    ));
     std::thread::sleep(std::time::Duration::from_millis(200));
 
-    let clean = connect(&socket);
-    let mut writer = clean.try_clone().unwrap();
-    let mut reader = BufReader::new(clean);
-    writeln!(writer, "{clean_line}").unwrap();
-    let mut frame = String::new();
-    reader.read_line(&mut frame).unwrap();
-    assert_eq!(without_wall(parse_json(&frame).unwrap()), expected);
-
-    let mut chaos_frame = String::new();
-    BufReader::new(chaos).read_line(&mut chaos_frame).unwrap();
-    let chaos_frame = parse_json(&chaos_frame).unwrap();
+    let mut clean = Client::new(connect(&socket));
+    assert_eq!(without_wall(clean.request(&clean_line)), expected);
+    let chaos_frame = chaos.recv();
     assert!(u(&chaos_frame, "crashed") > 0, "{chaos_frame:?}");
-
-    writeln!(writer, "{{\"op\": \"shutdown\"}}").unwrap();
-    let mut bye = String::new();
-    reader.read_line(&mut bye).unwrap();
-    assert_eq!(wait_with_deadline(&mut child, 10), 0);
+    clean.shutdown(child);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -745,44 +793,10 @@ fn soak_chaos_requests_each_get_exactly_one_wellformed_frame() {
 fn unix_socket_serves_connections() {
     let dir = temp_dir("socket");
     std::fs::create_dir_all(&dir).unwrap();
-    let socket = dir.join("ipl.sock");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ipl"))
-        .args(["serve", "--no-cache", "--listen"])
-        .arg(&socket)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("ipl serve --listen spawns");
-
-    // Wait for the socket to appear.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let stream = loop {
-        match std::os::unix::net::UnixStream::connect(&socket) {
-            Ok(stream) => break stream,
-            Err(_) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            Err(e) => panic!("daemon socket never came up: {e}"),
-        }
-    };
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-
-    writeln!(writer, "{}", verify_frame("")).unwrap();
-    let mut frame = String::new();
-    reader.read_line(&mut frame).unwrap();
-    let frame = parse_json(&frame).unwrap();
+    let (child, stream) = spawn_socket_daemon(&dir.join("ipl.sock"), &[]);
+    let mut client = Client::new(stream);
+    let frame = client.request(&verify_frame(""));
     assert_eq!(frame.get("fully_proved"), Some(&Json::Bool(true)));
-
-    writeln!(writer, "{{\"op\": \"shutdown\"}}").unwrap();
-    let mut bye = String::new();
-    reader.read_line(&mut bye).unwrap();
-    assert_eq!(
-        parse_json(&bye).unwrap().get("shutdown"),
-        Some(&Json::Bool(true))
-    );
-    let status = child.wait().expect("daemon exits after shutdown");
-    assert!(status.success());
+    client.shutdown(child);
     let _ = std::fs::remove_dir_all(&dir);
 }
