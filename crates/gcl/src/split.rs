@@ -88,46 +88,62 @@ struct Splitter {
     renaming: HashMap<String, Form>,
 }
 
+/// One pending step of [`Splitter::walk`].
+enum Step<'v> {
+    /// Split this part of the verification condition.
+    Visit(&'v Vc),
+    /// Leave the scope of the innermost assumption.
+    PopAssumption,
+    /// Give a havocked variable back the incarnation it had before the
+    /// havoc, or none.
+    Restore(&'v String, Option<Form>),
+}
+
 impl Splitter {
     fn fresh_suffix(&mut self) -> usize {
         self.counter += 1;
         self.counter
     }
 
+    /// Walks `vc` depth first, left to right.  A verification condition
+    /// nests a few levels per statement, so the walk keeps its own stack
+    /// of pending visits and undo steps instead of recursing per level.
     fn walk(&mut self, vc: &Vc) {
-        match vc {
-            Vc::True => {}
-            Vc::And(parts) => {
-                for part in parts {
-                    self.walk(part);
+        let mut stack = vec![Step::Visit(vc)];
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Visit(Vc::True) => {}
+                Step::Visit(Vc::And(parts)) => stack.extend(parts.iter().rev().map(Step::Visit)),
+                Step::Visit(Vc::Implies { hyp, rest }) => {
+                    let form = intern::share(&self.current(&hyp.form));
+                    self.assumptions.push(Labeled::new(hyp.label.clone(), form));
+                    stack.push(Step::PopAssumption);
+                    stack.push(Step::Visit(rest));
                 }
-            }
-            Vc::Implies { hyp, rest } => {
-                let form = intern::share(&self.current(&hyp.form));
-                self.assumptions.push(Labeled::new(hyp.label.clone(), form));
-                self.walk(rest);
-                self.assumptions.pop();
-            }
-            Vc::ForallVars { vars, rest } => {
-                // Undo log: the incarnation each variable had before this
-                // havoc, restored in reverse so `havoc x, x` unwinds too.
-                let mut undo = Vec::with_capacity(vars.len());
-                for var in vars {
-                    let suffix = self.fresh_suffix();
-                    let incarnation = Form::Var(format!("{var}#{suffix}"));
-                    undo.push((var, self.renaming.insert(var.clone(), incarnation)));
+                Step::Visit(Vc::ForallVars { vars, rest }) => {
+                    // Each variable's previous incarnation is restored in
+                    // reverse order, so `havoc x, x` unwinds too.
+                    for var in vars {
+                        let suffix = self.fresh_suffix();
+                        let incarnation = Form::Var(format!("{var}#{suffix}"));
+                        let previous = self.renaming.insert(var.clone(), incarnation);
+                        stack.push(Step::Restore(var, previous));
+                    }
+                    stack.push(Step::Visit(rest));
                 }
-                self.walk(rest);
-                for (var, previous) in undo.into_iter().rev() {
-                    match previous {
-                        Some(outer) => self.renaming.insert(var.clone(), outer),
-                        None => self.renaming.remove(var),
-                    };
+                Step::Visit(Vc::Goal { form, label, from }) => {
+                    let goal = self.current(form);
+                    self.split_goal(goal, label, from);
                 }
-            }
-            Vc::Goal { form, label, from } => {
-                let goal = self.current(form);
-                self.split_goal(goal, label, from);
+                Step::PopAssumption => {
+                    self.assumptions.pop();
+                }
+                Step::Restore(var, Some(outer)) => {
+                    self.renaming.insert(var.clone(), outer);
+                }
+                Step::Restore(var, None) => {
+                    self.renaming.remove(var);
+                }
             }
         }
     }
@@ -512,6 +528,31 @@ mod tests {
         assert!(sequents
             .iter()
             .all(|s| incarnation(assumption(s, "Pre")) == outer));
+    }
+
+    #[test]
+    fn a_long_flat_command_splits_and_drops_on_a_small_stack() {
+        // Each havoc/assume pair nests the verification condition two
+        // levels deeper, so a walk or a drop that recursed per level would
+        // overflow this thread's stack long before the end.
+        let shape = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut pairs = Vec::new();
+                for _ in 0..20_000 {
+                    pairs.push(Simple::Havoc(vec!["x".into()]));
+                    pairs.push(Simple::assume("Step", f("x = y")));
+                }
+                pairs.push(Simple::assert("Post", f("x = y")));
+                let vc = vc_of(&Simple::seq(pairs));
+                let sequents = split_all(&vc);
+                drop(vc);
+                (sequents.len(), sequents[0].assumptions.len())
+            })
+            .expect("the thread starts")
+            .join()
+            .expect("the split returns");
+        assert_eq!(shape, (1, 20_000));
     }
 
     #[test]

@@ -53,11 +53,11 @@ impl Vc {
     /// Conjunction that drops `True` nodes and flattens nested conjunctions.
     pub fn and(parts: impl IntoIterator<Item = Vc>) -> Vc {
         let mut out = Vec::new();
-        for p in parts {
-            match p {
+        for mut p in parts {
+            match &mut p {
                 Vc::True => {}
-                Vc::And(inner) => out.extend(inner),
-                other => out.push(other),
+                Vc::And(inner) => out.append(inner),
+                _ => out.push(p),
             }
         }
         match out.len() {
@@ -91,6 +91,32 @@ impl Vc {
             Vc::Implies { rest, .. } | Vc::ForallVars { rest, .. } => rest.goal_count(),
             Vc::And(parts) => parts.iter().map(Vc::goal_count).sum(),
         }
+    }
+}
+
+/// Dropping a verification condition unlinks its uniquely owned parts onto
+/// a stack of its own: the derived drop would recurse once per level, and a
+/// method of a few thousand statements nests tens of thousands of levels.
+impl Drop for Vc {
+    fn drop(&mut self) {
+        let mut stack = Vec::new();
+        unlink(self, &mut stack);
+        while let Some(mut vc) = stack.pop() {
+            unlink(&mut vc, &mut stack);
+        }
+    }
+}
+
+/// Moves the parts `vc` alone owns onto `stack`, so `vc` drops shallowly.
+/// A part shared with another node only loses a reference.
+fn unlink(vc: &mut Vc, stack: &mut Vec<Vc>) {
+    match vc {
+        Vc::Implies { rest, .. } | Vc::ForallVars { rest, .. } => match Arc::get_mut(rest) {
+            Some(Vc::True) | None => {}
+            Some(rest) => stack.push(std::mem::replace(rest, Vc::True)),
+        },
+        Vc::And(parts) => stack.append(parts),
+        Vc::True | Vc::Goal { .. } => {}
     }
 }
 

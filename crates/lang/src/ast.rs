@@ -1,10 +1,10 @@
 //! Abstract syntax of the surface language.
 //!
-//! Program expressions are represented directly as logic formulas
-//! ([`ipl_logic::Form`]): the expression sub-language of the imperative code
-//! is a strict subset of the specification logic, which is what makes the
-//! integration of code and proofs seamless (the same terms appear in
-//! assignments, conditions, contracts and proof commands).
+//! Program expressions are logic formulas ([`ipl_logic::Form`]), read by the
+//! formula grammar itself: the imperative code and the specification logic
+//! share one term language, which is what makes the integration of code and
+//! proofs seamless (the same terms appear in assignments, conditions,
+//! contracts and proof commands).
 
 use ipl_logic::{Form, Sort};
 use serde::{Deserialize, Serialize};

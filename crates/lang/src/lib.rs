@@ -19,7 +19,12 @@
 //!   `pickWitness`, `pickAny`, `induct`, `fix`).
 //!
 //! Specification formulas are written between quotes in the ASCII syntax of
-//! [`ipl_logic::parser`], mirroring Jahob's string annotations.
+//! [`ipl_logic::parser`], mirroring Jahob's string annotations.  That
+//! parser is also the one reader of the module text around them: the
+//! [`parser`] here is only the module grammar, and program expressions are
+//! read as formulas (`x == y && 0 < z` and `x = y & 0 < z` alike), so code,
+//! specifications and proof steps share one term language.  `//` and
+//! `/* … */` comments may appear anywhere outside quotes.
 //!
 //! The crate provides the [`parser`] for this language, the [`ast`], and the
 //! [`lower`] pass that produces extended guarded commands (`ipl_gcl::Ext`)

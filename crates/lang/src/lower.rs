@@ -20,7 +20,7 @@ use ipl_gcl::cmd::{ConstructCounts, Ext, Proof};
 use ipl_logic::normal::eliminate_old;
 use ipl_logic::subst::{free_vars, substitute};
 use ipl_logic::{Form, Labeled, Sort, SortEnv};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Lowering error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,8 +109,12 @@ struct Lowerer<'a> {
     /// Names of `intarray`-typed variables (their reads/writes go through
     /// `intArrayState`).
     int_arrays: BTreeSet<String>,
-    /// Renaming applied to `old(e)` occurrences: state var -> snapshot var.
-    old_map: HashMap<String, String>,
+    /// The variables that can change during the method: `old(v)` of one
+    /// of them reads its snapshot, and `old(v)` of any other is `v`.
+    mutable: BTreeSet<String>,
+    /// The snapshot of each mutable variable read under `old(...)`, made
+    /// the first time [`Lowerer::fix_form`] meets one.
+    old_map: BTreeMap<String, String>,
     /// Fresh-name counter.
     counter: usize,
 }
@@ -122,13 +126,23 @@ impl<'a> Lowerer<'a> {
     }
 
     /// Applies `old` elimination and int-array rewriting to a specification
-    /// formula or program expression.
-    fn fix_form(&self, form: &Form) -> Form {
-        let renamed = eliminate_old(form, &|v| {
-            self.old_map
-                .get(v)
-                .cloned()
-                .unwrap_or_else(|| v.to_string())
+    /// formula or program expression.  `old(v)` means `v`'s value at method
+    /// entry wherever it is written, so the first `old(v)` of a mutable `v`
+    /// declares the snapshot `v_old`.
+    fn fix_form(&mut self, form: &Form) -> Form {
+        let renamed = eliminate_old(form, &mut |v| {
+            if !self.mutable.contains(v) {
+                return v.to_string();
+            }
+            let env = &mut self.env;
+            let snapshot = self.old_map.entry(v.to_string()).or_insert_with(|| {
+                let snapshot = format!("{v}_old");
+                if let Some(sort) = env.var_sort(v).cloned() {
+                    env.declare_var(snapshot.clone(), sort);
+                }
+                snapshot
+            });
+            snapshot.clone()
         });
         self.rewrite_arrays(&renamed)
     }
@@ -366,13 +380,12 @@ impl<'a> Lowerer<'a> {
         }
 
         let mut cmds = Vec::new();
-        // Precondition.
-        let pre = Form::and(
-            callee
-                .requires
-                .iter()
-                .map(|r| substitute(&self.fix_form(r), &subst_map)),
-        );
+        // Precondition, checked at the call: `old` in it means the
+        // callee's entry state, which is the current one.
+        let pre = Form::and(callee.requires.iter().map(|r| {
+            let at_call = eliminate_old(r, &mut |v| v.to_string());
+            substitute(&self.rewrite_arrays(&at_call), &subst_map)
+        }));
         if !pre.is_true() {
             cmds.push(Ext::Assert {
                 fact: Labeled::new(format!("{callee_name}_pre"), pre),
@@ -400,7 +413,7 @@ impl<'a> Lowerer<'a> {
         // Postcondition.
         let post = Form::and(callee.ensures.iter().map(|e| {
             let rewritten = self.rewrite_arrays(e);
-            let old_eliminated = eliminate_old(&rewritten, &|v| {
+            let old_eliminated = eliminate_old(&rewritten, &mut |v| {
                 call_old.get(v).cloned().unwrap_or_else(|| v.to_string())
             });
             substitute(&old_eliminated, &subst_map)
@@ -569,94 +582,6 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-/// Collects the state variables referenced under `old(...)` in a formula.
-fn old_vars(form: &Form, out: &mut BTreeSet<String>) {
-    match form {
-        Form::Old(inner) => out.extend(free_vars(inner)),
-        other => other.for_each_child(|c| old_vars(c, out)),
-    }
-}
-
-fn collect_old_vars_stmt(stmt: &Stmt, out: &mut BTreeSet<String>) {
-    match stmt {
-        Stmt::While {
-            invariants, body, ..
-        } => {
-            invariants.iter().for_each(|i| old_vars(i, out));
-            body.iter().for_each(|s| collect_old_vars_stmt(s, out));
-        }
-        Stmt::If(_, then_branch, else_branch) => {
-            then_branch
-                .iter()
-                .for_each(|s| collect_old_vars_stmt(s, out));
-            else_branch
-                .iter()
-                .for_each(|s| collect_old_vars_stmt(s, out));
-        }
-        Stmt::Assert { form, .. } | Stmt::Assume { form, .. } => old_vars(form, out),
-        Stmt::Proof(proof) => collect_old_vars_proof(proof, out),
-        _ => {}
-    }
-}
-
-fn collect_old_vars_proof(proof: &ProofStmt, out: &mut BTreeSet<String>) {
-    match proof {
-        ProofStmt::Note { form, .. }
-        | ProofStmt::Contradiction { form, .. }
-        | ProofStmt::Induct { form, .. } => old_vars(form, out),
-        ProofStmt::Localize { form, body, .. } => {
-            old_vars(form, out);
-            body.iter().for_each(|p| collect_old_vars_proof(p, out));
-        }
-        ProofStmt::Assuming {
-            hyp, goal, body, ..
-        } => {
-            old_vars(hyp, out);
-            old_vars(goal, out);
-            body.iter().for_each(|p| collect_old_vars_proof(p, out));
-        }
-        ProofStmt::Mp { implication, .. } => old_vars(implication, out),
-        ProofStmt::Cases { cases, goal, .. } => {
-            cases.iter().for_each(|c| old_vars(c, out));
-            old_vars(goal, out);
-        }
-        ProofStmt::ShowedCase { disjunction, .. } => old_vars(disjunction, out),
-        ProofStmt::ByContradiction { form, body, .. } => {
-            old_vars(form, out);
-            body.iter().for_each(|p| collect_old_vars_proof(p, out));
-        }
-        ProofStmt::Instantiate { forall, terms, .. } => {
-            old_vars(forall, out);
-            terms.iter().for_each(|t| old_vars(t, out));
-        }
-        ProofStmt::Witness { exists, terms, .. } => {
-            old_vars(exists, out);
-            terms.iter().for_each(|t| old_vars(t, out));
-        }
-        ProofStmt::PickWitness {
-            hyp, goal, body, ..
-        } => {
-            old_vars(hyp, out);
-            old_vars(goal, out);
-            body.iter().for_each(|p| collect_old_vars_proof(p, out));
-        }
-        ProofStmt::PickAny { goal, body, .. } => {
-            old_vars(goal, out);
-            body.iter().for_each(|p| collect_old_vars_proof(p, out));
-        }
-        ProofStmt::Fix {
-            such_that,
-            goal,
-            body,
-            ..
-        } => {
-            old_vars(such_that, out);
-            old_vars(goal, out);
-            body.iter().for_each(|s| collect_old_vars_stmt(s, out));
-        }
-    }
-}
-
 /// Collects every variable the method body can assign (directly, through a
 /// heap or array write, an allocation, or a call's modifies clause).
 fn collect_assigned_vars(stmts: &[Stmt], module: &Module, out: &mut BTreeSet<String>) {
@@ -728,27 +653,6 @@ pub fn lower_method(
         env.declare_var(name.clone(), ty.sort());
     }
 
-    // Which variables are referenced under old(...)?
-    let mut olds = BTreeSet::new();
-    method.ensures.iter().for_each(|e| old_vars(e, &mut olds));
-    method
-        .body
-        .iter()
-        .for_each(|s| collect_old_vars_stmt(s, &mut olds));
-
-    // Snapshot only variables that can actually change: for an immutable
-    // variable `old(v)` is just `v`, and renaming it anyway would force every
-    // `from` clause to name the bridging `v_old = v` assumption explicitly.
-    let mutable = mutable_vars(method, module);
-    let mut old_map = HashMap::new();
-    for var in olds.iter().filter(|v| mutable.contains(*v)) {
-        let snapshot = format!("{var}_old");
-        if let Some(sort) = env.var_sort(var).cloned() {
-            env.declare_var(snapshot.clone(), sort);
-        }
-        old_map.insert(var.clone(), snapshot);
-    }
-
     let int_arrays: BTreeSet<String> = module
         .state_vars
         .iter()
@@ -758,11 +662,15 @@ pub fn lower_method(
         .map(|(name, _)| name.clone())
         .collect();
 
+    // Snapshot only variables that can actually change: for an immutable
+    // variable `old(v)` is just `v`, and renaming it anyway would force every
+    // `from` clause to name the bridging `v_old = v` assumption explicitly.
     let mut lowerer = Lowerer {
         module,
         env,
         int_arrays,
-        old_map: old_map.clone(),
+        mutable: mutable_vars(method, module),
+        old_map: BTreeMap::new(),
         counter: 0,
     };
 
@@ -783,12 +691,6 @@ pub fn lower_method(
             ),
         ));
     }
-    for (var, snapshot) in &old_map {
-        prologue.push(Ext::assume(
-            format!("old_{var}"),
-            Form::eq(Form::var(snapshot.clone()), Form::var(var.clone())),
-        ));
-    }
 
     let body = lowerer.lower_stmts(&method.body)?;
 
@@ -805,6 +707,14 @@ pub fn lower_method(
             fact: Labeled::new(name.clone(), lowerer.rewrite_arrays(invariant)),
             from: None,
         });
+    }
+
+    // The snapshots are known once every formula of the method is lowered.
+    for (var, snapshot) in &lowerer.old_map {
+        prologue.push(Ext::assume(
+            format!("old_{var}"),
+            Form::eq(Form::var(snapshot.clone()), Form::var(var.clone())),
+        ));
     }
 
     let command = Ext::seq(
@@ -934,6 +844,19 @@ mod tests {
         let module = parse_module(source).unwrap();
         let err = lower_module(&module).unwrap_err();
         assert!(err.message.contains("unknown method"));
+    }
+
+    #[test]
+    fn a_condition_in_formula_syntax_lowers_like_program_syntax() {
+        let lowered = |cond: &str| {
+            let source = format!(
+                "module M {{ var x: int; var y: int; var z: int;
+                   method m() modifies x {{ if ({cond}) {{ x := 1; }} }} }}"
+            );
+            let module = parse_module(&source).unwrap();
+            lower_module(&module).unwrap().methods.remove(0).command
+        };
+        assert_eq!(lowered("x = y & 0 < z"), lowered("x == y && 0 < z"));
     }
 
     #[test]

@@ -1,17 +1,29 @@
 //! Parser for the annotated surface language.
 //!
-//! Specification formulas appear between double quotes and are parsed with
-//! [`ipl_logic::parser::parse_form`]; everything else (declarations,
-//! statements, program expressions) is parsed here.  Program expressions are
-//! lowered directly to [`Form`] terms.
+//! Module text is read by the reader of the specification logic,
+//! [`ipl_logic::parser::Parser`]: this module holds only the module grammar
+//! (declarations, statements, proof statements, labels and `from` lists)
+//! and runs it on that parser's tokens.  Program expressions and
+//! assignment targets are read by [`Parser::parse_form`] and
+//! [`Parser::parse_postfix`], and sorts by [`Parser::parse_sort`], so a
+//! program expression may use the whole formula syntax: `x == y && 0 < z`
+//! and `x = y & 0 < z` read alike, and quantifiers, `old(…)`, set
+//! operators and applications are accepted too, since lowering treats
+//! program expressions as formulas.  The words the formula syntax gives a
+//! meaning (`old`, `card`, `emptyset`, `forall`, `exists`, `in`, `union`,
+//! …) mean the same in program text.  Specification formulas appear between
+//! double quotes and are parsed on their own with [`parse_form`], so an
+//! error inside one names the formula's text.
 //!
 //! Program text nested past [`MAX_NESTING`] levels is a parse error, as in
-//! formulas: a block, `else if`, parenthesis, bracket or unary operator is a
-//! level, and so is each operator of a chain of `+`/`-`, `*`, `.f` or `[i]`.
-//! A quoted formula counts its own levels from zero.
+//! formulas: a block, `else if` or call argument is a level, and a program
+//! expression counts its levels as a formula does, on the same counter.  A
+//! quoted formula counts its own levels from zero.
+//!
+//! [`MAX_NESTING`]: ipl_logic::parser::MAX_NESTING
 
 use crate::ast::{Method, Module, ProofStmt, Stmt, Type};
-use ipl_logic::parser::{parse_form, MAX_NESTING};
+use ipl_logic::parser::{parse_form, ParseError, Parser, Tok};
 use ipl_logic::{Form, Sort};
 use std::fmt;
 
@@ -24,6 +36,22 @@ pub struct LangError {
     pub line: usize,
     /// Byte-offset range `[start, end)` into the source, when known.
     pub span: Option<(usize, usize)>,
+}
+
+impl LangError {
+    /// Places a reader error in `source`: the line is one more than the
+    /// number of newlines before the end of the offending token.
+    fn at(source: &str, error: ParseError) -> LangError {
+        let newlines = source.as_bytes()[..error.end]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        LangError {
+            message: error.message,
+            line: 1 + newlines,
+            span: Some((error.offset, error.end)),
+        }
+    }
 }
 
 impl fmt::Display for LangError {
@@ -40,1004 +68,547 @@ impl std::error::Error for LangError {}
 ///
 /// Returns a [`LangError`] describing the first syntax error.
 pub fn parse_module(source: &str) -> Result<Module, LangError> {
-    let tokens = lex(source)?;
-    let mut p = P {
-        tokens,
-        pos: 0,
-        depth: 0,
+    let read = || {
+        let mut p = Parser::new(source)?;
+        let module = module(&mut p)?;
+        p.expect_eof()?;
+        Ok(module)
     };
-    let module = p.module()?;
-    p.expect_eof()?;
+    read().map_err(|e| LangError::at(source, e))
+}
+
+type Read<T> = Result<T, ParseError>;
+
+// ---------------------------------------------------------------------------
+// Declarations
+// ---------------------------------------------------------------------------
+
+fn module(p: &mut Parser<'_>) -> Read<Module> {
+    p.expect_ident("module")?;
+    let mut module = Module {
+        name: p.ident()?,
+        state_vars: Vec::new(),
+        fields: Vec::new(),
+        specvars: Vec::new(),
+        vardefs: Vec::new(),
+        invariants: Vec::new(),
+        methods: Vec::new(),
+    };
+    p.expect_punct("{")?;
+    while !p.eat_punct("}") {
+        if p.eat_ident("var") {
+            module.state_vars.push(declaration(p, ty)?);
+        } else if p.eat_ident("field") {
+            module.fields.push(declaration(p, ty)?);
+        } else if p.eat_ident("specvar") {
+            module.specvars.push(declaration(p, Parser::parse_sort)?);
+        } else if p.eat_ident("vardef") {
+            let name = p.ident()?;
+            p.expect_punct("=")?;
+            let form = formula(p)?;
+            p.expect_punct(";")?;
+            module.vardefs.push((name, form));
+        } else if p.eat_ident("invariant") {
+            let invariant = label_formula(p)?;
+            p.expect_punct(";")?;
+            module.invariants.push(invariant);
+        } else if p.peek_ident("method") {
+            module.methods.push(method(p)?);
+        } else {
+            return Err(p.error(format!("unexpected token {:?} in module body", p.peek())));
+        }
+    }
     Ok(module)
 }
 
-// ---------------------------------------------------------------------------
-// Lexer
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    Str(String),
-    Punct(&'static str),
-    Eof,
+/// `name: T;`, with `T` read by `kind`.
+fn declaration<'a, T>(
+    p: &mut Parser<'a>,
+    kind: impl FnOnce(&mut Parser<'a>) -> Read<T>,
+) -> Read<(String, T)> {
+    let name = p.ident()?;
+    p.expect_punct(":")?;
+    let kind = kind(p)?;
+    p.expect_punct(";")?;
+    Ok((name, kind))
 }
 
-#[derive(Debug, Clone)]
-struct Sp {
-    tok: Tok,
-    line: usize,
-    /// Byte offset of the token's first character.
-    start: usize,
-    /// Byte offset one past the token's last character.
-    end: usize,
+fn ty(p: &mut Parser<'_>) -> Read<Type> {
+    let ty = match p.peek() {
+        Tok::Ident("int") => Type::Int,
+        Tok::Ident("bool") => Type::Bool,
+        Tok::Ident("obj") => Type::Obj,
+        Tok::Ident("objarray") => Type::ObjArray,
+        Tok::Ident("intarray") => Type::IntArray,
+        Tok::Ident(other) => return Err(p.error(format!("unknown type `{other}`"))),
+        other => return Err(p.error(format!("expected identifier, found {other:?}"))),
+    };
+    p.bump();
+    Ok(ty)
 }
 
-const PUNCTS: &[&str] = &[
-    ":=", "==", "!=", "<=", ">=", "&&", "||", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".",
-    "<", ">", "=", "+", "-", "*", "!",
-];
+/// `name: T` — a parameter or return value.
+fn typed_name(p: &mut Parser<'_>) -> Read<(String, Type)> {
+    let name = p.ident()?;
+    p.expect_punct(":")?;
+    Ok((name, ty(p)?))
+}
 
-fn lex(source: &str) -> Result<Vec<Sp>, LangError> {
-    let bytes = source.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    'outer: while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c == '\n' {
-            line += 1;
-            i += 1;
-            continue;
+fn method(p: &mut Parser<'_>) -> Read<Method> {
+    p.expect_ident("method")?;
+    let name = p.ident()?;
+    let params = paren_list(p, typed_name)?;
+    let mut returns = Vec::new();
+    if p.eat_ident("returns") {
+        p.expect_punct("(")?;
+        returns = closed_list(p, typed_name)?;
+    }
+    let mut requires = Vec::new();
+    let mut modifies = Vec::new();
+    let mut ensures = Vec::new();
+    loop {
+        if p.eat_ident("requires") {
+            requires.push(formula(p)?);
+        } else if p.eat_ident("ensures") {
+            ensures.push(formula(p)?);
+        } else if p.eat_ident("modifies") {
+            modifies.extend(comma_list(p, Parser::ident)?);
+        } else {
+            break;
         }
-        if c.is_whitespace() {
-            i += 1;
-            continue;
+    }
+    Ok(Method {
+        name,
+        params,
+        returns,
+        requires,
+        modifies,
+        ensures,
+        body: block(p)?,
+    })
+}
+
+/// `item (, item)*`.
+fn comma_list<'a, T>(
+    p: &mut Parser<'a>,
+    mut item: impl FnMut(&mut Parser<'a>) -> Read<T>,
+) -> Read<Vec<T>> {
+    let mut items = vec![item(p)?];
+    while p.eat_punct(",") {
+        items.push(item(p)?);
+    }
+    Ok(items)
+}
+
+/// `( item, … )`, possibly empty.
+fn paren_list<'a, T>(
+    p: &mut Parser<'a>,
+    item: impl FnMut(&mut Parser<'a>) -> Read<T>,
+) -> Read<Vec<T>> {
+    p.expect_punct("(")?;
+    if p.eat_punct(")") {
+        return Ok(Vec::new());
+    }
+    closed_list(p, item)
+}
+
+/// `item (, item)* )`: the rest of a parenthesised list after its `(`.
+fn closed_list<'a, T>(
+    p: &mut Parser<'a>,
+    mut item: impl FnMut(&mut Parser<'a>) -> Read<T>,
+) -> Read<Vec<T>> {
+    let mut items = Vec::new();
+    loop {
+        items.push(item(p)?);
+        if p.eat_punct(")") {
+            return Ok(items);
         }
-        // Comments.
-        if source[i..].starts_with("//") {
-            while i < bytes.len() && bytes[i] as char != '\n' {
-                i += 1;
-            }
-            continue;
+        p.expect_punct(",")?;
+    }
+}
+
+/// `{ item* }`, one nesting level deeper.
+fn braced<'a, T>(
+    p: &mut Parser<'a>,
+    mut item: impl FnMut(&mut Parser<'a>) -> Read<T>,
+) -> Read<Vec<T>> {
+    p.expect_punct("{")?;
+    p.nested(|p| {
+        let mut items = Vec::new();
+        while !p.eat_punct("}") {
+            items.push(item(p)?);
         }
-        if source[i..].starts_with("/*") {
-            while i < bytes.len() && !source[i..].starts_with("*/") {
-                if bytes[i] as char == '\n' {
-                    line += 1;
-                }
-                i += 1;
-            }
-            i += 2.min(bytes.len() - i);
-            continue;
+        Ok(items)
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Statements
+// ---------------------------------------------------------------------------
+
+fn block(p: &mut Parser<'_>) -> Read<Vec<Stmt>> {
+    braced(p, stmt)
+}
+
+fn stmt(p: &mut Parser<'_>) -> Read<Stmt> {
+    if p.eat_ident("skip") {
+        p.expect_punct(";")?;
+        return Ok(Stmt::Skip);
+    }
+    if p.eat_ident("var") {
+        let (name, ty) = typed_name(p)?;
+        let init = if p.eat_punct(":=") {
+            Some(p.parse_form()?)
+        } else {
+            None
+        };
+        p.expect_punct(";")?;
+        return Ok(Stmt::VarDecl(name, ty, init));
+    }
+    if p.eat_ident("ghost") {
+        let name = p.ident()?;
+        p.expect_punct(":=")?;
+        let form = formula(p)?;
+        p.expect_punct(";")?;
+        return Ok(Stmt::Ghost(name, form));
+    }
+    if p.eat_ident("if") {
+        let cond = condition(p)?;
+        let then_branch = block(p)?;
+        let else_branch = if !p.eat_ident("else") {
+            Vec::new()
+        } else if p.peek_ident("if") {
+            vec![p.nested(stmt)?]
+        } else {
+            block(p)?
+        };
+        return Ok(Stmt::If(cond, then_branch, else_branch));
+    }
+    if p.eat_ident("while") {
+        let cond = condition(p)?;
+        let mut invariants = Vec::new();
+        while p.eat_ident("invariant") {
+            invariants.push(formula(p)?);
         }
-        if c == '"' {
-            let open = i;
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] as char != '"' {
-                if bytes[j] as char == '\n' {
-                    line += 1;
-                }
-                j += 1;
-            }
-            if j >= bytes.len() {
-                return Err(LangError {
-                    message: "unterminated string".into(),
-                    line,
-                    span: Some((open, bytes.len())),
-                });
-            }
-            out.push(Sp {
-                tok: Tok::Str(source[start..j].to_string()),
-                line,
-                start: open,
-                end: j + 1,
-            });
-            i = j + 1;
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                i += 1;
-            }
-            let value: i64 = source[start..i].parse().map_err(|_| LangError {
-                message: format!("integer out of range: {}", &source[start..i]),
-                line,
-                span: Some((start, i)),
-            })?;
-            out.push(Sp {
-                tok: Tok::Int(value),
-                line,
-                start,
-                end: i,
-            });
-            continue;
-        }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                if ch.is_ascii_alphanumeric() || ch == '_' {
-                    i += 1;
-                } else {
-                    break;
-                }
-            }
-            out.push(Sp {
-                tok: Tok::Ident(source[start..i].to_string()),
-                line,
-                start,
-                end: i,
-            });
-            continue;
-        }
-        for p in PUNCTS {
-            if source[i..].starts_with(p) {
-                out.push(Sp {
-                    tok: Tok::Punct(p),
-                    line,
-                    start: i,
-                    end: i + p.len(),
-                });
-                i += p.len();
-                continue 'outer;
-            }
-        }
-        return Err(LangError {
-            message: format!("unexpected character {c:?}"),
-            line,
-            span: Some((i, i + c.len_utf8())),
+        return Ok(Stmt::While {
+            cond,
+            invariants,
+            body: block(p)?,
         });
     }
-    out.push(Sp {
-        tok: Tok::Eof,
-        line,
-        start: bytes.len(),
-        end: bytes.len(),
-    });
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct P {
-    tokens: Vec<Sp>,
-    pos: usize,
-    /// Nesting levels open around `pos`.
-    depth: usize,
-}
-
-impl P {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].tok
+    if p.eat_ident("assert") {
+        let (label, form) = labeled_formula(p)?;
+        let from = from_clause(p)?;
+        p.expect_punct(";")?;
+        return Ok(Stmt::Assert { label, form, from });
     }
-
-    fn line(&self) -> usize {
-        self.tokens[self.pos].line
+    if p.eat_ident("assume") {
+        let (label, form) = labeled_formula(p)?;
+        p.expect_punct(";")?;
+        return Ok(Stmt::Assume { label, form });
     }
-
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+    if p.eat_ident("call") {
+        let method = p.ident()?;
+        let args = call_args(p)?;
+        p.expect_punct(";")?;
+        return Ok(Stmt::Call {
+            target: None,
+            method,
+            args,
+        });
     }
-
-    fn span(&self) -> (usize, usize) {
-        let sp = &self.tokens[self.pos];
-        (sp.start, sp.end)
+    if let Some(proof) = proof_stmt(p)? {
+        return Ok(Stmt::Proof(proof));
     }
-
-    fn err(&self, message: impl Into<String>) -> LangError {
-        LangError {
-            message: message.into(),
-            line: self.line(),
-            span: Some(self.span()),
-        }
-    }
-
-    /// Opens one more level, up to [`MAX_NESTING`]; a chain restores its
-    /// starting depth when it ends, and an error ends the parse.
-    fn deeper(&mut self) -> Result<(), LangError> {
-        if self.depth == MAX_NESTING {
-            self.pos -= 1; // report the token that opened the level
-            return Err(self.err(format!("nested deeper than {MAX_NESTING} levels")));
-        }
-        self.depth += 1;
-        Ok(())
-    }
-
-    /// Runs `parse` one nesting level deeper.
-    fn nested<T>(
-        &mut self,
-        parse: impl FnOnce(&mut Self) -> Result<T, LangError>,
-    ) -> Result<T, LangError> {
-        self.deeper()?;
-        let parsed = parse(self);
-        self.depth -= 1;
-        parsed
-    }
-
-    fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Tok::Punct(q) if *q == p) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_punct(&mut self, p: &str) -> Result<(), LangError> {
-        if self.eat_punct(p) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{p}`, found {:?}", self.peek())))
-        }
-    }
-
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(name) if name == kw) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<(), LangError> {
-        if self.eat_kw(kw) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{kw}`, found {:?}", self.peek())))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, LangError> {
-        match self.bump() {
-            Tok::Ident(name) => Ok(name),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn formula(&mut self) -> Result<Form, LangError> {
-        let line = self.line();
-        let span = self.span();
-        match self.bump() {
-            Tok::Str(text) => parse_form(&text).map_err(|e| LangError {
-                message: format!("in formula {text:?}: {e}"),
-                line,
-                span: Some(span),
-            }),
-            other => Err(self.err(format!("expected a quoted formula, found {other:?}"))),
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<(), LangError> {
-        if matches!(self.peek(), Tok::Eof) {
-            Ok(())
-        } else {
-            Err(self.err(format!("trailing input: {:?}", self.peek())))
-        }
-    }
-
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(name) if name == kw)
-    }
-
-    // -----------------------------------------------------------------------
-    // Declarations
-    // -----------------------------------------------------------------------
-
-    fn module(&mut self) -> Result<Module, LangError> {
-        self.expect_kw("module")?;
-        let name = self.ident()?;
-        self.expect_punct("{")?;
-        let mut module = Module {
-            name,
-            state_vars: Vec::new(),
-            fields: Vec::new(),
-            specvars: Vec::new(),
-            vardefs: Vec::new(),
-            invariants: Vec::new(),
-            methods: Vec::new(),
+    // Assignment forms; a target that cannot be assigned is reported at
+    // its first token.
+    let (offset, end) = p.span();
+    let bad_target = |message| ParseError {
+        message,
+        offset,
+        end,
+    };
+    let lhs = p.parse_postfix()?;
+    p.expect_punct(":=")?;
+    if p.eat_ident("new") {
+        p.expect_punct("(")?;
+        p.expect_punct(")")?;
+        p.expect_punct(";")?;
+        return match lhs {
+            Form::Var(name) => Ok(Stmt::New(name)),
+            other => Err(bad_target(format!("cannot allocate into {other}"))),
         };
-        loop {
-            if self.eat_punct("}") {
-                break;
-            }
-            if self.eat_kw("var") {
-                let name = self.ident()?;
-                self.expect_punct(":")?;
-                let ty = self.ty()?;
-                self.expect_punct(";")?;
-                module.state_vars.push((name, ty));
-            } else if self.eat_kw("field") {
-                let name = self.ident()?;
-                self.expect_punct(":")?;
-                let ty = self.ty()?;
-                self.expect_punct(";")?;
-                module.fields.push((name, ty));
-            } else if self.eat_kw("specvar") {
-                let name = self.ident()?;
-                self.expect_punct(":")?;
-                let sort = self.sort()?;
-                self.expect_punct(";")?;
-                module.specvars.push((name, sort));
-            } else if self.eat_kw("vardef") {
-                let name = self.ident()?;
-                self.expect_punct("=")?;
-                let form = self.formula()?;
-                self.expect_punct(";")?;
-                module.vardefs.push((name, form));
-            } else if self.eat_kw("invariant") {
-                let (name, form) = self.label_formula()?;
-                self.expect_punct(";")?;
-                module.invariants.push((name, form));
-            } else if self.peek_kw("method") {
-                module.methods.push(self.method()?);
-            } else {
-                return Err(self.err(format!("unexpected token {:?} in module body", self.peek())));
-            }
-        }
-        Ok(module)
     }
-
-    fn ty(&mut self) -> Result<Type, LangError> {
-        let line = self.line();
-        let span = self.span();
-        let name = self.ident()?;
-        match name.as_str() {
-            "int" => Ok(Type::Int),
-            "bool" => Ok(Type::Bool),
-            "obj" => Ok(Type::Obj),
-            "objarray" => Ok(Type::ObjArray),
-            "intarray" => Ok(Type::IntArray),
-            other => Err(LangError {
-                message: format!("unknown type `{other}`"),
-                line,
-                span: Some(span),
-            }),
-        }
-    }
-
-    fn sort(&mut self) -> Result<Sort, LangError> {
-        let mut parts = vec![self.sort_atom()?];
-        while self.eat_punct("*") {
-            parts.push(self.sort_atom()?);
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("len checked")
-        } else {
-            Sort::Tuple(parts)
-        })
-    }
-
-    fn sort_atom(&mut self) -> Result<Sort, LangError> {
-        if self.eat_punct("(") {
-            let s = self.nested(Self::sort)?;
-            self.expect_punct(")")?;
-            return Ok(s);
-        }
-        let line = self.line();
-        let span = self.span();
-        let name = self.ident()?;
-        match name.as_str() {
-            "int" => Ok(Sort::Int),
-            "bool" => Ok(Sort::Bool),
-            "obj" => Ok(Sort::Obj),
-            "set" => {
-                self.expect_punct("<")?;
-                let elem = self.nested(Self::sort)?;
-                self.expect_punct(">")?;
-                Ok(Sort::Set(Box::new(elem)))
-            }
-            other => Err(LangError {
-                message: format!("unknown sort `{other}`"),
-                line,
-                span: Some(span),
-            }),
-        }
-    }
-
-    fn method(&mut self) -> Result<Method, LangError> {
-        self.expect_kw("method")?;
-        let name = self.ident()?;
-        self.expect_punct("(")?;
-        let mut params = Vec::new();
-        if !self.eat_punct(")") {
-            loop {
-                let pname = self.ident()?;
-                self.expect_punct(":")?;
-                let ty = self.ty()?;
-                params.push((pname, ty));
-                if self.eat_punct(")") {
-                    break;
-                }
-                self.expect_punct(",")?;
-            }
-        }
-        let mut returns = Vec::new();
-        if self.eat_kw("returns") {
-            self.expect_punct("(")?;
-            loop {
-                let rname = self.ident()?;
-                self.expect_punct(":")?;
-                let ty = self.ty()?;
-                returns.push((rname, ty));
-                if self.eat_punct(")") {
-                    break;
-                }
-                self.expect_punct(",")?;
-            }
-        }
-        let mut requires = Vec::new();
-        let mut modifies = Vec::new();
-        let mut ensures = Vec::new();
-        loop {
-            if self.eat_kw("requires") {
-                requires.push(self.formula()?);
-            } else if self.eat_kw("ensures") {
-                ensures.push(self.formula()?);
-            } else if self.eat_kw("modifies") {
-                loop {
-                    modifies.push(self.ident()?);
-                    if !self.eat_punct(",") {
-                        break;
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-        let body = self.block()?;
-        Ok(Method {
-            name,
-            params,
-            returns,
-            requires,
-            modifies,
-            ensures,
-            body,
-        })
-    }
-
-    // -----------------------------------------------------------------------
-    // Statements
-    // -----------------------------------------------------------------------
-
-    fn block(&mut self) -> Result<Vec<Stmt>, LangError> {
-        self.expect_punct("{")?;
-        self.deeper()?;
-        let mut out = Vec::new();
-        while !self.eat_punct("}") {
-            out.push(self.stmt()?);
-        }
-        self.depth -= 1;
-        Ok(out)
-    }
-
-    fn stmt(&mut self) -> Result<Stmt, LangError> {
-        if self.eat_kw("skip") {
-            self.expect_punct(";")?;
-            return Ok(Stmt::Skip);
-        }
-        if self.eat_kw("var") {
-            let name = self.ident()?;
-            self.expect_punct(":")?;
-            let ty = self.ty()?;
-            let init = if self.eat_punct(":=") {
-                Some(self.expr()?)
-            } else {
-                None
-            };
-            self.expect_punct(";")?;
-            return Ok(Stmt::VarDecl(name, ty, init));
-        }
-        if self.eat_kw("ghost") {
-            let name = self.ident()?;
-            self.expect_punct(":=")?;
-            let form = self.formula()?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::Ghost(name, form));
-        }
-        if self.eat_kw("if") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then_branch = self.block()?;
-            let else_branch = if self.eat_kw("else") {
-                if self.peek_kw("if") {
-                    vec![self.nested(Self::stmt)?]
-                } else {
-                    self.block()?
-                }
-            } else {
-                Vec::new()
-            };
-            return Ok(Stmt::If(cond, then_branch, else_branch));
-        }
-        if self.eat_kw("while") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let mut invariants = Vec::new();
-            while self.eat_kw("invariant") {
-                invariants.push(self.formula()?);
-            }
-            let body = self.block()?;
-            return Ok(Stmt::While {
-                cond,
-                invariants,
-                body,
-            });
-        }
-        if self.eat_kw("assert") {
-            let (label, form) = self.labeled_formula()?;
-            let from = self.parse_from_clause()?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::Assert { label, form, from });
-        }
-        if self.eat_kw("assume") {
-            let (label, form) = self.labeled_formula()?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::Assume { label, form });
-        }
-        if self.eat_kw("call") {
-            let method = self.ident()?;
-            let args = self.call_args()?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::Call {
-                target: None,
+    if p.eat_ident("call") {
+        let method = p.ident()?;
+        let args = call_args(p)?;
+        p.expect_punct(";")?;
+        return match lhs {
+            Form::Var(name) => Ok(Stmt::Call {
+                target: Some(name),
                 method,
                 args,
-            });
-        }
-        if let Some(proof) = self.proof_stmt()? {
-            return Ok(Stmt::Proof(proof));
-        }
-        // Assignment forms.
-        let lhs = self.postfix_expr()?;
-        self.expect_punct(":=")?;
-        if self.eat_kw("new") {
-            self.expect_punct("(")?;
-            self.expect_punct(")")?;
-            self.expect_punct(";")?;
-            return match lhs {
-                Form::Var(name) => Ok(Stmt::New(name)),
-                other => Err(self.err(format!("cannot allocate into {other}"))),
-            };
-        }
-        if self.eat_kw("call") {
-            let method = self.ident()?;
-            let args = self.call_args()?;
-            self.expect_punct(";")?;
-            return match lhs {
-                Form::Var(name) => Ok(Stmt::Call {
-                    target: Some(name),
-                    method,
-                    args,
-                }),
-                other => Err(self.err(format!("cannot assign call result to {other}"))),
-            };
-        }
-        let rhs = self.expr()?;
-        self.expect_punct(";")?;
-        match lhs {
-            Form::Var(name) => Ok(Stmt::Assign(name, rhs)),
-            Form::FieldRead(field, object) => match Form::take(field) {
-                Form::Var(field) => Ok(Stmt::FieldAssign {
-                    field,
-                    object: Form::take(object),
-                    value: rhs,
-                }),
-                other => Err(self.err(format!("invalid field in assignment: {other}"))),
-            },
-            Form::ArrayRead(_, array, index) => Ok(Stmt::ArrayAssign {
-                array: Form::take(array),
-                index: Form::take(index),
+            }),
+            other => Err(bad_target(format!("cannot assign call result to {other}"))),
+        };
+    }
+    let rhs = p.parse_form()?;
+    p.expect_punct(";")?;
+    match lhs {
+        Form::Var(name) => Ok(Stmt::Assign(name, rhs)),
+        Form::FieldRead(field, object) => match Form::take(field) {
+            Form::Var(field) => Ok(Stmt::FieldAssign {
+                field,
+                object: Form::take(object),
                 value: rhs,
             }),
-            other => Err(self.err(format!("invalid assignment target {other}"))),
+            other => Err(bad_target(format!("invalid field in assignment: {other}"))),
+        },
+        Form::ArrayRead(_, array, index) => Ok(Stmt::ArrayAssign {
+            array: Form::take(array),
+            index: Form::take(index),
+            value: rhs,
+        }),
+        other => Err(bad_target(format!("invalid assignment target {other}"))),
+    }
+}
+
+/// `( e )` after `if` or `while`.
+fn condition(p: &mut Parser<'_>) -> Read<Form> {
+    p.expect_punct("(")?;
+    let cond = p.parse_form()?;
+    p.expect_punct(")")?;
+    Ok(cond)
+}
+
+/// `( e, … )`, each argument one nesting level deeper.
+fn call_args(p: &mut Parser<'_>) -> Read<Vec<Form>> {
+    paren_list(p, |p| p.nested(Parser::parse_form))
+}
+
+/// A quoted formula, parsed on its own so that an error names its text.
+fn formula(p: &mut Parser<'_>) -> Read<Form> {
+    let Tok::Str(text) = p.peek() else {
+        return Err(p.error(format!("expected a quoted formula, found {:?}", p.peek())));
+    };
+    let (offset, end) = p.span();
+    p.bump();
+    parse_form(text).map_err(|e| ParseError {
+        message: format!("in formula {text:?}: {e}"),
+        offset,
+        end,
+    })
+}
+
+/// `Label: "F"` or just `"F"`.
+fn labeled_formula(p: &mut Parser<'_>) -> Read<(Option<String>, Form)> {
+    if let Tok::Ident(_) = p.peek() {
+        let (label, form) = label_formula(p)?;
+        Ok((Some(label), form))
+    } else {
+        Ok((None, formula(p)?))
+    }
+}
+
+/// `Label: "F"`.
+fn label_formula(p: &mut Parser<'_>) -> Read<(String, Form)> {
+    let label = p.ident()?;
+    p.expect_punct(":")?;
+    Ok((label, formula(p)?))
+}
+
+fn from_clause(p: &mut Parser<'_>) -> Read<Option<Vec<String>>> {
+    if p.eat_ident("from") {
+        comma_list(p, Parser::ident).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Proof statements
+// ---------------------------------------------------------------------------
+
+fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
+    let Tok::Ident(keyword) = p.peek() else {
+        return Ok(None);
+    };
+    let proof = match keyword {
+        "note" => {
+            p.bump();
+            let (label, form) = label_formula(p)?;
+            let from = from_clause(p)?;
+            p.expect_punct(";")?;
+            ProofStmt::Note { label, form, from }
         }
-    }
-
-    fn call_args(&mut self) -> Result<Vec<Form>, LangError> {
-        self.expect_punct("(")?;
-        let mut args = Vec::new();
-        if !self.eat_punct(")") {
-            loop {
-                args.push(self.nested(Self::expr)?);
-                if self.eat_punct(")") {
-                    break;
-                }
-                self.expect_punct(",")?;
-            }
+        "localize" => {
+            p.bump();
+            let (label, form) = label_formula(p)?;
+            let body = proof_block(p)?;
+            ProofStmt::Localize { label, form, body }
         }
-        Ok(args)
-    }
-
-    /// `Label: "F"` or just `"F"`.
-    fn labeled_formula(&mut self) -> Result<(Option<String>, Form), LangError> {
-        if let Tok::Ident(_) = self.peek() {
-            let (label, form) = self.label_formula()?;
-            Ok((Some(label), form))
-        } else {
-            Ok((None, self.formula()?))
-        }
-    }
-
-    /// `Label: "F"`.
-    fn label_formula(&mut self) -> Result<(String, Form), LangError> {
-        let label = self.ident()?;
-        self.expect_punct(":")?;
-        Ok((label, self.formula()?))
-    }
-
-    fn parse_from_clause(&mut self) -> Result<Option<Vec<String>>, LangError> {
-        if !self.eat_kw("from") {
-            return Ok(None);
-        }
-        let mut names = vec![self.ident()?];
-        while self.eat_punct(",") {
-            names.push(self.ident()?);
-        }
-        Ok(Some(names))
-    }
-
-    // -----------------------------------------------------------------------
-    // Proof statements
-    // -----------------------------------------------------------------------
-
-    fn proof_stmt(&mut self) -> Result<Option<ProofStmt>, LangError> {
-        let keyword = match self.peek() {
-            Tok::Ident(name) => name.clone(),
-            _ => return Ok(None),
-        };
-        let proof = match keyword.as_str() {
-            "note" => {
-                self.bump();
-                let (label, form) = self.label_formula()?;
-                let from = self.parse_from_clause()?;
-                self.expect_punct(";")?;
-                ProofStmt::Note { label, form, from }
-            }
-            "localize" => {
-                self.bump();
-                let (label, form) = self.label_formula()?;
-                let body = self.proof_block()?;
-                ProofStmt::Localize { label, form, body }
-            }
-            "assuming" => {
-                self.bump();
-                let (hyp_label, hyp) = self.label_formula()?;
-                self.expect_kw("show")?;
-                let (label, goal) = self.label_formula()?;
-                let body = self.proof_block()?;
-                ProofStmt::Assuming {
-                    hyp_label,
-                    hyp,
-                    label,
-                    goal,
-                    body,
-                }
-            }
-            "mp" => {
-                self.bump();
-                let (label, implication) = self.label_formula()?;
-                self.expect_punct(";")?;
-                ProofStmt::Mp { label, implication }
-            }
-            "cases" => {
-                self.bump();
-                let mut cases = vec![self.formula()?];
-                while self.eat_punct(",") {
-                    cases.push(self.formula()?);
-                }
-                self.expect_kw("for")?;
-                let (label, goal) = self.label_formula()?;
-                self.expect_punct(";")?;
-                ProofStmt::Cases { cases, label, goal }
-            }
-            "showedCase" => {
-                self.bump();
-                let index = match self.bump() {
-                    Tok::Int(value) if value >= 1 => value as usize,
-                    other => return Err(self.err(format!("expected case index, found {other:?}"))),
-                };
-                self.expect_kw("of")?;
-                let (label, disjunction) = self.label_formula()?;
-                self.expect_punct(";")?;
-                ProofStmt::ShowedCase {
-                    index,
-                    label,
-                    disjunction,
-                }
-            }
-            "byContradiction" => {
-                self.bump();
-                let (label, form) = self.label_formula()?;
-                let body = self.proof_block()?;
-                ProofStmt::ByContradiction { label, form, body }
-            }
-            "contradiction" => {
-                self.bump();
-                let (label, form) = self.label_formula()?;
-                self.expect_punct(";")?;
-                ProofStmt::Contradiction { label, form }
-            }
-            "instantiate" => {
-                self.bump();
-                let (label, forall) = self.label_formula()?;
-                self.expect_kw("with")?;
-                let mut terms = vec![self.formula()?];
-                while self.eat_punct(",") {
-                    terms.push(self.formula()?);
-                }
-                self.expect_punct(";")?;
-                ProofStmt::Instantiate {
-                    label,
-                    forall,
-                    terms,
-                }
-            }
-            "witness" => {
-                self.bump();
-                let mut terms = vec![self.formula()?];
-                while self.eat_punct(",") {
-                    terms.push(self.formula()?);
-                }
-                self.expect_kw("for")?;
-                let (label, exists) = self.label_formula()?;
-                self.expect_punct(";")?;
-                ProofStmt::Witness {
-                    terms,
-                    label,
-                    exists,
-                }
-            }
-            "pickWitness" => {
-                self.bump();
-                let vars = self.binder_list()?;
-                self.expect_kw("for")?;
-                let (hyp_label, hyp) = self.label_formula()?;
-                self.expect_kw("show")?;
-                let (label, goal) = self.label_formula()?;
-                let body = self.proof_block()?;
-                ProofStmt::PickWitness {
-                    vars,
-                    hyp_label,
-                    hyp,
-                    label,
-                    goal,
-                    body,
-                }
-            }
-            "pickAny" => {
-                self.bump();
-                let vars = self.binder_list()?;
-                self.expect_kw("show")?;
-                let (label, goal) = self.label_formula()?;
-                let body = self.proof_block()?;
-                ProofStmt::PickAny {
-                    vars,
-                    label,
-                    goal,
-                    body,
-                }
-            }
-            "induct" => {
-                self.bump();
-                let (label, form) = self.label_formula()?;
-                self.expect_kw("over")?;
-                let var = self.ident()?;
-                let body = self.proof_block()?;
-                ProofStmt::Induct {
-                    label,
-                    form,
-                    var,
-                    body,
-                }
-            }
-            "fix" => {
-                self.bump();
-                let vars = self.binder_list()?;
-                self.expect_kw("suchThat")?;
-                let such_that = self.formula()?;
-                self.expect_kw("show")?;
-                let (label, goal) = self.label_formula()?;
-                let body = self.block()?;
-                ProofStmt::Fix {
-                    vars,
-                    such_that,
-                    label,
-                    goal,
-                    body,
-                }
-            }
-            _ => return Ok(None),
-        };
-        Ok(Some(proof))
-    }
-
-    fn binder_list(&mut self) -> Result<Vec<(String, Sort)>, LangError> {
-        let mut out = Vec::new();
-        loop {
-            let name = self.ident()?;
-            self.expect_punct(":")?;
-            let sort = self.sort()?;
-            out.push((name, sort));
-            if !self.eat_punct(",") {
-                break;
+        "assuming" => {
+            p.bump();
+            let (hyp_label, hyp) = label_formula(p)?;
+            p.expect_ident("show")?;
+            let (label, goal) = label_formula(p)?;
+            let body = proof_block(p)?;
+            ProofStmt::Assuming {
+                hyp_label,
+                hyp,
+                label,
+                goal,
+                body,
             }
         }
-        Ok(out)
-    }
-
-    fn proof_block(&mut self) -> Result<Vec<ProofStmt>, LangError> {
-        self.expect_punct("{")?;
-        self.deeper()?;
-        let mut out = Vec::new();
-        while !self.eat_punct("}") {
-            match self.proof_stmt()? {
-                Some(p) => out.push(p),
-                None => {
-                    return Err(self.err(format!(
-                        "expected a proof statement, found {:?}",
-                        self.peek()
-                    )))
-                }
-            }
+        "mp" => {
+            p.bump();
+            let (label, implication) = label_formula(p)?;
+            p.expect_punct(";")?;
+            ProofStmt::Mp { label, implication }
         }
-        self.depth -= 1;
-        Ok(out)
-    }
-
-    // -----------------------------------------------------------------------
-    // Program expressions (lowered directly to logic terms)
-    // -----------------------------------------------------------------------
-
-    fn expr(&mut self) -> Result<Form, LangError> {
-        self.or_expr()
-    }
-
-    fn or_expr(&mut self) -> Result<Form, LangError> {
-        let mut parts = vec![self.and_expr()?];
-        while self.eat_punct("||") {
-            parts.push(self.and_expr()?);
+        "cases" => {
+            p.bump();
+            let cases = comma_list(p, formula)?;
+            p.expect_ident("for")?;
+            let (label, goal) = label_formula(p)?;
+            p.expect_punct(";")?;
+            ProofStmt::Cases { cases, label, goal }
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one")
-        } else {
-            Form::or(parts)
-        })
-    }
-
-    fn and_expr(&mut self) -> Result<Form, LangError> {
-        let mut parts = vec![self.not_expr()?];
-        while self.eat_punct("&&") {
-            parts.push(self.not_expr()?);
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one")
-        } else {
-            Form::and(parts)
-        })
-    }
-
-    fn not_expr(&mut self) -> Result<Form, LangError> {
-        if self.eat_punct("!") {
-            return Ok(Form::not(self.nested(Self::not_expr)?));
-        }
-        self.cmp_expr()
-    }
-
-    fn cmp_expr(&mut self) -> Result<Form, LangError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            Tok::Punct("==") => "==",
-            Tok::Punct("!=") => "!=",
-            Tok::Punct("<=") => "<=",
-            Tok::Punct(">=") => ">=",
-            Tok::Punct("<") => "<",
-            Tok::Punct(">") => ">",
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(match op {
-            "==" => Form::eq(lhs, rhs),
-            "!=" => Form::neq(lhs, rhs),
-            "<" => Form::lt(lhs, rhs),
-            "<=" => Form::le(lhs, rhs),
-            ">" => Form::lt(rhs, lhs),
-            ">=" => Form::le(rhs, lhs),
-            _ => unreachable!("operator list above"),
-        })
-    }
-
-    fn add_expr(&mut self) -> Result<Form, LangError> {
-        let depth = self.depth;
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = if self.eat_punct("+") {
-                Form::add
-            } else if self.eat_punct("-") {
-                Form::sub
-            } else {
-                self.depth = depth;
-                return Ok(lhs);
+        "showedCase" => {
+            p.bump();
+            let index = match p.peek() {
+                Tok::Int(value) if value >= 1 => value as usize,
+                other => return Err(p.error(format!("expected case index, found {other:?}"))),
             };
-            self.deeper()?;
-            lhs = op(lhs, self.mul_expr()?);
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Form, LangError> {
-        let depth = self.depth;
-        let mut lhs = self.unary_expr()?;
-        while self.eat_punct("*") {
-            self.deeper()?;
-            lhs = Form::mul(lhs, self.unary_expr()?);
-        }
-        self.depth = depth;
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Form, LangError> {
-        if self.eat_punct("-") {
-            return Ok(Form::neg(self.nested(Self::unary_expr)?));
-        }
-        self.postfix_expr()
-    }
-
-    fn postfix_expr(&mut self) -> Result<Form, LangError> {
-        let depth = self.depth;
-        let mut base = self.primary_expr()?;
-        loop {
-            if self.eat_punct(".") {
-                self.deeper()?;
-                let field = self.ident()?;
-                base = Form::field_read(Form::var(field), base);
-            } else if self.eat_punct("[") {
-                self.deeper()?;
-                let idx = self.expr()?;
-                self.expect_punct("]")?;
-                base = Form::array_read(Form::var("arrayState"), base, idx);
-            } else {
-                self.depth = depth;
-                return Ok(base);
+            p.bump();
+            p.expect_ident("of")?;
+            let (label, disjunction) = label_formula(p)?;
+            p.expect_punct(";")?;
+            ProofStmt::ShowedCase {
+                index,
+                label,
+                disjunction,
             }
         }
-    }
-
-    fn primary_expr(&mut self) -> Result<Form, LangError> {
-        match self.bump() {
-            Tok::Int(value) => Ok(Form::Int(value)),
-            Tok::Ident(name) => match name.as_str() {
-                "true" => Ok(Form::TRUE),
-                "false" => Ok(Form::FALSE),
-                "null" => Ok(Form::Null),
-                _ => Ok(Form::Var(name)),
-            },
-            Tok::Punct("(") => {
-                let inner = self.nested(Self::expr)?;
-                self.expect_punct(")")?;
-                Ok(inner)
-            }
-            other => Err(self.err(format!("unexpected token {other:?} in expression"))),
+        "byContradiction" => {
+            p.bump();
+            let (label, form) = label_formula(p)?;
+            let body = proof_block(p)?;
+            ProofStmt::ByContradiction { label, form, body }
         }
-    }
+        "contradiction" => {
+            p.bump();
+            let (label, form) = label_formula(p)?;
+            p.expect_punct(";")?;
+            ProofStmt::Contradiction { label, form }
+        }
+        "instantiate" => {
+            p.bump();
+            let (label, forall) = label_formula(p)?;
+            p.expect_ident("with")?;
+            let terms = comma_list(p, formula)?;
+            p.expect_punct(";")?;
+            ProofStmt::Instantiate {
+                label,
+                forall,
+                terms,
+            }
+        }
+        "witness" => {
+            p.bump();
+            let terms = comma_list(p, formula)?;
+            p.expect_ident("for")?;
+            let (label, exists) = label_formula(p)?;
+            p.expect_punct(";")?;
+            ProofStmt::Witness {
+                terms,
+                label,
+                exists,
+            }
+        }
+        "pickWitness" => {
+            p.bump();
+            let vars = comma_list(p, binder)?;
+            p.expect_ident("for")?;
+            let (hyp_label, hyp) = label_formula(p)?;
+            p.expect_ident("show")?;
+            let (label, goal) = label_formula(p)?;
+            let body = proof_block(p)?;
+            ProofStmt::PickWitness {
+                vars,
+                hyp_label,
+                hyp,
+                label,
+                goal,
+                body,
+            }
+        }
+        "pickAny" => {
+            p.bump();
+            let vars = comma_list(p, binder)?;
+            p.expect_ident("show")?;
+            let (label, goal) = label_formula(p)?;
+            let body = proof_block(p)?;
+            ProofStmt::PickAny {
+                vars,
+                label,
+                goal,
+                body,
+            }
+        }
+        "induct" => {
+            p.bump();
+            let (label, form) = label_formula(p)?;
+            p.expect_ident("over")?;
+            let var = p.ident()?;
+            let body = proof_block(p)?;
+            ProofStmt::Induct {
+                label,
+                form,
+                var,
+                body,
+            }
+        }
+        "fix" => {
+            p.bump();
+            let vars = comma_list(p, binder)?;
+            p.expect_ident("suchThat")?;
+            let such_that = formula(p)?;
+            p.expect_ident("show")?;
+            let (label, goal) = label_formula(p)?;
+            let body = block(p)?;
+            ProofStmt::Fix {
+                vars,
+                such_that,
+                label,
+                goal,
+                body,
+            }
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(proof))
+}
+
+/// `name: sort`.
+fn binder(p: &mut Parser<'_>) -> Read<(String, Sort)> {
+    let name = p.ident()?;
+    p.expect_punct(":")?;
+    Ok((name, p.parse_sort()?))
+}
+
+fn proof_block(p: &mut Parser<'_>) -> Read<Vec<ProofStmt>> {
+    braced(p, |p| {
+        proof_stmt(p)?
+            .ok_or_else(|| p.error(format!("expected a proof statement, found {:?}", p.peek())))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipl_logic::parser::MAX_NESTING;
 
     const COUNTER: &str = r#"
         // A tiny module exercising most declaration forms.
@@ -1241,6 +812,30 @@ mod tests {
                 .to_string(),
             "line 2: unknown type `unknown`"
         );
+    }
+
+    #[test]
+    fn a_bad_assignment_target_is_reported_at_its_first_token() {
+        for (source, target) in [
+            ("module M {\n  method m() {\n    5 := 1;\n  }\n}", "5"),
+            ("module M {\n  method m() {\n    x.f := new();\n  }\n}", "x"),
+        ] {
+            let err = parse_module(source).unwrap_err();
+            assert_eq!(err.line, 3, "{err}");
+            let (start, end) = err.span.unwrap();
+            assert_eq!(&source[start..end], target, "{err}");
+        }
+    }
+
+    #[test]
+    fn quoted_formulas_accept_the_program_spelling_of_equality() {
+        let with_ensures = |ensures: &str| {
+            parse_module(&format!(
+                "module M {{ var x: int; method m() ensures \"{ensures}\" {{ }} }}"
+            ))
+            .unwrap()
+        };
+        assert_eq!(with_ensures("x == y"), with_ensures("x = y"));
     }
 
     #[test]

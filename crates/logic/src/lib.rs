@@ -16,8 +16,9 @@
 //!   perform lightweight simplification.
 //! * [`subst`] — free variables, capture-avoiding substitution and fresh name
 //!   generation.
-//! * [`parser`] — a parser for the ASCII specification syntax used by the
-//!   surface language (`ipl-lang`).
+//! * [`parser`] — the one reader of the ASCII syntax: formulas, sorts and,
+//!   through its public [`parser::Parser`], the module text of the surface
+//!   language (`ipl-lang`).
 //! * [`sorts`] — sort inference for terms given a sort environment.
 //! * [`normal`] — the normalisation passes shared by the provers:
 //!   comprehension beta-reduction, set-operation expansion, negation normal

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 /// Replaces every `old e` sub-term by `e` with its free variables renamed
 /// through `rename` (typically `v ↦ v_old`).  Nested `old` is idempotent.
-pub fn eliminate_old(form: &Form, rename: &dyn Fn(&str) -> String) -> Form {
+pub fn eliminate_old(form: &Form, rename: &mut dyn FnMut(&str) -> String) -> Form {
     match form {
         Form::Old(inner) => {
             let inner = eliminate_old(inner, rename);
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn old_elimination_renames_free_variables() {
         let f = parse_form("old(size) = size + 1").unwrap();
-        let g = eliminate_old(&f, &|v| format!("{v}_old"));
+        let g = eliminate_old(&f, &mut |v| format!("{v}_old"));
         assert_eq!(g.to_string(), "size_old = size + 1");
         assert!(!contains_old(&g));
         assert!(contains_old(&f));
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn old_elimination_handles_compound_expressions() {
         let f = parse_form("old(elements[i]) = elements[i]").unwrap();
-        let g = eliminate_old(&f, &|v| format!("{v}_pre"));
+        let g = eliminate_old(&f, &mut |v| format!("{v}_pre"));
         let s = g.to_string();
         assert!(s.contains("elements_pre"));
         assert!(

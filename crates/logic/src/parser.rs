@@ -1,4 +1,5 @@
-//! Parser for the ASCII specification formula syntax.
+//! The one reader of the ASCII syntax: specification formulas, sorts and,
+//! through [`Parser`], the module text of `ipl-lang`.
 //!
 //! The syntax follows the Jahob/Isabelle ASCII notation used in the paper,
 //! adapted to plain ASCII operators:
@@ -14,26 +15,37 @@
 //! Operators by decreasing binding strength: postfix `.f` / `[i]`, unary `-`,
 //! `*`, `+`/`-`, `union`/`inter`/`minus`, comparisons (`=`, `~=`, `<`, `<=`,
 //! `>`, `>=`, `in`, `subseteq`), `~`, `&`, `|`, `-->` (right associative),
-//! `<->`, quantifiers.
+//! `<->`, quantifiers.  The program spellings `==`, `!=`, `!`, `&&` and `||`
+//! are aliases of `=`, `~=`, `~`, `&` and `|`.
+//!
+//! The lexer also reads what module text needs: `//` and `/* … */`
+//! comments, `"…"` strings (a quoted formula, which `ipl-lang` parses on
+//! its own with [`parse_form`]) and `;`.  Every token and every
+//! [`ParseError`] carries its byte range in the input.
 //!
 //! The parser and every later pass recurse once per level of nesting, so
 //! input nested past [`MAX_NESTING`] levels is a [`ParseError`], not a stack
 //! overflow.  A parenthesis, bracket, brace, binder, `if` or unary operator
 //! is a level, and so is each operator of a chain of `-->`, `<->`,
 //! `union`/`inter`/`minus`, `+`/`-`, `*`, `.f` or `[i]`; `&` and `|` are flat.
+//! A [`Parser`] has one depth counter, so the levels a caller opens with
+//! [`Parser::nested`] and the levels of the formulas it reads add up.
 
 use crate::form::{Binding, Form};
 use crate::sort::Sort;
 use std::fmt;
 use std::sync::Arc;
 
-/// The error type returned by the formula parser.
+/// The error type returned by the reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description of the problem.
     pub message: String,
-    /// Byte offset in the input at which the problem was detected.
+    /// Byte offset in the input at which the problem was detected: the
+    /// start of the offending token.
     pub offset: usize,
+    /// Byte offset one past the offending token.
+    pub end: usize,
 }
 
 impl fmt::Display for ParseError {
@@ -44,8 +56,8 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// How many levels formulas, sorts and (in `ipl-lang`) program text may
-/// nest.  The paper's benchmark sources nest a few.
+/// How many levels formulas, sorts and module text may nest.  The paper's
+/// benchmark sources nest a few.
 pub const MAX_NESTING: usize = 64;
 
 /// Parses a formula from its ASCII syntax.
@@ -71,85 +83,105 @@ pub fn parse_sort(input: &str) -> Result<Sort, ParseError> {
 // Lexer
 // --------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token, borrowing its text from the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
+    /// An identifier or keyword.
+    Ident(&'a str),
+    /// A non-negative integer literal.
     Int(i64),
+    /// The text between a pair of double quotes.
+    Str(&'a str),
+    /// An operator or punctuation mark.
     Punct(&'static str),
+    /// The end of the input.
     Eof,
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
-    offset: usize,
+#[derive(Debug, Clone, Copy)]
+struct Token<'a> {
+    tok: Tok<'a>,
+    /// Byte offset of the token's first character.
+    start: usize,
+    /// Byte offset one past the token's last character.
+    end: usize,
 }
 
 const PUNCTS: &[&str] = &[
-    "-->", "==>", "<->", ":=", "<=", ">=", "~=", "!=", "&&", "||", "(", ")", "{", "}", "[", "]",
-    ",", ".", ":", "|", "&", "~", "!", "=", "<", ">", "+", "-", "*",
+    "-->", "==>", "<->", ":=", "==", "<=", ">=", "~=", "!=", "&&", "||", "(", ")", "{", "}", "[",
+    "]", ",", ".", ":", ";", "|", "&", "~", "!", "=", "<", ">", "+", "-", "*",
 ];
 
-fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
+fn lex(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
+    let error = |message: String, start: usize, end: usize| ParseError {
+        message,
+        offset: start,
+        end,
+    };
     'outer: while i < bytes.len() {
         let c = bytes[i] as char;
+        let start = i;
+        let rest = &input[i..];
         if c.is_whitespace() {
             i += 1;
             continue;
         }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
+        if rest.starts_with("//") {
+            i += rest.find('\n').unwrap_or(rest.len());
+            continue;
+        }
+        if let Some(comment) = rest.strip_prefix("/*") {
+            // An unterminated comment runs to the end of the input.
+            i += comment.find("*/").map_or(rest.len(), |close| close + 4);
+            continue;
+        }
+        let tok = if let Some(quoted) = rest.strip_prefix('"') {
+            let Some(close) = quoted.find('"') else {
+                return Err(error("unterminated string".into(), start, bytes.len()));
+            };
+            i += close + 2;
+            Tok::Str(&quoted[..close])
+        } else if c.is_ascii_digit() {
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
                 i += 1;
             }
             let text = &input[start..i];
-            let value: i64 = text.parse().map_err(|_| ParseError {
-                message: format!("integer literal out of range: {text}"),
-                offset: start,
-            })?;
-            out.push(Spanned {
-                tok: Tok::Int(value),
-                offset: start,
-            });
-            continue;
-        }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                if ch.is_ascii_alphanumeric() || ch == '_' || ch == '\'' {
-                    i += 1;
-                } else {
-                    break;
+            let value = text
+                .parse()
+                .map_err(|_| error(format!("integer literal out of range: {text}"), start, i))?;
+            Tok::Int(value)
+        } else if c.is_ascii_alphabetic() || c == '_' {
+            while i < bytes.len()
+                && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'\'')
+            {
+                i += 1;
+            }
+            Tok::Ident(&input[start..i])
+        } else {
+            for p in PUNCTS {
+                if rest.starts_with(p) {
+                    i += p.len();
+                    out.push(Token {
+                        tok: Tok::Punct(p),
+                        start,
+                        end: i,
+                    });
+                    continue 'outer;
                 }
             }
-            out.push(Spanned {
-                tok: Tok::Ident(input[start..i].to_string()),
-                offset: start,
-            });
-            continue;
-        }
-        for p in PUNCTS {
-            if input[i..].starts_with(p) {
-                out.push(Spanned {
-                    tok: Tok::Punct(p),
-                    offset: i,
-                });
-                i += p.len();
-                continue 'outer;
-            }
-        }
-        return Err(ParseError {
-            message: format!("unexpected character {c:?}"),
-            offset: i,
-        });
+            let c = rest.chars().next().expect("i < len");
+            let end = i + c.len_utf8();
+            return Err(error(format!("unexpected character {c:?}"), start, end));
+        };
+        out.push(Token { tok, start, end: i });
     }
-    out.push(Spanned {
+    out.push(Token {
         tok: Tok::Eof,
-        offset: input.len(),
+        start: bytes.len(),
+        end: bytes.len(),
     });
     Ok(out)
 }
@@ -158,48 +190,66 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
 // Parser
 // --------------------------------------------------------------------------
 
-struct Parser {
-    tokens: Vec<Spanned>,
+/// A cursor over the tokens of one input, with the grammar of formulas and
+/// sorts.  `ipl-lang` runs its module grammar on the same cursor, so its
+/// statements and the program expressions inside them share one token
+/// stream and one nesting depth.
+pub struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Nesting levels open around `pos`.
     depth: usize,
 }
 
-impl Parser {
-    /// Lexes `input` and parses all of it with `parse`.
-    fn parse_all<T>(
-        input: &str,
-        parse: fn(&mut Self) -> Result<T, ParseError>,
-    ) -> Result<T, ParseError> {
-        let tokens = lex(input)?;
-        let mut parser = Parser {
-            tokens,
+impl<'a> Parser<'a> {
+    /// Lexes `input` into a parser positioned at its first token.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] for a character no token starts with, an
+    /// unterminated string or an integer literal out of range.
+    pub fn new(input: &'a str) -> Result<Self, ParseError> {
+        Ok(Parser {
+            tokens: lex(input)?,
             pos: 0,
             depth: 0,
-        };
+        })
+    }
+
+    /// Lexes `input` and parses all of it with `parse`.
+    fn parse_all<T>(
+        input: &'a str,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let mut parser = Parser::new(input)?;
         let parsed = parse(&mut parser)?;
         parser.expect_eof()?;
         Ok(parsed)
     }
 
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].tok
+    /// The current token.
+    pub fn peek(&self) -> Tok<'a> {
+        self.tokens[self.pos].tok
     }
 
-    fn peek_offset(&self) -> usize {
-        self.tokens[self.pos].offset
+    /// The byte range `[start, end)` of the current token.
+    pub fn span(&self) -> (usize, usize) {
+        let token = &self.tokens[self.pos];
+        (token.start, token.end)
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
+    /// Returns the current token and moves past it (never past the end).
+    pub fn bump(&mut self) -> Tok<'a> {
+        let t = self.peek();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Tok::Punct(q) if *q == p) {
+    /// Moves past the punctuation `p` if it is the current token.
+    pub fn eat_punct(&mut self, p: &str) -> bool {
+        if matches!(self.peek(), Tok::Punct(q) if q == p) {
             self.bump();
             true
         } else {
@@ -207,8 +257,14 @@ impl Parser {
         }
     }
 
-    fn eat_ident(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(name) if name == kw) {
+    /// Whether the current token is the identifier `word`.
+    pub fn peek_ident(&self, word: &str) -> bool {
+        matches!(self.peek(), Tok::Ident(name) if name == word)
+    }
+
+    /// Moves past the identifier `word` if it is the current token.
+    pub fn eat_ident(&mut self, word: &str) -> bool {
+        if self.peek_ident(word) {
             self.bump();
             true
         } else {
@@ -216,7 +272,12 @@ impl Parser {
         }
     }
 
-    fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
+    /// Moves past the punctuation `p`, or fails at the current token.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] when the current token is not `p`.
+    pub fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
         if self.eat_punct(p) {
             Ok(())
         } else {
@@ -224,7 +285,40 @@ impl Parser {
         }
     }
 
-    fn expect_eof(&mut self) -> Result<(), ParseError> {
+    /// Moves past the identifier `word`, or fails at the current token.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] when the current token is not `word`.
+    pub fn expect_ident(&mut self, word: &str) -> Result<(), ParseError> {
+        if self.eat_ident(word) {
+            Ok(())
+        } else {
+            Err(self.error(format!("expected `{word}`, found {:?}", self.peek())))
+        }
+    }
+
+    /// Reads any identifier.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] when the current token is not one.
+    pub fn ident(&mut self) -> Result<String, ParseError> {
+        match self.peek() {
+            Tok::Ident(name) => {
+                self.bump();
+                Ok(name.to_string())
+            }
+            other => Err(self.error(format!("expected identifier, found {other:?}"))),
+        }
+    }
+
+    /// Checks that the input is used up.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] at the first token left over.
+    pub fn expect_eof(&mut self) -> Result<(), ParseError> {
         if matches!(self.peek(), Tok::Eof) {
             Ok(())
         } else {
@@ -232,10 +326,13 @@ impl Parser {
         }
     }
 
-    fn error(&self, message: String) -> ParseError {
+    /// An error at the current token.
+    pub fn error(&self, message: impl Into<String>) -> ParseError {
+        let (offset, end) = self.span();
         ParseError {
-            message,
-            offset: self.peek_offset(),
+            message: message.into(),
+            offset,
+            end,
         }
     }
 
@@ -250,8 +347,13 @@ impl Parser {
         Ok(())
     }
 
-    /// Runs `parse` one nesting level deeper.
-    fn nested<T>(
+    /// Runs `parse` one nesting level deeper.  The level is charged to the
+    /// token just read, which an error past [`MAX_NESTING`] reports.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] past the cap, or `parse`'s own.
+    pub fn nested<T>(
         &mut self,
         parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
@@ -261,8 +363,12 @@ impl Parser {
         parsed
     }
 
-    // form := iff
-    fn parse_form(&mut self) -> Result<Form, ParseError> {
+    /// Reads a formula (`form := iff`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] at the first token the grammar rejects.
+    pub fn parse_form(&mut self) -> Result<Form, ParseError> {
         self.parse_iff()
     }
 
@@ -317,17 +423,14 @@ impl Parser {
             let inner = self.nested(Self::parse_not)?;
             return Ok(Form::not(inner));
         }
-        if matches!(self.peek(), Tok::Ident(name) if name == "forall" || name == "exists") {
+        if matches!(self.peek(), Tok::Ident("forall" | "exists")) {
             return self.parse_quant();
         }
         self.parse_cmp()
     }
 
     fn parse_quant(&mut self) -> Result<Form, ParseError> {
-        let is_forall = match self.bump() {
-            Tok::Ident(name) => name == "forall",
-            _ => unreachable!("caller checked"),
-        };
+        let is_forall = self.bump() == Tok::Ident("forall");
         let bindings = self.parse_bindings()?;
         self.expect_punct(".")?;
         let body = self.nested(Self::parse_form)?;
@@ -344,12 +447,12 @@ impl Parser {
             // One group: `x y z : sort` or `x` (unknown sort) separated by commas.
             let mut names = Vec::new();
             loop {
-                match self.peek().clone() {
+                match self.peek() {
                     Tok::Ident(name) => {
                         self.bump();
-                        names.push(name);
+                        names.push(name.to_string());
                     }
-                    _ => return Err(self.error("expected binder name".to_string())),
+                    _ => return Err(self.error("expected binder name")),
                 }
                 if !matches!(self.peek(), Tok::Ident(n) if n != "forall" && n != "exists") {
                     break;
@@ -370,8 +473,12 @@ impl Parser {
         Ok(out)
     }
 
-    /// Parses a sort: `atom ( '*' atom )*`.
-    fn parse_sort(&mut self) -> Result<Sort, ParseError> {
+    /// Reads a sort: `atom ( '*' atom )*`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] at the first token the grammar rejects.
+    pub fn parse_sort(&mut self) -> Result<Sort, ParseError> {
         let mut parts = vec![self.parse_sort_atom()?];
         while self.eat_punct("*") {
             parts.push(self.parse_sort_atom()?);
@@ -389,49 +496,40 @@ impl Parser {
             self.expect_punct(")")?;
             return Ok(sort);
         }
-        match self.bump() {
-            Tok::Ident(name) => match name.as_str() {
-                "int" => Ok(Sort::Int),
-                "bool" => Ok(Sort::Bool),
-                "obj" => Ok(Sort::Obj),
-                "set" => {
-                    self.expect_punct("<")?;
-                    let elem = self.nested(Self::parse_sort)?;
-                    self.expect_punct(">")?;
-                    Ok(Sort::Set(Box::new(elem)))
-                }
-                other => Err(self.error(format!("unknown sort `{other}`"))),
-            },
-            other => Err(self.error(format!("expected a sort, found {other:?}"))),
-        }
+        let sort = match self.peek() {
+            Tok::Ident("int") => Sort::Int,
+            Tok::Ident("bool") => Sort::Bool,
+            Tok::Ident("obj") => Sort::Obj,
+            Tok::Ident("set") => {
+                self.bump();
+                self.expect_punct("<")?;
+                let elem = self.nested(Self::parse_sort)?;
+                self.expect_punct(">")?;
+                return Ok(Sort::Set(Box::new(elem)));
+            }
+            Tok::Ident(other) => return Err(self.error(format!("unknown sort `{other}`"))),
+            other => return Err(self.error(format!("expected a sort, found {other:?}"))),
+        };
+        self.bump();
+        Ok(sort)
     }
 
     fn parse_cmp(&mut self) -> Result<Form, ParseError> {
         let lhs = self.parse_set_expr()?;
-        let op = match self.peek() {
-            Tok::Punct("=") => "=",
-            Tok::Punct("~=") | Tok::Punct("!=") => "~=",
-            Tok::Punct("<=") => "<=",
-            Tok::Punct(">=") => ">=",
-            Tok::Punct("<") => "<",
-            Tok::Punct(">") => ">",
-            Tok::Ident(name) if name == "in" => "in",
-            Tok::Ident(name) if name == "subseteq" => "subseteq",
+        let op: fn(Form, Form) -> Form = match self.peek() {
+            Tok::Punct("=" | "==") => Form::eq,
+            Tok::Punct("~=" | "!=") => Form::neq,
+            Tok::Punct("<") => Form::lt,
+            Tok::Punct("<=") => Form::le,
+            Tok::Punct(">") => |lhs, rhs| Form::lt(rhs, lhs),
+            Tok::Punct(">=") => |lhs, rhs| Form::le(rhs, lhs),
+            Tok::Ident("in") => Form::elem,
+            Tok::Ident("subseteq") => |lhs, rhs| Form::Subseteq(Arc::new(lhs), Arc::new(rhs)),
             _ => return Ok(lhs),
         };
         self.bump();
         let rhs = self.parse_set_expr()?;
-        Ok(match op {
-            "=" => Form::eq(lhs, rhs),
-            "~=" => Form::neq(lhs, rhs),
-            "<" => Form::lt(lhs, rhs),
-            "<=" => Form::le(lhs, rhs),
-            ">" => Form::lt(rhs, lhs),
-            ">=" => Form::le(rhs, lhs),
-            "in" => Form::elem(lhs, rhs),
-            "subseteq" => Form::Subseteq(Arc::new(lhs), Arc::new(rhs)),
-            _ => unreachable!("operator list above"),
-        })
+        Ok(op(lhs, rhs))
     }
 
     fn parse_set_expr(&mut self) -> Result<Form, ParseError> {
@@ -491,20 +589,23 @@ impl Parser {
         self.parse_postfix()
     }
 
-    fn parse_postfix(&mut self) -> Result<Form, ParseError> {
+    /// Reads a primary term followed by any `.f` and `[i]` postfixes: the
+    /// target of a program assignment.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] at the first token the grammar rejects.
+    pub fn parse_postfix(&mut self) -> Result<Form, ParseError> {
         let depth = self.depth;
         let mut base = self.parse_primary()?;
         loop {
             if self.eat_punct(".") {
                 self.deeper()?;
-                match self.bump() {
-                    Tok::Ident(field) => {
-                        base = Form::field_read(Form::var(field), base);
-                    }
-                    other => {
-                        return Err(self.error(format!("expected field name, found {other:?}")))
-                    }
-                }
+                let Tok::Ident(field) = self.peek() else {
+                    return Err(self.error(format!("expected field name, found {:?}", self.peek())));
+                };
+                self.bump();
+                base = Form::field_read(Form::var(field), base);
             } else if self.eat_punct("[") {
                 self.deeper()?;
                 let idx = self.parse_form()?;
@@ -527,7 +628,7 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Form, ParseError> {
         match self.bump() {
             Tok::Int(value) => Ok(Form::Int(value)),
-            Tok::Ident(name) => match name.as_str() {
+            Tok::Ident(name) => match name {
                 "true" => Ok(Form::TRUE),
                 "false" => Ok(Form::FALSE),
                 "null" => Ok(Form::Null),
@@ -557,9 +658,9 @@ impl Parser {
                                 self.expect_punct(",")?;
                             }
                         }
-                        Ok(Form::App(name, args))
+                        Ok(Form::App(name.to_string(), args))
                     } else {
-                        Ok(Form::Var(name))
+                        Ok(Form::Var(name.to_string()))
                     }
                 }
             },
@@ -572,13 +673,9 @@ impl Parser {
     /// Parses `c then t else e` after `if`.
     fn parse_ite(&mut self) -> Result<Form, ParseError> {
         let cond = self.parse_form()?;
-        if !self.eat_ident("then") {
-            return Err(self.error("expected `then`".to_string()));
-        }
+        self.expect_ident("then")?;
         let then = self.parse_form()?;
-        if !self.eat_ident("else") {
-            return Err(self.error("expected `else`".to_string()));
-        }
+        self.expect_ident("else")?;
         let els = self.parse_form()?;
         Ok(Form::Ite(Arc::new(cond), Arc::new(then), Arc::new(els)))
     }
@@ -612,7 +709,7 @@ impl Parser {
         if self.eat_punct(":") {
             // Comprehension: the pattern must be a variable or tuple of variables.
             let names = pattern_names(&first)
-                .ok_or_else(|| self.error("comprehension pattern must be variables".to_string()))?;
+                .ok_or_else(|| self.error("comprehension pattern must be variables"))?;
             let sort = self.parse_sort()?;
             self.expect_punct("|")?;
             let body = self.parse_form()?;
@@ -621,13 +718,10 @@ impl Parser {
                 Sort::Tuple(parts) if parts.len() == names.len() => parts,
                 single if names.len() == 1 => vec![single],
                 other => {
-                    return Err(ParseError {
-                        message: format!(
+                    return Err(self.error(format!(
                         "comprehension pattern has {} variables but sort {other} does not match",
                         names.len()
-                    ),
-                        offset: 0,
-                    })
+                    )))
                 }
             };
             let bindings = names.into_iter().zip(sorts).collect();
@@ -636,7 +730,7 @@ impl Parser {
         if self.eat_punct("|") {
             // `{x | body}` — comprehension with unknown sort.
             let names = pattern_names(&first)
-                .ok_or_else(|| self.error("comprehension pattern must be variables".to_string()))?;
+                .ok_or_else(|| self.error("comprehension pattern must be variables"))?;
             let body = self.parse_form()?;
             self.expect_punct("}")?;
             let bindings = names.into_iter().map(|n| (n, Sort::Unknown)).collect();
@@ -780,6 +874,26 @@ mod tests {
             parse_form("{x, y}").unwrap(),
             Form::FiniteSet(vec![Form::var("x"), Form::var("y")])
         );
+    }
+
+    #[test]
+    fn program_spellings_are_aliases() {
+        assert_eq!(parse_form("x == y").unwrap(), parse_form("x = y").unwrap());
+        assert_eq!(
+            parse_form("!(a && b) || c != d").unwrap(),
+            parse_form("~(a & b) | c ~= d").unwrap()
+        );
+    }
+
+    #[test]
+    fn comments_are_skipped_and_errors_span_their_character() {
+        assert_eq!(
+            parse_form("x /* café ☕ */ = // to the end of the line\n y").unwrap(),
+            parse_form("x = y").unwrap()
+        );
+        let error = parse_form("x = ☕").unwrap_err();
+        assert_eq!(error.message, "unexpected character '☕'");
+        assert_eq!((error.offset, error.end), (4, 4 + '☕'.len_utf8()));
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::{Cancel, Outcome, Prover, ProverConfig, Query, SkipReason};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -390,15 +389,12 @@ impl Cascade {
                 if inject_panic {
                     panic!("injected fault: {name} stage panicked");
                 }
-                // A drain that began mid-request clamps this stage too, not
-                // just the next dispatch.
-                run_with_timeout(
-                    prover.as_ref(),
-                    query,
-                    &self.config,
-                    timeout,
-                    scope.deadline(),
-                )
+                // Each prover runs on this thread under a cooperative
+                // deadline, as the paper's cascade gives every prover a
+                // timeout and moves on; a drain that began mid-request
+                // clamps this stage too, not just the next dispatch.
+                let cancel = Cancel::with_timeout_under(timeout, scope.deadline());
+                prover.prove(query, &self.config, &cancel)
             });
             stage_durations.push((name.to_string(), stage_start.elapsed()));
             match result {
@@ -412,46 +408,6 @@ impl Cascade {
         }
         (Outcome::Unknown, None)
     }
-}
-
-/// Number of prover invocations currently executing.  With cooperative
-/// cancellation every prover runs on its caller's thread, so this is `0`
-/// whenever no `Cascade::prove` call is in flight — the regression test for
-/// the abandoned-worker leak asserts exactly that after a timed-out cascade.
-pub fn live_workers() -> usize {
-    LIVE_WORKERS.load(Ordering::Relaxed)
-}
-
-static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Runs one prover *on the calling thread* under a cooperative deadline
-/// (mirroring the paper's "each prover runs with a timeout — if the prover
-/// fails to prove the sequent within the timeout, Jahob terminates it and
-/// moves on to the next prover").  The previous implementation spawned a
-/// worker thread and abandoned it on timeout; the worker kept consuming CPU
-/// until its search ran dry, which leaked threads under parallel load.
-/// Provers now poll the [`Cancel`] token inside their loops and return
-/// promptly once the deadline passes.
-fn run_with_timeout(
-    prover: &dyn Prover,
-    query: &Query,
-    config: &ProverConfig,
-    timeout: Duration,
-    outer_deadline: Option<Instant>,
-) -> Outcome {
-    // Drop guard rather than a straight-line decrement: a panicking prover
-    // unwinds through here toward the containment boundary, and the counter
-    // must not stay pinned (the live-worker regression test would hang).
-    struct Live;
-    impl Drop for Live {
-        fn drop(&mut self) {
-            LIVE_WORKERS.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    let cancel = Cancel::with_timeout_under(timeout, outer_deadline);
-    LIVE_WORKERS.fetch_add(1, Ordering::Relaxed);
-    let _live = Live;
-    prover.prove(query, config, &cancel)
 }
 
 #[cfg(test)]
@@ -590,17 +546,6 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "cancellation must fire near the 30 ms deadline"
         );
-        // Other tests in this binary may be mid-cascade on their own threads,
-        // so poll instead of asserting an instantaneous zero; an *abandoned*
-        // worker never finishes and would keep the counter pinned.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while live_workers() != 0 {
-            assert!(
-                Instant::now() < deadline,
-                "prover execution outlived the cascade call"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
     }
 
     #[test]
@@ -687,12 +632,6 @@ mod tests {
             }
         );
         assert_eq!(answer.prover, None);
-        // The live-worker counter must survive the unwind (drop guard).
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while live_workers() != 0 {
-            assert!(Instant::now() < deadline, "panic leaked a live worker");
-            std::thread::sleep(Duration::from_millis(10));
-        }
     }
 
     #[test]

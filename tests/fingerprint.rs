@@ -8,6 +8,10 @@
 //! stop answering, silently.  This test makes that change loud: it fails,
 //! and the fix is to bump `cache_store::SCHEMA_VERSION` on purpose (so old
 //! stores are set aside instead of consulted) and update the digest.
+//!
+//! A second digest covers the parsed modules themselves, so a change to
+//! the reader of module text that moves any node of any Table 1 AST fails
+//! here before it reaches a fingerprint.
 
 use ipl::gcl::split::split_all;
 use ipl::gcl::translate::{translate_ext, TranslateCtx};
@@ -20,8 +24,27 @@ use ipl::provers::{Cascade, ProverConfig, Query};
 const GOLDEN_DIGEST: u64 = 0x13ea_d208_e984_a72d;
 const GOLDEN_SEQUENTS: usize = 201;
 
+/// FNV-1a over the bytes of `format!("{:?}", parse_module(source))` for
+/// every Table 1 source, in Table 1 order.
+const GOLDEN_AST_DIGEST: u64 = 0x6621_9e51_6a83_e875;
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+#[test]
+fn table1_asts_match_the_committed_digest() {
+    let mut digest = FNV_OFFSET;
+    for benchmark in ipl::suite::all() {
+        let parsed = format!("{:?}", ipl::lang::parse_module(benchmark.source));
+        for byte in parsed.bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    assert_eq!(
+        digest, GOLDEN_AST_DIGEST,
+        "a Table 1 source parses to a different AST (digest {digest:#018x})"
+    );
+}
 
 #[test]
 fn table1_fingerprints_match_the_committed_digest() {

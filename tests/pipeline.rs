@@ -180,3 +180,95 @@ module Wrap {
 "#,
     );
 }
+
+#[test]
+fn old_in_a_ghost_assignment_reads_the_entry_value() {
+    // `g` receives the entry value of `x`, one less than its final value;
+    // reading `old(x)` in the ghost formula as the current `x` would
+    // verify this false postcondition.
+    assert_unproved_without_crash(
+        r#"
+module G {
+  var x: int;
+  specvar g: int;
+  method m() modifies x, g ensures "g = x" {
+    x := x + 1;
+    ghost g := "old(x)";
+  }
+}
+"#,
+    );
+}
+
+#[test]
+fn old_in_a_program_expression_reads_the_entry_value() {
+    let source = r#"
+module Snapshot {
+  var x: int;
+  var y: int;
+  method m()
+    modifies x, y
+    ensures "y + 1 = x"
+  {
+    x := x + 1;
+    y := old(x);
+  }
+}
+"#;
+    let report = verify(source, &VerifyOptions::default()).unwrap();
+    assert!(report.fully_proved(), "{}", report.render());
+}
+
+#[test]
+fn old_in_a_callee_precondition_reads_the_state_at_the_call() {
+    // `need` is called with `x = -1`, whatever `x` was when `caller` began.
+    let source = r#"
+module Calls {
+  var x: int;
+  method need() requires "0 <= old(x)" { skip; }
+  method caller() requires "0 <= x" modifies x {
+    x := -1;
+    call need();
+  }
+}
+"#;
+    let report = verify(source, &VerifyOptions::default()).unwrap();
+    let verified = |name: &str| {
+        report
+            .methods
+            .iter()
+            .any(|m| m.name == name && m.fully_proved())
+    };
+    assert!(
+        verified("need") && !verified("caller"),
+        "{}",
+        report.render()
+    );
+}
+
+#[test]
+fn a_non_ascii_block_comment_is_skipped() {
+    let source = r#"
+module Commented {
+  /* café ☕ */
+  var value: int;
+  method bump()
+    modifies value
+    ensures "value = old(value) + 1"
+  { value := value + 1; }
+}
+"#;
+    let report = verify(source, &VerifyOptions::default()).unwrap();
+    assert!(report.fully_proved(), "{}", report.render());
+}
+
+#[test]
+fn a_stray_non_ascii_character_is_named_and_spanned() {
+    let source = "module Stray {\n  var x: int; ☕\n}";
+    let error = verify(source, &VerifyOptions::default()).unwrap_err();
+    assert_eq!(error.kind(), "parse");
+    assert_eq!(error.line(), Some(2));
+    assert!(error.to_string().contains("'☕'"), "{error}");
+    let span = error.span().expect("a parse error has a span");
+    assert_eq!(&source[span.start..span.end], "☕");
+}
