@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A sort environment: sorts of variables and signatures of named symbols.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SortEnv {
     vars: HashMap<String, Sort>,
     funs: HashMap<String, (Vec<Sort>, Sort)>,

@@ -65,7 +65,8 @@ impl Prover for GroundSmt {
     }
 
     fn prove(&self, query: &Query, config: &ProverConfig, cancel: &Cancel) -> Outcome {
-        match refute(&query.problem().ground, &query.env, config, cancel) {
+        let problem = query.problem();
+        match refute(&problem.ground, &problem.env, config, cancel) {
             GroundResult::Unsat => Outcome::Proved,
             GroundResult::Unknown => Outcome::Unknown,
         }
@@ -73,8 +74,10 @@ impl Prover for GroundSmt {
 }
 
 /// The instantiating SMT-lite / first-order prover: trigger-driven
-/// E-matching over the ground term index, with sort-pool enumeration as the
-/// fallback for trigger-less quantifiers (see [`crate::inst`]).
+/// E-matching over the ground term index, with sort-pool enumeration for the
+/// quantifiers that have no trigger (see [`crate::inst`]).  It starts where
+/// [`GroundSmt`] stopped, on the same problem: every round instantiates,
+/// then refutes.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct InstSmt;
 
@@ -84,13 +87,7 @@ impl Prover for InstSmt {
     }
 
     fn prove(&self, query: &Query, config: &ProverConfig, cancel: &Cancel) -> Outcome {
-        match refute_with_instantiation(
-            query.problem(),
-            &query.env,
-            config,
-            query.assumptions.len(),
-            cancel,
-        ) {
+        match refute_with_instantiation(query.problem(), config, query.assumptions.len(), cancel) {
             GroundResult::Unsat => Outcome::Proved,
             GroundResult::Unknown => Outcome::Unknown,
         }

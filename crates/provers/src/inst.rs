@@ -1,34 +1,30 @@
 //! Trigger-driven quantifier instantiation (E-matching) on top of the ground
 //! solver.
 //!
-//! Universally quantified assumptions are instantiated in rounds, interleaved
-//! with ground refutation attempts.  For each quantifier the engine selects
-//! *triggers* — multi-patterns of uninterpreted applications, field reads,
-//! array reads and membership atoms that together cover every binder — and
-//! matches them against a term index built from the congruence classes of the
-//! current ground set (`Matcher`).  Instances are therefore generated only
-//! for terms that actually occur in the problem, in the style of Simplify's
-//! E-matching, instead of the sort-indexed cross product the engine used to
-//! enumerate.  Quantifiers for which no trigger can be selected (purely
-//! arithmetic bodies, say) fall back to the bounded sort-pool enumeration
-//! (`TermPool`).
+//! Universally quantified assumptions are instantiated in rounds, each
+//! followed by a ground refutation attempt.  The cascade runs this stage
+//! after the ground stage has failed on the same problem under the same
+//! environment and budget, so it starts by instantiating, and a problem with
+//! no quantified formula gets `Unknown` at once.
+//!
+//! For each quantifier the engine selects *triggers* — multi-patterns of
+//! uninterpreted applications, field reads, array reads and membership atoms
+//! that together cover every binder — and matches them against a term index
+//! built from the congruence classes of the current ground set (`Matcher`).
+//! Instances are therefore generated only for terms that actually occur in
+//! the problem, in the style of Simplify's E-matching: a quantifier whose
+//! triggers match nothing is not instantiated.  Only a quantifier for which
+//! no trigger can be selected (a purely arithmetic body, say) is enumerated
+//! over a bounded pool of the problem's terms, sorted by size (`TermPool`).
 //!
 //! Rounds keep an *instance frontier*: after the first round a quantifier is
 //! only matched against candidate terms added since it was last processed,
 //! so the engine never rescans the full (growing) ground set.  The frontier
 //! rewinds when completeness demands it: a match scan truncated by the
 //! per-quantifier budget keeps its watermark, and newly learned unit
-//! equalities (which can make old terms match) rewind every quantifier.
-//!
-//! So the same binder assignment comes back round after round, from a
-//! rewound match or from the pool enumerating again.  Each quantifier
-//! therefore remembers the assignments it has instantiated and whether each
-//! instance simplified to `true`, as E-matching SMT solvers keep a table of
-//! instantiated (quantifier, bindings) pairs: a repeat costs one lookup
-//! instead of a substitution, a simplification and a hash, and is not
-//! offered again.  An instance offered once was either added or already
-//! present, so the ground set of every round is the one the engine built
-//! before the table.
+//! equalities (which can make old terms match) rewind every quantifier.  An
+//! instance a rewound match or the pool builds again is already in the
+//! ground set and is not added twice.
 //!
 //! The search remains budgeted — rounds, matches per quantifier and total
 //! instances are all capped.  This mirrors the behaviour of the paper's
@@ -57,23 +53,20 @@ const MAX_PATTERN_SIZE: usize = 12;
 /// Maximum matches accepted per quantifier per round.
 const MAX_MATCHES_PER_QUANTIFIER: usize = 96;
 
-/// Attempts to refute the problem using ground reasoning plus trigger-driven
-/// quantifier instantiation.
+/// Attempts to refute the problem by trigger-driven quantifier
+/// instantiation: each round instantiates, then refutes the grown ground
+/// set under the problem's environment.  The ground set alone is the one the
+/// ground stage has already failed to refute.
 pub fn refute_with_instantiation(
     problem: &Problem,
-    env: &SortEnv,
     config: &ProverConfig,
     assumption_count: usize,
     cancel: &Cancel,
 ) -> GroundResult {
-    // Extend the environment with the skolem symbols introduced during
-    // preprocessing so they can serve as instantiation candidates.
-    let mut env = env.clone();
-    for (name, sort) in &problem.skolems {
-        env.declare_var(name.clone(), sort.clone());
-        env.declare_fun(name.clone(), Vec::new(), sort.clone());
+    if problem.quantified.is_empty() {
+        return GroundResult::Unknown;
     }
-    let env = &env;
+    let env = &*problem.env;
     let mut ground: Vec<Form> = problem.ground.clone();
     let mut quantifiers: Vec<Quantifier> = problem
         .quantified
@@ -104,54 +97,39 @@ pub fn refute_with_instantiation(
     }
     let mut ground_scanned = ground.len();
 
-    for round in 0..=config.instantiation_rounds {
-        if refute(&ground, env, config, cancel) == GroundResult::Unsat {
-            return GroundResult::Unsat;
-        }
-        if round == config.instantiation_rounds || cancel.is_cancelled() {
+    for round in 0..config.instantiation_rounds {
+        if cancel.is_cancelled() {
             break;
         }
-        // The sort pool is only needed for quantifiers without usable
-        // triggers (or, as a fallback, for quantifiers whose triggers have
-        // never matched anything).  Snapshot the quantifier forms now (the
-        // loop below borrows `quantifiers` mutably) but build the pool lazily
-        // — in the common all-triggers-match case it is never built at all.
-        let quantifier_forms: Vec<Form> = quantifiers.iter().map(|q| q.form.clone()).collect();
-        let mut pool: Option<TermPool> = None;
+        // Only a quantifier without triggers draws on the pool.
+        let pool = if quantifiers.iter().any(|q| q.triggers.is_empty()) {
+            let forms = ground.iter().chain(quantifiers.iter().map(|q| &q.form));
+            term_pool(forms, env)
+        } else {
+            TermPool::default()
+        };
 
         let mut new_ground = Vec::new();
         let mut new_quantified = Vec::new();
         'quantifiers: for quantifier in &mut quantifiers {
-            let mut instances = Vec::new();
-            if !quantifier.triggers.is_empty() {
+            let instances = if quantifier.triggers.is_empty() {
+                instantiate_from_pool(quantifier, &pool, config)
+            } else {
                 let assignments = matcher.match_quantifier(
                     &quantifier.triggers,
                     &quantifier.binder_names,
                     quantifier.frontier,
                     MAX_MATCHES_PER_QUANTIFIER,
                 );
-                quantifier.matched_total += assignments.len();
                 // Advance the frontier only when this round's matching was
                 // exhaustive: a truncated scan must be allowed to revisit old
-                // candidates next round.  A revisited assignment costs one
-                // lookup: the quantifier remembers what it instantiated.
+                // candidates next round.
                 if assignments.len() < MAX_MATCHES_PER_QUANTIFIER {
                     quantifier.frontier = round + 1;
                 }
-                for assignment in &assignments {
-                    let terms = quantifier.terms_of(assignment);
-                    if let Instance::New(instance) = quantifier.instantiate(terms) {
-                        instances.push(instance);
-                    }
-                }
-            }
-            // A quantifier without triggers never matches, so this covers it.
-            if quantifier.matched_total == 0 {
-                let pool = pool.get_or_insert_with(|| {
-                    term_pool(ground.iter().chain(quantifier_forms.iter()), env)
-                });
-                instances.extend(instantiate_from_pool(quantifier, pool, config));
-            }
+                let instantiate = |assignment| quantifier.instantiate(assignment);
+                assignments.iter().filter_map(instantiate).collect()
+            };
             if cancel.is_cancelled() {
                 break 'quantifiers;
             }
@@ -231,6 +209,9 @@ pub fn refute_with_instantiation(
                 ground_scanned = ground.len(); // axioms are not re-scanned
             }
         }
+        if refute(&ground, env, config, cancel) == GroundResult::Unsat {
+            return GroundResult::Unsat;
+        }
     }
     GroundResult::Unknown
 }
@@ -266,17 +247,6 @@ fn collect_equalities(form: &Form, out: &mut HashSet<Form>) {
     rec(form, true, out);
 }
 
-/// What instantiating a quantifier at one binder assignment gave.
-enum Instance {
-    /// A new assignment, whose instance does not simplify to `true`.
-    New(Form),
-    /// An assignment instantiated before, whose instance is not `true`:
-    /// the instance was offered then.
-    Repeated,
-    /// The instance simplifies to `true`, now or when it was first built.
-    True,
-}
-
 /// A universally quantified assumption prepared for matching.
 #[derive(Debug)]
 struct Quantifier {
@@ -294,11 +264,6 @@ struct Quantifier {
     /// Candidate-stamp watermark: only candidates stamped at or after this
     /// value produce new matches (the instance frontier).
     frontier: usize,
-    /// Total matches produced so far (decides the pool fallback).
-    matched_total: usize,
-    /// Every binder assignment instantiated so far, as its terms in binder
-    /// order, with whether its instance simplified to `true`.
-    instantiated: HashMap<Vec<Form>, bool>,
 }
 
 impl Quantifier {
@@ -318,42 +283,14 @@ impl Quantifier {
             body,
             triggers,
             frontier: 0,
-            matched_total: 0,
-            instantiated: HashMap::new(),
         }
     }
 
-    /// The terms of a matched assignment in binder order (triggers cover
-    /// every binder, so a match assigns each).
-    fn terms_of(&self, assignment: &HashMap<String, Form>) -> Vec<Form> {
-        let terms = self.bindings.iter().map(|(name, _)| &assignment[name]);
-        terms.cloned().collect()
-    }
-
-    /// Instantiates the body at the assignment `terms` (in binder order),
-    /// unless this quantifier has instantiated it before.
-    fn instantiate(&mut self, terms: Vec<Form>) -> Instance {
-        if let Some(&is_true) = self.instantiated.get(&terms) {
-            return if is_true {
-                Instance::True
-            } else {
-                Instance::Repeated
-            };
-        }
-        let map: HashMap<String, Form> = self
-            .bindings
-            .iter()
-            .map(|(name, _)| name.clone())
-            .zip(terms.iter().cloned())
-            .collect();
-        let instance = simplify(&substitute(&self.body, &map));
-        let is_true = instance.is_true();
-        self.instantiated.insert(terms, is_true);
-        if is_true {
-            Instance::True
-        } else {
-            Instance::New(instance)
-        }
+    /// The body instantiated at `assignment`, which maps every binder to a
+    /// term, or `None` when the instance simplifies to `true`.
+    fn instantiate(&self, assignment: &HashMap<String, Form>) -> Option<Form> {
+        let instance = simplify(&substitute(&self.body, assignment));
+        (!instance.is_true()).then_some(instance)
     }
 }
 
@@ -368,7 +305,7 @@ impl Quantifier {
 /// Preference order: single patterns covering all binders (up to
 /// [`MAX_TRIGGERS_PER_QUANTIFIER`], smallest first), then one greedily
 /// assembled multi-pattern.  Returns an empty list when the binders cannot be
-/// covered — the caller then falls back to sort-pool enumeration.
+/// covered — the quantifier is then instantiated from the sort pool.
 fn select_triggers(bindings: &[(String, Sort)], body: &Form) -> Vec<Vec<Form>> {
     let binders: HashSet<String> = bindings.iter().map(|(n, _)| n.clone()).collect();
     if binders.is_empty() {
@@ -725,13 +662,13 @@ fn mentions_any(form: &Form, names: &HashSet<String>) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Sort-pool fallback (for trigger-less quantifiers)
+// The sort pool (for trigger-less quantifiers)
 // ---------------------------------------------------------------------------
 
 /// A pool of ground terms grouped by sort, used as instantiation candidates
-/// by the fallback enumerator.  Terms are deduplicated as they are inserted
-/// and buckets are sorted by term size once at construction, so lookups
-/// neither re-sort nor clone.
+/// for the quantifiers that have no trigger.  Terms are deduplicated as they
+/// are inserted and buckets are sorted by term size once at construction, so
+/// lookups neither re-sort nor clone.
 #[derive(Debug, Default)]
 struct TermPool {
     by_sort: BTreeMap<Sort, Vec<Form>>,
@@ -827,12 +764,11 @@ fn mentions(form: &Form, names: &[String]) -> bool {
     names.iter().any(|n| fv.contains(n))
 }
 
-/// Generates instances of one quantifier by enumerating the sort pool (the
-/// fallback for quantifiers without triggers).  The odometer stops after
-/// `max_instances_per_quantifier` non-`true` instances, counting those the
-/// quantifier built in an earlier round, which it does not offer again.
+/// Generates instances of a trigger-less quantifier by enumerating the sort
+/// pool.  The odometer stops after `max_instances_per_quantifier`
+/// non-`true` instances, the ones earlier rounds built included.
 fn instantiate_from_pool(
-    quantifier: &mut Quantifier,
+    quantifier: &Quantifier,
     pool: &TermPool,
     config: &ProverConfig,
 ) -> Vec<Form> {
@@ -848,24 +784,17 @@ fn instantiate_from_pool(
         return Vec::new();
     }
     let mut out = Vec::new();
-    let mut offered = 0usize;
     let mut indices = vec![0usize; candidate_lists.len()];
     let limit = config.max_instances_per_quantifier;
     'outer: loop {
-        let terms = indices
+        let assignment = quantifier
+            .bindings
             .iter()
-            .zip(&candidate_lists)
-            .map(|(&index, candidates)| candidates[index].clone())
+            .zip(indices.iter().zip(&candidate_lists))
+            .map(|((name, _), (&index, candidates))| (name.clone(), candidates[index].clone()))
             .collect();
-        match quantifier.instantiate(terms) {
-            Instance::New(instance) => {
-                out.push(instance);
-                offered += 1;
-            }
-            Instance::Repeated => offered += 1,
-            Instance::True => {}
-        }
-        if offered >= limit {
+        out.extend(quantifier.instantiate(&assignment));
+        if out.len() >= limit {
             break;
         }
         // Advance the odometer.
@@ -911,14 +840,16 @@ mod tests {
         proves_with(assumptions, goal, &ProverConfig::default())
     }
 
+    /// The ground stage, then this one, on one problem, as the cascade runs
+    /// them.
     fn proves_with(assumptions: &[&str], goal: &str, config: &ProverConfig) -> bool {
-        let env = env();
         let assumptions: Vec<Form> = assumptions.iter().map(|s| parse_form(s).unwrap()).collect();
         let goal = parse_form(goal).unwrap();
-        let count = assumptions.len();
-        let problem = build_problem(&assumptions, &goal, &env);
-        refute_with_instantiation(&problem, &env, config, count, &Cancel::never())
-            == GroundResult::Unsat
+        let problem = build_problem(&assumptions, &goal, &env());
+        let cancel = Cancel::never();
+        refute(&problem.ground, &problem.env, config, &cancel) == GroundResult::Unsat
+            || refute_with_instantiation(&problem, config, assumptions.len(), &cancel)
+                == GroundResult::Unsat
     }
 
     #[test]
@@ -938,11 +869,30 @@ mod tests {
     }
 
     #[test]
+    fn unmatched_triggers_get_no_pool_instances() {
+        // Both quantifiers are triggered by `p(_)`, and no `p` term occurs
+        // in the problem, so neither is instantiated; the pool instances
+        // `n := x` and `m := x` would refute it.
+        let quantifiers = [
+            "forall n:int. 0 <= n --> n <= k | p(n)",
+            "forall m:int. ~p(m)",
+        ];
+        for quantifier in quantifiers {
+            assert!(!triggers_of(quantifier).is_empty(), "{quantifier}");
+        }
+        let [q1, q2] = quantifiers;
+        assert!(!proves(&[q1, q2, "0 <= x"], "x <= k"));
+        // Once `p(x)` occurs, matching supplies those instances.
+        assert!(proves(&[q1, q2, "p(x) | 0 <= x"], "x <= k"));
+    }
+
+    #[test]
     fn a_remembered_pool_instance_still_counts_toward_the_limit() {
         // No trigger, so every round the pool enumerates `i`, `size`, `y`,
         // ... in that order.  At one instance per quantifier per round the
-        // odometer stops at `i` every round, remembered or not: a repeat
-        // that did not count would let the later rounds reach `y`.
+        // odometer stops at `i` every round, although the later rounds' `i`
+        // is already in the ground set: a repeat that did not count would
+        // let the later rounds reach `y`.
         let quantifier = "forall n:int. 0 <= n --> n < size";
         assert!(triggers_of(quantifier).is_empty());
         let assumptions = [quantifier, "0 <= y", "i < 5"];

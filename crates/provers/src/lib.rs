@@ -14,12 +14,14 @@
 //! * [`inst`] — trigger-driven E-matching instantiation on top of the ground
 //!   solver (the stand-in for the E-matching SMT solvers and the first-order
 //!   provers of the paper): triggers are selected per quantifier and matched
-//!   against a term index of the ground set, with a bounded sort-pool
-//!   enumeration as the fallback for trigger-less quantifiers;
+//!   against a term index of the ground set, and only a quantifier without
+//!   any trigger is instantiated from a bounded sort pool.  It starts where
+//!   the ground stage stopped: every round instantiates, then refutes;
 //! * [`preprocess`] — the refutation problem of a query (normal form,
-//!   skolems, read-over-write axioms), built once per query and shared by
-//!   the ground and instantiating stages, with the normal forms of the
-//!   assumptions shared by the queries of one method;
+//!   skolems, read-over-write axioms, and the sort environment with the
+//!   skolems declared), built once per query and refuted by the ground and
+//!   instantiating stages alike, with the normal forms of the assumptions
+//!   shared by the queries of one method;
 //! * adapters for the `ipl-bapa` cardinality prover and the `ipl-shape`
 //!   reachability prover;
 //! * [`cascade`] — the dispatcher that runs the provers in order with per-
@@ -160,6 +162,8 @@ impl Query {
     /// The refutation problem of this query, built on the first call
     /// (through the method's normal-form memo when the query has one) and
     /// shared by every later one.  It equals [`preprocess::build_problem`]'s.
+    /// Its sort environment is `env` itself unless preprocessing introduced
+    /// skolem symbols, which it declares in a copy, once.
     pub fn problem(&self) -> &Problem {
         self.problem.get_or_init(|| {
             // The memo's entries hold under its own env only, so a query
@@ -230,7 +234,8 @@ pub enum SkipReason {
 
 /// Resource budgets controlling the bounded search.  The search itself is
 /// fixed — clause learning, theory propagation, trigger selection and the
-/// sort-pool fallback always run — so only its bounds are settable.
+/// sort pool for trigger-less quantifiers always run — so only its bounds are
+/// settable.
 ///
 /// The whole configuration hashes into the proof-cache fingerprint (see
 /// [`cache`]), so runs under different budgets never share cached proofs.

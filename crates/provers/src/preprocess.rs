@@ -11,7 +11,9 @@
 //!    updates (McCarthy's select/store theory).
 //!
 //! The result separates ground formulas from universally quantified ones; the
-//! latter feed the instantiation engine of [`crate::inst`].
+//! latter feed the instantiation engine of [`crate::inst`].  It also carries
+//! the sort environment, with the skolem symbols declared, that both the
+//! ground and the instantiating stage refute it under.
 //!
 //! Each piece of this work is done once.  A [`Query`](crate::Query) builds
 //! its [`Problem`] on first use and every stage that needs it shares it.  The
@@ -32,15 +34,17 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// A preprocessed refutation problem.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Ground (quantifier-free at the top level) formulas to refute.
     pub ground: Vec<Form>,
     /// Universally quantified formulas available for instantiation.
     pub quantified: Vec<Form>,
-    /// Skolem symbols introduced during preprocessing, with their result
-    /// sorts (used to extend the sort environment for instantiation).
-    pub skolems: Vec<(String, Sort)>,
+    /// The sort environment every stage refutes the problem under: the
+    /// query's, with the skolem symbols preprocessing introduced declared in
+    /// it, so that they serve as instantiation candidates.  A problem
+    /// without skolems shares the query's `Arc`.
+    pub env: Arc<SortEnv>,
 }
 
 impl Problem {
@@ -52,7 +56,7 @@ impl Problem {
 
 /// Builds the refutation problem for `assumptions |- goal`.
 pub fn build_problem(assumptions: &[Form], goal: &Form, env: &SortEnv) -> Problem {
-    build(assumptions.iter(), goal, env, None)
+    build(assumptions.iter(), goal, &Arc::new(env.clone()), None)
 }
 
 /// The one builder behind [`build_problem`] and [`NormalForms`]: each
@@ -61,7 +65,7 @@ pub fn build_problem(assumptions: &[Form], goal: &Form, env: &SortEnv) -> Proble
 pub(crate) fn build<'a>(
     assumptions: impl Iterator<Item = &'a Form> + Clone,
     goal: &Form,
-    env: &SortEnv,
+    env: &Arc<SortEnv>,
     memo: Option<&NormalForms>,
 ) -> Problem {
     let mut fresh = FreshNames::new();
@@ -70,7 +74,11 @@ pub(crate) fn build<'a>(
     }
     fresh.reserve_all(goal);
 
-    let mut problem = Problem::default();
+    let mut problem = Problem {
+        ground: Vec::new(),
+        quantified: Vec::new(),
+        env: Arc::clone(env),
+    };
     for assumption in assumptions {
         match memo {
             Some(memo) => memo.add(assumption, &mut fresh, &mut problem),
@@ -213,7 +221,14 @@ fn add_refutation_form(form: &Form, env: &SortEnv, fresh: &mut FreshNames, probl
     let expanded = split_int_disequalities(&expanded, env);
     let normalised = nnf(&expanded);
     let (skolemised, skolems) = skolemize(&normalised, fresh);
-    problem.skolems.extend(skolems);
+    if !skolems.is_empty() {
+        // The first skolem gives the problem an environment of its own.
+        let extended = Arc::make_mut(&mut problem.env);
+        for (name, sort) in skolems {
+            extended.declare_var(name.clone(), sort.clone());
+            extended.declare_fun(name, Vec::new(), sort);
+        }
+    }
     let hoisted = hoist_foralls(&skolemised, fresh);
     let simplified = simplify(&hoisted);
     for conjunct in simplified.into_conjuncts() {

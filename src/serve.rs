@@ -964,6 +964,7 @@ fn line_key(line: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::core::VerifyOptions;
+    use proptest::prelude::*;
 
     const COUNTER: &str = r#"
         module Counter {
@@ -1349,5 +1350,80 @@ mod tests {
             .collect();
         assert_eq!(ids, [Some(1), Some(2)], "nothing after a shutdown is read");
         assert!(daemon.stopping.load(Ordering::Relaxed));
+    }
+
+    /// Valid frames for the fuzzer to cut short and flip.  None is a
+    /// `shutdown`, which would end the stream.
+    const FUZZ_FRAMES: [&str; 3] = [
+        r#"{"id": 1, "op": "stats"}"#,
+        r#"{"id": "h", "op": "health"}"#,
+        r#"{"id": 3, "op": "verify", "source": "module M { var x: int; method m() modifies x ensures \"x = 1\" { x := 1; } }"}"#,
+    ];
+
+    /// One line of input: random bytes, or a valid frame cut short or with
+    /// one byte flipped.
+    fn fuzz_line() -> impl Strategy<Value = Vec<u8>> {
+        let frame = 0..FUZZ_FRAMES.len();
+        prop_oneof![
+            prop::collection::vec(0u8..=255, 0..48),
+            (frame.clone(), 0usize..160).prop_map(|(frame, cut)| {
+                let bytes = FUZZ_FRAMES[frame].as_bytes();
+                bytes[..cut.min(bytes.len())].to_vec()
+            }),
+            (frame, 0usize..160, 1u8..=255).prop_map(|(frame, at, flip)| {
+                let mut bytes = FUZZ_FRAMES[frame].as_bytes().to_vec();
+                let at = at % bytes.len();
+                bytes[at] ^= flip;
+                bytes
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn random_input_gets_one_well_formed_frame_per_line(
+            lines in prop::collection::vec(fuzz_line(), 1..12),
+            chunk_sizes in prop::collection::vec(1usize..64, 1..8),
+        ) {
+            let mut stream = Vec::new();
+            for line in &lines {
+                // The reader must return on any text, not only on the
+                // lines the frame loop hands it.
+                let _ = parse_json(&String::from_utf8_lossy(line));
+                stream.extend_from_slice(line);
+                stream.push(b'\n');
+            }
+            // A line is answered unless, without its `\r`, it is blank
+            // UTF-8.  Random bytes may hold newlines of their own.
+            let answered = stream.split(|&b| b == b'\n').filter(|line| {
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                !std::str::from_utf8(line).is_ok_and(|text| text.trim().is_empty())
+            });
+            let expected = answered.count();
+
+            let daemon = daemon(ServeConfig::default());
+            let mut unread = &stream[..];
+            let mut sizes = chunk_sizes.iter().cycle();
+            let fill = |pending: &mut Vec<u8>| {
+                let size = unread.len().min(*sizes.next().unwrap());
+                let (chunk, rest) = unread.split_at(size);
+                pending.extend_from_slice(chunk);
+                unread = rest;
+                Ok(size)
+            };
+            let mut sent = Vec::new();
+            daemon.frame_loop(fill, &mut sent, false).unwrap();
+            let sent = String::from_utf8(sent).unwrap();
+            prop_assert_eq!(sent.lines().count(), expected);
+            for frame in sent.lines() {
+                let answer = parse_json(frame);
+                prop_assert!(
+                    answer.is_ok_and(|answer| answer.get("ok").is_some()),
+                    "{frame}"
+                );
+            }
+        }
     }
 }

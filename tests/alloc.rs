@@ -12,14 +12,18 @@
 //! * a warm session answers an unchanged Array List from its front-end
 //!   memo, so the request allocates little beyond parsing and the report;
 //! * a failing mutant, verified with the proof cache off, stays under an
-//!   allocation ceiling, so a regression back to substituting and
-//!   simplifying every instance the rounds revisit trips it;
+//!   allocation ceiling, so a regression back to instantiating a triggered
+//!   quantifier from the sort pool while its triggers match nothing trips
+//!   it;
 //! * Priority Queue, verified with the proof cache off, stays under an
 //!   allocation ceiling, so a regression back to normalising each
 //!   assumption once per sequent instead of once per method trips it;
 //! * the cascade's stages share each query's refutation problem, so
 //!   proving queries whose problems are built allocates for the search
-//!   alone, and a stage that builds a problem of its own trips a ceiling.
+//!   alone, and a stage that builds a problem of its own trips a ceiling;
+//! * the instantiating stage answers a built problem with no quantified
+//!   formula without allocating, instead of repeating the ground stage's
+//!   refutation.
 //!
 //! The count is per thread, so tests running in parallel in this binary do
 //! not pollute each other's numbers.
@@ -31,9 +35,10 @@ use ipl::gcl::wlp::vc_of;
 use ipl::lang::LoweredModule;
 use ipl::logic::{Form, SortEnv};
 use ipl::provers::cache::ProofCache;
+use ipl::provers::cascade::InstSmt;
 use ipl::provers::ground::{reference, refute, GroundResult};
 use ipl::provers::preprocess::build_problem;
-use ipl::provers::{Cancel, Cascade, ProverConfig, Query};
+use ipl::provers::{Cancel, Cascade, Outcome, Prover, ProverConfig, Query};
 use ipl::suite::benchmarks::Benchmark;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -122,7 +127,7 @@ fn clause_database_allocates_less_than_the_cloning_tableau() {
 
 #[test]
 fn hash_table_put_refutations_stay_under_the_allocation_ceiling() {
-    // Measured: 5,866 allocations in both the debug and the release profile.
+    // Measured: 5,358 allocations in both the debug and the release profile.
     // The string-keyed re-check this pin guards against spent far more.
     const CEILING: u64 = 9_000;
     let problems = hash_table_put_problems();
@@ -199,9 +204,9 @@ fn array_list_front_end_stays_under_the_allocation_ceiling() {
 
 #[test]
 fn a_warm_unchanged_array_list_request_stays_under_the_allocation_ceiling() {
-    // Measured: 1,232 allocations in both the debug and the release
-    // profile, 999 of them parsing.  Running the front end of every method
-    // again, as `Session::verify` did before the memo, spent 8,992.
+    // Measured: 837 allocations in both the debug and the release profile,
+    // 604 of them parsing.  Running the front end of every method again, as
+    // `Session::verify` did before the memo, spent 8,992.
     const CEILING: u64 = 2_500;
     let benchmark = ipl::suite::by_name("Array List").expect("benchmark exists");
     let session = Session::new(VerifyOptions::default().with_jobs(1));
@@ -242,10 +247,11 @@ fn benchmark(name: &str) -> Benchmark {
 #[test]
 fn a_failing_mutant_searched_to_budget_stays_under_the_allocation_ceiling() {
     // Association List `put` with its postcondition negated: the search runs
-    // to budget in the instantiating stage.  Measured: 88,385 allocations in
-    // both the debug and the release profile; 176,874 when every instance
-    // the rounds revisit is substituted, simplified and hashed again.
-    const CEILING: u64 = 110_000;
+    // to budget in the instantiating stage.  Measured: 17,772 allocations in
+    // both the debug and the release profile; 172,691 when a quantifier
+    // whose triggers have matched nothing yet is instantiated from the sort
+    // pool.
+    const CEILING: u64 = 21_000;
     let source = benchmark("Association List").source;
     let ensures = "ensures \"contents = old(contents) union {(k, v)} & count = old(count) + 1\"";
     assert_eq!(source.matches(ensures).count(), 1, "put's postcondition");
@@ -257,16 +263,16 @@ fn a_failing_mutant_searched_to_budget_stays_under_the_allocation_ceiling() {
     assert_eq!(failing, ["put"], "exactly the mutated method fails");
     assert!(
         count <= CEILING,
-        "a revisited binder assignment must cost a lookup \
-         (the put mutant allocated {count}, ceiling {CEILING})"
+        "only a quantifier without triggers may be instantiated from the sort \
+         pool (the put mutant allocated {count}, ceiling {CEILING})"
     );
 }
 
 #[test]
 fn an_uncached_priority_queue_stays_under_the_allocation_ceiling() {
-    // Measured: 58,638 allocations in both the debug and the release
-    // profile; 75,450 when each query normalises every assumption itself.
-    const CEILING: u64 = 66_000;
+    // Measured: 43,647 allocations in both the debug and the release
+    // profile; 60,459 when each query normalises every assumption itself.
+    const CEILING: u64 = 52_000;
     let (failing, count) = uncached_verify_allocations(benchmark("Priority Queue").source);
     assert!(failing.is_empty(), "{failing:?}");
     assert!(
@@ -276,10 +282,10 @@ fn an_uncached_priority_queue_stays_under_the_allocation_ceiling() {
     );
 }
 
-/// The queries of Priority Queue's non-trivial sequents, each with its own
+/// The queries of a benchmark's non-trivial sequents, each with its own
 /// refutation problem still unbuilt.
-fn priority_queue_queries() -> Vec<Query> {
-    let module = ipl::lang::parse_module(benchmark("Priority Queue").source).expect("parses");
+fn queries_of(name: &str) -> Vec<Query> {
+    let module = ipl::lang::parse_module(benchmark(name).source).expect("parses");
     let lowered = ipl::lang::lower_module(&module).expect("lowers");
     let mut queries = Vec::new();
     for method in &lowered.methods {
@@ -300,12 +306,12 @@ fn priority_queue_queries() -> Vec<Query> {
 fn the_stages_share_each_querys_refutation_problem() {
     // Every non-trivial Priority Queue sequent reaches the ground stage and
     // 19 of its 35 the instantiating stage.  The warm-up proof builds each
-    // query's problem, so the measured one builds none.  Measured: 41,902
-    // allocations in both the debug and the release profile; 66,311 when
+    // query's problem, so the measured one builds none.  Measured: 27,211
+    // allocations in both the debug and the release profile; 52,965 when
     // the ground stage builds a problem of its own.
-    const CEILING: u64 = 50_000;
+    const CEILING: u64 = 33_000;
     let cascade = Cascade::standard(ProverConfig::without_cache());
-    let queries = priority_queue_queries();
+    let queries = queries_of("Priority Queue");
     let prove_all = || {
         for query in &queries {
             assert!(cascade.prove(query).outcome.is_proved());
@@ -319,4 +325,31 @@ fn the_stages_share_each_querys_refutation_problem() {
          {} queries again allocated {count}, ceiling {CEILING})",
         queries.len()
     );
+}
+
+#[test]
+fn the_instantiating_stage_answers_quantifier_free_problems_without_allocating() {
+    // 13 of Hash Table's 27 problems have no quantified formula.  Selecting
+    // them builds their problems, as the ground stage does before the
+    // instantiating stage runs.
+    let queries: Vec<Query> = queries_of("Hash Table")
+        .into_iter()
+        .filter(|query| query.problem().quantified.is_empty())
+        .collect();
+    assert!(
+        !queries.is_empty(),
+        "Hash Table has quantifier-free problems"
+    );
+    let config = ProverConfig::without_cache();
+    let cancel = Cancel::never();
+    let unknown = |query: &Query| InstSmt.prove(query, &config, &cancel) == Outcome::Unknown;
+    let (unknown, count) = allocations(|| queries.iter().filter(|&query| unknown(query)).count());
+    assert_eq!(
+        count,
+        0,
+        "with nothing to instantiate, the instantiating stage must not refute \
+         the ground set again ({} quantifier-free problems allocated {count})",
+        queries.len()
+    );
+    assert_eq!(unknown, queries.len());
 }

@@ -2,9 +2,10 @@
 //! `NormalForms` memo, and a query builds its refutation problem through it.
 //! For every non-trivial sequent of the eight Table 1 modules, with and
 //! without proof constructs, that problem must equal the one
-//! `build_problem` builds on its own: the same ground formulas, quantified
-//! formulas and skolems, in the same order.  Otherwise the ground solver
-//! would see different input and prover attribution could move.
+//! `build_problem` builds on its own: the same ground formulas and
+//! quantified formulas, in the same order, and the same sort environment
+//! with the same skolems declared.  Otherwise the ground solver would see
+//! different input and prover attribution could move.
 //!
 //! A skolem constant or a renamed binder takes its name from a per-problem
 //! counter, so an assumption whose normalisation draws a fresh name must
@@ -16,7 +17,7 @@ use ipl::gcl::split::split_all;
 use ipl::gcl::translate::{translate_ext, TranslateCtx};
 use ipl::gcl::wlp::vc_of;
 use ipl::lang::LoweredMethod;
-use ipl::logic::Form;
+use ipl::logic::{Form, Sort};
 use ipl::provers::preprocess::{build_problem, NormalForms, Problem};
 use ipl::provers::Query;
 use std::collections::HashSet;
@@ -83,6 +84,10 @@ fn check_module(name: &str, source: &str) -> Seen {
                      the memo changed the problem",
                     method.name
                 );
+                // A problem copies the query's environment only to declare
+                // a skolem in it.
+                let env = &query.problem().env;
+                assert_eq!(Arc::ptr_eq(env, &query.env), **env == *query.env);
             }
             let distinct: HashSet<&Form> = queries
                 .iter()
@@ -156,15 +161,15 @@ fn assumptions_that_draw_fresh_names_are_normalised_in_every_problem() {
     };
     for query in &queries {
         let problem = query.problem();
-        // The existential assumption was skolemised...
-        assert!(
-            problem
-                .skolems
-                .iter()
-                .any(|(name, _)| name.starts_with("sk_j_")),
-            "{:?}",
-            problem.skolems
-        );
+        // The existential assumption was skolemised, and the skolem declared
+        // in the problem's environment, not in the query's...
+        let skolem = problem
+            .env
+            .vars()
+            .find(|(name, _)| name.starts_with("sk_j_"));
+        let (skolem, sort) = skolem.unwrap_or_else(|| panic!("{:?}", problem.env));
+        assert_eq!(*sort, Sort::Int);
+        assert_eq!(query.env.var_sort(skolem), None);
         // ...and the universal under the disjunction hoisted with its
         // binder renamed apart.
         assert!(
