@@ -11,9 +11,12 @@ pub type FromClause = Option<Vec<String>>;
 
 /// The integrated proof language constructs (Figure 3 of the paper).
 ///
-/// Each variant carries exactly the information required by its translation
-/// into simple guarded commands (Figure 8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// This is the one representation of a proof statement: the module parser
+/// builds it, lowering rewrites its formulas in place, and translation reads
+/// it.  Each variant carries exactly the information required by its
+/// translation into simple guarded commands (Figure 8).  `fix`, the one
+/// construct that encloses code, is a command ([`Ext::Fix`]), not a proof.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Proof {
     /// Sequential composition `p1 ; p2`.
     Seq(Vec<Proof>),
@@ -218,6 +221,53 @@ impl Proof {
             | Proof::PickAny { body, .. }
             | Proof::Induct { body, .. } => body.for_each(f),
             _ => {}
+        }
+    }
+
+    /// Calls `f` on every formula of this construct and of the constructs
+    /// nested in it.
+    pub fn for_each_form_mut(&mut self, f: &mut impl FnMut(&mut Form)) {
+        match self {
+            Proof::Seq(parts) => parts.iter_mut().for_each(|p| p.for_each_form_mut(f)),
+            Proof::Assert { form, .. }
+            | Proof::Note { form, .. }
+            | Proof::Contradiction { form, .. } => f(form),
+            Proof::Localize { body, form, .. }
+            | Proof::ByContradiction { body, form, .. }
+            | Proof::Induct { body, form, .. }
+            | Proof::PickAny {
+                body, goal: form, ..
+            } => {
+                f(form);
+                body.for_each_form_mut(f);
+            }
+            Proof::Mp { hyp, concl, .. } => {
+                f(hyp);
+                f(concl);
+            }
+            Proof::Assuming {
+                hyp, body, concl, ..
+            }
+            | Proof::PickWitness {
+                hyp, body, concl, ..
+            } => {
+                f(hyp);
+                f(concl);
+                body.for_each_form_mut(f);
+            }
+            Proof::Cases { cases, goal, .. } => {
+                cases.iter_mut().for_each(&mut *f);
+                f(goal);
+            }
+            Proof::ShowedCase { disjuncts, .. } => disjuncts.iter_mut().for_each(f),
+            Proof::Instantiate { forall, terms, .. } => {
+                f(forall);
+                terms.iter_mut().for_each(f);
+            }
+            Proof::Witness { terms, exists, .. } => {
+                terms.iter_mut().for_each(&mut *f);
+                f(exists);
+            }
         }
     }
 }

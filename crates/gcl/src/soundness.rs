@@ -15,7 +15,7 @@
 //! first-order prover (exactly the argument made in Figure 11 of the paper).
 
 use crate::cmd::Proof;
-use crate::translate::{translate_proof, TranslateCtx};
+use crate::translate::translate_proof;
 use crate::wlp::{wlp, Vc};
 use ipl_logic::parser::parse_form;
 use ipl_logic::{Form, Sort};
@@ -40,8 +40,7 @@ pub const POST_VAR: &str = "H_post";
 
 /// Builds the obligation `wlp(⟦p⟧, H) → H` for a single construct.
 pub fn soundness_obligation(proof: &Proof) -> Form {
-    let mut ctx = TranslateCtx::new();
-    let simple = translate_proof(proof, &mut ctx);
+    let simple = translate_proof(proof);
     let post = Vc::Goal {
         form: Form::var(POST_VAR),
         label: POST_VAR.to_string(),

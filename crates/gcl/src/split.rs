@@ -19,8 +19,13 @@ pub struct Sequent {
     pub name: String,
     /// Label of the originating `assert`.
     pub goal_label: String,
-    /// The labelled assumptions available on this path.
+    /// The labelled assumptions available on this path, ending with the
+    /// [`goal_hyps`](Self::goal_hyps) hypotheses peeled off the goal.
     pub assumptions: Vec<Labeled>,
+    /// How many trailing assumptions splitting peeled off the goal itself
+    /// (the antecedents of an implication goal, labelled `{label}_hyp_N`);
+    /// the ones before them are the path's.
+    pub goal_hyps: usize,
     /// The goal formula.
     pub goal: Form,
     /// The assumption-base restriction of the originating `assert`, if any.
@@ -32,20 +37,19 @@ impl Sequent {
     /// originating assert carries a `from` clause, in which case only the
     /// named facts are kept (the paper's assumption-base control).
     ///
-    /// Hypotheses peeled off the goal itself during splitting (an implication
-    /// antecedent becoming `{label}_hyp_N`) are always kept: they are part of
-    /// the obligation, not of the assumption base the `from` clause narrows,
-    /// and their generated labels are not nameable from the source anyway.
+    /// The [`goal_hyps`](Self::goal_hyps) hypotheses peeled off the goal
+    /// itself during splitting are always kept: they are part of the
+    /// obligation, not of the assumption base the `from` clause narrows.
     pub fn selected_assumptions(&self) -> Vec<&Labeled> {
         match &self.from {
             None => self.assumptions.iter().collect(),
             Some(names) => {
-                let hyp_prefix = format!("{}_hyp_", self.goal_label);
-                self.assumptions
-                    .iter()
-                    .filter(|a| {
-                        a.label.starts_with(&hyp_prefix) || names.iter().any(|n| n == &a.label)
-                    })
+                let (path, goal_hyps) = self
+                    .assumptions
+                    .split_at(self.assumptions.len() - self.goal_hyps);
+                path.iter()
+                    .filter(|a| names.iter().any(|n| n == &a.label))
+                    .chain(goal_hyps)
                     .collect()
             }
         }
@@ -133,7 +137,8 @@ impl Splitter {
                 }
                 Step::Visit(Vc::Goal { form, label, from }) => {
                     let goal = self.current(form);
-                    self.split_goal(goal, label, from);
+                    let path = self.assumptions.len();
+                    self.split_goal(goal, label, from, path);
                 }
                 Step::PopAssumption => {
                     self.assumptions.pop();
@@ -175,12 +180,14 @@ impl Splitter {
     /// quantifiers are instantiated with fresh variables.  Only what a
     /// sequent holds is interned: its goal and the antecedents it keeps,
     /// never the implication and quantifier spine peeled off on the way.
-    fn split_goal(&mut self, goal: Form, label: &str, from: &FromClause) {
+    /// The first `path` assumptions are the path's; the rest were peeled
+    /// off this goal.
+    fn split_goal(&mut self, goal: Form, label: &str, from: &FromClause, path: usize) {
         match goal {
             Form::Bool(true) => {}
             Form::And(parts) => {
                 for part in parts {
-                    self.split_goal(part, label, from);
+                    self.split_goal(part, label, from, path);
                 }
             }
             Form::Implies(antecedent, consequent) => {
@@ -194,7 +201,7 @@ impl Splitter {
                     self.assumptions
                         .push(Labeled::new(format!("{label}_hyp_{}", i + 1), hyp));
                 }
-                self.split_goal(Form::take(consequent), label, from);
+                self.split_goal(Form::take(consequent), label, from, path);
                 self.assumptions.truncate(depth);
             }
             Form::Forall(bindings, body) => {
@@ -204,7 +211,7 @@ impl Splitter {
                     renaming.insert(name.clone(), Form::Var(format!("{name}${suffix}")));
                 }
                 let body = substitute(&body, &renaming);
-                self.split_goal(body, label, from);
+                self.split_goal(body, label, from, path);
             }
             other => {
                 let suffix = self.fresh_suffix();
@@ -212,6 +219,7 @@ impl Splitter {
                     name: format!("{label}#{suffix}"),
                     goal_label: label.to_string(),
                     assumptions: self.assumptions.clone(),
+                    goal_hyps: self.assumptions.len() - path,
                     goal: intern::share(&other),
                     from: from.clone(),
                 });
@@ -244,14 +252,6 @@ pub fn split_all(vc: &Vc) -> Vec<Sequent> {
     };
     splitter.walk(vc);
     splitter.sequents
-}
-
-/// Splits and keeps only the sequents that are not syntactically valid.
-pub fn split_nontrivial(vc: &Vc) -> Vec<Sequent> {
-    split_all(vc)
-        .into_iter()
-        .filter(|s| !s.is_trivially_valid())
-        .collect()
 }
 
 #[cfg(test)]
@@ -348,10 +348,12 @@ mod tests {
     fn from_clause_keeps_goal_hypotheses() {
         // The hypothesis of the goal's implication lands in the assumptions
         // under a generated `_hyp_` label; a `from` clause (which can only
-        // name source-level facts) must not drop it.
+        // name source-level facts) must not drop it.  It is kept by its
+        // position, so a path assumption with a look-alike label is not.
         let cmd = Simple::seq(vec![
             Simple::assume("Relevant", f("forall x:int. p(x) --> q(x)")),
             Simple::assume("Irrelevant", f("r")),
+            Simple::assume("Goal_hyp_7", f("s")),
             Simple::assert_from(
                 "Goal",
                 f("forall y:int. p(y) --> q(y)"),
@@ -360,10 +362,14 @@ mod tests {
         ]);
         let sequents = split_all(&vc_of(&cmd));
         assert_eq!(sequents.len(), 1);
+        assert_eq!(sequents[0].goal_hyps, 1);
         let selected = sequents[0].selected_assumptions();
-        assert_eq!(selected.len(), 2, "Relevant plus the goal hypothesis");
-        assert!(selected.iter().any(|a| a.label == "Goal_hyp_1"));
-        assert!(selected.iter().all(|a| a.label != "Irrelevant"));
+        let labels: Vec<&str> = selected.iter().map(|a| a.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["Relevant", "Goal_hyp_1"],
+            "plus the goal hypothesis"
+        );
     }
 
     #[test]
@@ -375,13 +381,14 @@ mod tests {
         let all = split_all(&vc_of(&cmd));
         assert_eq!(all.len(), 1);
         assert!(all[0].is_trivially_valid());
-        assert!(split_nontrivial(&vc_of(&cmd)).is_empty());
 
         let cmd = Simple::seq(vec![
             Simple::assume("H", Form::FALSE),
             Simple::assert("G", f("q")),
         ]);
-        assert!(split_nontrivial(&vc_of(&cmd)).is_empty());
+        assert!(split_all(&vc_of(&cmd))
+            .iter()
+            .all(Sequent::is_trivially_valid));
     }
 
     #[test]
@@ -398,7 +405,8 @@ mod tests {
             ),
             Simple::assert("G2", f("g2")),
         ]);
-        let sequents = split_nontrivial(&vc_of(&cmd));
+        let mut sequents = split_all(&vc_of(&cmd));
+        sequents.retain(|s| !s.is_trivially_valid());
         // G1 is proved with the local assumption; G2 without it.  The branch
         // copy of G2 is trivially valid because its assumptions contain false.
         assert_eq!(sequents.len(), 2);

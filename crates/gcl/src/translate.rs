@@ -27,7 +27,7 @@ impl TranslateCtx {
 /// Figure 12 (`fix`).
 pub fn translate_ext(cmd: &Ext, ctx: &mut TranslateCtx) -> Simple {
     match cmd {
-        Ext::Proof(p) => translate_proof(p, ctx),
+        Ext::Proof(p) => translate_proof(p),
         Ext::Skip => Simple::Skip,
         Ext::Assume(fact) => Simple::Assume(fact.clone()),
         Ext::Assert { fact, from } => Simple::Assert {
@@ -172,12 +172,10 @@ pub fn translate_ext(cmd: &Ext, ctx: &mut TranslateCtx) -> Simple {
 }
 
 /// Translates a proof construct into simple guarded commands (Figure 8).
-// Public API kept symmetric with `translate_ext`: no current proof construct
-// draws fresh names, but the context is part of the translation signature.
-#[allow(clippy::only_used_in_recursion)]
-pub fn translate_proof(proof: &Proof, ctx: &mut TranslateCtx) -> Simple {
+/// No proof construct draws a fresh name, so none needs a [`TranslateCtx`].
+pub fn translate_proof(proof: &Proof) -> Simple {
     match proof {
-        Proof::Seq(parts) => Simple::seq(parts.iter().map(|p| translate_proof(p, ctx))),
+        Proof::Seq(parts) => Simple::seq(parts.iter().map(translate_proof)),
 
         // [[assert l:F from h]] = assert l:F from h
         Proof::Assert { label, form, from } => Simple::Assert {
@@ -198,7 +196,7 @@ pub fn translate_proof(proof: &Proof, ctx: &mut TranslateCtx) -> Simple {
         //   (skip [] ([[p]] ; assert F ; assume false)) ; assume l:F
         Proof::Localize { body, label, form } => Simple::seq(vec![
             local_branch(Simple::seq(vec![
-                translate_proof(body, ctx),
+                translate_proof(body),
                 Simple::assert(label.clone(), form.clone()),
             ])),
             Simple::assume(label.clone(), form.clone()),
@@ -226,7 +224,7 @@ pub fn translate_proof(proof: &Proof, ctx: &mut TranslateCtx) -> Simple {
         } => Simple::seq(vec![
             local_branch(Simple::seq(vec![
                 Simple::assume(hyp_label.clone(), hyp.clone()),
-                translate_proof(body, ctx),
+                translate_proof(body),
                 Simple::assert(concl_label.clone(), concl.clone()),
             ])),
             Simple::assume(
@@ -275,7 +273,7 @@ pub fn translate_proof(proof: &Proof, ctx: &mut TranslateCtx) -> Simple {
         Proof::ByContradiction { label, form, body } => Simple::seq(vec![
             local_branch(Simple::seq(vec![
                 Simple::assume(format!("{label}_negated"), Form::not(form.clone())),
-                translate_proof(body, ctx),
+                translate_proof(body),
                 Simple::assert(format!("{label}_absurd"), Form::FALSE),
             ])),
             Simple::assume(label.clone(), form.clone()),
@@ -337,7 +335,7 @@ pub fn translate_proof(proof: &Proof, ctx: &mut TranslateCtx) -> Simple {
                     ),
                     Simple::Havoc(vars.iter().map(|(v, _)| v.clone()).collect()),
                     Simple::assume(hyp_label.clone(), hyp.clone()),
-                    translate_proof(body, ctx),
+                    translate_proof(body),
                     Simple::assert(concl_label.clone(), concl.clone()),
                 ])),
                 Simple::assume(concl_label.clone(), exported),
@@ -355,7 +353,7 @@ pub fn translate_proof(proof: &Proof, ctx: &mut TranslateCtx) -> Simple {
         } => Simple::seq(vec![
             local_branch(Simple::seq(vec![
                 Simple::Havoc(vars.iter().map(|(v, _)| v.clone()).collect()),
-                translate_proof(body, ctx),
+                translate_proof(body),
                 Simple::assert(label.clone(), goal.clone()),
             ])),
             Simple::assume(label.clone(), Form::forall(vars.clone(), goal.clone())),
@@ -387,7 +385,7 @@ pub fn translate_proof(proof: &Proof, ctx: &mut TranslateCtx) -> Simple {
                         format!("{label}_nonneg"),
                         Form::le(Form::int(0), Form::var(var.clone())),
                     ),
-                    translate_proof(body, ctx),
+                    translate_proof(body),
                     Simple::assert(format!("{label}_base"), base),
                     Simple::assert(format!("{label}_step"), step),
                 ])),
@@ -488,8 +486,7 @@ mod tests {
 
     #[test]
     fn note_translates_to_assert_then_assume() {
-        let mut ctx = TranslateCtx::new();
-        let s = translate_proof(&Proof::note_from("L", f("x = 1"), vec!["P", "Q"]), &mut ctx);
+        let s = translate_proof(&Proof::note_from("L", f("x = 1"), vec!["P", "Q"]));
         match &s {
             Simple::Seq(parts) => {
                 assert_eq!(parts.len(), 2);
@@ -527,13 +524,12 @@ mod tests {
 
     #[test]
     fn witness_instantiates_the_existential_body() {
-        let mut ctx = TranslateCtx::new();
         let proof = Proof::Witness {
             terms: vec![f("index")],
             label: "W".into(),
             exists: f("exists i:int. (i, o) in content"),
         };
-        let s = translate_proof(&proof, &mut ctx);
+        let s = translate_proof(&proof);
         match &s {
             Simple::Seq(parts) => match &parts[0] {
                 Simple::Assert { fact, .. } => {
@@ -547,13 +543,12 @@ mod tests {
 
     #[test]
     fn instantiate_substitutes_terms() {
-        let mut ctx = TranslateCtx::new();
         let proof = Proof::Instantiate {
             label: "I".into(),
             forall: f("forall j:int, e:obj. (j, e) in content --> 0 <= j"),
             terms: vec![f("k")],
         };
-        let s = translate_proof(&proof, &mut ctx);
+        let s = translate_proof(&proof);
         let mut labels = Vec::new();
         assume_labels(&s, &mut labels);
         assert_eq!(labels, vec!["I".to_string()]);
@@ -572,7 +567,6 @@ mod tests {
 
     #[test]
     fn pick_witness_refuses_to_export_goal_mentioning_witness() {
-        let mut ctx = TranslateCtx::new();
         let proof = Proof::PickWitness {
             vars: vec![("w".into(), Sort::Obj)],
             hyp_label: "H".into(),
@@ -581,7 +575,7 @@ mod tests {
             concl_label: "G".into(),
             concl: f("w ~= null"),
         };
-        let s = translate_proof(&proof, &mut ctx);
+        let s = translate_proof(&proof);
         // The exported assumption must be weakened to true because the goal
         // mentions the witness variable (the paper's side condition).
         match &s {
@@ -595,14 +589,13 @@ mod tests {
 
     #[test]
     fn pick_any_exports_universal() {
-        let mut ctx = TranslateCtx::new();
         let proof = Proof::PickAny {
             vars: vec![("x".into(), Sort::Obj)],
             body: Box::new(Proof::Seq(vec![])),
             label: "All".into(),
             goal: f("x in nodes --> x ~= null"),
         };
-        let s = translate_proof(&proof, &mut ctx);
+        let s = translate_proof(&proof);
         match &s {
             Simple::Seq(parts) => match parts.last().unwrap() {
                 Simple::Assume(l) => assert!(matches!(l.form, Form::Forall(..))),
@@ -614,14 +607,13 @@ mod tests {
 
     #[test]
     fn induct_generates_base_and_step_obligations() {
-        let mut ctx = TranslateCtx::new();
         let proof = Proof::Induct {
             label: "Ind".into(),
             form: f("p(n)"),
             var: "n".into(),
             body: Box::new(Proof::Seq(vec![])),
         };
-        let s = translate_proof(&proof, &mut ctx);
+        let s = translate_proof(&proof);
         assert_eq!(s.assert_count(), 2, "base case and inductive step");
         match &s {
             Simple::Seq(parts) => match parts.last().unwrap() {
@@ -658,13 +650,12 @@ mod tests {
 
     #[test]
     fn cases_asserts_coverage_and_each_case() {
-        let mut ctx = TranslateCtx::new();
         let proof = Proof::Cases {
             cases: vec![f("x < 0"), f("x = 0"), f("x > 0")],
             label: "C".into(),
             goal: f("q(x)"),
         };
-        let s = translate_proof(&proof, &mut ctx);
+        let s = translate_proof(&proof);
         assert_eq!(s.assert_count(), 4);
     }
 

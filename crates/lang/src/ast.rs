@@ -4,8 +4,11 @@
 //! formula grammar itself: the imperative code and the specification logic
 //! share one term language, which is what makes the integration of code and
 //! proofs seamless (the same terms appear in assignments, conditions,
-//! contracts and proof commands).
+//! contracts and proof commands).  Proof statements are
+//! [`ipl_gcl::Proof`] values, the type translation reads, so each construct
+//! is spelled once from the parser to Figure 8.
 
+use ipl_gcl::Proof;
 use ipl_logic::{Form, Sort};
 use serde::{Deserialize, Serialize};
 
@@ -75,13 +78,16 @@ impl Module {
 fn count_stmts(stmts: &[Stmt]) -> usize {
     stmts
         .iter()
-        .map(|s| match s {
-            Stmt::If(_, then_branch, else_branch) => {
-                1 + count_stmts(then_branch) + count_stmts(else_branch)
-            }
-            Stmt::While { body, .. } => 1 + count_stmts(body),
-            Stmt::Proof(_) | Stmt::Assert { .. } | Stmt::Assume { .. } | Stmt::Ghost(..) => 0,
-            _ => 1,
+        .map(|stmt| {
+            let own = match stmt {
+                Stmt::Proof(_)
+                | Stmt::Fix { .. }
+                | Stmt::Assert { .. }
+                | Stmt::Assume { .. }
+                | Stmt::Ghost(..) => 0,
+                _ => 1,
+            };
+            own + stmt.blocks().into_iter().map(count_stmts).sum::<usize>()
         })
         .sum()
 }
@@ -113,16 +119,11 @@ impl Method {
     pub fn for_each_callee(&self, mut f: impl FnMut(&str)) {
         fn walk(stmts: &[Stmt], f: &mut impl FnMut(&str)) {
             for stmt in stmts {
-                match stmt {
-                    Stmt::Call { method, .. } => f(method),
-                    Stmt::If(_, then_branch, else_branch) => {
-                        walk(then_branch, f);
-                        walk(else_branch, f);
-                    }
-                    Stmt::While { body, .. } | Stmt::Proof(ProofStmt::Fix { body, .. }) => {
-                        walk(body, f)
-                    }
-                    _ => {}
+                if let Stmt::Call { method, .. } = stmt {
+                    f(method);
+                }
+                for block in stmt.blocks() {
+                    walk(block, f);
                 }
             }
         }
@@ -196,143 +197,11 @@ pub enum Stmt {
         /// The assumed formula.
         form: Form,
     },
-    /// A proof-language statement.
-    Proof(ProofStmt),
-    /// `skip;`
-    Skip,
-}
-
-/// The integrated proof language statements (surface form).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ProofStmt {
-    /// `note L: "F" [from a, b];`
-    Note {
-        /// Fact name.
-        label: String,
-        /// The formula.
-        form: Form,
-        /// Optional `from` clause.
-        from: Option<Vec<String>>,
-    },
-    /// `localize L: "F" { ... }`
-    Localize {
-        /// Exported fact name.
-        label: String,
-        /// The exported formula.
-        form: Form,
-        /// The nested proof.
-        body: Vec<ProofStmt>,
-    },
-    /// `assuming H: "F" show L: "G" { ... }`
-    Assuming {
-        /// Hypothesis name.
-        hyp_label: String,
-        /// Hypothesis.
-        hyp: Form,
-        /// Conclusion name.
-        label: String,
-        /// Conclusion.
-        goal: Form,
-        /// The nested proof.
-        body: Vec<ProofStmt>,
-    },
-    /// `mp L: "F --> G";`
-    Mp {
-        /// Conclusion name.
-        label: String,
-        /// The implication.
-        implication: Form,
-    },
-    /// `cases "F1", "F2" for L: "G";`
-    Cases {
-        /// The cases.
-        cases: Vec<Form>,
-        /// Goal name.
-        label: String,
-        /// The goal.
-        goal: Form,
-    },
-    /// `showedCase i of L: "F1 | F2";`
-    ShowedCase {
-        /// 1-based index of the proved disjunct.
-        index: usize,
-        /// Name of the disjunction.
-        label: String,
-        /// The disjunction.
-        disjunction: Form,
-    },
-    /// `byContradiction L: "F" { ... }`
-    ByContradiction {
-        /// Fact name.
-        label: String,
-        /// The fact.
-        form: Form,
-        /// The nested refutation.
-        body: Vec<ProofStmt>,
-    },
-    /// `contradiction L: "F";`
-    Contradiction {
-        /// Label.
-        label: String,
-        /// The contradictory formula.
-        form: Form,
-    },
-    /// `instantiate L: "forall ..." with "t", "u";`
-    Instantiate {
-        /// Fact name.
-        label: String,
-        /// The universally quantified formula.
-        forall: Form,
-        /// Instantiation terms.
-        terms: Vec<Form>,
-    },
-    /// `witness "t" for L: "exists ...";`
-    Witness {
-        /// Witness terms.
-        terms: Vec<Form>,
-        /// Fact name.
-        label: String,
-        /// The existential formula.
-        exists: Form,
-    },
-    /// `pickWitness x: obj for H: "F" show L: "G" { ... }`
-    PickWitness {
-        /// Witness variables with sorts.
-        vars: Vec<(String, Sort)>,
-        /// Hypothesis name.
-        hyp_label: String,
-        /// The constraint.
-        hyp: Form,
-        /// Goal name.
-        label: String,
-        /// The goal.
-        goal: Form,
-        /// The nested proof.
-        body: Vec<ProofStmt>,
-    },
-    /// `pickAny x: obj show L: "G" { ... }`
-    PickAny {
-        /// Arbitrary variables with sorts.
-        vars: Vec<(String, Sort)>,
-        /// Fact name.
-        label: String,
-        /// The goal.
-        goal: Form,
-        /// The nested proof.
-        body: Vec<ProofStmt>,
-    },
-    /// `induct L: "F" over n { ... }`
-    Induct {
-        /// Fact name.
-        label: String,
-        /// The induction formula.
-        form: Form,
-        /// The induction variable.
-        var: String,
-        /// The nested proof.
-        body: Vec<ProofStmt>,
-    },
-    /// `fix x: obj suchThat "F" show L: "G" { ...statements... }`
+    /// A proof-language statement; a `{ … }` proof block is the
+    /// [`Proof::seq`] of its statements.
+    Proof(Proof),
+    /// `fix x: obj suchThat "F" show L: "G" { ...statements... }`, the
+    /// proof construct that encloses code (Appendix B).
     Fix {
         /// Fixed variables with sorts.
         vars: Vec<(String, Sort)>,
@@ -345,6 +214,21 @@ pub enum ProofStmt {
         /// The enclosed statements (may modify program state).
         body: Vec<Stmt>,
     },
+    /// `skip;`
+    Skip,
+}
+
+impl Stmt {
+    /// The statement lists this statement holds: both branches of an `if`,
+    /// and the body of a `while` or a `fix`.  Every walk over a method body
+    /// recurses through this one definition of nesting.
+    pub fn blocks(&self) -> [&[Stmt]; 2] {
+        match self {
+            Stmt::If(_, then_branch, else_branch) => [then_branch, else_branch],
+            Stmt::While { body, .. } | Stmt::Fix { body, .. } => [body, &[]],
+            _ => [&[], &[]],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -378,20 +262,32 @@ mod tests {
                 ensures: vec![],
                 body: vec![
                     Stmt::Assign("x".into(), parse_form("x + 1").unwrap()),
-                    Stmt::Proof(ProofStmt::Note {
-                        label: "L".into(),
-                        form: parse_form("x = x").unwrap(),
-                        from: None,
-                    }),
+                    Stmt::Proof(Proof::note("L", parse_form("x = x").unwrap())),
                     Stmt::If(
                         parse_form("x < 10").unwrap(),
                         vec![Stmt::Assign("x".into(), parse_form("0").unwrap())],
                         vec![],
                     ),
+                    // A `fix` is a proof construct, but the code it encloses
+                    // counts, as a loop body does.
+                    Stmt::Fix {
+                        vars: vec![("k".into(), Sort::Int)],
+                        such_that: parse_form("k = x").unwrap(),
+                        label: "Kept".into(),
+                        goal: parse_form("k < x").unwrap(),
+                        body: vec![
+                            Stmt::Assign("x".into(), parse_form("x + 1").unwrap()),
+                            Stmt::Assert {
+                                label: None,
+                                form: parse_form("k < x").unwrap(),
+                                from: None,
+                            },
+                        ],
+                    },
                 ],
             }],
         };
-        assert_eq!(module.statement_count(), 3);
+        assert_eq!(module.statement_count(), 4);
         assert!(module.method("m").is_some());
         assert!(module.method("absent").is_none());
     }

@@ -18,6 +18,13 @@
 //!   `byContradiction`, `contradiction`, `instantiate`, `witness`,
 //!   `pickWitness`, `pickAny`, `induct`, `fix`).
 //!
+//! A proof statement is parsed straight into the [`ipl_gcl::Proof`] that
+//! translation reads, so each construct has one representation from the
+//! parser to Figure 8.  `fix` is the exception that encloses code: it is a
+//! statement, [`Stmt::Fix`], whose body every walk over a method (statement
+//! counts, callees, the variables `old` must snapshot) enters as it enters a
+//! loop body, through [`Stmt::blocks`].
+//!
 //! Specification formulas are written between quotes in the ASCII syntax of
 //! [`ipl_logic::parser`], mirroring Jahob's string annotations.  That
 //! parser is also the one reader of the module text around them: the
@@ -28,8 +35,8 @@
 //!
 //! The crate provides the [`parser`] for this language, the [`ast`], and the
 //! [`lower`] pass that produces extended guarded commands (`ipl_gcl::Ext`)
-//! per method, together with the module's sort environment and the statistics
-//! reported in Table 1 of the paper.
+//! per method, together with the method's sort environment and the
+//! construct counts reported in Table 1 of the paper.
 //!
 //! ```
 //! let source = r#"
@@ -54,6 +61,6 @@ pub mod ast;
 pub mod lower;
 pub mod parser;
 
-pub use ast::{Method, Module, ProofStmt, Stmt, Type};
+pub use ast::{Method, Module, Stmt, Type};
 pub use lower::{lower_module, LoweredMethod, LoweredModule};
 pub use parser::parse_module;

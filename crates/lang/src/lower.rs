@@ -13,9 +13,11 @@
 //!   `content_def`-style named facts available for `from` clauses,
 //! * desugars calls into `assert pre ; havoc(modifies) ; assume post`,
 //! * snapshots `old` state at method entry, and
-//! * maps every integrated proof statement onto its `ipl-gcl` counterpart.
+//! * keeps every proof statement as the parser built it, declaring the
+//!   variables its binders introduce and rewriting its formulas in place
+//!   as any other formula of the method.
 
-use crate::ast::{Method, Module, ProofStmt, Stmt, Type};
+use crate::ast::{Method, Module, Stmt, Type};
 use ipl_gcl::cmd::{ConstructCounts, Ext, Proof};
 use ipl_logic::normal::eliminate_old;
 use ipl_logic::subst::{free_vars, substitute};
@@ -53,14 +55,10 @@ pub struct LoweredMethod {
 /// A lowered module.
 #[derive(Debug, Clone)]
 pub struct LoweredModule {
-    /// Module name.
-    pub name: String,
     /// Module-level sort environment.
     pub env: SortEnv,
     /// Lowered methods.
     pub methods: Vec<LoweredMethod>,
-    /// The surface module (kept for statistics).
-    pub module: Module,
 }
 
 /// Lowers every method of a module.
@@ -70,12 +68,7 @@ pub fn lower_module(module: &Module) -> Result<LoweredModule, LowerError> {
     for method in &module.methods {
         methods.push(lower_method(module, method, &env)?);
     }
-    Ok(LoweredModule {
-        name: module.name.clone(),
-        env,
-        methods,
-        module: module.clone(),
-    })
+    Ok(LoweredModule { env, methods })
 }
 
 /// Builds the sort environment of a module.
@@ -312,13 +305,13 @@ impl<'a> Lowerer<'a> {
                 label.clone().unwrap_or_else(|| "Assume".to_string()),
                 self.fix_form(form),
             )),
-            Stmt::Proof(ProofStmt::Fix {
+            Stmt::Fix {
                 vars,
                 such_that,
                 label,
                 goal,
                 body,
-            }) => {
+            } => {
                 for (name, sort) in vars {
                     self.env.declare_var(name.clone(), sort.clone());
                 }
@@ -330,7 +323,20 @@ impl<'a> Lowerer<'a> {
                     goal: self.fix_form(goal),
                 })
             }
-            Stmt::Proof(proof) => Ok(Ext::Proof(self.lower_proof(proof)?)),
+            Stmt::Proof(proof) => {
+                proof.for_each(&mut |construct| match construct {
+                    Proof::PickWitness { vars, .. } | Proof::PickAny { vars, .. } => {
+                        for (name, sort) in vars {
+                            self.env.declare_var(name.clone(), sort.clone());
+                        }
+                    }
+                    Proof::Induct { var, .. } => self.env.declare_var(var.clone(), Sort::Int),
+                    _ => {}
+                });
+                let mut proof = proof.clone();
+                proof.for_each_form_mut(&mut |form| *form = self.fix_form(form));
+                Ok(Ext::Proof(proof))
+            }
         }
     }
 
@@ -426,164 +432,11 @@ impl<'a> Lowerer<'a> {
         cmds.extend(self.vardef_updates(&callee.modifies, &skip));
         Ok(Ext::seq(cmds))
     }
-
-    fn lower_proof(&mut self, proof: &ProofStmt) -> Result<Proof, LowerError> {
-        Ok(match proof {
-            ProofStmt::Note { label, form, from } => Proof::Note {
-                label: label.clone(),
-                form: self.fix_form(form),
-                from: from.clone(),
-            },
-            ProofStmt::Localize { label, form, body } => Proof::Localize {
-                body: Box::new(self.lower_proofs(body)?),
-                label: label.clone(),
-                form: self.fix_form(form),
-            },
-            ProofStmt::Assuming {
-                hyp_label,
-                hyp,
-                label,
-                goal,
-                body,
-            } => Proof::Assuming {
-                hyp_label: hyp_label.clone(),
-                hyp: self.fix_form(hyp),
-                body: Box::new(self.lower_proofs(body)?),
-                concl_label: label.clone(),
-                concl: self.fix_form(goal),
-            },
-            ProofStmt::Mp { label, implication } => {
-                let fixed = self.fix_form(implication);
-                match fixed {
-                    Form::Implies(hyp, concl) => Proof::Mp {
-                        label: label.clone(),
-                        hyp: Form::take(hyp),
-                        concl: Form::take(concl),
-                    },
-                    other => {
-                        return Err(LowerError {
-                            message: format!("mp {label} expects an implication, got {other}"),
-                        })
-                    }
-                }
-            }
-            ProofStmt::Cases { cases, label, goal } => Proof::Cases {
-                cases: cases.iter().map(|c| self.fix_form(c)).collect(),
-                label: label.clone(),
-                goal: self.fix_form(goal),
-            },
-            ProofStmt::ShowedCase {
-                index,
-                label,
-                disjunction,
-            } => {
-                let fixed = self.fix_form(disjunction);
-                let disjuncts = match fixed {
-                    Form::Or(parts) => parts,
-                    other => vec![other],
-                };
-                Proof::ShowedCase {
-                    index: *index,
-                    label: label.clone(),
-                    disjuncts,
-                }
-            }
-            ProofStmt::ByContradiction { label, form, body } => Proof::ByContradiction {
-                label: label.clone(),
-                form: self.fix_form(form),
-                body: Box::new(self.lower_proofs(body)?),
-            },
-            ProofStmt::Contradiction { label, form } => Proof::Contradiction {
-                label: label.clone(),
-                form: self.fix_form(form),
-            },
-            ProofStmt::Instantiate {
-                label,
-                forall,
-                terms,
-            } => Proof::Instantiate {
-                label: label.clone(),
-                forall: self.fix_form(forall),
-                terms: terms.iter().map(|t| self.fix_form(t)).collect(),
-            },
-            ProofStmt::Witness {
-                terms,
-                label,
-                exists,
-            } => Proof::Witness {
-                terms: terms.iter().map(|t| self.fix_form(t)).collect(),
-                label: label.clone(),
-                exists: self.fix_form(exists),
-            },
-            ProofStmt::PickWitness {
-                vars,
-                hyp_label,
-                hyp,
-                label,
-                goal,
-                body,
-            } => {
-                for (name, sort) in vars {
-                    self.env.declare_var(name.clone(), sort.clone());
-                }
-                Proof::PickWitness {
-                    vars: vars.clone(),
-                    hyp_label: hyp_label.clone(),
-                    hyp: self.fix_form(hyp),
-                    body: Box::new(self.lower_proofs(body)?),
-                    concl_label: label.clone(),
-                    concl: self.fix_form(goal),
-                }
-            }
-            ProofStmt::PickAny {
-                vars,
-                label,
-                goal,
-                body,
-            } => {
-                for (name, sort) in vars {
-                    self.env.declare_var(name.clone(), sort.clone());
-                }
-                Proof::PickAny {
-                    vars: vars.clone(),
-                    body: Box::new(self.lower_proofs(body)?),
-                    label: label.clone(),
-                    goal: self.fix_form(goal),
-                }
-            }
-            ProofStmt::Induct {
-                label,
-                form,
-                var,
-                body,
-            } => {
-                self.env.declare_var(var.clone(), Sort::Int);
-                Proof::Induct {
-                    label: label.clone(),
-                    form: self.fix_form(form),
-                    var: var.clone(),
-                    body: Box::new(self.lower_proofs(body)?),
-                }
-            }
-            ProofStmt::Fix { .. } => {
-                return Err(LowerError {
-                    message: "fix may not be nested inside a pure proof block".to_string(),
-                })
-            }
-        })
-    }
-
-    fn lower_proofs(&mut self, proofs: &[ProofStmt]) -> Result<Proof, LowerError> {
-        let mut out = Vec::new();
-        for proof in proofs {
-            out.push(self.lower_proof(proof)?);
-        }
-        Ok(Proof::seq(out))
-    }
 }
 
 /// Collects every variable the method body can assign (directly, through a
-/// heap or array write, an allocation, or a call's modifies clause).
+/// heap or array write, an allocation, or a call's modifies clause), at any
+/// depth of nesting.
 fn collect_assigned_vars(stmts: &[Stmt], module: &Module, out: &mut BTreeSet<String>) {
     for stmt in stmts {
         match stmt {
@@ -609,12 +462,16 @@ fn collect_assigned_vars(stmts: &[Stmt], module: &Module, out: &mut BTreeSet<Str
                     out.extend(callee.modifies.iter().cloned());
                 }
             }
-            Stmt::If(_, then_branch, else_branch) => {
-                collect_assigned_vars(then_branch, module, out);
-                collect_assigned_vars(else_branch, module, out);
-            }
-            Stmt::While { body, .. } => collect_assigned_vars(body, module, out),
-            Stmt::Assert { .. } | Stmt::Assume { .. } | Stmt::Proof(_) | Stmt::Skip => {}
+            Stmt::If(..)
+            | Stmt::While { .. }
+            | Stmt::Fix { .. }
+            | Stmt::Assert { .. }
+            | Stmt::Assume { .. }
+            | Stmt::Proof(_)
+            | Stmt::Skip => {}
+        }
+        for block in stmt.blocks() {
+            collect_assigned_vars(block, module, out);
         }
     }
 }
@@ -818,6 +675,38 @@ mod tests {
             "old(csize) handled via snapshot: {text}"
         );
         assert!(!text.contains("Old("), "no unresolved old() remains");
+    }
+
+    #[test]
+    fn every_formula_of_every_proof_statement_is_rewritten() {
+        let source = r#"
+            module M {
+              var x: int;
+              method m() modifies x {
+                x := x + 1;
+                note A: "old(x) < x";
+                localize B: "old(x) < x" { note B1: "0 <= old(x) | old(x) < 0"; }
+                assuming H: "0 <= old(x)" show C: "old(x) < x" { note C1: "old(x) < x"; }
+                mp D: "0 <= old(x) --> old(x) < x";
+                cases "old(x) < 0", "0 <= old(x)" for E: "old(x) < x";
+                showedCase 1 of F: "old(x) < x | x < old(x)";
+                byContradiction G: "old(x) < x" { contradiction G1: "x <= old(x)"; }
+                instantiate I: "forall n:int. n < x | old(x) < n" with "old(x)";
+                witness "old(x)" for J: "exists n:int. n = old(x)";
+                pickWitness w: int for K: "w = old(x)" show L: "old(x) < x" { note L1: "w = old(x)"; }
+                pickAny a: obj show P: "old(x) < x" { note P1: "old(x) < x"; }
+                induct Q: "0 <= n | n < old(x)" over n { note Q1: "old(x) < x"; }
+              }
+            }
+        "#;
+        let module = parse_module(source).unwrap();
+        let lowered = lower_module(&module).unwrap().methods.remove(0);
+        let text = format!("{:?}", lowered.command);
+        assert!(!text.contains("Old("), "every old() is resolved: {text}");
+        assert_eq!(lowered.counts.total_proof_statements(), 18);
+        for (binder, sort) in [("w", Sort::Int), ("a", Sort::Obj), ("n", Sort::Int)] {
+            assert_eq!(lowered.env.var_sort(binder), Some(&sort), "{binder}");
+        }
     }
 
     #[test]

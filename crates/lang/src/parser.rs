@@ -15,6 +15,13 @@
 //! double quotes and are parsed on their own with [`parse_form`], so an
 //! error inside one names the formula's text.
 //!
+//! Proof statements are read straight into the [`Proof`] values translation
+//! reads: a proof block is the [`Proof::seq`] of its statements, and the
+//! implication of an `mp` and the disjunction of a `showedCase` are split
+//! as they are read, so an `mp` of anything but an implication is a parse
+//! error at its formula.  `fix`, the construct that encloses code, is read
+//! as a statement ([`Stmt::Fix`]) and cannot appear in a proof block.
+//!
 //! Program text nested past [`MAX_NESTING`] levels is a parse error, as in
 //! formulas: a block, `else if` or call argument is a level, and a program
 //! expression counts its levels as a formula does, on the same counter.  A
@@ -22,7 +29,8 @@
 //!
 //! [`MAX_NESTING`]: ipl_logic::parser::MAX_NESTING
 
-use crate::ast::{Method, Module, ProofStmt, Stmt, Type};
+use crate::ast::{Method, Module, Stmt, Type};
+use ipl_gcl::Proof;
 use ipl_logic::parser::{parse_form, ParseError, Parser, Tok};
 use ipl_logic::{Form, Sort};
 use std::fmt;
@@ -317,6 +325,20 @@ fn stmt(p: &mut Parser<'_>) -> Read<Stmt> {
             args,
         });
     }
+    if p.eat_ident("fix") {
+        let vars = comma_list(p, binder)?;
+        p.expect_ident("suchThat")?;
+        let such_that = formula(p)?;
+        p.expect_ident("show")?;
+        let (label, goal) = label_formula(p)?;
+        return Ok(Stmt::Fix {
+            vars,
+            such_that,
+            label,
+            goal,
+            body: block(p)?,
+        });
+    }
     if let Some(proof) = proof_stmt(p)? {
         return Ok(Stmt::Proof(proof));
     }
@@ -429,7 +451,7 @@ fn from_clause(p: &mut Parser<'_>) -> Read<Option<Vec<String>>> {
 // Proof statements
 // ---------------------------------------------------------------------------
 
-fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
+fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<Proof>> {
     let Tok::Ident(keyword) = p.peek() else {
         return Ok(None);
     };
@@ -439,33 +461,44 @@ fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
             let (label, form) = label_formula(p)?;
             let from = from_clause(p)?;
             p.expect_punct(";")?;
-            ProofStmt::Note { label, form, from }
+            Proof::Note { label, form, from }
         }
         "localize" => {
             p.bump();
             let (label, form) = label_formula(p)?;
             let body = proof_block(p)?;
-            ProofStmt::Localize { label, form, body }
+            Proof::Localize { body, label, form }
         }
         "assuming" => {
             p.bump();
             let (hyp_label, hyp) = label_formula(p)?;
             p.expect_ident("show")?;
-            let (label, goal) = label_formula(p)?;
-            let body = proof_block(p)?;
-            ProofStmt::Assuming {
+            let (concl_label, concl) = label_formula(p)?;
+            Proof::Assuming {
                 hyp_label,
                 hyp,
-                label,
-                goal,
-                body,
+                body: proof_block(p)?,
+                concl_label,
+                concl,
             }
         }
         "mp" => {
             p.bump();
-            let (label, implication) = label_formula(p)?;
+            let label = p.ident()?;
+            p.expect_punct(":")?;
+            let (offset, end) = p.span();
+            let (hyp, concl) = match formula(p)? {
+                Form::Implies(hyp, concl) => (Form::take(hyp), Form::take(concl)),
+                other => {
+                    return Err(ParseError {
+                        message: format!("mp {label} expects an implication, got {other}"),
+                        offset,
+                        end,
+                    })
+                }
+            };
             p.expect_punct(";")?;
-            ProofStmt::Mp { label, implication }
+            Proof::Mp { label, hyp, concl }
         }
         "cases" => {
             p.bump();
@@ -473,7 +506,7 @@ fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
             p.expect_ident("for")?;
             let (label, goal) = label_formula(p)?;
             p.expect_punct(";")?;
-            ProofStmt::Cases { cases, label, goal }
+            Proof::Cases { cases, label, goal }
         }
         "showedCase" => {
             p.bump();
@@ -485,23 +518,27 @@ fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
             p.expect_ident("of")?;
             let (label, disjunction) = label_formula(p)?;
             p.expect_punct(";")?;
-            ProofStmt::ShowedCase {
+            let disjuncts = match disjunction {
+                Form::Or(parts) => parts,
+                other => vec![other],
+            };
+            Proof::ShowedCase {
                 index,
                 label,
-                disjunction,
+                disjuncts,
             }
         }
         "byContradiction" => {
             p.bump();
             let (label, form) = label_formula(p)?;
             let body = proof_block(p)?;
-            ProofStmt::ByContradiction { label, form, body }
+            Proof::ByContradiction { label, form, body }
         }
         "contradiction" => {
             p.bump();
             let (label, form) = label_formula(p)?;
             p.expect_punct(";")?;
-            ProofStmt::Contradiction { label, form }
+            Proof::Contradiction { label, form }
         }
         "instantiate" => {
             p.bump();
@@ -509,7 +546,7 @@ fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
             p.expect_ident("with")?;
             let terms = comma_list(p, formula)?;
             p.expect_punct(";")?;
-            ProofStmt::Instantiate {
+            Proof::Instantiate {
                 label,
                 forall,
                 terms,
@@ -521,7 +558,7 @@ fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
             p.expect_ident("for")?;
             let (label, exists) = label_formula(p)?;
             p.expect_punct(";")?;
-            ProofStmt::Witness {
+            Proof::Witness {
                 terms,
                 label,
                 exists,
@@ -533,15 +570,14 @@ fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
             p.expect_ident("for")?;
             let (hyp_label, hyp) = label_formula(p)?;
             p.expect_ident("show")?;
-            let (label, goal) = label_formula(p)?;
-            let body = proof_block(p)?;
-            ProofStmt::PickWitness {
+            let (concl_label, concl) = label_formula(p)?;
+            Proof::PickWitness {
                 vars,
                 hyp_label,
                 hyp,
-                label,
-                goal,
-                body,
+                body: proof_block(p)?,
+                concl_label,
+                concl,
             }
         }
         "pickAny" => {
@@ -549,12 +585,11 @@ fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
             let vars = comma_list(p, binder)?;
             p.expect_ident("show")?;
             let (label, goal) = label_formula(p)?;
-            let body = proof_block(p)?;
-            ProofStmt::PickAny {
+            Proof::PickAny {
                 vars,
+                body: proof_block(p)?,
                 label,
                 goal,
-                body,
             }
         }
         "induct" => {
@@ -563,26 +598,10 @@ fn proof_stmt(p: &mut Parser<'_>) -> Read<Option<ProofStmt>> {
             p.expect_ident("over")?;
             let var = p.ident()?;
             let body = proof_block(p)?;
-            ProofStmt::Induct {
+            Proof::Induct {
                 label,
                 form,
                 var,
-                body,
-            }
-        }
-        "fix" => {
-            p.bump();
-            let vars = comma_list(p, binder)?;
-            p.expect_ident("suchThat")?;
-            let such_that = formula(p)?;
-            p.expect_ident("show")?;
-            let (label, goal) = label_formula(p)?;
-            let body = block(p)?;
-            ProofStmt::Fix {
-                vars,
-                such_that,
-                label,
-                goal,
                 body,
             }
         }
@@ -598,11 +617,15 @@ fn binder(p: &mut Parser<'_>) -> Read<(String, Sort)> {
     Ok((name, p.parse_sort()?))
 }
 
-fn proof_block(p: &mut Parser<'_>) -> Read<Vec<ProofStmt>> {
-    braced(p, |p| {
-        proof_stmt(p)?
-            .ok_or_else(|| p.error(format!("expected a proof statement, found {:?}", p.peek())))
-    })
+/// `{ proof* }`, read as the [`Proof::seq`] of its statements.
+fn proof_block(p: &mut Parser<'_>) -> Read<Box<Proof>> {
+    let proofs = braced(p, |p| {
+        proof_stmt(p)?.ok_or_else(|| match p.peek() {
+            Tok::Ident("fix") => p.error("fix may not be nested inside a pure proof block"),
+            other => p.error(format!("expected a proof statement, found {other:?}")),
+        })
+    })?;
+    Ok(Box::new(Proof::seq(proofs)))
 }
 
 #[cfg(test)]
@@ -669,7 +692,7 @@ mod tests {
         assert_eq!(increment.body.len(), 3);
         assert!(matches!(increment.body[0], Stmt::Assign(..)));
         match &increment.body[1] {
-            Stmt::Proof(ProofStmt::Note { label, from, .. }) => {
+            Stmt::Proof(Proof::Note { label, from, .. }) => {
                 assert_eq!(label, "Bumped");
                 assert_eq!(from.as_ref().unwrap().len(), 2);
             }
@@ -773,9 +796,37 @@ mod tests {
         let proof_count = demo
             .body
             .iter()
-            .filter(|s| matches!(s, Stmt::Proof(_) | Stmt::Assert { .. }))
+            .filter(|s| matches!(s, Stmt::Proof(_) | Stmt::Assert { .. } | Stmt::Fix { .. }))
             .count();
         assert_eq!(proof_count, 14);
+        match &demo.body[13] {
+            Stmt::Fix { body, .. } => assert_eq!(body.len(), 2),
+            other => panic!("expected fix, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn misplaced_proof_statements_are_reported_at_their_text() {
+        let within = |body: &str| format!("module M {{\n  method m() {{\n    {body}\n  }}\n}}");
+        for (body, at, message) in [
+            (
+                "mp D: \"old(x --> y)\";",
+                "\"old(x --> y)\"",
+                "mp D expects an implication",
+            ),
+            (
+                "localize L: \"true\" { fix k: int suchThat \"true\" show G: \"true\" { } }",
+                "fix",
+                "fix may not be nested inside a pure proof block",
+            ),
+        ] {
+            let source = within(body);
+            let err = parse_module(&source).unwrap_err();
+            assert_eq!(err.line, 3, "{err}");
+            let (start, end) = err.span.unwrap();
+            assert_eq!(&source[start..end], at, "{err}");
+            assert!(err.message.starts_with(message), "{err}");
+        }
     }
 
     #[test]

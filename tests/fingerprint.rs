@@ -9,9 +9,12 @@
 //! and the fix is to bump `cache_store::SCHEMA_VERSION` on purpose (so old
 //! stores are set aside instead of consulted) and update the digest.
 //!
-//! A second digest covers the parsed modules themselves, so a change to
-//! the reader of module text that moves any node of any Table 1 AST fails
-//! here before it reaches a fingerprint.
+//! Two more digests cover the front end below the fingerprints: one the
+//! parsed modules, so a change to the reader of module text that moves any
+//! node of any Table 1 AST fails here before it reaches a fingerprint, and
+//! one the lowered guarded commands, their translation and their construct
+//! counts, so a change to the AST's types that lowers to the same commands
+//! can be shown to move nothing below it.
 
 use ipl::gcl::split::split_all;
 use ipl::gcl::translate::{translate_ext, TranslateCtx};
@@ -26,23 +29,55 @@ const GOLDEN_SEQUENTS: usize = 201;
 
 /// FNV-1a over the bytes of `format!("{:?}", parse_module(source))` for
 /// every Table 1 source, in Table 1 order.
-const GOLDEN_AST_DIGEST: u64 = 0x6621_9e51_6a83_e875;
+const GOLDEN_AST_DIGEST: u64 = 0xbebe_72b4_9f40_895a;
+
+/// FNV-1a over the bytes of `format!("{command:?}\n{simple:?}\n{counts:?}")`
+/// for every Table 1 method, in Table 1 order, where `command` is the
+/// method's lowered command and then the same command with its proof
+/// constructs stripped, `simple` its translation and `counts` its
+/// construct counts.
+const GOLDEN_COMMAND_DIGEST: u64 = 0xec60_bca9_b338_9bf6;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+fn fold(digest: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(digest, |digest, &byte| {
+        (digest ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
 
 #[test]
 fn table1_asts_match_the_committed_digest() {
     let mut digest = FNV_OFFSET;
     for benchmark in ipl::suite::all() {
         let parsed = format!("{:?}", ipl::lang::parse_module(benchmark.source));
-        for byte in parsed.bytes() {
-            digest = (digest ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
+        digest = fold(digest, parsed.as_bytes());
     }
     assert_eq!(
         digest, GOLDEN_AST_DIGEST,
         "a Table 1 source parses to a different AST (digest {digest:#018x})"
+    );
+}
+
+#[test]
+fn table1_commands_match_the_committed_digest() {
+    let mut digest = FNV_OFFSET;
+    for benchmark in ipl::suite::all() {
+        let module = ipl::lang::parse_module(benchmark.source).expect("parses");
+        let lowered = ipl::lang::lower_module(&module).expect("lowers");
+        for method in &lowered.methods {
+            for command in [method.command.clone(), method.command.strip_proofs()] {
+                let simple = translate_ext(&command, &mut TranslateCtx::new());
+                let counts = command.count_constructs();
+                let text = format!("{command:?}\n{simple:?}\n{counts:?}");
+                digest = fold(digest, text.as_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        digest, GOLDEN_COMMAND_DIGEST,
+        "a Table 1 method lowers or translates differently (digest {digest:#018x})"
     );
 }
 
@@ -69,9 +104,7 @@ fn table1_fingerprints_match_the_committed_digest() {
                     method.env.clone(),
                 );
                 let fingerprint = ProofCache::fingerprint(&query, &config, &line_up);
-                for byte in fingerprint.as_u128().to_le_bytes() {
-                    digest = (digest ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-                }
+                digest = fold(digest, &fingerprint.as_u128().to_le_bytes());
                 sequents += 1;
             }
         }

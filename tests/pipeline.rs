@@ -201,6 +201,46 @@ module G {
 }
 
 #[test]
+fn old_reads_the_entry_value_of_a_variable_assigned_only_inside_fix() {
+    // `x` is assigned only in the `fix` body, so the postcondition is
+    // false; reading `old(x)` as the current `x` would verify it.
+    let source = r#"
+module M {
+  var x: int;
+  method m() ensures "x = old(x)" {
+    fix k: int suchThat "k = 0" show Done: "true" { x := x + 1; }
+  }
+}
+"#;
+    let options = VerifyOptions::default().with_config(ProverConfig::without_cache());
+    let report = verify(source, &options).unwrap();
+    let failed: Vec<&str> = report.methods[0]
+        .failed_sequents()
+        .iter()
+        .map(|s| s.goal_label.as_str())
+        .collect();
+    assert_eq!(failed, ["Postcondition"], "{}", report.render());
+}
+
+#[test]
+fn a_fix_body_runs_between_its_constraint_and_its_goal() {
+    let source = r#"
+module F {
+  var x: int;
+  method m() modifies x ensures "0 < x" {
+    x := 0;
+    fix k: int suchThat "k = x" show Kept: "k < x" { x := x + 1; }
+  }
+}
+"#;
+    let options = VerifyOptions::default().with_config(ProverConfig::without_cache());
+    let report = verify(source, &options).unwrap();
+    assert!(report.fully_proved(), "{}", report.render());
+    assert_eq!(report.total_sequents(), 3, "{}", report.render());
+    assert_eq!(report.statement_count, 2, "the fix body's statement counts");
+}
+
+#[test]
 fn old_in_a_program_expression_reads_the_entry_value() {
     let source = r#"
 module Snapshot {

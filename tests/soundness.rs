@@ -8,7 +8,7 @@
 //! exactly as the paper's Figure 11 argues.
 
 use ipl::gcl::soundness::{catalog, POST_VAR};
-use ipl::gcl::translate::{translate_proof, TranslateCtx};
+use ipl::gcl::translate::translate_proof;
 use ipl::logic::{Sort, SortEnv};
 use ipl::provers::{Cascade, Outcome, ProverConfig, Query};
 
@@ -47,8 +47,7 @@ fn every_proof_construct_is_stronger_than_skip() {
 #[test]
 fn induct_translation_emits_base_and_step_obligations() {
     let case = catalog().into_iter().find(|c| c.name == "induct").unwrap();
-    let mut ctx = TranslateCtx::new();
-    let simple = translate_proof(&case.construct, &mut ctx);
+    let simple = translate_proof(&case.construct);
     assert_eq!(
         simple.assert_count(),
         2,
